@@ -21,7 +21,6 @@ per-trial seeds come from the splitmix64 mixer in `seeding`.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -31,17 +30,15 @@ import numpy as np
 from .errors import (DegenerateInput, EmptyMask, InsufficientContact, InvalidConfig,
                      InvalidGeometry, WidthOverflow)
 from .geometry import RigidTransform
-from .imgeo import Ellipse
 from .plan import RING, SIMPLY_CONNECTED, GraspProposal, GripperSpec, PokePlan, \
     heuristic_grasp, poking_point
-from .regions import InstanceAnnotation, height_map, poking_region, \
+from .regions import InstanceAnnotation, height_map, pixel_ray_dz, poking_region, \
     DEFAULT_H_MIN, DEFAULT_TAU_DOT
 from .render import RenderBuffers, contains, render, top_heights
 from .scene import Box, ObjectModel, Scene
 from .seeding import mix
 from .tactile import TactileFrame, TactileSensorSpec, detect_contact, \
     frame_from_heights, sensor_pose_at, tactile_align
-from .plan import poking_point as _poking_point  # noqa: F401 (re-export convenience)
 
 GRAVITY = 9.81
 
@@ -275,20 +272,14 @@ def corrupt_depth(buffers: RenderBuffers, scene: Scene, rng: np.random.Generator
                   dropout: float, sigma: float) -> np.ndarray:
     """Transparent-surface depth model: object pixels read the background
     (table) depth with probability ``dropout``; survivors get Gaussian
-    noise of scale ``sigma``. Table pixels are returned unchanged."""
+    noise of scale ``sigma``. Table pixels are returned unchanged. Raises
+    ShapeMismatch unless the buffers are (H, W) images of the camera."""
     cam = scene.camera
+    dz = pixel_ray_dz(buffers.depth, cam)
     depth = buffers.depth.copy()
     obj_px = buffers.instance > 0
     if not obj_px.any():
         return depth
-    h, w = depth.shape
-    u = np.arange(w, dtype=np.float64)
-    v = np.arange(h, dtype=np.float64)
-    uu, vv = np.meshgrid(u, v)
-    d_cam = np.stack([(uu - cam.cx) / cam.fx, (vv - cam.cy) / cam.fy, np.ones_like(uu)], axis=-1)
-    d_world = d_cam.reshape(-1, 3) @ cam.pose.rotation.T
-    d_world /= np.linalg.norm(d_world, axis=-1, keepdims=True)
-    dz = d_world[:, 2].reshape(h, w)
     with np.errstate(divide="ignore"):
         t_table = (scene.table_height - cam.pose.translation[2]) / dz
     drop = obj_px & (rng.random(depth.shape) < dropout) & (dz < 0)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, ShapeMismatch
 from .render import RenderBuffers
 from .scene import CameraModel
 
@@ -55,20 +55,25 @@ def dot_product_map(normals: np.ndarray, table_normal: np.ndarray) -> np.ndarray
     return np.where(hit, dots, DOT_SENTINEL)
 
 
+def pixel_ray_dz(depth: np.ndarray, camera: CameraModel) -> np.ndarray:
+    """(H, W) world z component of the unit pixel-ray directions.
+
+    Raises ShapeMismatch unless ``depth`` is an (H, W) image of the camera.
+    """
+    if depth.shape != (camera.height, camera.width):
+        raise ShapeMismatch(f"depth shape {depth.shape} does not match the "
+                            f"{camera.height}x{camera.width} camera")
+    return camera.pixel_directions()[:, 2].reshape(depth.shape)
+
+
 def height_map(depth: np.ndarray, camera: CameraModel) -> np.ndarray:
     """World z of the surface point behind every pixel; -inf where no hit.
 
     The surface point is the camera origin plus depth along the pixel ray,
-    so only its z component is needed here.
+    so only its z component is needed here. Raises ShapeMismatch unless
+    ``depth`` is an (H, W) image of the camera.
     """
-    h, w = depth.shape
-    u = np.arange(w, dtype=np.float64)
-    v = np.arange(h, dtype=np.float64)
-    uu, vv = np.meshgrid(u, v)
-    d_cam = np.stack([(uu - camera.cx) / camera.fx, (vv - camera.cy) / camera.fy,
-                      np.ones_like(uu)], axis=-1)
-    d_world = d_cam.reshape(-1, 3) @ camera.pose.rotation.T
-    dz = (d_world[:, 2] / np.linalg.norm(d_world, axis=-1)).reshape(h, w)
+    dz = pixel_ray_dz(depth, camera)
     hit = np.isfinite(depth)
     z = camera.pose.translation[2] + np.where(hit, depth, 0.0) * dz
     return np.where(hit, z, HEIGHT_SENTINEL)

@@ -14,6 +14,16 @@ is a hit with instance id 0 and finite depth.
 
 Rays are cast through integer pixel coordinates (u, v) so that
 ``camera.project`` of a hit point returns the pixel it was rendered at.
+Their directions come from ``CameraModel.pixel_directions``, one cached
+grid shared with ``regions.height_map`` and ``harness.corrupt_depth``.
+
+An object covers a small part of the frame, so a camera render first culls
+the rays against a padded bounding sphere of each object (revolution
+profiles: centred on the axis at mid-height; boxes: half the space
+diagonal) and runs the primitive intersection only for the rays whose line
+passes through the sphere ahead of the origin. The buffers are the same as
+intersecting every ray. ``top_heights`` and ``intersect_object`` do not
+cull: nearly every tactile sensel column is a candidate.
 """
 from __future__ import annotations
 
@@ -252,16 +262,18 @@ def ray_intersect(obj: ObjectModel, origin: Sequence[float], direction: Sequence
 # scene rendering
 # ---------------------------------------------------------------------------
 
-def _pixel_rays(scene: Scene):
-    cam = scene.camera
-    u = np.arange(cam.width, dtype=np.float64)
-    v = np.arange(cam.height, dtype=np.float64)
-    uu, vv = np.meshgrid(u, v)
-    d_cam = np.stack([(uu - cam.cx) / cam.fx, (vv - cam.cy) / cam.fy, np.ones_like(uu)], axis=-1)
-    d = d_cam.reshape(-1, 3) @ cam.pose.rotation.T
-    d /= np.linalg.norm(d, axis=-1, keepdims=True)
-    o = np.broadcast_to(cam.pose.translation, d.shape)
-    return o, d
+def _bounding_sphere(obj: ObjectModel) -> tuple[np.ndarray, float]:
+    """World centre and radius of a sphere enclosing the object's solid,
+    padded so that rounding in the primitive tests cannot put a hit outside."""
+    shape = obj.shape
+    if isinstance(shape, Box):
+        w, d, h = shape.size
+        zc, radius = h / 2.0, 0.5 * float(np.sqrt(w * w + d * d + h * h))
+    else:
+        # the distance to the axis point is convex along each profile segment
+        zc = (shape.z_min + shape.z_max) / 2.0
+        radius = max(float(np.hypot(r, z - zc)) for r, z in shape.points)
+    return obj.pose.apply(np.array([0.0, 0.0, zc])), radius * (1.0 + 1e-9) + 1e-9
 
 
 def _cast(scene: Scene, origins: np.ndarray, dirs: np.ndarray):
@@ -277,11 +289,19 @@ def _cast(scene: Scene, origins: np.ndarray, dirs: np.ndarray):
     depth = np.where(ok, t_table, depth)
     normal[ok] = np.where(dz[ok, None] < 0, [0.0, 0.0, 1.0], [0.0, 0.0, -1.0])
     for obj in scene.objects:
-        t, nrm, _ = intersect_object(obj, origins, dirs)
-        closer = t < depth
-        depth = np.where(closer, t, depth)
-        normal[closer] = nrm[closer]
-        inst = np.where(closer, obj.id, inst)
+        # only rays whose line passes through the bounding sphere, ahead of
+        # the origin, can hit the object; the rest would return t = inf
+        center, radius = _bounding_sphere(obj)
+        oc = center - origins
+        along = np.einsum("ij,ij->i", oc, dirs)
+        off2 = np.einsum("ij,ij->i", oc, oc) - along * along
+        idx = np.flatnonzero((off2 <= radius * radius) & (along > -radius))
+        t, nrm, _ = intersect_object(obj, origins[idx], dirs[idx])
+        closer = t < depth[idx]
+        hit = idx[closer]
+        depth[hit] = t[closer]
+        normal[hit] = nrm[closer]
+        inst[hit] = obj.id
     return depth, normal, inst
 
 
@@ -295,7 +315,8 @@ def render(scene: Scene, threads: Optional[int] = None) -> RenderBuffers:
     if threads is None:
         threads = max(1, int(os.environ.get("POKEGRASP_THREADS", "1")))
     cam = scene.camera
-    o, d = _pixel_rays(scene)
+    d = cam.pixel_directions()
+    o = np.broadcast_to(cam.pose.translation, d.shape)
     n = o.shape[0]
     if threads <= 1 or n < 4096:
         depth, normal, inst = _cast(scene, o, d)

@@ -31,6 +31,10 @@ from .geometry import RigidTransform
 
 RAY_PARALLEL_TOL = 1e-12
 
+# pixel-ray grids of up to a few distinct cameras, keyed by camera values
+_PIXEL_DIRECTIONS_KEPT = 4
+_PIXEL_DIRECTIONS: dict[tuple, np.ndarray] = {}
+
 
 @dataclass(frozen=True)
 class CameraModel:
@@ -67,6 +71,29 @@ class CameraModel:
         d_world = self.pose.apply_vector(d_cam)
         d_world /= np.linalg.norm(d_world)
         return self.pose.translation.copy(), d_world
+
+    def pixel_directions(self) -> np.ndarray:
+        """Read-only (height*width, 3) unit world directions of the rays
+        through the integer pixels, row-major over (v, u).
+
+        Equal cameras share one cached array, so scenes that each build
+        their own copy of the same camera do not each hold a grid.
+        """
+        rot = self.pose.rotation
+        key = (self.fx, self.fy, self.cx, self.cy, self.width, self.height, rot.tobytes())
+        d = _PIXEL_DIRECTIONS.get(key)
+        if d is None:
+            uu, vv = np.meshgrid(np.arange(self.width, dtype=np.float64),
+                                 np.arange(self.height, dtype=np.float64))
+            d_cam = np.stack([(uu - self.cx) / self.fx, (vv - self.cy) / self.fy,
+                              np.ones_like(uu)], axis=-1)
+            d = d_cam.reshape(-1, 3) @ rot.T
+            d /= np.linalg.norm(d, axis=-1, keepdims=True)
+            d.setflags(write=False)
+            if len(_PIXEL_DIRECTIONS) >= _PIXEL_DIRECTIONS_KEPT:
+                _PIXEL_DIRECTIONS.clear()  # one atomic step, unlike evicting a chosen key
+            _PIXEL_DIRECTIONS[key] = d
+        return d
 
     def backproject_at_height(self, pixel: Sequence[float], height: float) -> np.ndarray:
         """Intersect the pixel ray with the horizontal plane z = ``height``."""

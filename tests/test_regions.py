@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pokegrasp.errors import InvalidConfig
+from pokegrasp.catalog import benchmark_scene
+from pokegrasp.errors import InvalidConfig, ShapeMismatch
 from pokegrasp.geometry import RigidTransform, rot_x
 from pokegrasp.regions import (DEFAULT_H_MIN, DEFAULT_TAU_DOT, dot_product_map,
                                height_map, poking_region)
@@ -79,6 +80,26 @@ class TestHeightMap:
         heights = height_map(depth, cam)
         assert np.isneginf(heights[0, 0])
         assert abs(heights[1, 2]) < 1e-9
+
+    def test_matches_inline_pixel_grid(self):
+        scene = benchmark_scene("jar", 4, master_seed=0)
+        cam = scene.camera
+        depth = render(scene).depth
+        # the per-call grid that height_map built before the camera cached it
+        uu, vv = np.meshgrid(np.arange(cam.width, dtype=np.float64),
+                             np.arange(cam.height, dtype=np.float64))
+        d_cam = np.stack([(uu - cam.cx) / cam.fx, (vv - cam.cy) / cam.fy,
+                          np.ones_like(uu)], axis=-1)
+        d_world = d_cam.reshape(-1, 3) @ cam.pose.rotation.T
+        dz = (d_world[:, 2] / np.linalg.norm(d_world, axis=-1)).reshape(depth.shape)
+        hit = np.isfinite(depth)
+        expected = np.where(hit, cam.pose.translation[2] + np.where(hit, depth, 0.0) * dz,
+                            -np.inf)
+        assert height_map(depth, cam).tobytes() == expected.tobytes()
+
+    def test_shape_mismatch(self, down_cam):
+        with pytest.raises(ShapeMismatch):
+            height_map(np.zeros((down_cam.width, down_cam.height)), down_cam)
 
 
 class TestPokingRegion:

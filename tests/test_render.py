@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from pokegrasp.catalog import OBJECT_NAMES, benchmark_scene, catalog_entry, default_camera, \
+    make_object
 from pokegrasp.errors import InvalidGeometry
 from pokegrasp.geometry import RigidTransform, rot_x, rot_z
-from pokegrasp.render import Hit, compile_primitives, contains, ray_intersect, render, top_heights
+from pokegrasp.render import Hit, compile_primitives, contains, intersect_object, ray_intersect, \
+    render, top_heights
 from pokegrasp.scene import Box, ObjectModel, RevolutionProfile, Scene
 
 from conftest import overhead_camera, straight_cup
@@ -149,6 +152,57 @@ class TestRender:
         assert m1.any() and m5.any()
         assert not np.any(m1 & m5)
         assert np.array_equal(m1, (buf.instance == 1) & buf.hit)
+
+
+def unculled_render(scene):
+    """Reference nearest-hit buffers: every pixel ray against the table and
+    every object, with no bounding-volume culling."""
+    cam = scene.camera
+    d = cam.pixel_directions()
+    o = np.broadcast_to(cam.pose.translation, d.shape)
+    with np.errstate(divide="ignore"):
+        t_table = (scene.table_height - o[:, 2]) / d[:, 2]
+    on_table = (np.abs(d[:, 2]) > 1e-14) & (t_table > 1e-9)
+    depth = np.where(on_table, t_table, np.inf)
+    normal = np.zeros(d.shape)
+    normal[on_table] = np.where(d[on_table, 2:] < 0, [0.0, 0.0, 1.0], [0.0, 0.0, -1.0])
+    inst = np.zeros(d.shape[0], dtype=np.int32)
+    for obj in scene.objects:
+        t, nrm, _ = intersect_object(obj, o, d)
+        closer = t < depth
+        depth[closer] = t[closer]
+        normal[closer] = nrm[closer]
+        inst[closer] = obj.id
+    shape = (cam.height, cam.width)
+    return depth.reshape(shape), normal.reshape(shape + (3,)), inst.reshape(shape)
+
+
+def assert_buffers_identical(buf, depth, normals, instance):
+    assert buf.depth.tobytes() == depth.tobytes()
+    assert buf.normals.tobytes() == normals.tobytes()
+    assert buf.instance.tobytes() == instance.tobytes()
+
+
+class TestCulledRenderMatchesUnculled:
+    @pytest.mark.parametrize("attempt", [0, 4, 8])
+    @pytest.mark.parametrize("name", OBJECT_NAMES)
+    def test_catalog_scene(self, name, attempt):
+        scene = benchmark_scene(name, attempt, master_seed=0)
+        assert_buffers_identical(render(scene), *unculled_render(scene))
+
+    def test_two_objects_with_rotated_box(self):
+        cup = make_object(catalog_entry("champagne_cup"), "upright", -0.03, 0.01, 0.4, oid=1)
+        box = ObjectModel(id=2, shape=Box(size=(0.05, 0.07, 0.09)), mass=0.1,
+                          pose=RigidTransform(rot_z(0.7) @ rot_x(0.5), [0.03, -0.02, 0.03]))
+        scene = Scene(camera=default_camera(), objects=(cup, box))
+        buf = render(scene)
+        assert buf.instance_mask(1).any() and buf.instance_mask(2).any()
+        assert_buffers_identical(buf, *unculled_render(scene))
+
+    def test_thread_count_does_not_change_catalog_render(self):
+        scene = benchmark_scene("rectangular_cup", 8, master_seed=0)
+        one = render(scene, threads=1)
+        assert_buffers_identical(render(scene, threads=2), one.depth, one.normals, one.instance)
 
 
 class TestSolidQueries:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from pokegrasp.catalog import default_camera
 from pokegrasp.errors import (InvalidConfig, InvalidGeometry, PointBehindCamera,
                               RayParallelToPlane)
 from pokegrasp.geometry import RigidTransform, rot_x, rot_z
@@ -75,6 +76,33 @@ class TestBackproject:
             p = cam.backproject_at_height(uv, h)
             u2, v2 = cam.project(p)
             assert abs(u2 - uv[0]) < 1e-7 and abs(v2 - uv[1]) < 1e-7
+
+
+class TestPixelDirections:
+    def test_rows_match_pixel_ray(self):
+        cam = CameraModel(fx=60.0, fy=55.0, cx=31.5, cy=20.0, width=64, height=48,
+                          pose=RigidTransform(rot_z(0.4) @ rot_x(2.8), [0.05, -0.1, 0.7]))
+        dirs = cam.pixel_directions()
+        assert dirs.shape == (48 * 64, 3)
+        for v in range(48):
+            for u in range(64):
+                _, d = cam.pixel_ray((u, v))
+                assert np.abs(dirs[v * 64 + u] - d).max() <= 1e-15
+
+    def test_unit_norm(self):
+        dirs = default_camera().pixel_directions()
+        assert np.abs(np.linalg.norm(dirs, axis=-1) - 1.0).max() <= 1e-15
+
+    def test_read_only(self):
+        dirs = default_camera().pixel_directions()
+        with pytest.raises(ValueError):
+            dirs[0, 0] = 0.0
+
+    def test_equal_cameras_share_one_grid(self):
+        a, b = default_camera(), default_camera()
+        assert a is not b
+        assert a.pixel_directions() is b.pixel_directions()
+        assert default_camera(width=160, height=120).pixel_directions() is not a.pixel_directions()
 
 
 class TestValidation:
