@@ -34,7 +34,7 @@ from .plan import RING, SIMPLY_CONNECTED, GraspProposal, GripperSpec, PokePlan, 
     heuristic_grasp, poking_point
 from .regions import InstanceAnnotation, height_map, pixel_ray_dz, poking_region, \
     DEFAULT_H_MIN, DEFAULT_TAU_DOT
-from .render import RenderBuffers, contains, render, top_heights
+from .render import RenderBuffers, contains, intersect_object, render, top_heights
 from .scene import Box, ObjectModel, Scene
 from .seeding import mix
 from .tactile import TactileFrame, TactileSensorSpec, detect_contact, \
@@ -317,6 +317,15 @@ def _footprint_heights(scene: Scene, spec: TactileSensorSpec, center: np.ndarray
     heights, ids = top_heights(scene.objects, world[:, :2], z_start=z_start)
     shape = (spec.res_y, spec.res_x)
     return heights.reshape(shape), ids.reshape(shape), world[:, :2].reshape(shape + (2,)), posed
+
+
+def _contact_dot(scene: Scene, object_id: int, contact: np.ndarray) -> float:
+    """Table-normal component of the contacted surface normal, from the
+    same downward ray at the contact column that the probe cast."""
+    origin = np.array([[contact[0], contact[1], scene_top_z(scene) + 0.01]])
+    _, normal, _ = intersect_object(scene.object_by_id(object_id), origin,
+                                    np.array([[0.0, 0.0, -1.0]]))
+    return float(normal[0] @ scene.table_normal)
 
 
 def simulate_poke(scene: Scene, plan: Optional[PokePlan], cfg: TrialConfig,

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from pokegrasp.catalog import benchmark_scene
+from pokegrasp.catalog import benchmark_scene, benchmark_scene_set, default_camera
 from pokegrasp.errors import ShapeMismatch
-from pokegrasp.harness import corrupt_depth
+from pokegrasp.geometry import RigidTransform, rot_x
+from pokegrasp.harness import POKE_GUIDANCE_MODES, SUCCESS, TOPPLE, TrialConfig, _contact_dot, \
+    corrupt_depth, run_benchmark
 from pokegrasp.render import RenderBuffers, render
+from pokegrasp.scene import ObjectModel, RevolutionProfile, Scene
 
 
 def inline_corrupt_depth(buffers, scene, rng, dropout, sigma):
@@ -43,3 +46,27 @@ class TestCorruptDepth:
                                 instance=buf.instance[:-1])
         with pytest.raises(ShapeMismatch):
             corrupt_depth(cropped, scene, np.random.default_rng(0), 0.7, 0.01)
+
+
+def test_contact_dot_on_side_lying_barrel():
+    # barrel axis along world y at height r: the surface above x = r sin(phi)
+    # has a normal whose z component is cos(phi)
+    r = 0.035
+    barrel = ObjectModel(id=1, shape=RevolutionProfile(points=((r, 0.0), (r, 0.12))), mass=0.3,
+                         pose=RigidTransform(rot_x(np.pi / 2), [0.0, 0.06, r]))
+    scene = Scene(camera=default_camera(), objects=(barrel,))
+    for phi in (0.0, 0.3, 0.9):
+        x = r * np.sin(phi)
+        contact = np.array([x, 0.0, r + r * np.cos(phi)])
+        assert abs(_contact_dot(scene, 1, contact) - np.cos(phi)) < 1e-9
+
+
+def test_small_tables_run_without_raising():
+    # a light cup that topples and a heavy one that holds: pokes reach contact
+    scenes = benchmark_scene_set(names=("big_disposable_cup", "highball_cup"), attempts=2)
+    poke = run_benchmark(scenes, POKE_GUIDANCE_MODES, 2, TrialConfig(), task="poke")
+    grasp = run_benchmark(scenes, ("tactile",), 2, TrialConfig(), task="grasp")
+    assert len(poke.trials) == 12 and len(grasp.trials) == 4
+    statuses = {t["outcome"]["status"] for t in poke.trials}
+    assert {SUCCESS, TOPPLE} <= statuses
+    assert grasp.successes("tactile") > 0
