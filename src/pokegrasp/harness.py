@@ -86,6 +86,16 @@ class TrialConfig:
             raise InvalidConfig("adhesion_prob must be in [0, 1]")
         if self.calib_range < 0:
             raise InvalidConfig("calib_range must be >= 0")
+        # a non-positive step never leaves the descent loop, and a negative
+        # threshold would count untouched sensels as contact
+        if self.coarse_step <= 0:
+            raise InvalidConfig("coarse_step must be positive")
+        if self.descent_step <= 0:
+            raise InvalidConfig("descent_step must be positive")
+        if self.value_threshold < 0:
+            raise InvalidConfig("value_threshold must be >= 0")
+        if self.count_threshold < 0:
+            raise InvalidConfig("count_threshold must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -335,6 +345,12 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan], cfg: TrialConfig,
     ``executed_shift`` is the horizontal execution error (calibration);
     success requires image-subtraction contact above the protective-stop
     height, and the contacted object must not tip at the stop force.
+
+    No object surface rises above ``scene_top_z``, so a sensel indents by
+    more than ``value_threshold`` only when the sensing plane sits below
+    ``scene_top_z - value_threshold``. A probe at or above that height
+    (plus 1e-9 for rounding in the cast) counts no sensel and is skipped
+    without casting; the descent still steps through its height.
     """
     if plan is None:
         return PokeOutcome(status=MISS, seed=seed)
@@ -352,18 +368,23 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan], cfg: TrialConfig,
     reference = TactileFrame(image=np.zeros((spec.res_y, spec.res_x)),
                              pose=spec.pose)
 
+    top = scene_top_z(scene)
+    z_reach = top - cfg.value_threshold + 1e-9
+
     def probe(z: float):
+        if z >= z_reach:
+            return False, 0, None
         heights, ids, xy, posed = _footprint_heights(scene, spec, center_at(z))
         frame = frame_from_heights(heights, posed, z)
         hit, count = detect_contact(reference, frame,
                                     cfg.value_threshold, cfg.count_threshold)
-        return hit, count, heights, ids, xy, frame, posed
+        return hit, count, (heights, ids, xy, frame, posed)
 
-    z_top = scene_top_z(scene) + cfg.coarse_step
+    z_top = top + cfg.coarse_step
     z = z_top
     first_touch = None
     while z >= cfg.h_stop - 1e-12:
-        _, count, *_ = probe(z)
+        _, count, _ = probe(z)
         if count > 0:
             first_touch = z
             break
@@ -372,8 +393,9 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan], cfg: TrialConfig,
         return PokeOutcome(status=MISS, seed=seed, stop_z=cfg.h_stop)
     z = min(first_touch + cfg.coarse_step, z_top)
     while z >= cfg.h_stop - 1e-12:
-        hit, count, heights, ids, xy, frame, posed = probe(z)
+        hit, _, touched = probe(z)
         if hit:
+            heights, ids, xy, frame, posed = touched
             pen = frame.image
             idx = np.unravel_index(int(np.argmax(pen)), pen.shape)
             contact = np.array([xy[idx][0], xy[idx][1], heights[idx]])
@@ -471,14 +493,6 @@ def poke_pixel_for_guidance(ann: InstanceAnnotation, guidance: str) -> Optional[
     return PokePlan(point_px=px, ellipse=None, region_topology=topo)
 
 
-def _with_point_world(plan: Optional[PokePlan], scene: Scene, cfg: TrialConfig):
-    if plan is None:
-        return None
-    z = max(cfg.h_stop, scene.table_height)
-    pw = scene.camera.backproject_at_height(plan.point_px, z)
-    return dataclasses.replace(plan, point_world=pw)
-
-
 def _is_side_lying_cylinder(obj: ObjectModel) -> bool:
     if isinstance(obj.shape, Box):
         return False
@@ -492,7 +506,7 @@ def run_poke_trial(scene: Scene, cfg: TrialConfig, seed: int, guidance: str,
     if not anns:
         return PokeOutcome(status=MISS, seed=seed)
     ann = anns[0]
-    plan = _with_point_world(poke_pixel_for_guidance(ann, guidance), scene, cfg)
+    plan = poke_pixel_for_guidance(ann, guidance)
     err = inject_calibration_error(cfg, seed)
     return simulate_poke(scene, plan, cfg, executed_shift=err.translation[:2], seed=seed)
 

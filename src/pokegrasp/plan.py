@@ -66,7 +66,6 @@ class PokePlan:
     point_px: tuple[int, int]            # (u, v) on the poking region
     ellipse: Optional[Ellipse]           # None for naive centroid guidance
     region_topology: str                 # SIMPLY_CONNECTED | RING
-    point_world: Optional[np.ndarray] = None  # filled once a height is known
 
 
 def _centroid_pixel(ellipse: Ellipse) -> tuple[int, int]:

@@ -22,8 +22,12 @@ the rays against a padded bounding sphere of each object (revolution
 profiles: centred on the axis at mid-height; boxes: half the space
 diagonal) and runs the primitive intersection only for the rays whose line
 passes through the sphere ahead of the origin. The buffers are the same as
-intersecting every ray. ``top_heights`` and ``intersect_object`` do not
-cull: nearly every tactile sensel column is a candidate.
+intersecting every ray.
+
+``top_heights`` serves the tactile sensel columns, nearly all of which are
+candidates, so it does not cull. It needs only the hit distance: it takes
+the minimum over the per-primitive distances that ``intersect_object``
+computes too, and skips the nearest-face gather and the normals.
 """
 from __future__ import annotations
 
@@ -219,17 +223,23 @@ def _primitive_normal(prim, o, d, t):
     return _box_normal(d, near_ax)
 
 
+def _primitive_ts(obj: ObjectModel, origins: np.ndarray, dirs: np.ndarray):
+    """Object-frame rays and the (n_primitives, n_rays) hit distances."""
+    inv = obj.pose.inverse()
+    o = inv.apply(origins)
+    d = inv.apply_vector(dirs)
+    prims = compile_primitives(obj)
+    ts = np.stack([_intersect_primitive_t(p, o, d) for p in prims], axis=0)
+    return prims, o, d, ts
+
+
 def intersect_object(obj: ObjectModel, origins: np.ndarray, dirs: np.ndarray):
     """Nearest hit of many world-frame rays against one object.
 
     Returns (t, normal_world, face_index); t = +inf where the object is
     missed. Normals are geometric and oriented against the ray.
     """
-    inv = obj.pose.inverse()
-    o = inv.apply(origins)
-    d = inv.apply_vector(dirs)
-    prims = compile_primitives(obj)
-    ts = np.stack([_intersect_primitive_t(p, o, d) for p in prims], axis=0)
+    prims, o, d, ts = _primitive_ts(obj, origins, dirs)
     face = np.argmin(ts, axis=0)
     t = ts[face, np.arange(ts.shape[1])]
     normal = np.zeros_like(o)
@@ -357,7 +367,8 @@ def top_heights(objects: Sequence[ObjectModel], xy: np.ndarray, z_start: float =
     best_t = np.full(n, NO_HIT)
     ids = np.zeros(n, dtype=np.int32)
     for obj in objects:
-        t, _, _ = intersect_object(obj, origins, dirs)
+        _, _, _, ts = _primitive_ts(obj, origins, dirs)
+        t = ts.min(axis=0)
         closer = t < best_t
         best_t = np.where(closer, t, best_t)
         ids = np.where(closer, obj.id, ids)

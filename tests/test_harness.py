@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from pokegrasp.catalog import benchmark_scene, benchmark_scene_set, default_camera
-from pokegrasp.errors import ShapeMismatch
+from pokegrasp.catalog import CATALOG, SIDE, UPRIGHT, UPSIDE_DOWN, benchmark_scene, \
+    benchmark_scene_set, default_camera, make_object
+from pokegrasp.errors import InvalidConfig, ShapeMismatch
 from pokegrasp.geometry import RigidTransform, rot_x
 from pokegrasp.harness import POKE_GUIDANCE_MODES, SUCCESS, TOPPLE, TrialConfig, _contact_dot, \
-    corrupt_depth, run_benchmark
+    _footprint_heights, corrupt_depth, run_benchmark, scene_top_z
 from pokegrasp.render import RenderBuffers, render
-from pokegrasp.scene import ObjectModel, RevolutionProfile, Scene
+from pokegrasp.scene import Box, ObjectModel, RevolutionProfile, Scene
+from pokegrasp.seeding import rng_for
+from pokegrasp.tactile import TactileSensorSpec
 
 
 def inline_corrupt_depth(buffers, scene, rng, dropout, sigma):
@@ -70,3 +73,39 @@ def test_small_tables_run_without_raising():
     statuses = {t["outcome"]["status"] for t in poke.trials}
     assert {SUCCESS, TOPPLE} <= statuses
     assert grasp.successes("tactile") > 0
+
+
+@pytest.mark.parametrize("field, value", [("coarse_step", 0.0), ("descent_step", 0.0),
+                                          ("value_threshold", -1e-6), ("count_threshold", -1)])
+def test_trial_config_rejects_bad_probe_settings(field, value):
+    # a zero step would never leave simulate_poke's descent loop
+    with pytest.raises(InvalidConfig):
+        TrialConfig(**{field: value})
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
+def test_no_surface_rises_above_scene_top_z(entry):
+    """simulate_poke skips probes within value_threshold of scene_top_z; that
+    is sound only while no sensel column reads a height above it."""
+    spec = TactileSensorSpec()
+    rng = rng_for(0, 0x70B, CATALOG.index(entry))
+    if isinstance(entry.shape, Box):
+        r = max(entry.shape.size[:2]) / 2.0
+        axis_z = (0.0, entry.shape.size[2] / 2.0, entry.shape.size[2])
+    else:
+        r = entry.shape.max_radius
+        z0, z1 = entry.shape.z_min, entry.shape.z_max
+        axis_z = (z0, (z0 + z1) / 2.0, z1)
+    # sensor footprints centred on the axis ends and middle, and a radius off
+    # the axis to either side: they cover rims, caps and side-lying top lines
+    local = np.array([[x, y, z] for z in axis_z
+                      for x, y in ((0, 0), (r, 0), (-r, 0), (0, r), (0, -r))])
+    for orientation in (UPRIGHT, UPSIDE_DOWN, SIDE):
+        for yaw in rng.uniform(0.0, 2.0 * np.pi, size=3):
+            obj = make_object(entry, orientation, 0.01, -0.02, float(yaw))
+            scene = Scene(camera=default_camera(), objects=(obj,))
+            top = scene_top_z(scene)
+            highest = max(float(_footprint_heights(scene, spec, c)[0].max())
+                          for c in obj.pose.apply(local))
+            assert highest <= top + 1e-9
+            assert highest > top - 1e-5  # the footprints reach the top surface

@@ -205,6 +205,40 @@ class TestCulledRenderMatchesUnculled:
         assert_buffers_identical(render(scene, threads=2), one.depth, one.normals, one.instance)
 
 
+def columns_around(obj, half=0.16, n=64):
+    """(n*n, 2) grid of columns over a square that covers the whole object:
+    a side-lying pose extends up to its full length from the pose origin."""
+    g = np.linspace(-half, half, n)
+    xx, yy = np.meshgrid(g, g)
+    return np.stack([xx.ravel(), yy.ravel()], axis=-1) + obj.pose.translation[:2]
+
+
+def assert_heights_from_intersect(obj, z_start=0.5):
+    xy = columns_around(obj)
+    heights, ids = top_heights([obj], xy, z_start=z_start)
+    origins = np.concatenate([xy, np.full((xy.shape[0], 1), z_start)], axis=1)
+    t, _, _ = intersect_object(obj, origins, np.broadcast_to([0.0, 0.0, -1.0], origins.shape))
+    assert np.isfinite(heights).any()
+    assert heights.tobytes() == (z_start - t).tobytes()
+    assert np.array_equal(ids, np.where(np.isfinite(t), obj.id, 0))
+
+
+class TestTopHeightsMatchesIntersectObject:
+    """top_heights takes the minimum primitive distance instead of
+    intersect_object's nearest-face gather; the heights must not move."""
+
+    @pytest.mark.parametrize("attempt", [0, 4, 8])
+    @pytest.mark.parametrize("name", OBJECT_NAMES)
+    def test_catalog_object(self, name, attempt):
+        (obj,) = benchmark_scene(name, attempt, master_seed=0).objects
+        assert_heights_from_intersect(obj)
+
+    def test_tilted_box(self):
+        box = ObjectModel(id=2, shape=Box(size=(0.05, 0.07, 0.09)), mass=0.1,
+                          pose=RigidTransform(rot_z(0.7) @ rot_x(0.5), [0.03, -0.02, 0.03]))
+        assert_heights_from_intersect(box)
+
+
 class TestSolidQueries:
     def test_contains_cup_cavity(self):
         cup = straight_cup(radius=0.03, height=0.10, wall=0.003)
