@@ -2,7 +2,8 @@
 
 Three objects x two attempts cover an upright, an upside-down and a
 side-lying pose, a box, and a light cup that topples. The poke task runs
-all three guidance modes and the grasp task the ``tactile`` mode. Each
+all three guidance modes, the grasp task the ``tactile`` mode and the
+camera grasp table the ``camera-mask`` and ``camera-pr`` modes. Each
 digest is taken over the sorted-key JSON of one record, so a change that
 speeds up the renderer, the poke loop or the planners must leave every
 record byte-equal.
@@ -34,7 +35,9 @@ def golden_tables() -> dict:
               for name, attempts in SCENE_ATTEMPTS.items()}
     cfg = TrialConfig()
     return {"poke": run_benchmark(scenes, POKE_GUIDANCE_MODES, 2, cfg, task="poke").to_json(),
-            "grasp": run_benchmark(scenes, ("tactile",), 2, cfg, task="grasp").to_json()}
+            "grasp": run_benchmark(scenes, ("tactile",), 2, cfg, task="grasp").to_json(),
+            "grasp-camera": run_benchmark(scenes, ("camera-mask", "camera-pr"), 2, cfg,
+                                          task="grasp").to_json()}
 
 
 def golden_table(tables: dict) -> dict:

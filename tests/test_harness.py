@@ -3,10 +3,11 @@ import pytest
 
 from pokegrasp.catalog import CATALOG, SIDE, UPRIGHT, UPSIDE_DOWN, benchmark_scene, \
     benchmark_scene_set, default_camera, make_object
-from pokegrasp.errors import InvalidConfig, ShapeMismatch
-from pokegrasp.geometry import RigidTransform, rot_x
-from pokegrasp.harness import POKE_GUIDANCE_MODES, SUCCESS, TOPPLE, TrialConfig, _contact_dot, \
-    _footprint_heights, corrupt_depth, run_benchmark, scene_top_z
+from pokegrasp.errors import InvalidConfig, InvalidGeometry, ShapeMismatch
+from pokegrasp.geometry import RigidTransform, rot_x, rot_z
+from pokegrasp.harness import POKE_GUIDANCE_MODES, SIDE_INSIDE_TOL, SUCCESS, TOPPLE, \
+    TrialConfig, _contact_dot, _convex_hull, _footprint_heights, corrupt_depth, \
+    run_benchmark, scene_top_z, tipping_arms, tipping_max_force
 from pokegrasp.render import RenderBuffers, render
 from pokegrasp.scene import Box, ObjectModel, RevolutionProfile, Scene
 from pokegrasp.seeding import rng_for
@@ -109,3 +110,82 @@ def test_no_surface_rises_above_scene_top_z(entry):
                           for c in obj.pose.apply(local))
             assert highest <= top + 1e-9
             assert highest > top - 1e-5  # the footprints reach the top surface
+
+
+class TestTippingStatics:
+    """Closed-form tipping arms on the three support kinds."""
+
+    def test_max_force_is_torque_balance(self):
+        assert tipping_max_force(2.0, 0.03, 0.01) == pytest.approx(6.0)
+        with pytest.raises(InvalidGeometry):
+            tipping_max_force(2.0, 0.03, 0.0)
+
+    def test_circle_support(self):
+        # upright cylinder: pivot on the base circle, centre of mass on the axis
+        r = 0.03
+        cup = ObjectModel(id=1, shape=RevolutionProfile(points=((r, 0.0), (0.04, 0.1))),
+                          mass=0.1, pose=RigidTransform(rot_z(0.7), [0.02, -0.01, 0.0]))
+        axis = np.array([0.02, -0.01])
+        for phi, rho in ((0.0, 0.035), (2.0, 0.04), (-2.5, 0.031)):
+            contact = axis + rho * np.array([np.cos(phi), np.sin(phi)])
+            inside, d1, d2 = tipping_arms(cup, contact)
+            assert not inside
+            assert d1 == pytest.approx(r, abs=1e-12)
+            assert d2 == pytest.approx(rho - r, abs=1e-12)
+        assert tipping_arms(cup, axis + [0.01, 0.02]) == (True, 0.0, 0.0)
+
+    def test_circle_support_upside_down(self):
+        # resting on its rim: the support circle has the top radius
+        cup = ObjectModel(id=1, shape=RevolutionProfile(points=((0.03, 0.0), (0.04, 0.1))),
+                          mass=0.1, pose=RigidTransform(rot_x(np.pi), [0.0, 0.0, 0.1]))
+        inside, d1, d2 = tipping_arms(cup, np.array([0.0, 0.05]))
+        assert not inside
+        assert d1 == pytest.approx(0.04, abs=1e-12)
+        assert d2 == pytest.approx(0.01, abs=1e-12)
+        assert tipping_arms(cup, np.array([0.035, 0.0])) == (True, 0.0, 0.0)
+
+    def test_segment_support(self):
+        # side-lying barrel along world y: the support is its bottom line
+        r, length = 0.035, 0.12
+        barrel = ObjectModel(id=1, shape=RevolutionProfile(points=((r, 0.0), (r, length))),
+                             mass=0.3, pose=RigidTransform(rot_x(-np.pi / 2), [0.0, 0.0, r]))
+        # beside the line: the centre of mass is above the pivot, no arm
+        inside, d1, d2 = tipping_arms(barrel, np.array([0.02, 0.05]))
+        assert not inside
+        assert d1 == pytest.approx(0.0, abs=1e-12)
+        assert d2 == pytest.approx(0.02, abs=1e-12)
+        # past the far end: pivot at the end, centre of mass half a length back
+        inside, d1, d2 = tipping_arms(barrel, np.array([0.0, length + 0.01]))
+        assert not inside
+        assert d1 == pytest.approx(length / 2.0, abs=1e-12)
+        assert d2 == pytest.approx(0.01, abs=1e-12)
+        assert tipping_arms(barrel, np.array([SIDE_INSIDE_TOL / 2, 0.06])) == (True, 0.0, 0.0)
+
+    def test_polygon_support(self):
+        w, d, h = 0.05, 0.08, 0.1
+        yaw = 0.4
+        box = ObjectModel(id=1, shape=Box(size=(w, d, h)), mass=0.2,
+                          pose=RigidTransform(rot_z(yaw), [0.01, 0.02, 0.0]))
+        c, s = np.cos(yaw), np.sin(yaw)
+        ex, ey = np.array([c, s]), np.array([-s, c])
+        center = np.array([0.01, 0.02])
+        # off the +x face, between its corners: pivot on that edge
+        inside, d1, d2 = tipping_arms(box, center + (w / 2 + 0.015) * ex + 0.01 * ey)
+        assert not inside
+        assert d1 == pytest.approx(w / 2, abs=1e-12)
+        assert d2 == pytest.approx(0.015, abs=1e-12)
+        # diagonally off a corner: the corner is the pivot
+        corner = center + (w / 2) * ex + (d / 2) * ey
+        inside, d1, d2 = tipping_arms(box, corner + 0.006 * ex + 0.008 * ey)
+        u = (0.006 * ex + 0.008 * ey) / 0.01
+        assert not inside
+        assert d2 == pytest.approx(0.01, abs=1e-12)
+        assert d1 == pytest.approx(float((corner - center) @ u), abs=1e-12)
+        assert tipping_arms(box, center + 0.02 * ex - 0.03 * ey) == (True, 0.0, 0.0)
+
+
+def test_convex_hull_drops_interior_and_collinear_points():
+    square = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+    extra = [[0.5, 0.5], [0.5, 0.0], [1.0, 0.25], [0.2, 0.7]]
+    hull = _convex_hull(np.array(extra + square[::-1]))
+    assert hull.tolist() == square
