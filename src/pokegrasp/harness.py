@@ -21,7 +21,6 @@ per-trial seeds come from the splitmix64 mixer in `seeding`.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -34,7 +33,8 @@ from .plan import RING, SIMPLY_CONNECTED, GraspProposal, GripperSpec, PokePlan, 
     heuristic_grasp, poking_point
 from .regions import InstanceAnnotation, height_map, pixel_ray_dz, poking_region, \
     DEFAULT_H_MIN, DEFAULT_TAU_DOT
-from .render import RenderBuffers, contains, intersect_object, render, top_heights
+from .render import RenderBuffers, contains, intersect_object, object_top_z, render, \
+    top_height_bound, top_heights
 from .scene import Box, ObjectModel, Scene
 from .seeding import mix
 from .tactile import TactileFrame, TactileSensorSpec, detect_contact, \
@@ -173,10 +173,13 @@ def _convex_hull(pts: np.ndarray) -> np.ndarray:
         return pts
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
 
+    def turn(o, a, b):  # z of the cross product (a - o) x (b - o)
+        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+
     def half(points):
         out = []
         for p in points:
-            while len(out) >= 2 and np.cross(out[-1] - out[-2], p - out[-2]) <= 0:
+            while len(out) >= 2 and turn(out[-2], out[-1], p) <= 0:
                 out.pop()
             out.append(p)
         return out
@@ -304,25 +307,12 @@ def corrupt_depth(buffers: RenderBuffers, scene: Scene, rng: np.random.Generator
 # ---------------------------------------------------------------------------
 
 def scene_top_z(scene: Scene) -> float:
-    top = scene.table_height
-    for obj in scene.objects:
-        a_z = float((obj.pose.rotation @ np.array([0.0, 0.0, 1.0]))[2])
-        if isinstance(obj.shape, Box):
-            w, d, h = obj.shape.size
-            corners = np.array([[sx * w / 2, sy * d / 2, sz * h]
-                                for sx in (-1, 1) for sy in (-1, 1) for sz in (0, 1)])
-            top = max(top, float(obj.pose.apply(corners)[:, 2].max()))
-        else:
-            r = obj.shape.max_radius
-            spread = r * math.sqrt(max(0.0, 1.0 - a_z * a_z))
-            axis_top = max(obj.shape.z_min * a_z, obj.shape.z_max * a_z)
-            top = max(top, float(obj.pose.translation[2]) + axis_top + spread)
-    return top
+    return max([scene.table_height] + [object_top_z(obj) for obj in scene.objects])
 
 
 def _footprint_heights(scene: Scene, spec: TactileSensorSpec, center: np.ndarray):
     posed = spec.at_pose(sensor_pose_at(center))
-    world = posed.pose.apply(posed.sensel_grid_local())
+    world = spec.sensel_offsets + posed.pose.translation
     z_start = scene_top_z(scene) + 0.01
     heights, ids = top_heights(scene.objects, world[:, :2], z_start=z_start)
     shape = (spec.res_y, spec.res_x)
@@ -346,11 +336,13 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan], cfg: TrialConfig,
     success requires image-subtraction contact above the protective-stop
     height, and the contacted object must not tip at the stop force.
 
-    No object surface rises above ``scene_top_z``, so a sensel indents by
-    more than ``value_threshold`` only when the sensing plane sits below
-    ``scene_top_z - value_threshold``. A probe at or above that height
-    (plus 1e-9 for rounding in the cast) counts no sensel and is skipped
-    without casting; the descent still steps through its height.
+    A sensel indents by more than ``value_threshold`` only where an object
+    surface rises above the plane by that much. The sensor has yaw 0, so its
+    footprint is the axis-aligned rectangle centre +- (area_x, area_y) / 2,
+    and ``top_height_bound`` bounds every surface under it. A probe whose
+    plane sits at or above that bound minus ``value_threshold`` (plus 1e-9
+    for rounding in the cast) counts no sensel and is skipped without
+    casting; the descent still steps through its height.
     """
     if plan is None:
         return PokeOutcome(status=MISS, seed=seed)
@@ -369,12 +361,14 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan], cfg: TrialConfig,
                              pose=spec.pose)
 
     top = scene_top_z(scene)
-    z_reach = top - cfg.value_threshold + 1e-9
+    half = np.array([spec.area_x, spec.area_y]) / 2.0
 
     def probe(z: float):
-        if z >= z_reach:
+        center = center_at(z)
+        bound = top_height_bound(scene.objects, center[:2] - half, center[:2] + half)
+        if z >= bound - cfg.value_threshold + 1e-9:
             return False, 0, None
-        heights, ids, xy, posed = _footprint_heights(scene, spec, center_at(z))
+        heights, ids, xy, posed = _footprint_heights(scene, spec, center)
         frame = frame_from_heights(heights, posed, z)
         hit, count = detect_contact(reference, frame,
                                     cfg.value_threshold, cfg.count_threshold)

@@ -28,9 +28,18 @@ intersecting every ray.
 candidates, so it does not cull. It needs only the hit distance: it takes
 the minimum over the per-primitive distances that ``intersect_object``
 computes too, and skips the nearest-face gather and the normals.
+
+``top_height_bound`` bounds ``top_heights`` over an axis-aligned rectangle
+of columns without casting, the same bounding-volume idea applied to a
+sensor footprint. For a solid of revolution with a vertical axis it keeps
+the primitives whose radial range meets the rectangle's distances to the
+axis and takes each one's highest point there; any other object
+contributes its highest point, ``object_top_z``. ``harness.simulate_poke``
+skips the probes whose footprint bound cannot reach the sensing plane.
 """
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -352,6 +361,66 @@ def render(scene: Scene, threads: Optional[int] = None) -> RenderBuffers:
 # ---------------------------------------------------------------------------
 # solid queries shared by the tactile and trial simulators
 # ---------------------------------------------------------------------------
+
+def object_top_z(obj: ObjectModel) -> float:
+    """World height of the object's highest point (for a solid of
+    revolution, of the bounding cylinder of its widest radius)."""
+    if isinstance(obj.shape, Box):
+        w, d, h = obj.shape.size
+        corners = np.array([[sx * w / 2, sy * d / 2, sz * h]
+                            for sx in (-1, 1) for sy in (-1, 1) for sz in (0, 1)])
+        return float(obj.pose.apply(corners)[:, 2].max())
+    a_z = float((obj.pose.rotation @ np.array([0.0, 0.0, 1.0]))[2])
+    spread = obj.shape.max_radius * math.sqrt(max(0.0, 1.0 - a_z * a_z))
+    axis_top = max(obj.shape.z_min * a_z, obj.shape.z_max * a_z)
+    return float(obj.pose.translation[2]) + axis_top + spread
+
+
+def top_height_bound(objects: Sequence[ObjectModel], xy_lo, xy_hi) -> float:
+    """Upper bound on ``top_heights`` over the columns of the axis-aligned
+    rectangle [xy_lo, xy_hi]; -inf when no object can lie under it.
+
+    A solid of revolution whose axis is vertical (upright or upside down)
+    is bounded by the primitives whose radial range meets the rectangle's
+    distances to the axis, each at its highest point over that overlap.
+    Any other object contributes its ``object_top_z``.
+    """
+    lo = np.asarray(xy_lo, dtype=np.float64)
+    hi = np.asarray(xy_hi, dtype=np.float64)
+    bound = -NO_HIT
+    for obj in objects:
+        rot = obj.pose.rotation
+        # vertical up to rounding in the pose (upside down leaves ~1e-16):
+        # the axis then drifts far less than the radial pad below
+        if isinstance(obj.shape, Box) or math.hypot(rot[0, 2], rot[1, 2]) > 1e-12:
+            bound = max(bound, object_top_z(obj))
+            continue
+        axis = obj.pose.translation[:2]
+        near = np.clip(axis, lo, hi) - axis
+        far = np.maximum(np.abs(lo - axis), np.abs(hi - axis))
+        rho_lo = max(float(np.hypot(*near)) - 1e-9, 0.0)
+        rho_hi = float(np.hypot(*far)) + 1e-9
+        zs = []
+        for prim in compile_primitives(obj):
+            if prim[0] == "disk":
+                _, zc, r_in, r_out, _ = prim
+                # the same radial tolerance as _intersect_disk
+                if rho_lo * rho_lo <= r_out ** 2 + 1e-15 and rho_hi * rho_hi >= r_in ** 2 - 1e-15:
+                    zs.append(zc)
+                continue
+            _, r0, z0, r1, z1, _ = prim
+            a, b = max(min(r0, r1), rho_lo), min(max(r0, r1), rho_hi)
+            if a > b:
+                continue
+            if r0 == r1:
+                zs += [z0, z1]
+            else:
+                zs += [z0 + (r - r0) * (z1 - z0) / (r1 - r0) for r in (a, b)]
+        if zs:
+            z_local = max(zs) if rot[2, 2] > 0 else -min(zs)
+            bound = max(bound, float(obj.pose.translation[2]) + z_local)
+    return bound
+
 
 def top_heights(objects: Sequence[ObjectModel], xy: np.ndarray, z_start: float = 10.0):
     """Highest object surface under each (x, y) column.

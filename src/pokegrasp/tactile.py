@@ -14,6 +14,7 @@ x_j = (j + 0.5) * area_x / res_x - area_x / 2 and the analogous y_i.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,6 +79,15 @@ class TactileSensorSpec:
         ys = (np.arange(self.res_y) + 0.5) * self.pitch_y - self.area_y / 2.0
         xx, yy = np.meshgrid(xs, ys)
         return np.stack([xx, yy, np.zeros_like(xx)], axis=-1).reshape(-1, 3)
+
+    @functools.cached_property
+    def sensel_offsets(self) -> np.ndarray:
+        """Read-only world offsets of the sensel centres from the centre of
+        a sensor posed by ``sensor_pose_at`` (yaw 0); computed once per spec,
+        so a probe adds only its centre."""
+        offsets = self.sensel_grid_local() @ sensor_pose_at(np.zeros(3)).rotation.T
+        offsets.setflags(write=False)
+        return offsets
 
     def pixel_to_local(self, uv) -> np.ndarray:
         """Continuous sensel coordinates -> local metric point on the plane."""

@@ -6,12 +6,14 @@ from pokegrasp.catalog import CATALOG, SIDE, UPRIGHT, UPSIDE_DOWN, benchmark_sce
 from pokegrasp.errors import InvalidConfig, InvalidGeometry, ShapeMismatch
 from pokegrasp.geometry import RigidTransform, rot_x, rot_z
 from pokegrasp.harness import POKE_GUIDANCE_MODES, SIDE_INSIDE_TOL, SUCCESS, TOPPLE, \
-    TrialConfig, _contact_dot, _convex_hull, _footprint_heights, corrupt_depth, \
-    run_benchmark, scene_top_z, tipping_arms, tipping_max_force
-from pokegrasp.render import RenderBuffers, render
+    TrialConfig, _contact_dot, _convex_hull, _footprint_heights, annotations_for, \
+    corrupt_depth, poke_pixel_for_guidance, run_benchmark, scene_top_z, tipping_arms, \
+    tipping_max_force
+from pokegrasp.render import RenderBuffers, render, top_height_bound
 from pokegrasp.scene import Box, ObjectModel, RevolutionProfile, Scene
 from pokegrasp.seeding import rng_for
-from pokegrasp.tactile import TactileSensorSpec
+from pokegrasp.tactile import TactileFrame, TactileSensorSpec, detect_contact, \
+    frame_from_heights, sensor_pose_at
 
 
 def inline_corrupt_depth(buffers, scene, rng, dropout, sigma):
@@ -110,6 +112,111 @@ def test_no_surface_rises_above_scene_top_z(entry):
                           for c in obj.pose.apply(local))
             assert highest <= top + 1e-9
             assert highest > top - 1e-5  # the footprints reach the top surface
+
+
+def footprint_radii(entry) -> tuple:
+    """Footprint centre distances from the axis: on the axis, inside the
+    bore, across the rim, on the outer wall and beside the object."""
+    beside = TactileSensorSpec().area_x
+    if isinstance(entry.shape, Box):
+        r = max(entry.shape.size[:2]) / 2.0
+        return 0.0, r / 2.0, min(entry.shape.size[:2]) / 2.0, r, r + beside
+    bore = entry.shape.top_radius - entry.wall_thickness
+    return (0.0, bore / 2.0, bore + entry.wall_thickness / 2.0, entry.shape.max_radius,
+            entry.shape.max_radius + beside)
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
+def test_top_height_bound_covers_every_footprint(entry):
+    """simulate_poke skips a probe within value_threshold of the bound over
+    its footprint; that is sound only while no sensel reads above it."""
+    spec = TactileSensorSpec()
+    half = np.array([spec.area_x, spec.area_y]) / 2.0
+    rng = rng_for(0, 0xB0D, CATALOG.index(entry))
+    z1 = entry.shape.size[2] if isinstance(entry.shape, Box) else entry.shape.z_max
+    bounds = []
+    for orientation in (UPRIGHT, UPSIDE_DOWN, SIDE):
+        for yaw in rng.uniform(0.0, 2.0 * np.pi, size=3):
+            obj = make_object(entry, orientation, 0.01, -0.02, float(yaw))
+            scene = Scene(camera=default_camera(), objects=(obj,))
+            # three seeded azimuths, at the base, the middle and the top of
+            # the axis (the level matters only when the axis is not vertical)
+            azimuths = rng.uniform(0.0, 2.0 * np.pi, size=3)
+            local = np.array([[rho * np.cos(a), rho * np.sin(a), z]
+                              for rho in footprint_radii(entry)
+                              for a, z in zip(azimuths, (0.0, z1 / 2.0, z1))])
+            for c in obj.pose.apply(local):
+                highest = float(_footprint_heights(scene, spec, c)[0].max())
+                bound = top_height_bound(scene.objects, c[:2] - half, c[:2] + half)
+                assert highest <= bound + 1e-9
+                assert bound <= scene_top_z(scene)
+                bounds.append(bound)
+    if not isinstance(entry.shape, Box):
+        # beside an upright or upside-down object nothing can be touched
+        assert -np.inf in bounds
+
+
+def march(z: float, step: float, h_stop: float):
+    """The heights simulate_poke's descent steps through from z."""
+    while z >= h_stop - 1e-12:
+        yield z
+        z -= step
+
+
+@pytest.mark.parametrize("name, attempt", [("jar", 0), ("mug", 5), ("champagne_cup", 0),
+                                           ("rectangular_cup", 8)])
+def test_probes_the_bound_skips_count_no_sensel(name, attempt):
+    """Cast every coarse and fine probe height the bound skips, along each
+    guidance pixel's view ray, and check that none counts a sensel."""
+    scene = benchmark_scene(name, attempt, master_seed=0)
+    cfg = TrialConfig()
+    spec = cfg.sensor
+    half = np.array([spec.area_x, spec.area_y]) / 2.0
+    reference = TactileFrame(image=np.zeros((spec.res_y, spec.res_x)), pose=spec.pose)
+    _, anns = annotations_for(scene, cfg)
+    plans = [poke_pixel_for_guidance(anns[0], g) for g in POKE_GUIDANCE_MODES]
+    z_top = scene_top_z(scene) + cfg.coarse_step
+    skipped = 0
+    for px in sorted({plan.point_px for plan in plans if plan is not None}):
+        origin, direction = scene.camera.pixel_ray(px)
+
+        def center_at(z):
+            return origin + (z - origin[2]) / direction[2] * direction
+
+        def count_at(z):
+            heights, _, _, posed = _footprint_heights(scene, spec, center_at(z))
+            frame = frame_from_heights(heights, posed, z)
+            return detect_contact(reference, frame, cfg.value_threshold, cfg.count_threshold)[1]
+
+        def skips(z):
+            c = center_at(z)[:2]
+            return z >= top_height_bound(scene.objects, c - half, c + half) \
+                - cfg.value_threshold + 1e-9
+
+        first_touch = None
+        for z in march(z_top, cfg.coarse_step, cfg.h_stop):
+            if skips(z):
+                assert count_at(z) == 0, z
+                skipped += 1
+            elif first_touch is None and count_at(z) > 0:
+                first_touch = z
+        fine_start = z_top if first_touch is None else min(first_touch + cfg.coarse_step, z_top)
+        for z in march(fine_start, cfg.descent_step, cfg.h_stop):
+            if skips(z):
+                assert count_at(z) == 0, z
+                skipped += 1
+    assert skipped >= 5
+
+
+def test_footprint_sensels_match_the_posed_grid():
+    # the sensel grid is rotated once per sensor spec, not once per probe
+    scene = benchmark_scene("jar", 0, master_seed=0)
+    spec = TactileSensorSpec(res_x=32, res_y=24)
+    for center in ([0.01, -0.02, 0.05], [-0.031, 0.007, 0.12]):
+        _, _, xy, posed = _footprint_heights(scene, spec, np.array(center))
+        expected = spec.at_pose(sensor_pose_at(center)).pose.apply(spec.sensel_grid_local())
+        assert xy.tobytes() == expected[:, :2].reshape(24, 32, 2).tobytes()
+        assert posed.pose.translation.tolist() == center
 
 
 class TestTippingStatics:

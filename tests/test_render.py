@@ -6,7 +6,7 @@ from pokegrasp.catalog import OBJECT_NAMES, benchmark_scene, catalog_entry, defa
 from pokegrasp.errors import InvalidGeometry
 from pokegrasp.geometry import RigidTransform, rot_x, rot_z
 from pokegrasp.render import Hit, compile_primitives, contains, intersect_object, ray_intersect, \
-    render, top_heights
+    render, top_height_bound, top_heights
 from pokegrasp.scene import Box, ObjectModel, RevolutionProfile, Scene
 
 from conftest import overhead_camera, straight_cup
@@ -273,6 +273,65 @@ class TestSolidQueries:
         assert abs(heights[0] - 2 * r) < 1e-9
         assert np.isneginf(heights[1])  # beyond the barrel end
 
+
+class TestTopHeightBound:
+    """Closed forms of the per-rectangle bound on a posed straight mug."""
+
+    r, height, wall = 0.04, 0.095, 0.0035
+
+    def mug(self, pose):
+        shape = RevolutionProfile(points=((self.r, 0.0), (self.r, self.height)), open_top=True)
+        return ObjectModel(id=1, shape=shape, mass=0.3, wall_thickness=self.wall, pose=pose)
+
+    def bound(self, obj, center, half=(0.007, 0.00525)):
+        c, h = np.asarray(center), np.asarray(half)
+        return top_height_bound([obj], c - h, c + h)
+
+    def test_upright(self):
+        mug = self.mug(RigidTransform(rot_z(0.3), [0.01, -0.02, 0.0]))
+        # inside the bore only the cavity floor can be under the footprint
+        assert self.bound(mug, [0.01, -0.02]) == self.wall
+        assert self.bound(mug, [0.01 + 0.02, -0.02]) == self.wall
+        # across the rim, or on the wall: the rim height
+        assert self.bound(mug, [0.01 + 0.038, -0.02]) == self.height
+        assert self.bound(mug, [0.01, -0.02 - self.r]) == self.height
+        # beside the mug nothing is under the footprint
+        assert self.bound(mug, [0.01 + self.r + 0.01, -0.02]) == -np.inf
+
+    def test_upside_down(self):
+        mug = self.mug(RigidTransform(rot_x(np.pi), [0.0, 0.0, self.height]))
+        # the closed base faces up: flat at the top over the whole disk
+        assert self.bound(mug, [0.0, 0.0]) == pytest.approx(self.height, abs=1e-15)
+        assert self.bound(mug, [self.r + 0.01, 0.0]) == -np.inf
+
+    def test_other_poses_fall_back_to_the_object_top(self):
+        side = self.mug(RigidTransform(rot_x(np.pi / 2), [0.0, 0.0, self.r]))
+        assert self.bound(side, [0.5, 0.5]) == pytest.approx(2 * self.r, abs=1e-15)
+        box = ObjectModel(id=2, shape=Box(size=(0.05, 0.07, 0.09)), mass=0.2,
+                          pose=RigidTransform(rot_z(0.4), [0.0, 0.0, 0.0]))
+        assert top_height_bound([side, box], (0.4, 0.4), (0.5, 0.5)) == pytest.approx(0.09)
+        assert top_height_bound([], (0.0, 0.0), (0.1, 0.1)) == -np.inf
+
+    def test_slightly_tilted_axis_is_not_taken_as_vertical(self):
+        # a 1e-6 rad tilt moves the rim 9.5e-8 m sideways: a column just
+        # inside the upright bore radius meets the rim, not the cavity floor
+        mug = self.mug(RigidTransform(rot_x(1e-6), [0.0, 0.0, 0.0]))
+        bore = self.r - self.wall
+        column = np.array([[0.0, bore - 7e-8]])
+        assert top_heights([mug], column)[0][0] == pytest.approx(self.height, abs=1e-6)
+        got = top_height_bound([mug], column[0] - [0.0, 2e-8], column[0] + [0.0, 2e-8])
+        assert got >= self.height
+
+    def test_tapered_wall_is_bounded_at_the_clipped_radius(self):
+        # inner wall r = 0.028 + 0.1 z: over radii [0.032, 0.035] it rises to
+        # z = 0.07, below the rim (0.1) and above the outer wall (0.05)
+        shape = RevolutionProfile(points=((0.03, 0.0), (0.04, 0.1)), open_top=True)
+        cone = ObjectModel(id=1, shape=shape, mass=0.1, wall_thickness=0.002)
+        got = top_height_bound([cone], (0.032, 0.0), (0.035, 0.0))
+        assert got == pytest.approx(0.07, abs=1e-7)
+        heights, _ = top_heights([cone], np.array([[0.032, 0.0], [0.035, 0.0]]))
+        assert heights.max() == pytest.approx(0.07, abs=1e-12)
+        assert heights.max() <= got
 
 def test_compile_primitives_open_vs_closed():
     open_tags = {p[-1] for p in compile_primitives(straight_cup())}
