@@ -8,9 +8,9 @@ benchmark harness. See README.md for the CLI.
 """
 
 from .errors import (DegenerateInput, EmptyMask, InsufficientContact, InvalidConfig,
-                     InvalidGeometry, IoError, MissingDataset, PointBehindCamera,
-                     PokeGraspError, RayParallelToPlane, ResolutionMismatch,
-                     ShapeMismatch, VerificationFailure, WidthOverflow)
+                     InvalidGeometry, IoError, PointBehindCamera, PokeGraspError,
+                     RayParallelToPlane, ResolutionMismatch, ShapeMismatch,
+                     WidthOverflow)
 from .geometry import RigidTransform
 from .scene import Box, CameraModel, ObjectModel, RevolutionProfile, Scene
 from .render import RenderBuffers, Hit, ray_intersect, render

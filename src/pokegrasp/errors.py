@@ -57,15 +57,3 @@ class ShapeMismatch(PokeGraspError):
 
 class IoError(PokeGraspError):
     """File read/write failed or a file is malformed."""
-
-
-class MissingDataset(PokeGraspError):
-    """A dataset directory required by a command does not exist or is incomplete."""
-
-
-class VerificationFailure(PokeGraspError):
-    """One or more self-verification checks failed."""
-
-    def __init__(self, failures):
-        super().__init__("verification failed: " + ", ".join(failures))
-        self.failures = list(failures)

@@ -51,7 +51,9 @@ def dot_product_map(normals: np.ndarray, table_normal: np.ndarray) -> np.ndarray
     if abs(np.linalg.norm(table_normal) - 1.0) > 1e-9:
         raise InvalidConfig("table_normal must be unit length")
     dots = normals @ table_normal
-    hit = np.linalg.norm(normals, axis=-1) > 0.5
+    # equal to np.linalg.norm(normals, axis=-1), in fewer full-frame passes
+    nx, ny, nz = normals[..., 0], normals[..., 1], normals[..., 2]
+    hit = np.sqrt(nx * nx + ny * ny + nz * nz) > 0.5
     return np.where(hit, dots, DOT_SENTINEL)
 
 
@@ -102,10 +104,8 @@ def poking_region(buffers: RenderBuffers, camera: CameraModel,
     heights = height_map(buffers.depth, camera)
     eligible = (dots >= tau_dot) & (heights >= h_min)
     out = []
-    ids = np.unique(buffers.instance)
-    for oid in ids:
-        if oid == 0:
-            continue
+    instance = buffers.instance
+    for oid in np.unique(instance[instance != 0]):
         mask = buffers.instance_mask(int(oid))
         if not mask.any():
             continue

@@ -21,8 +21,11 @@ An object covers a small part of the frame, so a camera render first culls
 the rays against a padded bounding sphere of each object (revolution
 profiles: centred on the axis at mid-height; boxes: half the space
 diagonal) and runs the primitive intersection only for the rays whose line
-passes through the sphere ahead of the origin. The buffers are the same as
-intersecting every ray.
+passes through the sphere ahead of the origin. Every pixel ray starts at
+the camera centre, so the cull is one matrix-vector product of the ray
+directions with the centre-to-sphere vector. The pad covers rounding in
+that product too: it can only add or drop rays that miss, so the buffers
+are the same as intersecting every ray.
 
 ``top_heights`` serves the tactile sensel columns, nearly all of which are
 candidates, so it does not cull. It needs only the hit distance: it takes
@@ -40,8 +43,6 @@ skips the probes whose footprint bound cannot reach the sensing plane.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -295,27 +296,29 @@ def _bounding_sphere(obj: ObjectModel) -> tuple[np.ndarray, float]:
     return obj.pose.apply(np.array([0.0, 0.0, zc])), radius * (1.0 + 1e-9) + 1e-9
 
 
-def _cast(scene: Scene, origins: np.ndarray, dirs: np.ndarray):
-    n = origins.shape[0]
-    depth = np.full(n, NO_HIT)
+def _cast(scene: Scene, origin: np.ndarray, dirs: np.ndarray):
+    """Nearest hits of the rays ``origin + t * dirs`` that share one (3,)
+    origin: the table plane (instance id 0), then every object."""
+    n = dirs.shape[0]
     normal = np.zeros((n, 3))
     inst = np.zeros(n, dtype=np.int32)
     # table plane z = table_height, instance id 0
     dz = dirs[:, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
-        t_table = (scene.table_height - origins[:, 2]) / dz
+        t_table = (scene.table_height - origin[2]) / dz
     ok = (np.abs(dz) > 1e-14) & (t_table > T_EPS)
-    depth = np.where(ok, t_table, depth)
-    normal[ok] = np.where(dz[ok, None] < 0, [0.0, 0.0, 1.0], [0.0, 0.0, -1.0])
+    depth = np.where(ok, t_table, NO_HIT)
+    normal[:, 2] = np.where(ok, np.where(dz < 0, 1.0, -1.0), 0.0)
     for obj in scene.objects:
         # only rays whose line passes through the bounding sphere, ahead of
         # the origin, can hit the object; the rest would return t = inf
         center, radius = _bounding_sphere(obj)
-        oc = center - origins
-        along = np.einsum("ij,ij->i", oc, dirs)
-        off2 = np.einsum("ij,ij->i", oc, oc) - along * along
+        oc = center - origin
+        along = dirs @ oc
+        off2 = oc @ oc - along * along
         idx = np.flatnonzero((off2 <= radius * radius) & (along > -radius))
-        t, nrm, _ = intersect_object(obj, origins[idx], dirs[idx])
+        origins = np.broadcast_to(origin, (idx.size, 3)).copy()
+        t, nrm, _ = intersect_object(obj, origins, dirs[idx])
         closer = t < depth[idx]
         hit = idx[closer]
         depth[hit] = t[closer]
@@ -324,34 +327,14 @@ def _cast(scene: Scene, origins: np.ndarray, dirs: np.ndarray):
     return depth, normal, inst
 
 
-def render(scene: Scene, threads: Optional[int] = None) -> RenderBuffers:
+def render(scene: Scene) -> RenderBuffers:
     """Render the camera view to depth / normal / instance buffers.
 
-    ``threads`` defaults to the POKEGRASP_THREADS environment variable
-    (else 1). Pixels are independent, so any thread count produces
-    byte-identical buffers.
+    Every pixel ray starts at the camera centre and runs along the cached
+    ``CameraModel.pixel_directions`` grid.
     """
-    if threads is None:
-        threads = max(1, int(os.environ.get("POKEGRASP_THREADS", "1")))
     cam = scene.camera
-    d = cam.pixel_directions()
-    o = np.broadcast_to(cam.pose.translation, d.shape)
-    n = o.shape[0]
-    if threads <= 1 or n < 4096:
-        depth, normal, inst = _cast(scene, o, d)
-    else:
-        depth = np.full(n, NO_HIT)
-        normal = np.zeros((n, 3))
-        inst = np.zeros(n, dtype=np.int32)
-        bounds = np.linspace(0, n, threads + 1, dtype=int)
-        def work(i):
-            lo, hi = bounds[i], bounds[i + 1]
-            return lo, hi, _cast(scene, o[lo:hi], d[lo:hi])
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for lo, hi, (dp, nm, it) in pool.map(work, range(threads)):
-                depth[lo:hi] = dp
-                normal[lo:hi] = nm
-                inst[lo:hi] = it
+    depth, normal, inst = _cast(scene, cam.pose.translation, cam.pixel_directions())
     shape = (cam.height, cam.width)
     return RenderBuffers(depth=depth.reshape(shape),
                          normals=normal.reshape(shape + (3,)),

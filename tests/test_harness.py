@@ -5,10 +5,11 @@ from pokegrasp.catalog import CATALOG, SIDE, UPRIGHT, UPSIDE_DOWN, benchmark_sce
     benchmark_scene_set, default_camera, make_object
 from pokegrasp.errors import InvalidConfig, InvalidGeometry, ShapeMismatch
 from pokegrasp.geometry import RigidTransform, rot_x, rot_z
-from pokegrasp.harness import POKE_GUIDANCE_MODES, SIDE_INSIDE_TOL, SUCCESS, TOPPLE, \
+from pokegrasp.harness import FAILURE, POKE_GUIDANCE_MODES, SIDE_INSIDE_TOL, SUCCESS, TOPPLE, \
     TrialConfig, _contact_dot, _convex_hull, _footprint_heights, annotations_for, \
-    corrupt_depth, poke_pixel_for_guidance, run_benchmark, scene_top_z, tipping_arms, \
-    tipping_max_force
+    corrupt_depth, poke_pixel_for_guidance, run_benchmark, scene_top_z, simulate_grasp, \
+    tipping_arms, tipping_max_force
+from pokegrasp.plan import GraspProposal
 from pokegrasp.render import RenderBuffers, render, top_height_bound
 from pokegrasp.scene import Box, ObjectModel, RevolutionProfile, Scene
 from pokegrasp.seeding import rng_for
@@ -296,3 +297,78 @@ def test_convex_hull_drops_interior_and_collinear_points():
     extra = [[0.5, 0.5], [0.5, 0.0], [1.0, 0.25], [0.2, 0.7]]
     hull = _convex_hull(np.array(extra + square[::-1]))
     assert hull.tolist() == square
+
+
+class TestSimulateGraspReasons:
+    """One hand-built proposal per outcome, against an upright mug (outer
+    radius 0.040, wall 0.0035, so the bore radius is 0.0365, the cavity
+    floor sits at z = 0.0035 and the rim at z = 0.095) and an upright
+    0.05 x 0.07 x 0.08 box. Edge proposals with theta = 0 close along
+    world x: the fingers descend at x +- w/2, each sweeping y in
+    +-finger_width/2 = +-0.01, to z = grasp.z - descend_offset = grasp.z - 0.02."""
+
+    cfg = TrialConfig()
+    r_in, r_out, rim_z = 0.0365, 0.040, 0.095
+
+    def mug_scene(self):
+        mug = make_object(next(e for e in CATALOG if e.name == "mug"), UPRIGHT, 0.0, 0.0, 0.0)
+        return Scene(camera=default_camera(), objects=(mug,))
+
+    def box_scene(self):
+        box = ObjectModel(id=1, shape=Box(size=(0.05, 0.07, 0.08)), mass=0.16,
+                          pose=RigidTransform.identity())
+        return Scene(camera=default_camera(), objects=(box,))
+
+    def edge(self, x, w, z=0.095):
+        return GraspProposal(x=x, y=0.0, z=z, w=w, theta=0.0, kind="edge")
+
+    def test_finger_over_the_rim_collides(self):
+        # tips at x = +-0.038: both sweeps stay within the rim annulus
+        # (0.038 <= rho <= hypot(0.038, 0.01) = 0.0393 < 0.040), whose top
+        # z = 0.095 is above the closing height 0.075
+        out = simulate_grasp(self.mug_scene(), self.edge(0.0, 0.076), self.cfg)
+        assert (out.status, out.reason) == (FAILURE, "descent_collision")
+
+    def test_closing_inside_the_bore_touches_nothing(self):
+        # tips at x = +-0.03: the sweeps stay over the cavity floor
+        # (rho <= hypot(0.03, 0.01) = 0.0316 < 0.0365, top z = 0.0035), and the
+        # whole closing segment at z = 0.075 lies in the open bore
+        assert np.hypot(0.03, 0.01) < self.r_in
+        out = simulate_grasp(self.mug_scene(), self.edge(0.0, 0.06), self.cfg)
+        assert (out.status, out.reason) == (FAILURE, "no_contact")
+
+    def test_closing_at_the_top_face_starts_inside(self):
+        # the closing height sits within 1e-9 below the box top (z = 0.08):
+        # the top face does not rise above it, so the descent is clear, but
+        # the segment's start x = 0.005 lies on the box (|x| <= 0.025)
+        z = 0.08 + self.cfg.descend_offset - 5e-10
+        out = simulate_grasp(self.box_scene(), self.edge(0.02, 0.03, z=z), self.cfg)
+        assert (out.status, out.reason) == (FAILURE, "finger_inside_object")
+
+    def test_off_centre_edge_grasp_is_a_localization_error(self):
+        # tips at x = 0.03 (bore) and x = 0.07 (beside the mug): the segment
+        # crosses the wall on [0.0365, 0.040], whose midpoint 0.03825 lies
+        # 0.01175 from the grasp centre, beyond half a finger width (0.01)
+        out = simulate_grasp(self.mug_scene(), self.edge(0.05, 0.04), self.cfg)
+        assert (out.status, out.reason) == (FAILURE, "localization_error")
+        step = 0.04 / 800  # spacing of the closing-segment samples
+        assert out.localization_error == pytest.approx(0.05 - (self.r_in + self.r_out) / 2,
+                                                       abs=step)
+        assert out.localization_error >= self.cfg.gripper.finger_width / 2
+
+    def test_edge_grasp_across_the_rim_succeeds(self):
+        # tips at x = 0.0283 (bore: rho <= 0.0300) and x = 0.0483 (beside):
+        # the wall midpoint 0.03825 is 5e-5 from the centre
+        out = simulate_grasp(self.mug_scene(), self.edge(0.0383, 0.02), self.cfg)
+        assert (out.status, out.reason) == (SUCCESS, "")
+        assert out.localization_error == pytest.approx(0.0383 - (self.r_in + self.r_out) / 2,
+                                                       abs=0.02 / 800)
+
+    def test_centroid_grasp_across_the_box_succeeds(self):
+        # a centroid proposal closes perpendicular to theta, here along
+        # world y: the tips at y = +-0.04 clear the box (|y| <= 0.035) and
+        # the segment crosses it symmetrically about the centre
+        grasp = GraspProposal(x=0.0, y=0.0, z=0.08, w=0.08, theta=0.0, kind="centroid")
+        out = simulate_grasp(self.box_scene(), grasp, self.cfg)
+        assert (out.status, out.reason) == (SUCCESS, "")
+        assert out.localization_error == pytest.approx(0.0, abs=0.08 / 800)

@@ -58,6 +58,24 @@ class TestDotProductMap:
         with pytest.raises(InvalidConfig):
             dot_product_map(np.zeros((1, 1, 3)), np.array([0.0, 0.0, 2.0]))
 
+    def test_hit_test_matches_linalg_norm(self):
+        # zero, unit and 0.3 / 0.5 / 0.6 long normals, lengths a few ulps and
+        # 1e-5 either side of 0.5, then seeded random ones straddling 0.5
+        rng = np.random.default_rng(3)
+        dirs = rng.standard_normal((6, 3))
+        dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+        near = [np.nextafter(0.5, s) for s in (0.0, 1.0)] + [0.49999, 0.50001]
+        fixed = np.concatenate([np.zeros((1, 3)), np.eye(3), -np.eye(3), dirs,
+                                0.3 * dirs, 0.5 * dirs, 0.6 * dirs, 0.5 * np.eye(3)]
+                               + [r * dirs for r in near])
+        noise = rng.uniform(-0.6, 0.6, size=(4096, 3))
+        for normals in (fixed[None], noise.reshape(64, 64, 3)):
+            hit = np.linalg.norm(normals, axis=-1) > 0.5
+            expected = np.where(hit, normals @ TABLE_NORMAL, -2.0)
+            got = dot_product_map(normals, TABLE_NORMAL)
+            assert got.tobytes() == expected.tobytes()
+        assert 0 < np.count_nonzero(np.linalg.norm(noise, axis=-1) > 0.5) < noise.shape[0]
+
 
 class TestHeightMap:
     def test_table_pixels_zero(self, down_cam):
@@ -161,6 +179,21 @@ class TestPokingRegion:
         anns = poking_region(buf, down_cam)
         assert len(anns) == 2
         assert not np.any(anns[0].poking_region & anns[1].poking_region)
+
+    def test_annotations_in_ascending_id_order(self, down_cam):
+        # scene order 5, 3, 2 with id 3 far outside the view
+        box = ObjectModel(id=5, shape=Box(size=(0.05, 0.05, 0.06)), mass=0.2,
+                          pose=RigidTransform(np.eye(3), [0.1, 0.0, 0.0]))
+        hidden = straight_cup(oid=3, pose=RigidTransform(np.eye(3), [1.0, 0.0, 0.0]))
+        cup = straight_cup(radius=0.03, oid=2, pose=RigidTransform(np.eye(3), [-0.05, 0.0, 0.0]))
+        buf = render(Scene(camera=down_cam, objects=(box, hidden, cup)))
+        assert np.unique(buf.instance).tolist() == [0, 2, 5]
+        anns = poking_region(buf, down_cam)
+        assert [a.id for a in anns] == [2, 5]
+        for ann in anns:
+            mask = buf.instance_mask(ann.id)
+            assert ann.mask.tobytes() == mask.tobytes()
+            assert ann.poking_region.any() and not np.any(ann.poking_region & ~mask)
 
     def test_bbox_tight(self, cup_scene):
         buf = render(cup_scene)

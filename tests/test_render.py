@@ -110,13 +110,6 @@ class TestRender:
         assert np.array_equal(a.normals, b.normals)
         assert np.array_equal(a.instance, b.instance)
 
-    def test_threads_bit_identical(self, cup_scene):
-        a = render(cup_scene, threads=1)
-        b = render(cup_scene, threads=4)
-        assert np.array_equal(a.depth, b.depth)
-        assert np.array_equal(a.normals, b.normals)
-        assert np.array_equal(a.instance, b.instance)
-
     def test_occlusion_brute_force(self):
         # nearest-hit bookkeeping vs per-object single-ray queries at 64x48
         cam = overhead_camera(height=0.6, width=64, height_px=48, cx=32.0, cy=24.0,
@@ -198,11 +191,6 @@ class TestCulledRenderMatchesUnculled:
         buf = render(scene)
         assert buf.instance_mask(1).any() and buf.instance_mask(2).any()
         assert_buffers_identical(buf, *unculled_render(scene))
-
-    def test_thread_count_does_not_change_catalog_render(self):
-        scene = benchmark_scene("rectangular_cup", 8, master_seed=0)
-        one = render(scene, threads=1)
-        assert_buffers_identical(render(scene, threads=2), one.depth, one.normals, one.instance)
 
 
 def columns_around(obj, half=0.16, n=64):
