@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pokegrasp.catalog import CATALOG, SIDE, UPRIGHT, UPSIDE_DOWN, benchmark_scene, \
-    benchmark_scene_set, default_camera, make_object
+    benchmark_scene_set, catalog_entry, default_camera, make_object
 from pokegrasp.errors import InvalidConfig, InvalidGeometry, ShapeMismatch
 from pokegrasp.geometry import RigidTransform, rot_x, rot_z
 from pokegrasp.harness import FAILURE, POKE_GUIDANCE_MODES, SIDE_INSIDE_TOL, SUCCESS, TOPPLE, \
@@ -311,7 +311,7 @@ class TestSimulateGraspReasons:
     r_in, r_out, rim_z = 0.0365, 0.040, 0.095
 
     def mug_scene(self):
-        mug = make_object(next(e for e in CATALOG if e.name == "mug"), UPRIGHT, 0.0, 0.0, 0.0)
+        mug = make_object(catalog_entry("mug"), UPRIGHT, 0.0, 0.0, 0.0)
         return Scene(camera=default_camera(), objects=(mug,))
 
     def box_scene(self):
