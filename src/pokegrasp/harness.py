@@ -96,6 +96,11 @@ class TrialConfig:
             raise InvalidConfig("value_threshold must be >= 0")
         if self.count_threshold < 0:
             raise InvalidConfig("count_threshold must be >= 0")
+        # corrupt_depth draws the dropout mask and the depth noise from these
+        if not (0.0 <= self.depth_dropout <= 1.0):
+            raise InvalidConfig("depth_dropout must be in [0, 1]")
+        if self.depth_sigma < 0:
+            raise InvalidConfig("depth_sigma must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -310,11 +315,14 @@ def scene_top_z(scene: Scene) -> float:
     return max([scene.table_height] + [object_top_z(obj) for obj in scene.objects])
 
 
-def _footprint_heights(scene: Scene, spec: TactileSensorSpec, center: np.ndarray):
+def _footprint_heights(scene: Scene, spec: TactileSensorSpec, center: np.ndarray,
+                       floor: float = -np.inf):
+    """Sensel-column heights and ids of a sensor centred at ``center``; the
+    columns whose surface does not rise above ``floor`` read -inf / 0."""
     posed = spec.at_pose(sensor_pose_at(center))
     world = spec.sensel_offsets + posed.pose.translation
     z_start = scene_top_z(scene) + 0.01
-    heights, ids = top_heights(scene.objects, world[:, :2], z_start=z_start)
+    heights, ids = top_heights(scene.objects, world[:, :2], z_start=z_start, floor=floor)
     shape = (spec.res_y, spec.res_x)
     return heights.reshape(shape), ids.reshape(shape), world[:, :2].reshape(shape + (2,)), posed
 
@@ -343,6 +351,11 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan], cfg: TrialConfig,
     plane sits at or above that bound minus ``value_threshold`` (plus 1e-9
     for rounding in the cast) counts no sensel and is skipped without
     casting; the descent still steps through its height.
+
+    A probe that is cast passes its plane height as the ``top_heights``
+    floor. A sensel whose column surface does not rise above the plane
+    indents by 0 at any height, so it reads -inf / 0 without being cast; the
+    contact sensel indents by more than 0 and keeps its cast height and id.
     """
     if plan is None:
         return PokeOutcome(status=MISS, seed=seed)
@@ -368,7 +381,7 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan], cfg: TrialConfig,
         bound = top_height_bound(scene.objects, center[:2] - half, center[:2] + half)
         if z >= bound - cfg.value_threshold + 1e-9:
             return False, 0, None
-        heights, ids, xy, posed = _footprint_heights(scene, spec, center)
+        heights, ids, xy, posed = _footprint_heights(scene, spec, center, floor=z)
         frame = frame_from_heights(heights, posed, z)
         hit, count = detect_contact(reference, frame,
                                     cfg.value_threshold, cfg.count_threshold)

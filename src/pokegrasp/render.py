@@ -27,10 +27,18 @@ directions with the centre-to-sphere vector. The pad covers rounding in
 that product too: it can only add or drop rays that miss, so the buffers
 are the same as intersecting every ray.
 
-``top_heights`` serves the tactile sensel columns, nearly all of which are
-candidates, so it does not cull. It needs only the hit distance: it takes
-the minimum over the per-primitive distances that ``intersect_object``
-computes too, and skips the nearest-face gather and the normals.
+``top_heights`` serves the tactile sensel columns. It needs only the hit
+distance: it takes the minimum over the same per-primitive distances as
+``intersect_object``, skips the nearest-face gather and the normals, and
+casts the shared downward direction as one row. A query may name a
+``floor``, such as a sensing plane: a column whose surface does not rise
+above it reads -inf. An object whose top lies below the floor is skipped.
+A solid of revolution with a vertical axis casts each primitive only on the
+columns whose distance to the axis falls in the radial span where that
+primitive rises above the floor, padded by 1e-9 in radius and in height.
+The primitive that sets a column's top above the floor is always among
+them, so every column above the floor reads the full query's height, byte
+for byte. Boxes and side-lying or tilted solids cast every column.
 
 ``top_height_bound`` bounds ``top_heights`` over an axis-aligned rectangle
 of columns without casting, the same bounding-volume idea applied to a
@@ -39,6 +47,8 @@ the primitives whose radial range meets the rectangle's distances to the
 axis and takes each one's highest point there; any other object
 contributes its highest point, ``object_top_z``. ``harness.simulate_poke``
 skips the probes whose footprint bound cannot reach the sensing plane.
+The bound and the floored query read the primitives of a vertical-axis
+solid from one place, ``_vertical_profile``.
 """
 from __future__ import annotations
 
@@ -233,23 +243,17 @@ def _primitive_normal(prim, o, d, t):
     return _box_normal(d, near_ax)
 
 
-def _primitive_ts(obj: ObjectModel, origins: np.ndarray, dirs: np.ndarray):
-    """Object-frame rays and the (n_primitives, n_rays) hit distances."""
-    inv = obj.pose.inverse()
-    o = inv.apply(origins)
-    d = inv.apply_vector(dirs)
-    prims = compile_primitives(obj)
-    ts = np.stack([_intersect_primitive_t(p, o, d) for p in prims], axis=0)
-    return prims, o, d, ts
-
-
 def intersect_object(obj: ObjectModel, origins: np.ndarray, dirs: np.ndarray):
     """Nearest hit of many world-frame rays against one object.
 
     Returns (t, normal_world, face_index); t = +inf where the object is
     missed. Normals are geometric and oriented against the ray.
     """
-    prims, o, d, ts = _primitive_ts(obj, origins, dirs)
+    inv = obj.pose.inverse()
+    o = inv.apply(origins)
+    d = inv.apply_vector(dirs)
+    prims = compile_primitives(obj)
+    ts = np.stack([_intersect_primitive_t(p, o, d) for p in prims], axis=0)
     face = np.argmin(ts, axis=0)
     t = ts[face, np.arange(ts.shape[1])]
     normal = np.zeros_like(o)
@@ -359,73 +363,141 @@ def object_top_z(obj: ObjectModel) -> float:
     return float(obj.pose.translation[2]) + axis_top + spread
 
 
+def _vertical_profile(obj: ObjectModel) -> Optional[list[tuple[float, float, float, float]]]:
+    """The primitives of a solid of revolution whose axis is vertical
+    (upright or upside down), in ``compile_primitives`` order, as the
+    profile segments ``(r0, h0, r1, h1)`` they sweep about the axis, where
+    ``h`` is the height above the pose origin (a disk is a flat segment);
+    None for a box or any other pose.
+    """
+    if isinstance(obj.shape, Box):
+        return None
+    rot = obj.pose.rotation
+    # vertical up to rounding in the pose (upside down leaves ~1e-16): the
+    # axis then drifts far less than the 1e-9 pads of the callers
+    if math.hypot(rot[0, 2], rot[1, 2]) > 1e-12:
+        return None
+    up = 1.0 if rot[2, 2] > 0 else -1.0
+    segments = []
+    for prim in compile_primitives(obj):
+        if prim[0] == "disk":
+            _, zc, r_in, r_out, _ = prim
+            segments.append((r_in, up * zc, r_out, up * zc))
+        else:
+            _, r0, z0, r1, z1, _ = prim
+            segments.append((r0, up * z0, r1, up * z1))
+    return segments
+
+
 def top_height_bound(objects: Sequence[ObjectModel], xy_lo, xy_hi) -> float:
     """Upper bound on ``top_heights`` over the columns of the axis-aligned
     rectangle [xy_lo, xy_hi]; -inf when no object can lie under it.
 
     A solid of revolution whose axis is vertical (upright or upside down)
-    is bounded by the primitives whose radial range meets the rectangle's
-    distances to the axis, each at its highest point over that overlap.
-    Any other object contributes its ``object_top_z``.
+    is bounded by the profile segments whose radial range meets the
+    rectangle's distances to the axis, each at its highest point over that
+    overlap. Any other object contributes its ``object_top_z``.
     """
     lo = np.asarray(xy_lo, dtype=np.float64)
     hi = np.asarray(xy_hi, dtype=np.float64)
     bound = -NO_HIT
     for obj in objects:
-        rot = obj.pose.rotation
-        # vertical up to rounding in the pose (upside down leaves ~1e-16):
-        # the axis then drifts far less than the radial pad below
-        if isinstance(obj.shape, Box) or math.hypot(rot[0, 2], rot[1, 2]) > 1e-12:
+        profile = _vertical_profile(obj)
+        if profile is None:
             bound = max(bound, object_top_z(obj))
             continue
         axis = obj.pose.translation[:2]
         near = np.clip(axis, lo, hi) - axis
         far = np.maximum(np.abs(lo - axis), np.abs(hi - axis))
+        # the pad also covers the squared-radius tolerance of _intersect_disk
         rho_lo = max(float(np.hypot(*near)) - 1e-9, 0.0)
         rho_hi = float(np.hypot(*far)) + 1e-9
-        zs = []
-        for prim in compile_primitives(obj):
-            if prim[0] == "disk":
-                _, zc, r_in, r_out, _ = prim
-                # the same radial tolerance as _intersect_disk
-                if rho_lo * rho_lo <= r_out ** 2 + 1e-15 and rho_hi * rho_hi >= r_in ** 2 - 1e-15:
-                    zs.append(zc)
-                continue
-            _, r0, z0, r1, z1, _ = prim
+        hs = []
+        for r0, h0, r1, h1 in profile:
             a, b = max(min(r0, r1), rho_lo), min(max(r0, r1), rho_hi)
             if a > b:
                 continue
             if r0 == r1:
-                zs += [z0, z1]
+                hs += [h0, h1]
             else:
-                zs += [z0 + (r - r0) * (z1 - z0) / (r1 - r0) for r in (a, b)]
-        if zs:
-            z_local = max(zs) if rot[2, 2] > 0 else -min(zs)
-            bound = max(bound, float(obj.pose.translation[2]) + z_local)
+                hs += [h0 + (r - r0) * (h1 - h0) / (r1 - r0) for r in (a, b)]
+        if hs:
+            bound = max(bound, float(obj.pose.translation[2]) + max(hs))
     return bound
 
 
-def top_heights(objects: Sequence[ObjectModel], xy: np.ndarray, z_start: float = 10.0):
+def _radial_span_above(segment, h_floor: float) -> Optional[tuple[float, float]]:
+    """Radii at which a profile segment ``(r0, h0, r1, h1)`` rises above
+    ``h_floor``; None where it does not."""
+    r0, h0, r1, h1 = segment
+    if max(h0, h1) <= h_floor:
+        return None
+    if min(h0, h1) >= h_floor:
+        return min(r0, r1), max(r0, r1)
+    # the segment crosses the floor: from the crossing radius to its upper end
+    r_cross = r0 + (h_floor - h0) * (r1 - r0) / (h1 - h0)
+    r_top = r1 if h1 > h0 else r0
+    return min(r_cross, r_top), max(r_cross, r_top)
+
+
+def _column_ts(obj: ObjectModel, origins: np.ndarray, floor: float) -> np.ndarray:
+    """Distance down each vertical column from ``origins`` to the object's
+    top surface; +inf where the column misses the object.
+
+    Under a finite ``floor`` a solid of revolution with a vertical axis
+    evaluates a primitive only on the columns whose distance to the axis
+    lies in the radial span where the primitive rises above the floor,
+    padded by 1e-9 in radius and in height. The primitive that sets a
+    column's top above the floor is then always evaluated there, so the
+    minimum over the evaluated primitives is the full one. A column whose
+    top does not rise above the floor may read a longer distance or +inf.
+    """
+    inv = obj.pose.inverse()
+    o = inv.apply(origins)
+    d = inv.apply_vector(np.array([[0.0, 0.0, -1.0]]))
+    prims = compile_primitives(obj)
+    profile = _vertical_profile(obj) if floor > -NO_HIT else None
+    if profile is None:
+        return np.min([_intersect_primitive_t(p, o, d) for p in prims], axis=0)
+    rho2 = o[:, 0] * o[:, 0] + o[:, 1] * o[:, 1]
+    h_floor = floor - float(obj.pose.translation[2]) - 1e-9
+    t = np.full(o.shape[0], NO_HIT)
+    for prim, segment in zip(prims, profile):
+        span = _radial_span_above(segment, h_floor)
+        if span is None:
+            continue
+        lo, hi = max(span[0] - 1e-9, 0.0), span[1] + 1e-9
+        idx = np.flatnonzero((rho2 >= lo * lo) & (rho2 <= hi * hi))
+        if idx.size:
+            t[idx] = np.minimum(t[idx], _intersect_primitive_t(prim, o[idx], d))
+    return t
+
+
+def top_heights(objects: Sequence[ObjectModel], xy: np.ndarray, z_start: float = 10.0,
+                floor: float = -NO_HIT):
     """Highest object surface under each (x, y) column.
 
-    Returns (height, instance_id); -inf / 0 where no object is below.
-    The table is deliberately excluded: callers decide what table contact
-    means for them.
+    Returns (height, instance_id); -inf / 0 where no object surface rises
+    above ``floor`` (by default, where no object is below). A column above
+    the floor reads the same height as the full query. The table is
+    deliberately excluded: callers decide what table contact means for
+    them.
     """
     xy = np.asarray(xy, dtype=np.float64)
     n = xy.shape[0]
     origins = np.concatenate([xy, np.full((n, 1), z_start)], axis=1)
-    dirs = np.broadcast_to(np.array([0.0, 0.0, -1.0]), (n, 3))
     best_t = np.full(n, NO_HIT)
     ids = np.zeros(n, dtype=np.int32)
     for obj in objects:
-        _, _, _, ts = _primitive_ts(obj, origins, dirs)
-        t = ts.min(axis=0)
+        if object_top_z(obj) <= floor - 1e-9:
+            continue
+        t = _column_ts(obj, origins, floor)
         closer = t < best_t
         best_t = np.where(closer, t, best_t)
         ids = np.where(closer, obj.id, ids)
     height = np.where(np.isfinite(best_t), z_start - best_t, -NO_HIT)
-    return height, ids
+    above = height > floor
+    return np.where(above, height, -NO_HIT), np.where(above, ids, 0)
 
 
 def contains(obj: ObjectModel, points: np.ndarray) -> np.ndarray:

@@ -107,19 +107,6 @@ class TactileFrame:
         return self.image.shape[1], self.image.shape[0]
 
 
-def object_heights_under(spec: TactileSensorSpec, scene: Scene) -> np.ndarray:
-    """Top object-surface height below each sensel column, (res_y, res_x).
-
-    -inf where no object lies under the sensel. The table is excluded:
-    poking terminates on the protective stop before table level.
-    """
-    local = spec.sensel_grid_local()
-    world = spec.pose.apply(local)
-    z_start = spec.pose.translation[2] + 1.0
-    heights, _ = top_heights(scene.objects, world[:, :2], z_start=z_start)
-    return heights.reshape(spec.res_y, spec.res_x)
-
-
 def frame_from_heights(heights: np.ndarray, spec: TactileSensorSpec,
                        plane_z: float, timestamp: int = 0) -> TactileFrame:
     pen = np.clip(heights - plane_z, 0.0, spec.max_indent)
@@ -129,9 +116,16 @@ def frame_from_heights(heights: np.ndarray, spec: TactileSensorSpec,
 
 def simulate_tactile_frame(scene: Scene, spec: TactileSensorSpec,
                            timestamp: int = 0) -> TactileFrame:
-    """Indentation frame of the scene's objects against the sensing plane."""
-    heights = object_heights_under(spec, scene)
-    return frame_from_heights(heights, spec, spec.pose.translation[2], timestamp)
+    """Indentation frame of the scene's objects against the sensing plane.
+
+    Only the sensel columns whose object surface rises above the plane are
+    cast; the rest read 0. The table is excluded: poking terminates on the
+    protective stop before table level.
+    """
+    plane_z = spec.pose.translation[2]
+    world = spec.pose.apply(spec.sensel_grid_local())
+    heights, _ = top_heights(scene.objects, world[:, :2], z_start=plane_z + 1.0, floor=plane_z)
+    return frame_from_heights(heights.reshape(spec.res_y, spec.res_x), spec, plane_z, timestamp)
 
 
 def detect_contact(reference: TactileFrame, current: TactileFrame,

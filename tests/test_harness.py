@@ -10,7 +10,8 @@ from pokegrasp.harness import FAILURE, POKE_GUIDANCE_MODES, SIDE_INSIDE_TOL, SUC
     corrupt_depth, poke_pixel_for_guidance, run_benchmark, scene_top_z, simulate_grasp, \
     tipping_arms, tipping_max_force
 from pokegrasp.plan import GraspProposal
-from pokegrasp.render import RenderBuffers, render, top_height_bound
+from pokegrasp.render import RenderBuffers, compile_primitives, render, top_height_bound, \
+    top_heights
 from pokegrasp.scene import Box, ObjectModel, RevolutionProfile, Scene
 from pokegrasp.seeding import rng_for
 from pokegrasp.tactile import TactileFrame, TactileSensorSpec, detect_contact, \
@@ -87,6 +88,21 @@ def test_trial_config_rejects_bad_probe_settings(field, value):
         TrialConfig(**{field: value})
 
 
+def test_trial_config_rejects_negative_depth_sigma():
+    # corrupt_depth would raise numpy's "scale < 0" in the middle of a table
+    with pytest.raises(InvalidConfig):
+        TrialConfig(depth_sigma=-0.01)
+    assert TrialConfig(depth_sigma=0.0).depth_sigma == 0.0
+
+
+@pytest.mark.parametrize("value", [-0.1, 1.5])
+def test_trial_config_rejects_depth_dropout_outside_unit_interval(value):
+    with pytest.raises(InvalidConfig):
+        TrialConfig(depth_dropout=value)
+    assert TrialConfig(depth_dropout=0.0).depth_dropout == 0.0
+    assert TrialConfig(depth_dropout=1.0).depth_dropout == 1.0
+
+
 @pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
 def test_no_surface_rises_above_scene_top_z(entry):
     """simulate_poke skips probes within value_threshold of scene_top_z; that
@@ -155,6 +171,65 @@ def test_top_height_bound_covers_every_footprint(entry):
     if not isinstance(entry.shape, Box):
         # beside an upright or upside-down object nothing can be touched
         assert -np.inf in bounds
+
+
+def primitive_world_zs(obj) -> list:
+    """World z of every primitive's local heights, taken on the axis."""
+    local_zs = []
+    for prim in compile_primitives(obj):
+        if prim[0] == "disk":
+            local_zs.append(prim[1])
+        elif prim[0] == "frustum":
+            local_zs += [prim[2], prim[4]]
+        else:
+            local_zs += [0.0, prim[3]]
+    return [float(obj.pose.apply(np.array([0.0, 0.0, z]))[2]) for z in local_zs]
+
+
+def primitive_radii(obj) -> list:
+    """End radii of every profile segment a primitive sweeps."""
+    radii = set()
+    for prim in compile_primitives(obj):
+        if prim[0] == "disk":
+            radii.update(prim[2:4])
+        elif prim[0] == "frustum":
+            radii.update((prim[1], prim[3]))
+    return sorted(r for r in radii if r > 0)
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
+def test_floored_top_heights_equal_the_full_query(entry):
+    """A floored query casts only the columns that can rise above the floor;
+    every column must read what the full query reads, or -inf / 0 where that
+    is not above the floor."""
+    spec = TactileSensorSpec(res_x=40, res_y=30)
+    cfg = TrialConfig()
+    rng = rng_for(0, 0xF10, CATALOG.index(entry))
+    z1 = entry.shape.size[2] if isinstance(entry.shape, Box) else entry.shape.z_max
+    for orientation in (UPRIGHT, UPSIDE_DOWN, SIDE):
+        for yaw in rng.uniform(0.0, 2.0 * np.pi, size=3):
+            obj = make_object(entry, orientation, 0.01, -0.02, float(yaw))
+            scene = Scene(camera=default_camera(), objects=(obj,))
+            azimuths = rng.uniform(0.0, 2.0 * np.pi, size=3)
+            centers = obj.pose.apply(np.array([[rho * np.cos(a), rho * np.sin(a), z]
+                                               for rho in footprint_radii(entry)
+                                               for a, z in zip(azimuths, (0.0, z1 / 2.0, z1))]))
+            footprints = [_footprint_heights(scene, spec, c)[2].reshape(-1, 2) for c in centers]
+            # columns on every segment end radius, where the cast is most sensitive
+            ring = rng.uniform(0.0, 2.0 * np.pi) + np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+            edges = np.array([[r * np.cos(a), r * np.sin(a), 0.0]
+                              for r in primitive_radii(obj) for a in ring]).reshape(-1, 3)
+            xy = np.concatenate(footprints + [obj.pose.apply(edges)[:, :2]])
+            top = scene_top_z(scene)
+            z_start = top + 0.01
+            full, ids = top_heights(scene.objects, xy, z_start=z_start)
+            floors = {-np.inf, top - cfg.value_threshold, (scene.table_height + top) / 2.0}
+            floors.update(z + e for z in primitive_world_zs(obj) for e in (-1e-12, 0.0, 1e-12))
+            for f in sorted(floors):
+                got, got_ids = top_heights(scene.objects, xy, z_start=z_start, floor=f)
+                above = full > f
+                assert got.tobytes() == np.where(above, full, -np.inf).tobytes(), f
+                assert got_ids.tobytes() == np.where(above, ids, 0).tobytes(), f
 
 
 def march(z: float, step: float, h_stop: float):

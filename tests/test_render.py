@@ -321,6 +321,29 @@ class TestTopHeightBound:
         assert heights.max() == pytest.approx(0.07, abs=1e-12)
         assert heights.max() <= got
 
+def test_floor_below_the_mug_rim_leaves_only_the_rim_annulus():
+    # a sensor footprint across the rim of an upright mug, with the sensing
+    # plane 0.5 mm below the rim: only the rim annulus rises above it
+    r, height, wall = 0.04, 0.095, 0.0035
+    axis = np.array([0.01, -0.02])
+    mug = ObjectModel(id=1, shape=RevolutionProfile(points=((r, 0.0), (r, height)), open_top=True),
+                      mass=0.3, wall_thickness=wall, pose=RigidTransform(rot_z(0.3), [*axis, 0.0]))
+    xx, yy = np.meshgrid(np.linspace(-0.007, 0.007, 160), np.linspace(-0.00525, 0.00525, 120))
+    xy = np.stack([xx.ravel(), yy.ravel()], axis=-1) + axis + [r - wall / 2.0, 0.0]
+    full, full_ids = top_heights([mug], xy)
+    got, ids = top_heights([mug], xy, floor=height - 0.0005)
+    rho = np.hypot(*(xy - axis).T)
+    rim = (rho >= r - wall - 1e-12) & (rho <= r + 1e-12)
+    bore = rho < r - wall - 1e-12
+    assert rim.any() and bore.any() and (rho > r + 1e-12).any()
+    assert np.array_equal(np.isfinite(got), rim)
+    assert got[rim].tobytes() == full[rim].tobytes()
+    assert np.all(np.abs(got[rim] - height) < 1e-12) and np.all(ids[rim] == 1)
+    # the bore reads the cavity floor in the full query, the outside nothing
+    assert np.all(np.abs(full[bore] - wall) < 1e-12) and np.all(full_ids[bore] == 1)
+    assert np.all(np.isneginf(got[~rim])) and np.all(ids[~rim] == 0)
+
+
 def test_compile_primitives_open_vs_closed():
     open_tags = {p[-1] for p in compile_primitives(straight_cup())}
     assert "rim" in open_tags and "cavity_floor" in open_tags and "bottom" in open_tags
