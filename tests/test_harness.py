@@ -214,7 +214,7 @@ def test_floored_top_heights_equal_the_full_query(entry):
             centers = obj.pose.apply(np.array([[rho * np.cos(a), rho * np.sin(a), z]
                                                for rho in footprint_radii(entry)
                                                for a, z in zip(azimuths, (0.0, z1 / 2.0, z1))]))
-            footprints = [_footprint_heights(scene, spec, c)[2].reshape(-1, 2) for c in centers]
+            footprints = [(spec.sensel_offsets + c)[:, :2] for c in centers]
             # columns on every segment end radius, where the cast is most sensitive
             ring = rng.uniform(0.0, 2.0 * np.pi) + np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
             edges = np.array([[r * np.cos(a), r * np.sin(a), 0.0]
