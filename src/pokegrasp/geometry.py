@@ -6,6 +6,7 @@ its target frame as ``R @ p + t``.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,9 +46,15 @@ class RigidTransform:
         return RigidTransform()
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        """Map points (shape (3,) or (N,3)) from source to target frame."""
-        p = np.asarray(points, dtype=np.float64)
-        return p @ self.rotation.T + self.translation
+        """Map points (shape (3,) or (N,3)) from source to target frame.
+
+        The translation is added one coordinate column at a time: the same
+        IEEE adds as broadcasting the (3,) vector, without the broadcast.
+        """
+        out = np.asarray(points, dtype=np.float64) @ self.rotation.T
+        for i in range(3):
+            out[..., i] += self.translation[i]
+        return out
 
     def apply_vector(self, vectors: np.ndarray) -> np.ndarray:
         """Rotate direction vectors (no translation)."""
@@ -55,6 +62,12 @@ class RigidTransform:
         return v @ self.rotation.T
 
     def inverse(self) -> "RigidTransform":
+        """The inverse transform: one object per transform, built (and
+        checked) on the first call."""
+        return self._inverse
+
+    @functools.cached_property
+    def _inverse(self) -> "RigidTransform":
         rt = self.rotation.T
         return RigidTransform(rt, -rt @ self.translation)
 

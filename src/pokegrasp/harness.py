@@ -21,6 +21,7 @@ per-trial seeds come from the splitmix64 mixer in `seeding`.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -78,6 +79,11 @@ class TrialConfig:
     contact_dot_min: float = float(np.cos(np.deg2rad(30.0)))
 
     def __post_init__(self):
+        # every comparison with NaN is false: a NaN h_stop or step would end
+        # the descent before its first probe and report every poke a miss
+        for f in dataclasses.fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise InvalidConfig(f"{f.name} must be finite")
         if self.h_stop < 0:
             raise InvalidConfig("h_stop must be >= 0")
         if self.f_stop <= 0:
@@ -316,15 +322,20 @@ def scene_top_z(scene: Scene) -> float:
 
 
 def _footprint_heights(scene: Scene, spec: TactileSensorSpec, center: np.ndarray,
-                       floor: float = -np.inf):
-    """Sensel-column heights and ids of a sensor centred at ``center``; the
-    columns whose surface does not rise above ``floor`` read -inf / 0."""
-    posed = spec.at_pose(sensor_pose_at(center))
-    world = spec.sensel_offsets + posed.pose.translation
-    z_start = scene_top_z(scene) + 0.01
-    heights, ids = top_heights(scene.objects, world[:, :2], z_start=z_start, floor=floor)
+                       floor: float = -np.inf, z_start: Optional[float] = None):
+    """Sensel-column heights, ids and (x, y) of a sensor posed by
+    ``sensor_pose_at(center)``; the columns whose surface does not rise above
+    ``floor`` read -inf / 0. The columns are cast down from ``z_start``, by
+    default 1 cm above ``scene_top_z``."""
+    if z_start is None:
+        z_start = scene_top_z(scene) + 0.01
+    offsets = spec.sensel_offsets
+    xy = np.empty((offsets.shape[0], 2))
+    xy[:, 0] = offsets[:, 0] + center[0]
+    xy[:, 1] = offsets[:, 1] + center[1]
+    heights, ids = top_heights(scene.objects, xy, z_start=z_start, floor=floor)
     shape = (spec.res_y, spec.res_x)
-    return heights.reshape(shape), ids.reshape(shape), world[:, :2].reshape(shape + (2,)), posed
+    return heights.reshape(shape), ids.reshape(shape), xy.reshape(shape + (2,))
 
 
 def _contact_dot(scene: Scene, object_id: int, contact: np.ndarray) -> float:
@@ -381,11 +392,12 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan], cfg: TrialConfig,
         bound = top_height_bound(scene.objects, center[:2] - half, center[:2] + half)
         if z >= bound - cfg.value_threshold + 1e-9:
             return False, 0, None
-        heights, ids, xy, posed = _footprint_heights(scene, spec, center, floor=z)
-        frame = frame_from_heights(heights, posed, z)
+        heights, ids, xy = _footprint_heights(scene, spec, center, floor=z, z_start=top + 0.01)
+        # the frame is posed only if it fires: the count reads the image alone
+        frame = frame_from_heights(heights, spec, z)
         hit, count = detect_contact(reference, frame,
                                     cfg.value_threshold, cfg.count_threshold)
-        return hit, count, (heights, ids, xy, frame, posed)
+        return hit, count, (heights, ids, xy, frame, center)
 
     z_top = top + cfg.coarse_step
     z = z_top
@@ -402,7 +414,9 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan], cfg: TrialConfig,
     while z >= cfg.h_stop - 1e-12:
         hit, _, touched = probe(z)
         if hit:
-            heights, ids, xy, frame, posed = touched
+            heights, ids, xy, frame, center = touched
+            posed = spec.at_pose(sensor_pose_at(center))
+            frame = dataclasses.replace(frame, pose=posed.pose)
             pen = frame.image
             idx = np.unravel_index(int(np.argmax(pen)), pen.shape)
             contact = np.array([xy[idx][0], xy[idx][1], heights[idx]])

@@ -49,6 +49,18 @@ contributes its highest point, ``object_top_z``. ``harness.simulate_poke``
 skips the probes whose footprint bound cannot reach the sensing plane.
 The bound and the floored query read the primitives of a vertical-axis
 solid from one place, ``_vertical_profile``.
+
+The ray and column kernels work on 1-D per-axis arrays: they read the
+columns ``o[:, a]`` and ``d[:, a]`` of their (n, 3) inputs and combine the
+axes elementwise. No (n, 3) array is broadcast against a (3,) vector or
+reduced along its length-3 axis; numpy runs either as n inner loops of
+length 3. The box slab test folds its axes with ``np.maximum`` /
+``np.minimum`` and picks the entry axis with a strict ``>``, the first
+maximum that ``argmax`` returns. A dot product or squared norm is written
+out left to right, the order in which numpy reduces the axis. The results
+are therefore those of the (n, 3) forms, byte for byte. Primitives are
+compiled once per (shape, wall thickness) and a pose's inverse once per
+pose.
 """
 from __future__ import annotations
 
@@ -64,6 +76,10 @@ from .scene import Box, ObjectModel, RevolutionProfile, Scene
 
 T_EPS = 1e-9
 NO_HIT = np.inf
+
+# compiled primitives of up to this many distinct (shape, wall thickness) pairs
+_PRIMITIVES_KEPT = 64
+_PRIMITIVES: dict[tuple, tuple] = {}
 
 
 @dataclass(frozen=True)
@@ -109,10 +125,23 @@ def _inner_polyline(profile: RevolutionProfile, wall: float) -> list[tuple[float
     return pts
 
 
-def compile_primitives(obj: ObjectModel) -> list[tuple]:
-    """Local-frame primitive list: ('frustum', r0, z0, r1, z1, tag),
-    ('disk', zc, r_in, r_out, tag) or ('box', w, d, h, tag)."""
-    shape = obj.shape
+def compile_primitives(obj: ObjectModel) -> tuple[tuple, ...]:
+    """Local-frame primitives: ('frustum', r0, z0, r1, z1, tag),
+    ('disk', zc, r_in, r_out, tag) or ('box', w, d, h, tag).
+
+    Objects with equal shapes and wall thicknesses share one cached tuple.
+    """
+    key = (obj.shape, obj.wall_thickness)
+    prims = _PRIMITIVES.get(key)
+    if prims is None:
+        prims = tuple(_compile_shape(obj.shape, obj.wall_thickness))
+        if len(_PRIMITIVES) >= _PRIMITIVES_KEPT:
+            _PRIMITIVES.clear()  # one atomic step, unlike evicting a chosen key
+        _PRIMITIVES[key] = prims
+    return prims
+
+
+def _compile_shape(shape, wall: float) -> list[tuple]:
     prims: list[tuple] = []
     if isinstance(shape, Box):
         w, d, h = shape.size
@@ -129,7 +158,6 @@ def compile_primitives(obj: ObjectModel) -> list[tuple]:
         for i, ((r0, z0), (r1, z1)) in enumerate(zip(pts, pts[1:])):
             prims.append(("frustum", r0, z0, r1, z1, f"outer:{i}"))
         return prims
-    wall = obj.wall_thickness
     inner = _inner_polyline(shape, wall)
     prims.append(("disk", shape.z_max, shape.top_radius - wall, shape.top_radius, "rim"))
     prims.append(("disk", inner[0][1], 0.0, inner[0][0], "cavity_floor"))
@@ -170,12 +198,14 @@ def _intersect_frustum(o, d, r0, z0, r1, z1):
     return t_best
 
 
-def _frustum_normal(p, r0, z0, r1, z1):
-    """Outward surface normal of the frustum at local points p (N,3)."""
+def _frustum_normal(x, y, r0, z0, r1, z1):
+    """Outward unit normal (N,3) of the frustum at the local points whose
+    coordinates are x, y (N,)."""
     k = (r1 - r0) / (z1 - z0)
-    rho = np.maximum(np.hypot(p[:, 0], p[:, 1]), 1e-12)
-    n = np.stack([p[:, 0], p[:, 1], -k * rho], axis=-1)
-    return n / np.linalg.norm(n, axis=-1, keepdims=True)
+    nz = -k * np.maximum(np.hypot(x, y), 1e-12)
+    # summed in the order np.linalg.norm(axis=-1) sums the squares
+    norm = np.sqrt(x * x + y * y + nz * nz)
+    return np.stack([x / norm, y / norm, nz / norm], axis=-1)
 
 
 def _intersect_disk(o, d, zc, r_in, r_out):
@@ -189,21 +219,28 @@ def _intersect_disk(o, d, zc, r_in, r_out):
 
 
 def _intersect_box(o, d, w, dd, h):
-    lo = np.array([-w / 2.0, -dd / 2.0, 0.0])
-    hi = np.array([w / 2.0, dd / 2.0, h])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t0 = (lo - o) / d
-        t1 = (hi - o) / d
-    t_lo = np.where(np.isnan(t0), -NO_HIT, np.minimum(t0, t1))
-    t_hi = np.where(np.isnan(t1), NO_HIT, np.maximum(t0, t1))
-    # rays parallel to a slab: hit only if origin is inside that slab
-    par = np.abs(d) < 1e-14
-    inside = (o >= lo) & (o <= hi)
-    t_lo = np.where(par, np.where(inside, -NO_HIT, NO_HIT), t_lo)
-    t_hi = np.where(par, np.where(inside, NO_HIT, -NO_HIT), t_hi)
-    near_ax = np.argmax(t_lo, axis=1)
-    t_near = np.max(t_lo, axis=1)
-    t_far = np.min(t_hi, axis=1)
+    """Slab test, one axis at a time: (t, near_ax), t = +inf where missed and
+    near_ax the first axis of the entry slab."""
+    for ax, (lo, hi) in enumerate(((-w / 2.0, w / 2.0), (-dd / 2.0, dd / 2.0), (0.0, h))):
+        o_a, d_a = o[:, ax], d[:, ax]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t0 = (lo - o_a) / d_a
+            t1 = (hi - o_a) / d_a
+        t_lo = np.where(np.isnan(t0), -NO_HIT, np.minimum(t0, t1))
+        t_hi = np.where(np.isnan(t1), NO_HIT, np.maximum(t0, t1))
+        # rays parallel to a slab: hit only if origin is inside that slab
+        par = np.abs(d_a) < 1e-14
+        inside = (o_a >= lo) & (o_a <= hi)
+        t_lo = np.where(par, np.where(inside, -NO_HIT, NO_HIT), t_lo)
+        t_hi = np.where(par, np.where(inside, NO_HIT, -NO_HIT), t_hi)
+        if ax == 0:
+            t_near, t_far = t_lo, t_hi
+            near_ax = np.zeros(t_lo.shape, dtype=np.intp)
+        else:
+            # strictly greater keeps the first of equal entries, as argmax does
+            near_ax = np.where(t_lo > t_near, ax, near_ax)
+            t_near = np.maximum(t_near, t_lo)
+            t_far = np.minimum(t_far, t_hi)
     ok = (t_near <= t_far + 1e-15) & (t_far > T_EPS)
     t = np.where(t_near > T_EPS, t_near, t_far)
     return np.where(ok, t, NO_HIT), near_ax
@@ -231,12 +268,11 @@ def _intersect_primitive_t(prim, o, d):
 
 
 def _primitive_normal(prim, o, d, t):
-    p = o + t[:, None] * d
     kind = prim[0]
     if kind == "frustum":
-        return _frustum_normal(p, *prim[1:5])
+        return _frustum_normal(o[:, 0] + t * d[:, 0], o[:, 1] + t * d[:, 1], *prim[1:5])
     if kind == "disk":
-        n = np.zeros_like(p)
+        n = np.zeros_like(o)
         n[:, 2] = 1.0
         return n
     _, near_ax = _intersect_box(o, d, *prim[1:4])
@@ -263,7 +299,7 @@ def intersect_object(obj: ObjectModel, origins: np.ndarray, dirs: np.ndarray):
             continue
         normal[sel] = _primitive_normal(prim, o[sel], d[sel], t[sel])
     # orient against the ray, then carry into the world frame
-    flip = np.sum(normal * d, axis=-1) > 0.0
+    flip = normal[:, 0] * d[:, 0] + normal[:, 1] * d[:, 1] + normal[:, 2] * d[:, 2] > 0.0
     normal[flip] *= -1.0
     return t, obj.pose.apply_vector(normal), face
 
@@ -321,7 +357,9 @@ def _cast(scene: Scene, origin: np.ndarray, dirs: np.ndarray):
         along = dirs @ oc
         off2 = oc @ oc - along * along
         idx = np.flatnonzero((off2 <= radius * radius) & (along > -radius))
-        origins = np.broadcast_to(origin, (idx.size, 3)).copy()
+        origins = np.empty((idx.size, 3))
+        for i in range(3):
+            origins[:, i] = origin[i]
         t, nrm, _ = intersect_object(obj, origins, dirs[idx])
         closer = t < depth[idx]
         hit = idx[closer]
@@ -485,7 +523,10 @@ def top_heights(objects: Sequence[ObjectModel], xy: np.ndarray, z_start: float =
     """
     xy = np.asarray(xy, dtype=np.float64)
     n = xy.shape[0]
-    origins = np.concatenate([xy, np.full((n, 1), z_start)], axis=1)
+    origins = np.empty((n, 3))
+    origins[:, 0] = xy[:, 0]
+    origins[:, 1] = xy[:, 1]
+    origins[:, 2] = z_start
     best_t = np.full(n, NO_HIT)
     ids = np.zeros(n, dtype=np.int32)
     for obj in objects:

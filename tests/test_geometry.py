@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -51,3 +53,26 @@ def test_json_roundtrip():
 def test_normalize_zero_raises():
     with pytest.raises(InvalidGeometry):
         normalize([0.0, 0.0, 0.0])
+
+
+def test_apply_adds_the_translation_as_broadcasting_does():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        t = random_transform(rng)
+        for p in (rng.uniform(-1, 1, size=3), rng.uniform(-1, 1, size=(257, 3)),
+                  np.zeros((0, 3)), [[0.5, -0.25, 2.0]]):
+            expected = np.asarray(p, dtype=np.float64) @ t.rotation.T + t.translation
+            got = t.apply(p)
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+def test_inverse_is_built_once_and_read_only():
+    t = random_transform(np.random.default_rng(5))
+    inv = t.inverse()
+    assert t.inverse() is inv
+    rt = t.rotation.T
+    assert inv.rotation.tobytes() == np.ascontiguousarray(rt).tobytes()
+    assert inv.translation.tobytes() == (-rt @ t.translation).tobytes()
+    assert not inv.rotation.flags.writeable and not inv.translation.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        inv.translation = np.zeros(3)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from pokegrasp.geometry import RigidTransform, rot_x, rot_z
 from pokegrasp.harness import FAILURE, POKE_GUIDANCE_MODES, SIDE_INSIDE_TOL, SUCCESS, TOPPLE, \
     TrialConfig, _contact_dot, _convex_hull, _footprint_heights, annotations_for, \
     corrupt_depth, poke_pixel_for_guidance, run_benchmark, scene_top_z, simulate_grasp, \
-    tipping_arms, tipping_max_force
+    simulate_poke, tipping_arms, tipping_max_force
 from pokegrasp.plan import GraspProposal
 from pokegrasp.render import RenderBuffers, compile_primitives, render, top_height_bound, \
     top_heights
@@ -101,6 +103,25 @@ def test_trial_config_rejects_depth_dropout_outside_unit_interval(value):
         TrialConfig(depth_dropout=value)
     assert TrialConfig(depth_dropout=0.0).depth_dropout == 0.0
     assert TrialConfig(depth_dropout=1.0).depth_dropout == 1.0
+
+
+FLOAT_FIELDS = ("h_stop", "f_stop", "calib_range", "adhesion_prob", "value_threshold",
+                "descent_step", "coarse_step", "descend_offset", "depth_dropout", "depth_sigma",
+                "tau_dot", "h_min", "contact_dot_min")
+
+
+def test_float_fields_are_the_ones_checked_for_finiteness():
+    assert set(FLOAT_FIELDS) == {f.name for f in dataclasses.fields(TrialConfig)
+                                 if isinstance(f.default, float)}
+
+
+@pytest.mark.parametrize("field", FLOAT_FIELDS)
+def test_trial_config_rejects_non_finite(field):
+    # with h_stop or coarse_step NaN the descent loop never ran: every poke
+    # ended as a silent miss
+    for value in (np.nan, np.inf, -np.inf, np.float32("nan")):
+        with pytest.raises(InvalidConfig, match=field):
+            TrialConfig(**{field: value})
 
 
 @pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
@@ -260,8 +281,8 @@ def test_probes_the_bound_skips_count_no_sensel(name, attempt):
             return origin + (z - origin[2]) / direction[2] * direction
 
         def count_at(z):
-            heights, _, _, posed = _footprint_heights(scene, spec, center_at(z))
-            frame = frame_from_heights(heights, posed, z)
+            heights, _, _ = _footprint_heights(scene, spec, center_at(z))
+            frame = frame_from_heights(heights, spec, z)
             return detect_contact(reference, frame, cfg.value_threshold, cfg.count_threshold)[1]
 
         def skips(z):
@@ -284,15 +305,29 @@ def test_probes_the_bound_skips_count_no_sensel(name, attempt):
     assert skipped >= 5
 
 
+def test_contact_probe_carries_the_sensor_posed_at_the_contact():
+    # only the probe that fires builds the posed sensor and frame
+    scene = benchmark_scene("jar", 0, master_seed=0)
+    cfg = TrialConfig()
+    _, anns = annotations_for(scene, cfg)
+    outcome = simulate_poke(scene, poke_pixel_for_guidance(anns[0], "pr"), cfg)
+    assert outcome.status in (SUCCESS, TOPPLE)
+    pose = outcome.sensor.pose
+    assert outcome.frame.pose is pose
+    assert abs(pose.translation[2] - outcome.stop_z) < 1e-12
+    assert pose.rotation.tobytes() == sensor_pose_at(np.zeros(3)).rotation.tobytes()
+    grid = pose.apply(outcome.sensor.sensel_grid_local())[:, :2]
+    assert np.any(np.all(grid == outcome.contact_point[:2], axis=1))
+
+
 def test_footprint_sensels_match_the_posed_grid():
     # the sensel grid is rotated once per sensor spec, not once per probe
     scene = benchmark_scene("jar", 0, master_seed=0)
     spec = TactileSensorSpec(res_x=32, res_y=24)
     for center in ([0.01, -0.02, 0.05], [-0.031, 0.007, 0.12]):
-        _, _, xy, posed = _footprint_heights(scene, spec, np.array(center))
+        _, _, xy = _footprint_heights(scene, spec, np.array(center))
         expected = spec.at_pose(sensor_pose_at(center)).pose.apply(spec.sensel_grid_local())
         assert xy.tobytes() == expected[:, :2].reshape(24, 32, 2).tobytes()
-        assert posed.pose.translation.tolist() == center
 
 
 class TestTippingStatics:

@@ -5,8 +5,8 @@ from pokegrasp.catalog import OBJECT_NAMES, benchmark_scene, catalog_entry, defa
     make_object
 from pokegrasp.errors import InvalidGeometry
 from pokegrasp.geometry import RigidTransform, rot_x, rot_z
-from pokegrasp.render import Hit, compile_primitives, contains, intersect_object, ray_intersect, \
-    render, top_height_bound, top_heights
+from pokegrasp.render import Hit, _frustum_normal, _intersect_box, compile_primitives, contains, \
+    intersect_object, ray_intersect, render, top_height_bound, top_heights
 from pokegrasp.scene import Box, ObjectModel, RevolutionProfile, Scene
 
 from conftest import overhead_camera, straight_cup
@@ -351,3 +351,116 @@ def test_compile_primitives_open_vs_closed():
                          mass=0.2)
     closed_tags = {p[-1] for p in compile_primitives(closed)}
     assert "top" in closed_tags and "rim" not in closed_tags
+
+
+def test_compile_primitives_is_one_tuple_per_shape():
+    entry = catalog_entry("mug")
+    a = make_object(entry, "upright", 0.0, 0.0, 0.3)
+    b = make_object(entry, "side", 0.02, -0.01, 1.1, oid=2)
+    prims = compile_primitives(a)
+    assert isinstance(prims, tuple) and all(isinstance(p, tuple) for p in prims)
+    assert compile_primitives(b) is prims
+    # an equal shape built anew compiles to an equal tuple
+    copy = ObjectModel(id=3, shape=RevolutionProfile(points=entry.shape.points, open_top=True,
+                                                     cavity_depth=entry.shape.cavity_depth),
+                       mass=entry.mass, wall_thickness=entry.wall_thickness)
+    assert compile_primitives(copy) == prims
+    with pytest.raises(TypeError):
+        prims[0] = ("disk", 0.0, 0.0, 0.01, "bottom")
+    thinner = ObjectModel(id=4, shape=entry.shape, mass=entry.mass,
+                          wall_thickness=entry.wall_thickness / 2.0)
+    assert compile_primitives(thinner) != prims
+
+
+# ---------------------------------------------------------------------------
+# the one-dimensional kernels against their (n, 3) forms
+# ---------------------------------------------------------------------------
+
+BOX = (0.06, 0.04, 0.09)
+
+
+def reference_intersect_box(o, d, w, dd, h):
+    """The slab test over (n, 3) arrays, reducing along the axis column."""
+    lo = np.array([-w / 2.0, -dd / 2.0, 0.0])
+    hi = np.array([w / 2.0, dd / 2.0, h])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t0 = (lo - o) / d
+        t1 = (hi - o) / d
+    t_lo = np.where(np.isnan(t0), -np.inf, np.minimum(t0, t1))
+    t_hi = np.where(np.isnan(t1), np.inf, np.maximum(t0, t1))
+    par = np.abs(d) < 1e-14
+    inside = (o >= lo) & (o <= hi)
+    t_lo = np.where(par, np.where(inside, -np.inf, np.inf), t_lo)
+    t_hi = np.where(par, np.where(inside, np.inf, -np.inf), t_hi)
+    near_ax = np.argmax(t_lo, axis=1)
+    t_near = np.max(t_lo, axis=1)
+    t_far = np.min(t_hi, axis=1)
+    ok = (t_near <= t_far + 1e-15) & (t_far > 1e-9)
+    t = np.where(t_near > 1e-9, t_near, t_far)
+    return np.where(ok, t, np.inf), near_ax
+
+
+def assert_box_slabs_match(o, d):
+    t, near_ax = _intersect_box(o, d, *BOX)
+    t_ref, near_ref = reference_intersect_box(o, d, *BOX)
+    assert t.tobytes() == t_ref.tobytes()
+    assert near_ax.dtype == near_ref.dtype and near_ax.tobytes() == near_ref.tobytes()
+    return t
+
+
+class TestBoxSlabsMatchTheColumnReduction:
+    def test_seeded_rays(self):
+        rng = np.random.default_rng(11)
+        o = rng.uniform(-0.15, 0.15, size=(5000, 3))
+        d = rng.normal(size=(5000, 3))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        assert np.isfinite(assert_box_slabs_match(o, d)).sum() > 100
+
+    def test_axis_parallel_rays(self):
+        rng = np.random.default_rng(12)
+        o = rng.uniform(-0.1, 0.15, size=(4000, 3))
+        d = rng.normal(size=(4000, 3))
+        # zero, signed-zero and sub-tolerance components on one or two axes
+        tiny = np.array([0.0, -0.0, 1e-15, -1e-15, 9.9e-15, 1e-14])
+        for ax in range(3):
+            pick = rng.random(4000) < 0.5
+            d[pick, ax] = rng.choice(tiny, size=int(pick.sum()))
+        o[::7, :2] = rng.uniform(-0.015, 0.015, size=(len(o[::7]), 2))  # inside the x/y slabs
+        assert np.isfinite(assert_box_slabs_match(o, d)).sum() > 100
+
+    def test_origins_on_faces_and_inside(self):
+        rng = np.random.default_rng(13)
+        w, dd, h = BOX
+        faces = ((-w / 2.0, w / 2.0), (-dd / 2.0, dd / 2.0), (0.0, h))
+        o = np.column_stack([rng.uniform(lo, hi, size=3000) for lo, hi in faces])
+        for ax, (lo, hi) in enumerate(faces):
+            pick = rng.random(3000) < 0.3
+            o[pick, ax] = rng.choice([lo, hi], size=int(pick.sum()))
+        d = rng.normal(size=(3000, 3))
+        d[::5, 2] = 0.0
+        d[1::5] = [[0.0, 0.0, -1.0]]
+        assert np.isfinite(assert_box_slabs_match(o, d)).sum() > 100
+
+    def test_shared_column_direction(self):
+        rng = np.random.default_rng(14)
+        o = np.column_stack([rng.uniform(-0.05, 0.05, size=(4000, 2)), np.full(4000, 0.2)])
+        hits = 0
+        for rot in [np.eye(3), rot_x(np.pi / 2), rot_z(0.7) @ rot_x(np.pi / 2),
+                    rot_x(0.3) @ rot_z(1.2), rot_x(np.pi)]:
+            # the downward column direction in a box frame, shared by every column
+            d = np.array([[0.0, 0.0, -1.0]]) @ rot
+            hits += np.isfinite(assert_box_slabs_match(o @ rot, d)).sum()
+        assert hits > 1000
+
+
+def test_frustum_normal_matches_the_row_norm():
+    rng = np.random.default_rng(15)
+    x, y = rng.normal(scale=0.03, size=(2, 5000))
+    x[:10] = y[:10] = 0.0  # on the axis, where the radius is clamped
+    for r0, z0, r1, z1 in ((0.03, 0.0, 0.04, 0.1), (0.05, 0.02, 0.01, 0.03), (0.02, 0.0, 0.02, 0.1)):
+        k = (r1 - r0) / (z1 - z0)
+        if k == 0.0:  # a straight wall has no normal on its axis
+            x, y = x[10:], y[10:]
+        n = np.stack([x, y, -k * np.maximum(np.hypot(x, y), 1e-12)], axis=-1)
+        expected = n / np.linalg.norm(n, axis=-1, keepdims=True)
+        assert _frustum_normal(x, y, r0, z0, r1, z1).tobytes() == expected.tobytes()
