@@ -17,6 +17,13 @@ localization error against the crossing midpoint decide the outcome.
 
 Everything is reproducible from (scene, mode, master seed, trial index);
 per-trial seeds come from the splitmix64 mixer in `seeding`.
+
+The trials on one scene share its `PreparedScene`: one render and one
+poking-region pass, one plan per annotation region and one poke per
+(pixel, executed shift). A poke does not depend on the trial seed, which
+is only stamped on its outcome, so the `pr` poke and the `tactile` grasp's
+poke, or a `bbox` and a `mask` poke on the same pixel, lower the sensor
+once.
 """
 from __future__ import annotations
 
@@ -488,20 +495,83 @@ def simulate_grasp(scene: Scene, grasp: GraspProposal, cfg: TrialConfig,
 # per-trial pipelines
 # ---------------------------------------------------------------------------
 
-def annotations_for(scene: Scene, cfg: TrialConfig):
+@dataclass(frozen=True, eq=False)
+class PreparedScene:
+    """What the trials on one (scene, cfg) share: the render, the poking-region
+    annotations and two memos filled as the trials run.
+
+    Unpacks as ``(buffers, anns)``. A trial reads the memos only when it
+    runs on this very ``scene`` and ``cfg`` object (see ``_owned``).
+    """
+    scene: Scene
+    cfg: TrialConfig
+    buffers: RenderBuffers
+    anns: list
+    _plans: dict = field(default_factory=dict, init=False, repr=False)
+    _pokes: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __iter__(self):
+        return iter((self.buffers, self.anns))
+
+    def plan(self, region: str) -> Optional[PokePlan]:
+        """``poking_point`` of the first annotation's ``region`` ("poking_region"
+        or "mask"); None where it raises EmptyMask or DegenerateInput."""
+        if region not in self._plans:
+            self._plans[region] = _plan_or_none(getattr(self.anns[0], region))
+        return self._plans[region]
+
+    def poke(self, plan: Optional[PokePlan], shift, seed: int) -> PokeOutcome:
+        """``simulate_poke`` of ``plan`` with ``shift``, once per (pixel, shift).
+
+        A poke reads only the plan's pixel, and the seed only stamps its
+        outcome, so a repeat is the first outcome restamped. Its arrays are
+        made read-only, since every repeat shares them.
+        """
+        if plan is None:
+            return simulate_poke(self.scene, plan, self.cfg, executed_shift=shift, seed=seed)
+        # bytes, not floats: -0.0 == 0.0, but the two shifts may move a centre differently
+        key = (plan.point_px, np.asarray(shift, dtype=np.float64).tobytes())
+        memo = self._pokes.get(key)
+        if memo is not None:
+            return dataclasses.replace(memo, seed=seed)
+        out = simulate_poke(self.scene, plan, self.cfg, executed_shift=shift, seed=seed)
+        if out.contact_point is not None:  # a contact outcome carries both arrays
+            out.contact_point.setflags(write=False)
+            out.frame.image.setflags(write=False)
+        self._pokes[key] = out
+        return out
+
+
+def annotations_for(scene: Scene, cfg: TrialConfig) -> PreparedScene:
     buffers = render(scene)
     anns = poking_region(buffers, scene.camera, scene.table_normal,
                          tau_dot=cfg.tau_dot, h_min=cfg.h_min)
-    return buffers, anns
+    return PreparedScene(scene, cfg, buffers, anns)
+
+
+def _owned(scene: Scene, cfg: TrialConfig, prepared) -> PreparedScene:
+    """The preparation a trial on (scene, cfg) runs on. One made for another
+    scene or cfg object, or a plain ``(buffers, anns)`` pair, is wrapped
+    afresh, so its memos are never read."""
+    if prepared is None:
+        return annotations_for(scene, cfg)
+    if isinstance(prepared, PreparedScene) and prepared.scene is scene and prepared.cfg is cfg:
+        return prepared
+    buffers, anns = prepared
+    return PreparedScene(scene, cfg, buffers, anns)
+
+
+def _plan_or_none(region: np.ndarray) -> Optional[PokePlan]:
+    try:
+        return poking_point(region)
+    except (EmptyMask, DegenerateInput):
+        return None
 
 
 def poke_pixel_for_guidance(ann: InstanceAnnotation, guidance: str) -> Optional[PokePlan]:
     """Plan for one guidance mode; None when planning is impossible."""
     if guidance == "pr":
-        try:
-            return poking_point(ann.poking_region)
-        except (EmptyMask, DegenerateInput):
-            return None
+        return _plan_or_none(ann.poking_region)
     if guidance == "mask":
         vs, us = np.nonzero(ann.mask)
         px = (int(round(us.mean())), int(round(vs.mean())))
@@ -523,20 +593,23 @@ def _is_side_lying_cylinder(obj: ObjectModel) -> bool:
 
 def run_poke_trial(scene: Scene, cfg: TrialConfig, seed: int, guidance: str,
                    prepared=None) -> PokeOutcome:
-    buffers, anns = prepared if prepared is not None else annotations_for(scene, cfg)
-    if not anns:
+    prepared = _owned(scene, cfg, prepared)
+    if not prepared.anns:
         return PokeOutcome(status=MISS, seed=seed)
-    ann = anns[0]
-    plan = poke_pixel_for_guidance(ann, guidance)
+    if guidance == "pr":
+        plan = prepared.plan("poking_region")
+    else:
+        plan = poke_pixel_for_guidance(prepared.anns[0], guidance)
     err = inject_calibration_error(cfg, seed)
-    return simulate_poke(scene, plan, cfg, executed_shift=err.translation[:2], seed=seed)
+    return prepared.poke(plan, err.translation[:2], seed)
 
 
 def run_grasp_trial(scene: Scene, cfg: TrialConfig, seed: int, mode: str,
                     prepared=None) -> GraspOutcome:
     if mode not in GRASP_MODES:
         raise InvalidConfig(f"unknown grasp mode {mode!r}")
-    buffers, anns = prepared if prepared is not None else annotations_for(scene, cfg)
+    prepared = _owned(scene, cfg, prepared)
+    buffers, anns = prepared
     if not anns:
         return GraspOutcome(status=FAILURE, seed=seed, reason="no_annotation")
     ann = anns[0]
@@ -544,10 +617,10 @@ def run_grasp_trial(scene: Scene, cfg: TrialConfig, seed: int, mode: str,
     rng = np.random.default_rng(mix(seed, 0x9A59))
     err = inject_calibration_error(cfg, seed)
     dx = float(err.translation[0])
-    region = ann.mask if mode == "camera-mask" else ann.poking_region
-    try:
-        plan = poking_point(region)
-    except (EmptyMask, DegenerateInput):
+    region_name = "mask" if mode == "camera-mask" else "poking_region"
+    region = getattr(ann, region_name)
+    plan = prepared.plan(region_name)
+    if plan is None:
         return GraspOutcome(status=FAILURE, seed=seed, reason="planning_failed")
 
     if mode.startswith("camera"):
@@ -566,7 +639,7 @@ def run_grasp_trial(scene: Scene, cfg: TrialConfig, seed: int, mode: str,
         return simulate_grasp(scene, executed, cfg, seed=seed)
 
     # tactile localization: poke first
-    poke = simulate_poke(scene, plan, cfg, executed_shift=(dx, 0.0), seed=seed)
+    poke = prepared.poke(plan, (dx, 0.0), seed)
     if poke.status != SUCCESS:
         return GraspOutcome(status=FAILURE, seed=seed, reason=f"poke_{poke.status}")
     target = scene.object_by_id(poke.contact_object)
@@ -635,8 +708,10 @@ def run_benchmark(scenes_by_object: dict, modes: Sequence[str],
                   task: str = "poke") -> BenchmarkResult:
     """Seeded success-rate table over objects x modes.
 
-    Renders are shared across modes per (object, attempt); per-trial seeds
-    are mix(master_seed, object_index, mode_index, attempt).
+    One ``PreparedScene`` per (object, scene) is shared across modes: its
+    render, its plans and its pokes. It is dropped once the object's last
+    mode has run. Per-trial seeds are
+    mix(master_seed, object_index, mode_index, attempt).
     """
     if task not in ("poke", "grasp"):
         raise InvalidConfig(f"unknown task {task!r}")
@@ -646,22 +721,23 @@ def run_benchmark(scenes_by_object: dict, modes: Sequence[str],
             raise InvalidConfig(f"unknown {task} mode {m!r}; expected one of {valid}")
     rows = []
     trials = []
-    cache: dict = {}
     for oi, (name, scenes) in enumerate(scenes_by_object.items()):
         if attempts_per_object > 0 and not scenes:
             raise InvalidConfig(f"no scenes for object {name!r}")
+        # only this object's trials read its preparations: drop them with it
+        cache: dict = {}
         for mi, mode in enumerate(modes):
             succ = 0
             for attempt in range(attempts_per_object):
-                scene = scenes[attempt % len(scenes)]
-                key = (name, attempt % len(scenes))
-                if key not in cache:
-                    cache[key] = annotations_for(scene, cfg)
+                slot = attempt % len(scenes)
+                scene = scenes[slot]
+                if slot not in cache:
+                    cache[slot] = annotations_for(scene, cfg)
                 seed = mix(cfg.master_seed, oi, mi, attempt)
                 if task == "poke":
-                    out = run_poke_trial(scene, cfg, seed, mode, prepared=cache[key])
+                    out = run_poke_trial(scene, cfg, seed, mode, prepared=cache[slot])
                 else:
-                    out = run_grasp_trial(scene, cfg, seed, mode, prepared=cache[key])
+                    out = run_grasp_trial(scene, cfg, seed, mode, prepared=cache[slot])
                 ok = out.status == SUCCESS
                 succ += int(ok)
                 record = {"object": name, "mode": mode, "attempt": attempt,

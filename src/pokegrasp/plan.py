@@ -22,6 +22,7 @@ ellipse angles, world x for bearings).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -41,6 +42,10 @@ class GripperSpec:
     finger_width: float = 0.020
 
     def __post_init__(self):
+        # with a NaN finger_width the localization bound err >= 0.5 * nan is
+        # never true, so every grasp that crosses the wall would succeed
+        if not (math.isfinite(self.maximum_gripper_width) and math.isfinite(self.finger_width)):
+            raise InvalidConfig("gripper dimensions must be finite")
         if self.maximum_gripper_width <= 0 or self.finger_width <= 0:
             raise InvalidConfig("gripper dimensions must be positive")
         if self.finger_width >= self.maximum_gripper_width:

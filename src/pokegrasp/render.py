@@ -182,13 +182,21 @@ def _intersect_frustum(o, d, r0, z0, r1, z1):
     t_best = np.full(o.shape[0], NO_HIT)
     with np.errstate(divide="ignore", invalid="ignore"):
         lin = np.abs(a) < 1e-14
-        disc = b * b - 4.0 * a * c
-        sq = np.sqrt(np.maximum(disc, 0.0))
-        roots = [
-            np.where(lin, -c / b, (-b - sq) / (2.0 * a)),
-            np.where(lin, NO_HIT, (-b + sq) / (2.0 * a)),
-        ]
-        solvable = np.where(lin, np.abs(b) > 1e-14, disc >= 0.0)
+        # one shared direction (the sensel columns) makes a and lin single
+        # values: only the branch lin selects is evaluated, and the linear
+        # branch has no second root (np.where would fill it with NO_HIT)
+        shared = lin.size == 1
+        if shared and lin[0]:
+            roots, solvable = [-c / b], np.abs(b) > 1e-14
+        else:
+            disc = b * b - 4.0 * a * c
+            sq = np.sqrt(np.maximum(disc, 0.0))
+            roots = [(-b - sq) / (2.0 * a), (-b + sq) / (2.0 * a)]
+            if shared:
+                solvable = disc >= 0.0
+            else:
+                roots = [np.where(lin, -c / b, roots[0]), np.where(lin, NO_HIT, roots[1])]
+                solvable = np.where(lin, np.abs(b) > 1e-14, disc >= 0.0)
         for t in roots:
             z_hit = o[:, 2] + t * d[:, 2]
             rad = m + t * k * d[:, 2]
@@ -209,6 +217,10 @@ def _frustum_normal(x, y, r0, z0, r1, z1):
 
 
 def _intersect_disk(o, d, zc, r_in, r_out):
+    if d.shape[0] == 1 and abs(d[0, 2]) <= 1e-14:
+        # one shared direction parallel to the disk (a side-lying solid's
+        # disks under the sensel columns): the ok mask below is all False
+        return np.full(o.shape[0], NO_HIT)
     with np.errstate(divide="ignore", invalid="ignore"):
         t = (zc - o[:, 2]) / d[:, 2]
     x = o[:, 0] + t * d[:, 0]

@@ -15,6 +15,7 @@ x_j = (j + 0.5) * area_x / res_x - area_x / 2 and the analogous y_i.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +52,9 @@ class TactileSensorSpec:
     max_indent: float = DEFAULT_MAX_INDENT
 
     def __post_init__(self):
+        # a NaN max_indent clips every indentation to NaN: no sensel counts
+        if not all(math.isfinite(v) for v in (self.area_x, self.area_y, self.max_indent)):
+            raise InvalidConfig("sensing area and max_indent must be finite")
         if self.area_x <= 0 or self.area_y <= 0:
             raise InvalidConfig("sensing area must be positive")
         if self.res_x < 16 or self.res_y < 16:

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import weakref
 
 import numpy as np
 import pytest
@@ -7,10 +9,12 @@ from pokegrasp.catalog import CATALOG, SIDE, UPRIGHT, UPSIDE_DOWN, benchmark_sce
     benchmark_scene_set, catalog_entry, default_camera, make_object
 from pokegrasp.errors import InvalidConfig, InvalidGeometry, ShapeMismatch
 from pokegrasp.geometry import RigidTransform, rot_x, rot_z
+from pokegrasp import harness
 from pokegrasp.harness import FAILURE, POKE_GUIDANCE_MODES, SIDE_INSIDE_TOL, SUCCESS, TOPPLE, \
     TrialConfig, _contact_dot, _convex_hull, _footprint_heights, annotations_for, \
-    corrupt_depth, poke_pixel_for_guidance, run_benchmark, scene_top_z, simulate_grasp, \
-    simulate_poke, tipping_arms, tipping_max_force
+    corrupt_depth, inject_calibration_error, poke_pixel_for_guidance, run_benchmark, \
+    run_grasp_trial, run_poke_trial, scene_top_z, simulate_grasp, simulate_poke, tipping_arms, \
+    tipping_max_force
 from pokegrasp.plan import GraspProposal
 from pokegrasp.render import RenderBuffers, compile_primitives, render, top_height_bound, \
     top_heights
@@ -482,3 +486,138 @@ class TestSimulateGraspReasons:
         out = simulate_grasp(self.box_scene(), grasp, self.cfg)
         assert (out.status, out.reason) == (SUCCESS, "")
         assert out.localization_error == pytest.approx(0.0, abs=0.08 / 800)
+
+
+# ---------------------------------------------------------------------------
+# the plans and pokes shared by the trials on one PreparedScene
+# ---------------------------------------------------------------------------
+
+def counted(monkeypatch, name: str) -> list:
+    """Replace ``harness.<name>`` by a wrapper that logs each call."""
+    calls = []
+    original = getattr(harness, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, name, wrapper)
+    return calls
+
+
+def as_json(outcomes) -> str:
+    return json.dumps([o.to_json() for o in outcomes], sort_keys=True)
+
+
+# (trial, mode, seed): every poke and grasp mode, the pr poke before the tactile grasp
+ALL_TRIALS = ((run_poke_trial, "bbox", 11), (run_poke_trial, "mask", 12),
+              (run_poke_trial, "pr", 13), (run_grasp_trial, "tactile", 14),
+              (run_grasp_trial, "camera-pr", 15), (run_grasp_trial, "camera-mask", 16))
+
+
+@pytest.mark.parametrize("name, attempt", [("big_disposable_cup", 0), ("jar", 0),
+                                           ("rectangular_cup", 8), ("mug", 5)])
+def test_shared_trials_equal_fresh_ones(name, attempt, monkeypatch):
+    scene = benchmark_scene(name, attempt, master_seed=0)
+    cfg = TrialConfig()
+    fresh = [trial(scene, cfg, seed, mode) for trial, mode, seed in ALL_TRIALS]
+    _, anns = annotations_for(scene, cfg)
+    pixels = {poke_pixel_for_guidance(anns[0], g).point_px for g in POKE_GUIDANCE_MODES}
+    pokes = counted(monkeypatch, "simulate_poke")
+    plans = counted(monkeypatch, "poking_point")
+    prepared = annotations_for(scene, cfg)
+    shared = [trial(scene, cfg, seed, mode, prepared=prepared) for trial, mode, seed in ALL_TRIALS]
+    assert as_json(shared) == as_json(fresh)
+    # one poke per pixel: the tactile grasp reuses the pr poke
+    assert len(pokes) == len(pixels)
+    # one plan per region: poking_region (pr, tactile, camera-pr) and mask (camera-mask)
+    assert len(plans) == 2
+
+
+def test_bbox_and_mask_pokes_on_one_pixel_share_the_poke(monkeypatch):
+    scene = benchmark_scene("big_disposable_cup", 0, master_seed=0)
+    cfg = TrialConfig()
+    fresh = [run_poke_trial(scene, cfg, seed, mode) for mode, seed in (("bbox", 3), ("mask", 4))]
+    pokes = counted(monkeypatch, "simulate_poke")
+    prepared = annotations_for(scene, cfg)
+    ann = prepared.anns[0]
+    assert poke_pixel_for_guidance(ann, "bbox").point_px == \
+        poke_pixel_for_guidance(ann, "mask").point_px
+    shared = [run_poke_trial(scene, cfg, seed, mode, prepared=prepared)
+              for mode, seed in (("bbox", 3), ("mask", 4))]
+    assert as_json(shared) == as_json(fresh)
+    assert len(pokes) == 1
+
+
+def test_each_shared_outcome_carries_its_own_seed(monkeypatch):
+    scene = benchmark_scene("jar", 0, master_seed=0)
+    cfg = TrialConfig()
+    pokes = counted(monkeypatch, "simulate_poke")
+    prepared = annotations_for(scene, cfg)
+    first, second, third = (run_poke_trial(scene, cfg, seed, "pr", prepared=prepared)
+                            for seed in (5, 6, 7))
+    assert len(pokes) == 1
+    assert (first.seed, second.seed, third.seed) == (5, 6, 7)
+    assert first.status in (SUCCESS, TOPPLE)
+    for out in (second, third):
+        assert dataclasses.replace(out, seed=first.seed).to_json() == first.to_json()
+    # the shared arrays cannot be changed through any one outcome
+    for out in (first, second, third):
+        assert not out.contact_point.flags.writeable
+        assert not out.frame.image.flags.writeable
+
+
+def test_pokes_with_different_shifts_are_not_shared(monkeypatch):
+    scene = benchmark_scene("jar", 0, master_seed=0)
+    cfg = TrialConfig(calib_range=0.01)
+    seeds = (21, 22)
+    shifts = [inject_calibration_error(cfg, s).translation[0] for s in seeds]
+    assert shifts[0] != shifts[1]
+    fresh = [run_poke_trial(scene, cfg, s, "pr") for s in seeds] \
+        + [run_grasp_trial(scene, cfg, s, "tactile") for s in seeds]
+    pokes = counted(monkeypatch, "simulate_poke")
+    prepared = annotations_for(scene, cfg)
+    shared = [run_poke_trial(scene, cfg, s, "pr", prepared=prepared) for s in seeds] \
+        + [run_grasp_trial(scene, cfg, s, "tactile", prepared=prepared) for s in seeds]
+    assert as_json(shared) == as_json(fresh)
+    # one poke per shift: a grasp shares the poke of the trial with its seed
+    assert len(pokes) == 2
+
+
+def test_a_preparation_for_another_scene_or_cfg_is_not_reused(monkeypatch):
+    scene = benchmark_scene("jar", 0, master_seed=0)
+    cfg = TrialConfig()
+    fresh = as_json([run_poke_trial(scene, cfg, 1, "pr"), run_grasp_trial(scene, cfg, 2, "tactile")])
+    own = annotations_for(scene, cfg)
+    foreign = {"an equal cfg": annotations_for(scene, TrialConfig()),
+               "an equal scene": annotations_for(benchmark_scene("jar", 0, master_seed=0), cfg),
+               "a plain tuple": tuple(own)}
+    for label, prepared in foreign.items():
+        pokes = counted(monkeypatch, "simulate_poke")
+        plans = counted(monkeypatch, "poking_point")
+        got = [run_poke_trial(scene, cfg, 1, "pr", prepared=prepared),
+               run_grasp_trial(scene, cfg, 2, "tactile", prepared=prepared)]
+        assert as_json(got) == fresh, label
+        assert (len(pokes), len(plans)) == (2, 2), label
+        monkeypatch.undo()
+    buffers, anns = own
+    assert buffers is own.buffers and anns is own.anns
+
+
+def test_run_benchmark_drops_an_objects_preparations_after_it(monkeypatch):
+    # the preparations, with their memoised frames, held for a whole table
+    # took a full poke table from about 105 to 410 MB of peak memory
+    scenes = {name: [benchmark_scene(name, a, master_seed=0) for a in (0, 4)]
+              for name in ("jar", "mug")}
+    prepared, alive_at_call = [], []
+    original = harness.annotations_for
+
+    def tracked(scene, cfg):
+        alive_at_call.append(sum(ref() is not None for ref in prepared))
+        out = original(scene, cfg)
+        prepared.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(harness, "annotations_for", tracked)
+    run_benchmark(scenes, POKE_GUIDANCE_MODES, 2, TrialConfig(), task="poke")
+    assert alive_at_call == [0, 1, 0, 1]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pokegrasp.errors import EmptyMask, WidthOverflow
+from pokegrasp.errors import EmptyMask, InvalidConfig, WidthOverflow
 from pokegrasp.imgeo import Ellipse
 from pokegrasp.plan import (RING, SIMPLY_CONNECTED, GripperSpec, heuristic_grasp,
                             poking_point)
@@ -128,3 +128,12 @@ def test_grasp_proposal_json():
     d = g.to_json()
     assert set(d) == {"x", "y", "z", "w", "theta", "kind"}
     assert d["kind"] == "edge"
+
+
+@pytest.mark.parametrize("field", ["maximum_gripper_width", "finger_width"])
+def test_gripper_spec_rejects_non_finite(field):
+    # with finger_width NaN the bound err >= 0.5 * nan never held: every
+    # grasp that crossed the wall succeeded
+    for value in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InvalidConfig, match="finite"):
+            GripperSpec(**{field: value})

@@ -5,7 +5,8 @@ from pokegrasp.catalog import OBJECT_NAMES, benchmark_scene, catalog_entry, defa
     make_object
 from pokegrasp.errors import InvalidGeometry
 from pokegrasp.geometry import RigidTransform, rot_x, rot_z
-from pokegrasp.render import Hit, _frustum_normal, _intersect_box, compile_primitives, contains, \
+from pokegrasp.render import Hit, _frustum_normal, _intersect_box, _intersect_disk, \
+    _intersect_frustum, compile_primitives, contains, \
     intersect_object, ray_intersect, render, top_height_bound, top_heights
 from pokegrasp.scene import Box, ObjectModel, RevolutionProfile, Scene
 
@@ -464,3 +465,62 @@ def test_frustum_normal_matches_the_row_norm():
         n = np.stack([x, y, -k * np.maximum(np.hypot(x, y), 1e-12)], axis=-1)
         expected = n / np.linalg.norm(n, axis=-1, keepdims=True)
         assert _frustum_normal(x, y, r0, z0, r1, z1).tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the one-direction branches of the disk and frustum kernels
+# ---------------------------------------------------------------------------
+
+FRUSTA = ((0.03, 0.0, 0.04, 0.1), (0.05, 0.02, 0.01, 0.03), (0.02, 0.0, 0.02, 0.1))
+DISKS = ((0.0, 0.0, 0.03), (0.05, 0.01, 0.04))  # (zc, r_in, r_out)
+
+
+def one_directions() -> list:
+    """(1, 3) directions with d_z at and around the disk's 1e-14 tolerance, and
+    with a = d_x ** 2 of a straight wall (k = 0) around the frustum's 1e-14."""
+    dirs = [[0.6, 0.8, dz] for dz in (0.0, -0.0, 6e-17, 1e-14, -1e-14, 1.1e-14, -1.1e-14)]
+    dirs += [[np.sqrt(a), 0.0, -1.0] for a in (0.0, 0.5e-14, 0.99e-14, 1.01e-14, 2e-14)]
+    dirs += [[0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [0.3, -0.2, -0.93]]
+    return [np.array([d]) for d in dirs]
+
+
+def column_origins(n=3000, seed=16):
+    rng = np.random.default_rng(seed)
+    o = rng.uniform(-0.06, 0.06, size=(n, 3))
+    o[:, 2] = rng.uniform(-0.05, 0.2, size=n)
+    return o
+
+
+def test_one_direction_kernels_equal_the_repeated_direction():
+    # a (1, 3) direction takes the shared branch, the same row repeated n
+    # times the per-row one; the two must agree byte for byte
+    a = [d[0, 0] ** 2 for d in one_directions() if d[0, 2] == -1.0]
+    assert any(0.98e-14 < x < 1e-14 for x in a) and any(1e-14 < x < 1.02e-14 for x in a)
+    o = column_origins()
+    hits = 0
+    for d in one_directions():
+        rows = np.repeat(d, o.shape[0], axis=0)
+        for prim in FRUSTA:
+            t = _intersect_frustum(o, d, *prim)
+            assert t.tobytes() == _intersect_frustum(o, rows, *prim).tobytes(), (d, prim)
+            hits += np.isfinite(t).sum()
+        for prim in DISKS:
+            t = _intersect_disk(o, d, *prim)
+            assert t.tobytes() == _intersect_disk(o, rows, *prim).tobytes(), (d, prim)
+            hits += np.isfinite(t).sum()
+    assert hits > 1000
+
+
+def test_mixed_directions_equal_the_one_direction_kernels():
+    # many directions in one call against one single-row call per ray
+    o = column_origins(n=600, seed=17)
+    dirs = one_directions()
+    d = np.concatenate([dirs[i % len(dirs)] for i in range(o.shape[0])])
+    hits = 0
+    for kernel, prims in ((_intersect_frustum, FRUSTA), (_intersect_disk, DISKS)):
+        for prim in prims:
+            t = kernel(o, d, *prim)
+            rows = np.concatenate([kernel(o[i:i + 1], d[i:i + 1], *prim) for i in range(o.shape[0])])
+            assert t.tobytes() == rows.tobytes(), (kernel.__name__, prim)
+            hits += np.isfinite(t).sum()
+    assert hits > 100

@@ -70,6 +70,14 @@ class TestSimulateFrame:
         with pytest.raises(InvalidConfig):
             TactileSensorSpec(pose=RigidTransform(np.eye(3), [0, 0, 0.1]))
 
+    @pytest.mark.parametrize("field", ["area_x", "area_y", "max_indent"])
+    def test_rejects_non_finite(self, field):
+        # with max_indent NaN every indentation clipped to NaN: a topple poke
+        # counted no sensel and ended as a silent miss
+        for value in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidConfig, match="finite"):
+                TactileSensorSpec(**{field: value})
+
 
 class TestDetectContact:
     def zero_frame(self, shape=(120, 160)):
