@@ -86,21 +86,12 @@ def default_camera(width: int = DEFAULT_RENDER_WIDTH, height: int = DEFAULT_REND
                        width=width, height=height, pose=RigidTransform(rot, pos))
 
 
-def _shape_extents(shape) -> tuple[float, float]:
-    """(max radius-ish half width, height) of the local shape."""
-    if isinstance(shape, Box):
-        w, d, h = shape.size
-        return max(w, d) / 2.0, h
-    return shape.max_radius, shape.z_max
-
-
 def object_pose(shape, orientation: str, x: float, y: float, yaw: float) -> RigidTransform:
     """Resting pose for one of the three orientation states."""
     if orientation == UPRIGHT:
         return RigidTransform(rot_z(yaw), [x, y, 0.0])
     if orientation == UPSIDE_DOWN:
-        _, height = _shape_extents(shape)
-        return RigidTransform(rot_z(yaw) @ rot_x(np.pi), [x, y, height])
+        return RigidTransform(rot_z(yaw) @ rot_x(np.pi), [x, y, shape.z_max])
     if orientation == SIDE:
         if isinstance(shape, Box):
             rest = shape.size[1] / 2.0

@@ -71,21 +71,6 @@ class RigidTransform:
         rt = self.rotation.T
         return RigidTransform(rt, -rt @ self.translation)
 
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """self of other: applies ``other`` first, then ``self``."""
-        return RigidTransform(self.rotation @ other.rotation,
-                              self.rotation @ other.translation + self.translation)
-
-    def __matmul__(self, other: "RigidTransform") -> "RigidTransform":
-        return self.compose(other)
-
-    def to_json(self) -> dict:
-        return {"rotation": self.rotation.tolist(), "translation": self.translation.tolist()}
-
-    @staticmethod
-    def from_json(d: dict) -> "RigidTransform":
-        return RigidTransform(np.asarray(d["rotation"]), np.asarray(d["translation"]))
-
 
 def rot_x(angle: float) -> np.ndarray:
     c, s = np.cos(angle), np.sin(angle)
@@ -100,11 +85,3 @@ def rot_y(angle: float) -> np.ndarray:
 def rot_z(angle: float) -> np.ndarray:
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def normalize(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    n = np.linalg.norm(v)
-    if n == 0.0:
-        raise InvalidGeometry("cannot normalize zero vector")
-    return v / n

@@ -167,10 +167,7 @@ def _support_geometry(obj: ObjectModel):
     """('circle', center_xy, r) | ('segment', p0_xy, p1_xy) | ('polygon', pts)."""
     rot = obj.pose.rotation
     if isinstance(obj.shape, Box):
-        w, d, h = obj.shape.size
-        corners = np.array([[sx * w / 2, sy * d / 2, sz * h]
-                            for sx in (-1, 1) for sy in (-1, 1) for sz in (0, 1)])
-        world = obj.pose.apply(corners)
+        world = obj.pose.apply(obj.shape.corners())
         zmin = world[:, 2].min()
         base = world[world[:, 2] < zmin + 1e-6][:, :2]
         hull = _convex_hull(base)
@@ -257,8 +254,6 @@ def tipping_arms(obj: ObjectModel, contact_xy: np.ndarray):
 
 
 def _local_com(obj: ObjectModel) -> np.ndarray:
-    if isinstance(obj.shape, Box):
-        return np.array([0.0, 0.0, obj.shape.size[2] / 2.0])
     return np.array([0.0, 0.0, (obj.shape.z_min + obj.shape.z_max) / 2.0])
 
 

@@ -18,14 +18,14 @@ Their directions come from ``CameraModel.pixel_directions``, one cached
 grid shared with ``regions.height_map`` and ``harness.corrupt_depth``.
 
 An object covers a small part of the frame, so a camera render first culls
-the rays against a padded bounding sphere of each object (revolution
-profiles: centred on the axis at mid-height; boxes: half the space
-diagonal) and runs the primitive intersection only for the rays whose line
-passes through the sphere ahead of the origin. Every pixel ray starts at
-the camera centre, so the cull is one matrix-vector product of the ray
-directions with the centre-to-sphere vector. The pad covers rounding in
-that product too: it can only add or drop rays that miss, so the buffers
-are the same as intersecting every ray.
+the rays against a padded bounding sphere of each object (centred on the
+axis at mid-height, of the shape's ``bounding_radius``) and runs the
+primitive intersection only for the rays whose line passes through the
+sphere ahead of the origin. Every pixel ray starts at the camera centre,
+so the cull is one matrix-vector product of the ray directions with the
+centre-to-sphere vector. The pad covers rounding in that product too: it
+can only add or drop rays that miss, so the buffers are the same as
+intersecting every ray.
 
 ``top_heights`` serves the tactile sensel columns. It needs only the hit
 distance: it takes the minimum over the same per-primitive distances as
@@ -96,13 +96,6 @@ class RenderBuffers:
 
     def instance_mask(self, oid: int) -> np.ndarray:
         return (self.instance == oid) & self.hit
-
-
-@dataclass(frozen=True)
-class Hit:
-    t: float
-    normal: np.ndarray
-    face: str
 
 
 # ---------------------------------------------------------------------------
@@ -316,20 +309,6 @@ def intersect_object(obj: ObjectModel, origins: np.ndarray, dirs: np.ndarray):
     return t, obj.pose.apply_vector(normal), face
 
 
-def ray_intersect(obj: ObjectModel, origin: Sequence[float], direction: Sequence[float]) -> Optional[Hit]:
-    """Single-ray convenience wrapper; None when the object is missed."""
-    direction = np.asarray(direction, dtype=np.float64)
-    if abs(np.linalg.norm(direction) - 1.0) > 1e-9:
-        raise InvalidGeometry("ray direction must be unit length")
-    o = np.asarray(origin, dtype=np.float64)[None, :]
-    d = direction[None, :]
-    t, n, face = intersect_object(obj, o, d)
-    if not np.isfinite(t[0]):
-        return None
-    tag = compile_primitives(obj)[int(face[0])][-1]
-    return Hit(t=float(t[0]), normal=n[0], face=tag)
-
-
 # ---------------------------------------------------------------------------
 # scene rendering
 # ---------------------------------------------------------------------------
@@ -338,14 +317,8 @@ def _bounding_sphere(obj: ObjectModel) -> tuple[np.ndarray, float]:
     """World centre and radius of a sphere enclosing the object's solid,
     padded so that rounding in the primitive tests cannot put a hit outside."""
     shape = obj.shape
-    if isinstance(shape, Box):
-        w, d, h = shape.size
-        zc, radius = h / 2.0, 0.5 * float(np.sqrt(w * w + d * d + h * h))
-    else:
-        # the distance to the axis point is convex along each profile segment
-        zc = (shape.z_min + shape.z_max) / 2.0
-        radius = max(float(np.hypot(r, z - zc)) for r, z in shape.points)
-    return obj.pose.apply(np.array([0.0, 0.0, zc])), radius * (1.0 + 1e-9) + 1e-9
+    zc = (shape.z_min + shape.z_max) / 2.0
+    return obj.pose.apply(np.array([0.0, 0.0, zc])), shape.bounding_radius * (1.0 + 1e-9) + 1e-9
 
 
 def _cast(scene: Scene, origin: np.ndarray, dirs: np.ndarray):
@@ -403,10 +376,7 @@ def object_top_z(obj: ObjectModel) -> float:
     """World height of the object's highest point (for a solid of
     revolution, of the bounding cylinder of its widest radius)."""
     if isinstance(obj.shape, Box):
-        w, d, h = obj.shape.size
-        corners = np.array([[sx * w / 2, sy * d / 2, sz * h]
-                            for sx in (-1, 1) for sy in (-1, 1) for sz in (0, 1)])
-        return float(obj.pose.apply(corners)[:, 2].max())
+        return float(obj.pose.apply(obj.shape.corners())[:, 2].max())
     a_z = float((obj.pose.rotation @ np.array([0.0, 0.0, 1.0]))[2])
     spread = obj.shape.max_radius * math.sqrt(max(0.0, 1.0 - a_z * a_z))
     axis_top = max(obj.shape.z_min * a_z, obj.shape.z_max * a_z)

@@ -1,4 +1,4 @@
-"""Scene description: camera model, parametric objects, table, JSON I/O.
+"""Scene description: camera model, parametric objects, table.
 
 World frame is the table frame: the table plane is z = ``table_height``
 (default 0) with normal +z. Camera frame follows the usual pinhole
@@ -16,17 +16,20 @@ Objects come in two shapes:
   is what produces ring-shaped rims on upright vessels.
 * ``Box`` -- a solid cuboid spanning x in [-w/2, w/2], y in [-d/2, d/2],
   z in [0, h] in its local frame.
+
+Both shapes give their local height range as ``z_min`` / ``z_max`` and the
+radius of a sphere about the axis point at mid-height that encloses them
+as ``bounding_radius``.
 """
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import InvalidConfig, InvalidGeometry, IoError, PointBehindCamera, RayParallelToPlane
+from .errors import InvalidConfig, InvalidGeometry, PointBehindCamera, RayParallelToPlane
 from .geometry import RigidTransform
 
 RAY_PARALLEL_TOL = 1e-12
@@ -103,16 +106,6 @@ class CameraModel:
         t = (height - origin[2]) / d[2]
         return origin + t * d
 
-    def to_json(self) -> dict:
-        return {"fx": self.fx, "fy": self.fy, "cx": self.cx, "cy": self.cy,
-                "width": self.width, "height": self.height, "pose": self.pose.to_json()}
-
-    @staticmethod
-    def from_json(d: dict) -> "CameraModel":
-        return CameraModel(fx=d["fx"], fy=d["fy"], cx=d["cx"], cy=d["cy"],
-                           width=d["width"], height=d["height"],
-                           pose=RigidTransform.from_json(d["pose"]))
-
 
 @dataclass(frozen=True)
 class RevolutionProfile:
@@ -126,6 +119,10 @@ class RevolutionProfile:
         pts = tuple((float(r), float(z)) for r, z in self.points)
         if len(pts) < 2:
             raise InvalidGeometry("profile needs at least two points")
+        if not all(math.isfinite(v) for p in pts for v in p):
+            raise InvalidGeometry("profile points must be finite")
+        if self.cavity_depth is not None and not math.isfinite(self.cavity_depth):
+            raise InvalidGeometry("cavity_depth must be finite")
         if any(r < 0 for r, _ in pts):
             raise InvalidGeometry("profile radii must be >= 0")
         heights = [z for _, z in pts]
@@ -159,6 +156,13 @@ class RevolutionProfile:
         rs = [p[0] for p in self.points]
         return np.interp(z, zs, rs)
 
+    @property
+    def bounding_radius(self) -> float:
+        """Distance from the axis point at mid-height to the farthest point
+        of the solid (the distance is convex along each profile segment)."""
+        zc = (self.z_min + self.z_max) / 2.0
+        return max(float(np.hypot(r, z - zc)) for r, z in self.points)
+
 
 @dataclass(frozen=True)
 class Box:
@@ -168,9 +172,31 @@ class Box:
 
     def __post_init__(self):
         w, d, h = (float(s) for s in self.size)
+        if not all(math.isfinite(v) for v in (w, d, h)):
+            raise InvalidGeometry("box dimensions must be finite")
         if min(w, d, h) <= 0:
             raise InvalidGeometry("box dimensions must be positive")
         object.__setattr__(self, "size", (w, d, h))
+
+    @property
+    def z_min(self) -> float:
+        return 0.0
+
+    @property
+    def z_max(self) -> float:
+        return self.size[2]
+
+    @property
+    def bounding_radius(self) -> float:
+        """Half the space diagonal: the distance from the centre to a corner."""
+        w, d, h = self.size
+        return 0.5 * float(np.sqrt(w * w + d * d + h * h))
+
+    def corners(self) -> np.ndarray:
+        """The eight local corners, (8, 3)."""
+        w, d, h = self.size
+        return np.array([[sx * w / 2, sy * d / 2, sz * h]
+                         for sx in (-1, 1) for sy in (-1, 1) for sz in (0, 1)])
 
 
 Shape = Union[RevolutionProfile, Box]
@@ -189,6 +215,9 @@ class ObjectModel:
     def __post_init__(self):
         if self.id < 1:
             raise InvalidConfig("object ids start at 1")
+        # a NaN mass fails every tipping comparison: a light cup would never topple
+        if not (math.isfinite(self.mass) and math.isfinite(self.wall_thickness)):
+            raise InvalidConfig("mass and wall_thickness must be finite")
         if self.mass <= 0:
             raise InvalidConfig("mass must be positive")
         if self.wall_thickness <= 0:
@@ -196,30 +225,6 @@ class ObjectModel:
         if isinstance(self.shape, RevolutionProfile) and self.shape.open_top:
             if self.wall_thickness >= min(r for r, _ in self.shape.points if r > 0):
                 raise InvalidGeometry("wall_thickness must be thinner than the narrowest radius")
-
-    def to_json(self) -> dict:
-        if isinstance(self.shape, RevolutionProfile):
-            shape = {"type": "revolution", "profile": [list(p) for p in self.shape.points],
-                     "open_top": self.shape.open_top, "cavity_depth": self.shape.cavity_depth}
-        else:
-            shape = {"type": "box", "size": list(self.shape.size)}
-        return {"id": self.id, "mass": self.mass, "wall_thickness": self.wall_thickness,
-                "pose": self.pose.to_json(), "shape": shape}
-
-    @staticmethod
-    def from_json(d: dict) -> "ObjectModel":
-        sd = d["shape"]
-        if sd["type"] == "revolution":
-            shape: Shape = RevolutionProfile(points=tuple(tuple(p) for p in sd["profile"]),
-                                             open_top=sd["open_top"],
-                                             cavity_depth=sd.get("cavity_depth"))
-        elif sd["type"] == "box":
-            shape = Box(size=tuple(sd["size"]))
-        else:
-            raise IoError(f"unknown shape type {sd['type']!r}")
-        return ObjectModel(id=d["id"], shape=shape, mass=d["mass"],
-                           wall_thickness=d["wall_thickness"],
-                           pose=RigidTransform.from_json(d["pose"]))
 
 
 @dataclass(frozen=True)
@@ -247,30 +252,3 @@ class Scene:
             if o.id == oid:
                 return o
         raise KeyError(oid)
-
-    def to_json(self) -> dict:
-        return {"table": {"normal": self.table_normal.tolist(), "height": self.table_height},
-                "camera": self.camera.to_json(),
-                "objects": [o.to_json() for o in self.objects]}
-
-    @staticmethod
-    def from_json(d: dict) -> "Scene":
-        return Scene(camera=CameraModel.from_json(d["camera"]),
-                     objects=tuple(ObjectModel.from_json(o) for o in d["objects"]),
-                     table_normal=np.asarray(d["table"]["normal"]),
-                     table_height=d["table"]["height"])
-
-    def save(self, path) -> None:
-        try:
-            Path(path).write_text(json.dumps(self.to_json(), sort_keys=True, indent=1))
-        except OSError as e:
-            raise IoError(str(e)) from e
-
-    @staticmethod
-    def load(path) -> "Scene":
-        try:
-            return Scene.from_json(json.loads(Path(path).read_text()))
-        except OSError as e:
-            raise IoError(str(e)) from e
-        except (KeyError, json.JSONDecodeError) as e:
-            raise IoError(f"malformed scene file {path}: {e}") from e

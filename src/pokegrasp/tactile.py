@@ -23,8 +23,6 @@ import numpy as np
 from .errors import DegenerateInput, InsufficientContact, InvalidConfig, ResolutionMismatch
 from .geometry import RigidTransform, rot_z
 from .imgeo import find_external_contour, fit_ellipse
-from .render import top_heights
-from .scene import Scene
 from scipy import ndimage
 
 DEFAULT_AREA_X = 0.014
@@ -116,20 +114,6 @@ def frame_from_heights(heights: np.ndarray, spec: TactileSensorSpec,
     pen = np.clip(heights - plane_z, 0.0, spec.max_indent)
     pen = np.where(np.isfinite(heights), pen, 0.0)
     return TactileFrame(image=pen, pose=spec.pose, timestamp=timestamp)
-
-
-def simulate_tactile_frame(scene: Scene, spec: TactileSensorSpec,
-                           timestamp: int = 0) -> TactileFrame:
-    """Indentation frame of the scene's objects against the sensing plane.
-
-    Only the sensel columns whose object surface rises above the plane are
-    cast; the rest read 0. The table is excluded: poking terminates on the
-    protective stop before table level.
-    """
-    plane_z = spec.pose.translation[2]
-    world = spec.pose.apply(spec.sensel_grid_local())
-    heights, _ = top_heights(scene.objects, world[:, :2], z_start=plane_z + 1.0, floor=plane_z)
-    return frame_from_heights(heights.reshape(spec.res_y, spec.res_x), spec, plane_z, timestamp)
 
 
 def detect_contact(reference: TactileFrame, current: TactileFrame,

@@ -175,7 +175,7 @@ def test_top_height_bound_covers_every_footprint(entry):
     spec = TactileSensorSpec()
     half = np.array([spec.area_x, spec.area_y]) / 2.0
     rng = rng_for(0, 0xB0D, CATALOG.index(entry))
-    z1 = entry.shape.size[2] if isinstance(entry.shape, Box) else entry.shape.z_max
+    z1 = entry.shape.z_max
     bounds = []
     for orientation in (UPRIGHT, UPSIDE_DOWN, SIDE):
         for yaw in rng.uniform(0.0, 2.0 * np.pi, size=3):
@@ -230,7 +230,7 @@ def test_floored_top_heights_equal_the_full_query(entry):
     spec = TactileSensorSpec(res_x=40, res_y=30)
     cfg = TrialConfig()
     rng = rng_for(0, 0xF10, CATALOG.index(entry))
-    z1 = entry.shape.size[2] if isinstance(entry.shape, Box) else entry.shape.z_max
+    z1 = entry.shape.z_max
     for orientation in (UPRIGHT, UPSIDE_DOWN, SIDE):
         for yaw in rng.uniform(0.0, 2.0 * np.pi, size=3):
             obj = make_object(entry, orientation, 0.01, -0.02, float(yaw))

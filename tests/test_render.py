@@ -3,11 +3,10 @@ import pytest
 
 from pokegrasp.catalog import OBJECT_NAMES, benchmark_scene, catalog_entry, default_camera, \
     make_object
-from pokegrasp.errors import InvalidGeometry
 from pokegrasp.geometry import RigidTransform, rot_x, rot_z
-from pokegrasp.render import Hit, _frustum_normal, _intersect_box, _intersect_disk, \
+from pokegrasp.render import _frustum_normal, _intersect_box, _intersect_disk, \
     _intersect_frustum, compile_primitives, contains, \
-    intersect_object, ray_intersect, render, top_height_bound, top_heights
+    intersect_object, render, top_height_bound, top_heights
 from pokegrasp.scene import Box, ObjectModel, RevolutionProfile, Scene
 
 from conftest import overhead_camera, straight_cup
@@ -16,6 +15,14 @@ from conftest import overhead_camera, straight_cup
 def unit(v):
     v = np.asarray(v, dtype=np.float64)
     return v / np.linalg.norm(v)
+
+
+def cast_one(obj, origin, direction):
+    """``intersect_object`` on one ray: (t, world normal, face tag), t = inf
+    where the object is missed."""
+    t, normal, face = intersect_object(obj, np.array([origin], dtype=np.float64),
+                                       np.array([direction], dtype=np.float64))
+    return float(t[0]), normal[0], compile_primitives(obj)[int(face[0])][-1]
 
 
 def cylinder_quadratic_oracle(origin, direction, radius):
@@ -39,28 +46,26 @@ class TestRayIntersect:
     def test_vertical_ray_onto_rim(self):
         cup = straight_cup(radius=0.03, height=0.10, wall=0.003)
         # aim at the middle of the rim annulus from above
-        hit = ray_intersect(cup, origin=[0.0285, 0.0, 0.5], direction=[0.0, 0.0, -1.0])
-        assert hit is not None
-        assert abs(hit.t - (0.5 - 0.10)) < 1e-12
-        assert np.allclose(hit.normal, [0.0, 0.0, 1.0], atol=1e-12)
-        assert hit.face == "rim"
+        t, normal, face = cast_one(cup, [0.0285, 0.0, 0.5], [0.0, 0.0, -1.0])
+        assert abs(t - (0.5 - 0.10)) < 1e-12
+        assert np.allclose(normal, [0.0, 0.0, 1.0], atol=1e-12)
+        assert face == "rim"
 
     def test_outer_wall_matches_quadratic_oracle(self):
         cup = straight_cup(radius=0.03, height=0.10)
         origin = np.array([0.2, 0.05, 0.05])
         direction = unit([-1.0, -0.3, 0.0])
         expected = cylinder_quadratic_oracle(origin, direction, 0.03)
-        hit = ray_intersect(cup, origin, direction)
-        assert hit is not None and expected is not None
-        assert abs(hit.t - expected) < 1e-9
+        t, _, face = cast_one(cup, origin, direction)
+        assert expected is not None
+        assert abs(t - expected) < 1e-9
+        assert face == "outer:0"
 
-    def test_miss_returns_none(self):
+    def test_miss_returns_inf(self):
         cup = straight_cup()
-        assert ray_intersect(cup, [1.0, 1.0, 0.5], unit([0.0, 0.0, -1.0])) is None
-
-    def test_rejects_non_unit_direction(self):
-        with pytest.raises(InvalidGeometry):
-            ray_intersect(straight_cup(), [0, 0, 1], [0, 0, -2.0])
+        t, normal, _ = cast_one(cup, [1.0, 1.0, 0.5], unit([0.0, 0.0, -1.0]))
+        assert t == np.inf
+        assert np.array_equal(normal, np.zeros(3))
 
     def test_normal_faces_the_ray(self):
         rng = np.random.default_rng(11)
@@ -68,18 +73,18 @@ class TestRayIntersect:
         for _ in range(200):
             origin = rng.uniform([-0.2, -0.2, 0.01], [0.2, 0.2, 0.4])
             direction = unit(rng.standard_normal(3))
-            hit = ray_intersect(cup, origin, direction)
-            if hit is not None:
-                assert float(np.dot(hit.normal, direction)) < 1e-12
-                assert abs(np.linalg.norm(hit.normal) - 1.0) < 1e-9
+            t, normal, _ = cast_one(cup, origin, direction)
+            if np.isfinite(t):
+                assert float(np.dot(normal, direction)) < 1e-12
+                assert abs(np.linalg.norm(normal) - 1.0) < 1e-9
 
     def test_posed_box_faces(self):
         box = ObjectModel(id=1, shape=Box(size=(0.05, 0.07, 0.09)), mass=0.1,
                           pose=RigidTransform(rot_z(0.0), [0.1, 0.0, 0.0]))
-        hit = ray_intersect(box, [0.1, 0.0, 0.5], [0.0, 0.0, -1.0])
-        assert hit is not None
-        assert abs(hit.t - (0.5 - 0.09)) < 1e-12
-        assert np.allclose(hit.normal, [0, 0, 1])
+        t, normal, face = cast_one(box, [0.1, 0.0, 0.5], [0.0, 0.0, -1.0])
+        assert abs(t - (0.5 - 0.09)) < 1e-12
+        assert np.allclose(normal, [0, 0, 1])
+        assert face == "box"
 
 
 class TestRender:
@@ -127,9 +132,7 @@ class TestRender:
                 if d[2] < 0:
                     best = (0.0 - origin[2]) / d[2]
                 for obj in scene.objects:
-                    hit = ray_intersect(obj, origin, d)
-                    if hit is not None:
-                        best = min(best, hit.t)
+                    best = min(best, cast_one(obj, origin, d)[0])
                 if np.isinf(best):
                     assert not buf.hit[v, u]
                 else:

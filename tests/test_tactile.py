@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from pokegrasp.errors import InsufficientContact, InvalidConfig, ResolutionMismatch
+from pokegrasp.harness import _footprint_heights
 from pokegrasp.scene import Box, ObjectModel, RevolutionProfile, Scene
 from pokegrasp.geometry import RigidTransform
 from pokegrasp.tactile import (TactileFrame, TactileSensorSpec, detect_contact,
-                               sensor_pose_at, simulate_tactile_frame, tactile_align)
+                               frame_from_heights, sensor_pose_at, tactile_align)
 
 from conftest import overhead_camera, straight_cup
 
@@ -20,16 +21,27 @@ def ring_vial(r_out=0.009, wall=0.0025, height=0.055, center=(0.0, 0.0), oid=1):
                        pose=RigidTransform(np.eye(3), [center[0], center[1], 0.0]))
 
 
+def sensed_frame(scene, spec):
+    """The frame a probe reads with the sensor at ``spec.pose``: the sensel
+    columns cast with the sensing plane as floor."""
+    center = spec.pose.translation
+    heights, _, _ = _footprint_heights(scene, spec, center, floor=center[2])
+    return frame_from_heights(heights, spec, center[2])
+
+
 def align_sensor(center_xy, plane_z):
     return TactileSensorSpec(area_x=0.044, area_y=0.044, res_x=176, res_y=176,
                              pose=sensor_pose_at((center_xy[0], center_xy[1], plane_z)))
 
 
 class TestSimulateFrame:
+    """Probe frames: ``_footprint_heights`` with the plane as floor, then
+    ``frame_from_heights``."""
+
     def test_clear_sensor_is_all_zero(self):
         scene = scene_with(straight_cup())  # rim at 0.10
         spec = TactileSensorSpec(pose=sensor_pose_at((0.0, 0.0, 0.101)))
-        frame = simulate_tactile_frame(scene, spec)
+        frame = sensed_frame(scene, spec)
         assert np.all(frame.image == 0.0)
 
     def test_half_sensor_on_flat_top(self):
@@ -38,7 +50,7 @@ class TestSimulateFrame:
                           pose=RigidTransform(np.eye(3), [-0.05, 0.0, 0.0]))
         scene = scene_with(box)
         spec = TactileSensorSpec(pose=sensor_pose_at((0.0, 0.0, 0.05 - 0.0005)))
-        frame = simulate_tactile_frame(scene, spec)
+        frame = sensed_frame(scene, spec)
         on = frame.image > 0
         assert on.sum() == spec.res_x * spec.res_y // 2
         assert np.all(np.abs(frame.image[on] - 0.0005) < 1e-12)
@@ -47,23 +59,23 @@ class TestSimulateFrame:
         vial = ring_vial()
         scene = scene_with(vial)
         spec = align_sensor((0.003, -0.002), 0.055 - 0.0004)
-        frame = simulate_tactile_frame(scene, spec)
-        world = spec.pose.apply(spec.sensel_grid_local())
-        rho = np.hypot(world[:, 0], world[:, 1]).reshape(frame.image.shape)
+        frame = sensed_frame(scene, spec)
+        _, _, xy = _footprint_heights(scene, spec, spec.pose.translation)
+        rho = np.hypot(xy[..., 0], xy[..., 1])
         expected = (rho >= 0.009 - 0.0025 - 1e-12) & (rho <= 0.009 + 1e-12)
         assert np.array_equal(frame.image > 0, expected)
 
     def test_deterministic(self):
         scene = scene_with(ring_vial())
         spec = align_sensor((0.0, 0.0), 0.0546)
-        a = simulate_tactile_frame(scene, spec)
-        b = simulate_tactile_frame(scene, spec)
+        a = sensed_frame(scene, spec)
+        b = sensed_frame(scene, spec)
         assert np.array_equal(a.image, b.image)
 
     def test_max_indent_clamp(self):
         box = ObjectModel(id=1, shape=Box(size=(0.1, 0.1, 0.05)), mass=0.5)
         spec = TactileSensorSpec(pose=sensor_pose_at((0.0, 0.0, 0.04)), max_indent=0.002)
-        frame = simulate_tactile_frame(scene_with(box), spec)
+        frame = sensed_frame(scene_with(box), spec)
         assert frame.image.max() == 0.002
 
     def test_sensor_must_face_down(self):
@@ -122,7 +134,7 @@ class TestAlign:
     def contact_frame(self, vial_center, sensor_center_xy):
         scene = scene_with(ring_vial(center=vial_center))
         spec = align_sensor(sensor_center_xy, self.RIM_Z - 0.0004)
-        return simulate_tactile_frame(scene, spec), spec
+        return sensed_frame(scene, spec), spec
 
     def test_zero_offset_correction_is_tiny(self):
         frame, spec = self.contact_frame((0.0, 0.0), (0.0, 0.0))
