@@ -70,13 +70,17 @@ class TestRayIntersect:
     def test_normal_faces_the_ray(self):
         rng = np.random.default_rng(11)
         cup = straight_cup()
+        faces = set()
         for _ in range(200):
             origin = rng.uniform([-0.2, -0.2, 0.01], [0.2, 0.2, 0.4])
-            direction = unit(rng.standard_normal(3))
-            t, normal, _ = cast_one(cup, origin, direction)
+            # aimed into the cup's bounding box, so that most rays hit
+            direction = unit(rng.uniform([-0.03, -0.03, 0.0], [0.03, 0.03, 0.1]) - origin)
+            t, normal, face = cast_one(cup, origin, direction)
             if np.isfinite(t):
+                faces.add(face.split(":")[0])
                 assert float(np.dot(normal, direction)) < 1e-12
                 assert abs(np.linalg.norm(normal) - 1.0) < 1e-9
+        assert faces == {"rim", "outer", "inner", "cavity_floor"}
 
     def test_posed_box_faces(self):
         box = ObjectModel(id=1, shape=Box(size=(0.05, 0.07, 0.09)), mass=0.1,
