@@ -706,7 +706,9 @@ def run_benchmark(scenes_by_object: dict, modes: Sequence[str],
     One ``PreparedScene`` per (object, scene) is shared across modes: its
     render, its plans and its pokes. It is dropped once the object's last
     mode has run. Per-trial seeds are
-    mix(master_seed, object_index, mode_index, attempt).
+    mix(master_seed, object_index, mode_index, attempt), with the mode's
+    index in ``POKE_GUIDANCE_MODES`` / ``GRASP_MODES``, so a run over a
+    subset of the modes reproduces the full table's trials.
     """
     if task not in ("poke", "grasp"):
         raise InvalidConfig(f"unknown task {task!r}")
@@ -721,14 +723,14 @@ def run_benchmark(scenes_by_object: dict, modes: Sequence[str],
             raise InvalidConfig(f"no scenes for object {name!r}")
         # only this object's trials read its preparations: drop them with it
         cache: dict = {}
-        for mi, mode in enumerate(modes):
+        for mode in modes:
             succ = 0
             for attempt in range(attempts_per_object):
                 slot = attempt % len(scenes)
                 scene = scenes[slot]
                 if slot not in cache:
                     cache[slot] = annotations_for(scene, cfg)
-                seed = mix(cfg.master_seed, oi, mi, attempt)
+                seed = mix(cfg.master_seed, oi, valid.index(mode), attempt)
                 if task == "poke":
                     out = run_poke_trial(scene, cfg, seed, mode, prepared=cache[slot])
                 else:

@@ -22,8 +22,8 @@ from pathlib import Path
 import pytest
 
 from pokegrasp.catalog import benchmark_scene
-from pokegrasp.harness import POKE_GUIDANCE_MODES, TrialConfig, annotations_for, \
-    run_benchmark, run_grasp_trial, run_poke_trial
+from pokegrasp.harness import GRASP_MODES, POKE_GUIDANCE_MODES, TrialConfig, \
+    annotations_for, run_benchmark, run_grasp_trial, run_poke_trial
 from pokegrasp.seeding import mix
 
 GOLDEN_PATH = Path(__file__).with_name("golden_trials.json")
@@ -69,11 +69,12 @@ def test_shared_preparation_matches_golden():
     """The four ``tactile_loop`` columns over one ``annotations_for`` per scene,
     as perfbench's ``run_table`` runs them: the ``tactile`` grasp reuses the
     ``pr`` poke, and a ``bbox`` and a ``mask`` poke on one pixel share theirs.
-    A trial's seed takes its mode index in the golden table it belongs to."""
+    A trial's seed takes its mode's index in the full mode tuple, as
+    ``run_benchmark`` seeds it."""
     golden = {(t["task"], t["object"], t["mode"], t["attempt"]): t["sha256"]
               for t in json.loads(GOLDEN_PATH.read_text())["trials"]}
     columns = [("poke", mi, mode) for mi, mode in enumerate(POKE_GUIDANCE_MODES)] \
-        + [("grasp", 0, "tactile")]
+        + [("grasp", GRASP_MODES.index("tactile"), "tactile")]
     cfg = TrialConfig()
     checked = 0
     for oi, (name, attempts) in enumerate(SCENE_ATTEMPTS.items()):
