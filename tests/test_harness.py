@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import weakref
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from pokegrasp.catalog import CATALOG, SIDE, UPRIGHT, UPSIDE_DOWN, benchmark_scene, \
-    benchmark_scene_set, catalog_entry, default_camera, make_object
+    benchmark_scene_set, catalog_entry, default_camera, make_object, small_vial_scene
 from pokegrasp.errors import InvalidConfig, InvalidGeometry, ShapeMismatch
 from pokegrasp.geometry import RigidTransform, rot_x, rot_z
 from pokegrasp import harness
@@ -621,3 +622,25 @@ def test_run_benchmark_drops_an_objects_preparations_after_it(monkeypatch):
     monkeypatch.setattr(harness, "annotations_for", tracked)
     run_benchmark(scenes, POKE_GUIDANCE_MODES, 2, TrialConfig(), task="poke")
     assert alive_at_call == [0, 1, 0, 1]
+
+
+# SHA-256 of the sorted-key JSON of 24 tactile grasps, then 24 pr pokes, at
+# seeds 0-23 on the small vial with calibration error and tactile alignment
+CALIBRATION_ABLATION_SHA256 = "904c18cc6088b1c5a4cd6c606c67d32e25b52d323895bed0842684fd5df06dcb"
+
+
+def test_calibration_ablation_is_pinned():
+    """The calibration-error ablation: an x offset of up to 15 mm on every
+    executed motion, with the ring alignment rectifying the centroid grasp."""
+    scene = small_vial_scene()
+    cfg = TrialConfig(calib_range=0.015, use_tactile_align=True)
+    prepared = annotations_for(scene, cfg)
+    grasps = [run_grasp_trial(scene, cfg, s, "tactile", prepared=prepared) for s in range(24)]
+    pokes = [run_poke_trial(scene, cfg, s, "pr", prepared=prepared) for s in range(24)]
+    digest = hashlib.sha256(as_json(grasps + pokes).encode()).hexdigest()
+    assert digest == CALIBRATION_ABLATION_SHA256
+    # the same trials without alignment: the render and annotations are reused
+    off = TrialConfig(calib_range=0.015)
+    unaligned = [run_grasp_trial(scene, off, s, "tactile", prepared=prepared) for s in range(12)]
+    assert sum(g.status == SUCCESS for g in grasps[:12]) \
+        > sum(g.status == SUCCESS for g in unaligned)
