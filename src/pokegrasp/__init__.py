@@ -17,8 +17,7 @@ from .render import RenderBuffers, render
 from .regions import InstanceAnnotation, dot_product_map, height_map, poking_region
 from .imgeo import Ellipse, find_external_contour, fit_ellipse, nearest_positive
 from .plan import GraspProposal, GripperSpec, PokePlan, heuristic_grasp, poking_point
-from .tactile import (TactileFrame, TactileSensorSpec, detect_contact, sensor_pose_at,
-                      tactile_align)
+from .tactile import TactileFrame, TactileSensorSpec, detect_contact, tactile_align
 from .losses import (BoxOffsets, LossConfig, deconv_output_size, mask_loss,
                      mask_loss_grad, pn_beta, smooth_l1_loc_loss,
                      softmax_cross_entropy, total_loss)

@@ -20,10 +20,14 @@ per-trial seeds come from the splitmix64 mixer in `seeding`.
 
 The trials on one scene share its `PreparedScene`: one render and one
 poking-region pass, one plan per annotation region and one poke per
-(pixel, executed shift). A poke does not depend on the trial seed, which
+(pixel, calibration shift). A poke does not depend on the trial seed, which
 is only stamped on its outcome, so the `pr` poke and the `tactile` grasp's
 poke, or a `bbox` and a `mask` poke on the same pixel, lower the sensor
 once.
+
+The sensor is pressed straight down at yaw 0, so a probe places it by its
+centre alone: the view-ray point at the probe height, shifted along world
+x by the calibration error, with the probe height itself as its z.
 """
 from __future__ import annotations
 
@@ -36,7 +40,6 @@ import numpy as np
 
 from .errors import (DegenerateInput, EmptyMask, InsufficientContact, InvalidConfig,
                      InvalidGeometry, WidthOverflow)
-from .geometry import RigidTransform
 from .plan import RING, SIMPLY_CONNECTED, GraspProposal, GripperSpec, PokePlan, \
     heuristic_grasp, poking_point
 from .regions import InstanceAnnotation, height_map, pixel_ray_dz, poking_region, \
@@ -45,8 +48,8 @@ from .render import RenderBuffers, contains, intersect_object, object_top_z, ren
     top_height_bound, top_heights
 from .scene import Box, ObjectModel, Scene
 from .seeding import mix
-from .tactile import TactileFrame, TactileSensorSpec, detect_contact, \
-    frame_from_heights, sensor_pose_at, tactile_align
+from .tactile import DEFAULT_COUNT_THRESHOLD, DEFAULT_VALUE_THRESHOLD, TactileFrame, \
+    TactileSensorSpec, detect_contact, frame_from_heights, tactile_align
 
 GRAVITY = 9.81
 
@@ -63,7 +66,6 @@ SIDE_INSIDE_TOL = 0.005  # contact-patch allowance on line supports, meters
 
 @dataclass(frozen=True)
 class TrialConfig:
-    guidance: str = "pr"
     h_stop: float = 0.01
     f_stop: float = 0.5
     gripper: GripperSpec = field(default_factory=GripperSpec)
@@ -71,8 +73,8 @@ class TrialConfig:
     adhesion_prob: float = 0.1
     master_seed: int = 0
     sensor: TactileSensorSpec = field(default_factory=TactileSensorSpec)
-    value_threshold: float = 0.0001
-    count_threshold: int = 40
+    value_threshold: float = DEFAULT_VALUE_THRESHOLD
+    count_threshold: int = DEFAULT_COUNT_THRESHOLD
     descent_step: float = 0.001
     coarse_step: float = 0.008
     descend_offset: float = 0.02
@@ -124,7 +126,6 @@ class PokeOutcome:
     contact_object: int = 0
     stop_z: float = 0.0
     frame: Optional[TactileFrame] = None
-    sensor: Optional[TactileSensorSpec] = None
 
     @property
     def contact_height(self) -> float:
@@ -285,13 +286,14 @@ def poke_would_topple(scene: Scene, object_id: int, contact: np.ndarray,
 # calibration error and depth corruption
 # ---------------------------------------------------------------------------
 
-def inject_calibration_error(cfg: TrialConfig, seed: int) -> RigidTransform:
-    """Uniform translation error in [-range, range] along world x, applied
-    to everything executed from camera-frame coordinates. Identity when
+def calibration_shift(cfg: TrialConfig, seed: int) -> float:
+    """Uniform calibration error in [-calib_range, calib_range] along world
+    x, added to everything executed from camera-frame coordinates; 0.0 when
     the configured range is zero."""
+    if cfg.calib_range == 0.0:
+        return 0.0
     rng = np.random.default_rng(mix(seed, 0x0CA11B))
-    dx = float(rng.uniform(-cfg.calib_range, cfg.calib_range)) if cfg.calib_range > 0 else 0.0
-    return RigidTransform(np.eye(3), [dx, 0.0, 0.0])
+    return float(rng.uniform(-cfg.calib_range, cfg.calib_range))
 
 
 def corrupt_depth(buffers: RenderBuffers, scene: Scene, rng: np.random.Generator,
@@ -325,10 +327,10 @@ def scene_top_z(scene: Scene) -> float:
 
 def _footprint_heights(scene: Scene, spec: TactileSensorSpec, center: np.ndarray,
                        floor: float = -np.inf, z_start: Optional[float] = None):
-    """Sensel-column heights, ids and (x, y) of a sensor posed by
-    ``sensor_pose_at(center)``; the columns whose surface does not rise above
-    ``floor`` read -inf / 0. The columns are cast down from ``z_start``, by
-    default 1 cm above ``scene_top_z``."""
+    """Sensel-column heights, ids and (x, y) of the sensor centred at
+    ``center`` (only its x and y are read); the columns whose surface does
+    not rise above ``floor`` read -inf / 0. The columns are cast down from
+    ``z_start``, by default 1 cm above ``scene_top_z``."""
     if z_start is None:
         z_start = scene_top_z(scene) + 0.01
     offsets = spec.sensel_offsets
@@ -350,11 +352,13 @@ def _contact_dot(scene: Scene, object_id: int, contact: np.ndarray) -> float:
 
 
 def simulate_poke(scene: Scene, plan: Optional[PokePlan], cfg: TrialConfig,
-                  executed_shift=(0.0, 0.0), seed: int = 0) -> PokeOutcome:
+                  dx: float = 0.0, seed: int = 0) -> PokeOutcome:
     """Lower the sensor along the plan pixel's view ray until contact.
 
-    ``executed_shift`` is the horizontal execution error (calibration);
-    success requires image-subtraction contact above the protective-stop
+    The sensor centre at probe height z is the ray's point at z moved by
+    ``dx`` along world x (the calibration error), with z itself as its
+    height: the sensing plane the indentation is taken against. Success
+    requires image-subtraction contact above the protective-stop
     height, and the contacted object must not tip at the stop force.
 
     A sensel indents by more than ``value_threshold`` only where an object
@@ -376,15 +380,16 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan], cfg: TrialConfig,
     origin, direction = cam.pixel_ray(plan.point_px)
     if direction[2] >= -1e-9:
         return PokeOutcome(status=MISS, seed=seed)
-    shift = np.array([executed_shift[0], executed_shift[1], 0.0])
+    shift = np.array([dx, 0.0, 0.0])
 
     def center_at(z: float) -> np.ndarray:
         t = (z - origin[2]) / direction[2]
-        return origin + t * direction + shift
+        center = origin + t * direction + shift
+        center[2] = z  # the ray's z at t can differ from z in the last bit
+        return center
 
     spec = cfg.sensor
-    reference = TactileFrame(image=np.zeros((spec.res_y, spec.res_x)),
-                             pose=spec.pose)
+    reference = np.zeros((spec.res_y, spec.res_x))
 
     top = scene_top_z(scene)
     half = np.array([spec.area_x, spec.area_y]) / 2.0
@@ -395,11 +400,10 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan], cfg: TrialConfig,
         if z >= bound - cfg.value_threshold + 1e-9:
             return False, 0, None
         heights, ids, xy = _footprint_heights(scene, spec, center, floor=z, z_start=top + 0.01)
-        # the frame is posed only if it fires: the count reads the image alone
-        frame = frame_from_heights(heights, spec, z)
-        hit, count = detect_contact(reference, frame,
+        frame = frame_from_heights(heights, spec, center)
+        hit, count = detect_contact(reference, frame.image,
                                     cfg.value_threshold, cfg.count_threshold)
-        return hit, count, (heights, ids, xy, frame, center)
+        return hit, count, (heights, ids, xy, frame)
 
     z_top = top + cfg.coarse_step
     z = z_top
@@ -416,9 +420,7 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan], cfg: TrialConfig,
     while z >= cfg.h_stop - 1e-12:
         hit, _, touched = probe(z)
         if hit:
-            heights, ids, xy, frame, center = touched
-            posed = spec.at_pose(sensor_pose_at(center))
-            frame = dataclasses.replace(frame, pose=posed.pose)
+            heights, ids, xy, frame = touched
             pen = frame.image
             idx = np.unravel_index(int(np.argmax(pen)), pen.shape)
             contact = np.array([xy[idx][0], xy[idx][1], heights[idx]])
@@ -431,7 +433,7 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan], cfg: TrialConfig,
                 return PokeOutcome(status=MISS, seed=seed, stop_z=z)
             status = TOPPLE if poke_would_topple(scene, cid, contact, cfg.f_stop) else SUCCESS
             return PokeOutcome(status=status, seed=seed, contact_point=contact,
-                               contact_object=cid, stop_z=z, frame=frame, sensor=posed)
+                               contact_object=cid, stop_z=z, frame=frame)
         z -= cfg.descent_step
     return PokeOutcome(status=MISS, seed=seed, stop_z=cfg.h_stop)
 
@@ -515,24 +517,25 @@ class PreparedScene:
             self._plans[region] = _plan_or_none(getattr(self.anns[0], region))
         return self._plans[region]
 
-    def poke(self, plan: Optional[PokePlan], shift, seed: int) -> PokeOutcome:
-        """``simulate_poke`` of ``plan`` with ``shift``, once per (pixel, shift).
+    def poke(self, plan: Optional[PokePlan], dx: float, seed: int) -> PokeOutcome:
+        """``simulate_poke`` of ``plan`` with ``dx``, once per (pixel, dx).
 
         A poke reads only the plan's pixel, and the seed only stamps its
         outcome, so a repeat is the first outcome restamped. Its arrays are
         made read-only, since every repeat shares them.
         """
         if plan is None:
-            return simulate_poke(self.scene, plan, self.cfg, executed_shift=shift, seed=seed)
-        # bytes, not floats: -0.0 == 0.0, but the two shifts may move a centre differently
-        key = (plan.point_px, np.asarray(shift, dtype=np.float64).tobytes())
+            return simulate_poke(self.scene, plan, self.cfg, dx=dx, seed=seed)
+        # bytes, not floats: -0.0 == 0.0, but the two may move a centre differently
+        key = (plan.point_px, np.float64(dx).tobytes())
         memo = self._pokes.get(key)
         if memo is not None:
             return dataclasses.replace(memo, seed=seed)
-        out = simulate_poke(self.scene, plan, self.cfg, executed_shift=shift, seed=seed)
-        if out.contact_point is not None:  # a contact outcome carries both arrays
+        out = simulate_poke(self.scene, plan, self.cfg, dx=dx, seed=seed)
+        if out.contact_point is not None:  # a contact outcome carries all three arrays
             out.contact_point.setflags(write=False)
             out.frame.image.setflags(write=False)
+            out.frame.center.setflags(write=False)
         self._pokes[key] = out
         return out
 
@@ -595,8 +598,7 @@ def run_poke_trial(scene: Scene, cfg: TrialConfig, seed: int, guidance: str,
         plan = prepared.plan("poking_region")
     else:
         plan = poke_pixel_for_guidance(prepared.anns[0], guidance)
-    err = inject_calibration_error(cfg, seed)
-    return prepared.poke(plan, err.translation[:2], seed)
+    return prepared.poke(plan, calibration_shift(cfg, seed), seed)
 
 
 def run_grasp_trial(scene: Scene, cfg: TrialConfig, seed: int, mode: str,
@@ -610,8 +612,7 @@ def run_grasp_trial(scene: Scene, cfg: TrialConfig, seed: int, mode: str,
     ann = anns[0]
     cam = scene.camera
     rng = np.random.default_rng(mix(seed, 0x9A59))
-    err = inject_calibration_error(cfg, seed)
-    dx = float(err.translation[0])
+    dx = calibration_shift(cfg, seed)
     region_name = "mask" if mode == "camera-mask" else "poking_region"
     region = getattr(ann, region_name)
     plan = prepared.plan(region_name)
@@ -634,7 +635,7 @@ def run_grasp_trial(scene: Scene, cfg: TrialConfig, seed: int, mode: str,
         return simulate_grasp(scene, executed, cfg, seed=seed)
 
     # tactile localization: poke first
-    poke = prepared.poke(plan, (dx, 0.0), seed)
+    poke = prepared.poke(plan, dx, seed)
     if poke.status != SUCCESS:
         return GraspOutcome(status=FAILURE, seed=seed, reason=f"poke_{poke.status}")
     target = scene.object_by_id(poke.contact_object)
@@ -652,7 +653,7 @@ def run_grasp_trial(scene: Scene, cfg: TrialConfig, seed: int, mode: str,
         cx, cy = poke.contact_point[:2] + offset
     elif cfg.use_tactile_align:
         try:
-            rectified = tactile_align(poke.frame, poke.sensor)
+            rectified = tactile_align(poke.frame, cfg.sensor)
             cx, cy = float(rectified[0]), float(rectified[1])
         except (InsufficientContact, DegenerateInput):
             cx, cy = proposal.x + dx, proposal.y

@@ -6,22 +6,23 @@ to [0, max_indent], with 0 meaning no contact. Contact detection by
 image subtraction and the ring-arc alignment both operate on such maps
 exactly as they would on thresholded photometric frames.
 
-The sensor's local frame spans the sensing surface with x/y and has +z
-along the outward surface normal; during poking the surface faces the
-table, i.e. the pose rotation maps local +z to world -z. Sensel (i, j)
-(row i, column j) sits at local (x_j, y_i, 0) with
-x_j = (j + 0.5) * area_x / res_x - area_x / 2 and the analogous y_i.
+The sensor is pressed straight down: its sensing surface is parallel to
+the table, faces it and has yaw 0, so it is placed by the world position
+of the surface centre alone, whose z is the sensing plane. In the sensor's
+own frame sensel (i, j) (row i, column j) sits at (x_j, y_i) with
+x_j = (j + 0.5) * area_x / res_x - area_x / 2 and the analogous y_i. Facing
+down mirrors the sensor's y axis, so the sensel lies at world offset
+(x_j, -y_i) from the centre.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, InsufficientContact, InvalidConfig, ResolutionMismatch
-from .geometry import RigidTransform, rot_z
+from .errors import InsufficientContact, InvalidConfig, ResolutionMismatch
 from .imgeo import find_external_contour, fit_ellipse
 from scipy import ndimage
 
@@ -34,19 +35,12 @@ DEFAULT_VALUE_THRESHOLD = 0.0001
 DEFAULT_COUNT_THRESHOLD = 40
 
 
-def sensor_pose_at(center, yaw: float = 0.0) -> RigidTransform:
-    """Pose of a downward-facing sensor whose surface center is ``center``."""
-    flip = np.diag([1.0, -1.0, -1.0])  # local +z -> world -z, det +1
-    return RigidTransform(rot_z(yaw) @ flip, np.asarray(center, dtype=np.float64))
-
-
 @dataclass(frozen=True)
 class TactileSensorSpec:
     area_x: float = DEFAULT_AREA_X
     area_y: float = DEFAULT_AREA_Y
     res_x: int = DEFAULT_RES_X
     res_y: int = DEFAULT_RES_Y
-    pose: RigidTransform = field(default_factory=lambda: sensor_pose_at((0.0, 0.0, 0.1)))
     max_indent: float = DEFAULT_MAX_INDENT
 
     def __post_init__(self):
@@ -59,9 +53,6 @@ class TactileSensorSpec:
             raise InvalidConfig("resolutions must be >= 16")
         if self.max_indent <= 0:
             raise InvalidConfig("max_indent must be positive")
-        down = self.pose.rotation @ np.array([0.0, 0.0, 1.0])
-        if np.linalg.norm(down - np.array([0.0, 0.0, -1.0])) > 1e-6:
-            raise InvalidConfig("sensing surface must be parallel to the table, facing down")
 
     @property
     def pitch_x(self) -> float:
@@ -71,62 +62,45 @@ class TactileSensorSpec:
     def pitch_y(self) -> float:
         return self.area_y / self.res_y
 
-    def at_pose(self, pose: RigidTransform) -> "TactileSensorSpec":
-        return TactileSensorSpec(self.area_x, self.area_y, self.res_x, self.res_y,
-                                 pose, self.max_indent)
-
-    def sensel_grid_local(self) -> np.ndarray:
-        """Local (res_y * res_x, 3) sensel centers on the sensing plane."""
-        xs = (np.arange(self.res_x) + 0.5) * self.pitch_x - self.area_x / 2.0
-        ys = (np.arange(self.res_y) + 0.5) * self.pitch_y - self.area_y / 2.0
-        xx, yy = np.meshgrid(xs, ys)
-        return np.stack([xx, yy, np.zeros_like(xx)], axis=-1).reshape(-1, 3)
-
     @functools.cached_property
     def sensel_offsets(self) -> np.ndarray:
-        """Read-only world offsets of the sensel centres from the centre of
-        a sensor posed by ``sensor_pose_at`` (yaw 0); computed once per spec,
-        so a probe adds only its centre."""
-        offsets = self.sensel_grid_local() @ sensor_pose_at(np.zeros(3)).rotation.T
+        """Read-only (res_y * res_x, 2) world offsets (x_j, -y_i) of the sensel
+        centres from the sensor centre, row-major; computed once per spec, so
+        a probe adds only its centre."""
+        xs = (np.arange(self.res_x) + 0.5) * self.pitch_x - self.area_x / 2.0
+        ys = (np.arange(self.res_y) + 0.5) * self.pitch_y - self.area_y / 2.0
+        xx, yy = np.meshgrid(xs, -ys)
+        offsets = np.stack([xx.ravel(), yy.ravel()], axis=1)
         offsets.setflags(write=False)
         return offsets
-
-    def pixel_to_local(self, uv) -> np.ndarray:
-        """Continuous sensel coordinates -> local metric point on the plane."""
-        x = (float(uv[0]) + 0.5) * self.pitch_x - self.area_x / 2.0
-        y = (float(uv[1]) + 0.5) * self.pitch_y - self.area_y / 2.0
-        return np.array([x, y, 0.0])
 
 
 @dataclass(frozen=True)
 class TactileFrame:
-    image: np.ndarray          # (res_y, res_x) indentation depth in meters
-    pose: RigidTransform       # sensor pose at capture
-    timestamp: int = 0
-
-    @property
-    def resolution(self) -> tuple[int, int]:
-        return self.image.shape[1], self.image.shape[0]
+    image: np.ndarray   # (res_y, res_x) indentation depth in meters
+    center: np.ndarray  # world sensor centre at capture; center[2] is the sensing plane
 
 
 def frame_from_heights(heights: np.ndarray, spec: TactileSensorSpec,
-                       plane_z: float, timestamp: int = 0) -> TactileFrame:
-    pen = np.clip(heights - plane_z, 0.0, spec.max_indent)
+                       center: np.ndarray) -> TactileFrame:
+    """The frame of the sensor centred at ``center`` over sensel-column
+    surface ``heights``: each indents by its height above ``center[2]``."""
+    pen = np.clip(heights - center[2], 0.0, spec.max_indent)
     pen = np.where(np.isfinite(heights), pen, 0.0)
-    return TactileFrame(image=pen, pose=spec.pose, timestamp=timestamp)
+    return TactileFrame(image=pen, center=center)
 
 
-def detect_contact(reference: TactileFrame, current: TactileFrame,
+def detect_contact(reference: np.ndarray, current: np.ndarray,
                    value_threshold: float = DEFAULT_VALUE_THRESHOLD,
                    count_threshold: int = DEFAULT_COUNT_THRESHOLD) -> tuple[bool, int]:
-    """Image-subtraction contact test.
+    """Image-subtraction contact test between two tactile images.
 
     positive_count = #pixels whose absolute difference exceeds
     value_threshold; contact iff positive_count > count_threshold.
     """
-    if reference.image.shape != current.image.shape:
-        raise ResolutionMismatch(f"{reference.image.shape} vs {current.image.shape}")
-    diff = np.abs(current.image - reference.image)
+    if reference.shape != current.shape:
+        raise ResolutionMismatch(f"{reference.shape} vs {current.shape}")
+    diff = np.abs(current - reference)
     count = int(np.count_nonzero(diff > value_threshold))
     return count > count_threshold, count
 
@@ -162,9 +136,10 @@ def tactile_align(frame: TactileFrame, spec: TactileSensorSpec) -> np.ndarray:
     """Rectified world-frame centroid of the contacted ring.
 
     Fits an ellipse to the inner contour of the contact region in the
-    tactile image and maps its center through the sensel pitch and the
-    sensor pose. The returned point lies on the sensing plane; only its
-    horizontal components are meaningful as a grasp-center correction.
+    tactile image and maps its center through the sensel pitch to the
+    world, about the frame's sensor centre. The returned point lies on the
+    sensing plane; only its horizontal components are meaningful as a
+    grasp-center correction.
     """
     contact = frame.image > 0.0
     if np.count_nonzero(contact) < 5:
@@ -172,6 +147,7 @@ def tactile_align(frame: TactileFrame, spec: TactileSensorSpec) -> np.ndarray:
     contour = _inner_contact_contour(contact)
     if contour.shape[0] < 5:
         raise InsufficientContact(f"{contour.shape[0]} contour points")
-    ellipse = fit_ellipse(contour)
-    local = spec.pixel_to_local(ellipse.centroid)
-    return frame.pose.apply(local)
+    u, v = fit_ellipse(contour).centroid
+    x = (float(u) + 0.5) * spec.pitch_x - spec.area_x / 2.0
+    y = (float(v) + 0.5) * spec.pitch_y - spec.area_y / 2.0
+    return np.array([frame.center[0] + x, frame.center[1] - y, frame.center[2]])

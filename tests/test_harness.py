@@ -13,7 +13,7 @@ from pokegrasp.geometry import RigidTransform, rot_x, rot_z
 from pokegrasp import harness
 from pokegrasp.harness import FAILURE, POKE_GUIDANCE_MODES, SIDE_INSIDE_TOL, SUCCESS, TOPPLE, \
     TrialConfig, _contact_dot, _convex_hull, _footprint_heights, annotations_for, \
-    corrupt_depth, inject_calibration_error, poke_pixel_for_guidance, run_benchmark, \
+    calibration_shift, corrupt_depth, poke_pixel_for_guidance, run_benchmark, \
     run_grasp_trial, run_poke_trial, scene_top_z, simulate_grasp, simulate_poke, tipping_arms, \
     tipping_max_force
 from pokegrasp.plan import GraspProposal
@@ -21,8 +21,7 @@ from pokegrasp.render import RenderBuffers, compile_primitives, render, top_heig
     top_heights
 from pokegrasp.scene import Box, ObjectModel, RevolutionProfile, Scene
 from pokegrasp.seeding import rng_for
-from pokegrasp.tactile import TactileFrame, TactileSensorSpec, detect_contact, \
-    frame_from_heights, sensor_pose_at
+from pokegrasp.tactile import TactileSensorSpec, detect_contact, frame_from_heights
 
 
 def inline_corrupt_depth(buffers, scene, rng, dropout, sigma):
@@ -240,7 +239,7 @@ def test_floored_top_heights_equal_the_full_query(entry):
             centers = obj.pose.apply(np.array([[rho * np.cos(a), rho * np.sin(a), z]
                                                for rho in footprint_radii(entry)
                                                for a, z in zip(azimuths, (0.0, z1 / 2.0, z1))]))
-            footprints = [(spec.sensel_offsets + c)[:, :2] for c in centers]
+            footprints = [spec.sensel_offsets + c[:2] for c in centers]
             # columns on every segment end radius, where the cast is most sensitive
             ring = rng.uniform(0.0, 2.0 * np.pi) + np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
             edges = np.array([[r * np.cos(a), r * np.sin(a), 0.0]
@@ -274,7 +273,7 @@ def test_probes_the_bound_skips_count_no_sensel(name, attempt):
     cfg = TrialConfig()
     spec = cfg.sensor
     half = np.array([spec.area_x, spec.area_y]) / 2.0
-    reference = TactileFrame(image=np.zeros((spec.res_y, spec.res_x)), pose=spec.pose)
+    reference = np.zeros((spec.res_y, spec.res_x))
     _, anns = annotations_for(scene, cfg)
     plans = [poke_pixel_for_guidance(anns[0], g) for g in POKE_GUIDANCE_MODES]
     z_top = scene_top_z(scene) + cfg.coarse_step
@@ -283,12 +282,15 @@ def test_probes_the_bound_skips_count_no_sensel(name, attempt):
         origin, direction = scene.camera.pixel_ray(px)
 
         def center_at(z):
-            return origin + (z - origin[2]) / direction[2] * direction
+            center = origin + (z - origin[2]) / direction[2] * direction
+            center[2] = z
+            return center
 
         def count_at(z):
             heights, _, _ = _footprint_heights(scene, spec, center_at(z))
-            frame = frame_from_heights(heights, spec, z)
-            return detect_contact(reference, frame, cfg.value_threshold, cfg.count_threshold)[1]
+            frame = frame_from_heights(heights, spec, center_at(z))
+            return detect_contact(reference, frame.image, cfg.value_threshold,
+                                  cfg.count_threshold)[1]
 
         def skips(z):
             c = center_at(z)[:2]
@@ -311,28 +313,45 @@ def test_probes_the_bound_skips_count_no_sensel(name, attempt):
 
 
 def test_contact_probe_carries_the_sensor_posed_at_the_contact():
-    # only the probe that fires builds the posed sensor and frame
+    # the contact frame carries the centre of the probe that fired: the view
+    # ray's point at the stop height, with the stop height itself as its z
     scene = benchmark_scene("jar", 0, master_seed=0)
     cfg = TrialConfig()
     _, anns = annotations_for(scene, cfg)
-    outcome = simulate_poke(scene, poke_pixel_for_guidance(anns[0], "pr"), cfg)
+    plan = poke_pixel_for_guidance(anns[0], "pr")
+    outcome = simulate_poke(scene, plan, cfg)
     assert outcome.status in (SUCCESS, TOPPLE)
-    pose = outcome.sensor.pose
-    assert outcome.frame.pose is pose
-    assert abs(pose.translation[2] - outcome.stop_z) < 1e-12
-    assert pose.rotation.tobytes() == sensor_pose_at(np.zeros(3)).rotation.tobytes()
-    grid = pose.apply(outcome.sensor.sensel_grid_local())[:, :2]
+    center = outcome.frame.center
+    assert center[2] == outcome.stop_z
+    origin, direction = scene.camera.pixel_ray(plan.point_px)
+    on_ray = origin + (outcome.stop_z - origin[2]) / direction[2] * direction
+    assert center[:2].tobytes() == on_ray[:2].tobytes()
+    grid = cfg.sensor.sensel_offsets + center[:2]
     assert np.any(np.all(grid == outcome.contact_point[:2], axis=1))
 
 
+def face_down_sensel_xy(spec, center) -> np.ndarray:
+    """Reference sensel (x, y) of a face-down sensor at yaw 0 as a rigid
+    pose: the local grid (x_j, y_i, 0) rotated by rot_z(0) @ diag(1, -1, -1),
+    then moved to ``center``."""
+    xs = (np.arange(spec.res_x) + 0.5) * spec.pitch_x - spec.area_x / 2.0
+    ys = (np.arange(spec.res_y) + 0.5) * spec.pitch_y - spec.area_y / 2.0
+    xx, yy = np.meshgrid(xs, ys)
+    local = np.stack([xx, yy, np.zeros_like(xx)], axis=-1).reshape(-1, 3)
+    offsets = local @ (rot_z(0.0) @ np.diag([1.0, -1.0, -1.0])).T
+    return offsets[:, :2] + np.asarray(center)[:2]
+
+
 def test_footprint_sensels_match_the_posed_grid():
-    # the sensel grid is rotated once per sensor spec, not once per probe
+    # the offsets are built once per sensor spec, and they equal the face-down
+    # sensor's rotated grid to the last bit
     scene = benchmark_scene("jar", 0, master_seed=0)
-    spec = TactileSensorSpec(res_x=32, res_y=24)
-    for center in ([0.01, -0.02, 0.05], [-0.031, 0.007, 0.12]):
-        _, _, xy = _footprint_heights(scene, spec, np.array(center))
-        expected = spec.at_pose(sensor_pose_at(center)).pose.apply(spec.sensel_grid_local())
-        assert xy.tobytes() == expected[:, :2].reshape(24, 32, 2).tobytes()
+    for spec in (TactileSensorSpec(res_x=32, res_y=24), TactileSensorSpec()):
+        shape = (spec.res_y, spec.res_x, 2)
+        for center in ([0.01, -0.02, 0.05], [-0.031, 0.007, 0.12]):
+            _, _, xy = _footprint_heights(scene, spec, np.array(center))
+            assert xy.tobytes() == face_down_sensel_xy(spec, center).reshape(shape).tobytes()
+        assert spec.sensel_offsets.tobytes() == face_down_sensel_xy(spec, (0.0, 0.0)).tobytes()
 
 
 class TestTippingStatics:
@@ -566,13 +585,14 @@ def test_each_shared_outcome_carries_its_own_seed(monkeypatch):
     for out in (first, second, third):
         assert not out.contact_point.flags.writeable
         assert not out.frame.image.flags.writeable
+        assert not out.frame.center.flags.writeable
 
 
 def test_pokes_with_different_shifts_are_not_shared(monkeypatch):
     scene = benchmark_scene("jar", 0, master_seed=0)
     cfg = TrialConfig(calib_range=0.01)
     seeds = (21, 22)
-    shifts = [inject_calibration_error(cfg, s).translation[0] for s in seeds]
+    shifts = [calibration_shift(cfg, s) for s in seeds]
     assert shifts[0] != shifts[1]
     fresh = [run_poke_trial(scene, cfg, s, "pr") for s in seeds] \
         + [run_grasp_trial(scene, cfg, s, "tactile") for s in seeds]
