@@ -34,6 +34,8 @@ class RigidTransform:
         t = _as_readonly(self.translation)
         if r.shape != (3, 3) or t.shape != (3,):
             raise InvalidGeometry(f"bad transform shapes {r.shape}, {t.shape}")
+        if not np.all(np.isfinite(t)):
+            raise InvalidGeometry("translation must be finite")
         if not np.allclose(r.T @ r, np.eye(3), atol=ORTHONORMAL_TOL * 10):
             raise InvalidGeometry("rotation is not orthonormal")
         if np.linalg.det(r) < 0:

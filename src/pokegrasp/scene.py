@@ -52,6 +52,9 @@ class CameraModel:
     pose: RigidTransform = field(default_factory=RigidTransform.identity)
 
     def __post_init__(self):
+        # a NaN focal length passes the sign check and renders no finite depth
+        if not all(math.isfinite(v) for v in (self.fx, self.fy, self.cx, self.cy)):
+            raise InvalidConfig("focal lengths and principal point must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise InvalidConfig("focal lengths must be positive")
         if not (0 <= self.cx < self.width) or not (0 <= self.cy < self.height):
@@ -238,6 +241,9 @@ class Scene:
 
     def __post_init__(self):
         n = np.array(self.table_normal, dtype=np.float64)
+        # a NaN normal passes the unit-length check, every comparison being false
+        if not (np.all(np.isfinite(n)) and math.isfinite(self.table_height)):
+            raise InvalidGeometry("table_normal and table_height must be finite")
         if abs(np.linalg.norm(n) - 1.0) > 1e-9:
             raise InvalidGeometry("table_normal must be unit length")
         n.setflags(write=False)

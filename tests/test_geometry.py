@@ -35,6 +35,15 @@ def test_rejects_non_rotation():
         RigidTransform(np.diag([1.0, 1.0, -1.0]), np.zeros(3))  # reflection
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_rejects_non_finite_translation(value):
+    for axis in range(3):
+        t = np.zeros(3)
+        t[axis] = value
+        with pytest.raises(InvalidGeometry, match="finite"):
+            RigidTransform(np.eye(3), t)
+
+
 def test_immutable():
     t = RigidTransform.identity()
     with pytest.raises(ValueError):

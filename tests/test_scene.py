@@ -113,6 +113,15 @@ class TestValidation:
         with pytest.raises(InvalidConfig):
             CameraModel(fx=600, fy=600, cx=999, cy=240, width=640, height=480)
 
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_camera_intrinsics_must_be_finite(self, value):
+        # with fx NaN a 64x48 camera rendered 0 of 3,072 finite depths
+        for name in ("fx", "fy", "cx", "cy"):
+            kwargs = dict(fx=60.0, fy=60.0, cx=32.0, cy=24.0, width=64, height=48)
+            kwargs[name] = value
+            with pytest.raises(InvalidConfig, match="finite"):
+                CameraModel(**kwargs)
+
     def test_profile_invariants(self):
         with pytest.raises(InvalidGeometry):
             RevolutionProfile(points=((0.03, 0.1), (0.03, 0.0)))  # heights not increasing
@@ -162,6 +171,14 @@ class TestValidation:
         b = straight_cup(oid=1)
         with pytest.raises(InvalidConfig):
             Scene(camera=cam, objects=(a, b))
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    def test_table_must_be_finite(self, value):
+        # a NaN normal passed the unit-length check
+        for kwargs in ({"table_height": value}, {"table_normal": np.array([0.0, value, 1.0])},
+                       {"table_normal": np.array([value, value, value])}):
+            with pytest.raises(InvalidGeometry, match="finite"):
+                Scene(camera=identity_camera(), **kwargs)
 
     def test_table_normal_unit(self):
         with pytest.raises(InvalidGeometry):
