@@ -193,3 +193,67 @@ class TestEvaluateAp:
         dets, gts = self.perfect_setup()
         with pytest.raises(ShapeMismatch):
             evaluate_ap(dets[:2], gts)
+
+
+def bucket_scenes(seed=5):
+    """Seeded 128x128 scenes whose regions span the small, medium and large
+    buckets. Detections are jittered copies of the ground truth plus false
+    positives; image 1 has no ground truth and image 2 no detections."""
+    rng = np.random.default_rng(seed)
+    shape = (128, 128)
+    sides = ((8, 30), (34, 90), (97, 120))  # small, medium, large square sides
+    dets, gts = [], []
+    for img in range(5):
+        g = []
+        if img != 1:
+            for k in range(int(rng.integers(1, 4))):
+                lo, hi = sides[(img + k) % 3]
+                h, w = (int(x) for x in rng.integers(lo, hi + 1, size=2))
+                v0, u0 = int(rng.integers(0, 129 - h)), int(rng.integers(0, 129 - w))
+                g.append(ann_from_mask(block_mask(shape, v0, u0, h, w), k + 1))
+        d = []
+        if img != 2:
+            for ann in g:
+                vs, us = np.nonzero(ann.poking_region)
+                h, w = vs.max() - vs.min() + 1, us.max() - us.min() + 1
+                for _ in range(int(rng.integers(1, 3))):
+                    dv, du = (int(x) for x in rng.integers(-(h // 4), h // 4 + 1, size=2))
+                    v0 = int(np.clip(vs.min() + dv, 0, 128 - h))
+                    u0 = int(np.clip(us.min() + du, 0, 128 - w))
+                    d.append(Detection(block_mask(shape, v0, u0, h, w),
+                                       float(rng.integers(0, 5)) / 4.0, img))
+            for _ in range(int(rng.integers(1, 3))):
+                lo, hi = sides[int(rng.integers(0, 3))]
+                side = int(rng.integers(lo, hi + 1))
+                v0, u0 = (int(x) for x in rng.integers(0, 129 - side, size=2))
+                d.append(Detection(block_mask(shape, v0, u0, side, side),
+                                   float(rng.integers(0, 5)) / 4.0, img))
+        dets.append(d)
+        gts.append(g)
+    return dets, gts
+
+
+class TestEvaluateApComposition:
+    def test_fields_equal_average_precision_composition(self):
+        for seed in (5, 6, 7):
+            dets, gts = bucket_scenes(seed)
+            areas = [a.poking_area for g in gts for a in g]
+            assert min(areas) < 32 ** 2 <= max(areas) and max(areas) >= 96 ** 2
+
+            def over_thresholds(bucket):
+                vals = [average_precision(dets, gts, t, bucket) for t in IOU_THRESHOLDS]
+                if all(v is None for v in vals):
+                    return None
+                return float(np.mean([v for v in vals if v is not None]))
+
+            report = evaluate_ap(dets, gts)
+            want = APReport(
+                mAP=over_thresholds(AREA_BUCKETS["all"]),
+                ap50=average_precision(dets, gts, 0.50, AREA_BUCKETS["all"]),
+                ap75=average_precision(dets, gts, 0.75, AREA_BUCKETS["all"]),
+                ap_small=over_thresholds(AREA_BUCKETS["small"]),
+                ap_medium=over_thresholds(AREA_BUCKETS["medium"]),
+                ap_large=over_thresholds(AREA_BUCKETS["large"]),
+            )
+            assert report == want, f"seed {seed}"
+            assert all(v is not None for v in want.to_json().values())
