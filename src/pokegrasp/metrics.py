@@ -13,11 +13,14 @@ Protocol (documented here because it is the report's contract):
   are ignored rather than counted: detections matched to them are dropped
   from the ranking, and unmatched detections whose own area falls outside
   the bucket are dropped too. A bucket with no ground truth reports N/A.
+
+IoUs, areas and score order are computed once per image per
+``evaluate_ap`` call, then read by every threshold and bucket.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -85,23 +88,46 @@ def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.count_nonzero(a & b) / union)
 
 
-def _match_image(dets: Sequence[Detection], gts: Sequence[InstanceAnnotation],
-                 threshold: float, bucket: tuple[float, float]):
+class _Image(NamedTuple):
+    """One image's detections and ground truths, reduced to what matching reads."""
+
+    scores: list[float]        # per detection
+    order: list[int]           # detection indices by descending score
+    ious: np.ndarray           # (n_det, n_gt) mask IoU
+    det_areas: list[int]
+    gt_areas: list[int]        # poking-region pixel areas
+
+
+def _prepare(detections: Sequence[Sequence[Detection]],
+             gts: Sequence[Sequence[InstanceAnnotation]]) -> list[_Image]:
+    """Compute every IoU, area and score order once, for all thresholds and buckets."""
+    if len(detections) != len(gts):
+        raise ShapeMismatch("detections and ground truths must align per image")
+    images = []
+    for dets, g in zip(detections, gts):
+        ious = np.array([[mask_iou(d.mask, a.poking_region) for a in g] for d in dets],
+                        dtype=np.float64).reshape(len(dets), len(g))
+        images.append(_Image(
+            scores=[d.score for d in dets],
+            order=sorted(range(len(dets)), key=lambda i: -dets[i].score),  # stable: ties keep input order
+            ious=ious,
+            det_areas=[d.area for d in dets],
+            gt_areas=[a.poking_area for a in g]))
+    return images
+
+
+def _match_image(image: _Image, threshold: float, bucket: tuple[float, float]):
     """Greedy per-image matching. Returns (score, order, tp, ignored) rows."""
     lo, hi = bucket
-    gt_ignored = [not (lo <= g.poking_area < hi) for g in gts]
-    order = sorted(range(len(dets)), key=lambda i: -dets[i].score)  # stable: ties keep input order
-    gt_taken = [False] * len(gts)
+    gt_ignored = [not (lo <= area < hi) for area in image.gt_areas]
+    gt_taken = [False] * len(gt_ignored)
     rows = []
-    for i in order:
-        det = dets[i]
+    for i in image.order:
+        score = image.scores[i]
         best_j, best_iou = -1, -1.0
         best_ign_j, best_ign_iou = -1, -1.0
-        for j, gt in enumerate(gts):
-            if gt_taken[j]:
-                continue
-            iou = mask_iou(det.mask, gt.poking_region)
-            if iou < threshold:
+        for j, iou in enumerate(image.ious[i].tolist()):
+            if gt_taken[j] or iou < threshold:
                 continue
             # IoU ties go to the lowest ground-truth index (strict >)
             if gt_ignored[j]:
@@ -112,13 +138,13 @@ def _match_image(dets: Sequence[Detection], gts: Sequence[InstanceAnnotation],
         # prefer a countable ground truth; fall back to an ignored one
         if best_j >= 0:
             gt_taken[best_j] = True
-            rows.append((det.score, i, True, False))
+            rows.append((score, i, True, False))
         elif best_ign_j >= 0:
             gt_taken[best_ign_j] = True
-            rows.append((det.score, i, False, True))
+            rows.append((score, i, False, True))
         else:
-            in_bucket = lo <= det.area < hi
-            rows.append((det.score, i, False, not in_bucket))
+            in_bucket = lo <= image.det_areas[i] < hi
+            rows.append((score, i, False, not in_bucket))
     return rows, sum(1 for ig in gt_ignored if not ig)
 
 
@@ -136,12 +162,22 @@ def _ap_from_rows(rows, n_gt: int) -> Optional[float]:
     recall = tp_cum / n_gt
     precision = tp_cum / (tp_cum + fp_cum)
     # monotone envelope from the right, then sample 101 recall points
-    for k in range(len(precision) - 2, -1, -1):
-        precision[k] = max(precision[k], precision[k + 1])
+    precision = np.maximum.accumulate(precision[::-1])[::-1]
     samples = np.linspace(0.0, 1.0, PR_SAMPLES)
     idx = np.searchsorted(recall, samples, side="left")
     vals = np.where(idx < len(precision), precision[np.minimum(idx, len(precision) - 1)], 0.0)
     return float(np.mean(vals))
+
+
+def _ap_at(images: Sequence[_Image], threshold: float,
+          bucket: tuple[float, float]) -> Optional[float]:
+    rows = []
+    n_gt = 0
+    for img, image in enumerate(images):
+        img_rows, img_gt = _match_image(image, threshold, bucket)
+        rows.extend((s, img, o, tp, ig) for (s, o, tp, ig) in img_rows)
+        n_gt += img_gt
+    return _ap_from_rows(rows, n_gt)
 
 
 def average_precision(detections: Sequence[Sequence[Detection]],
@@ -149,15 +185,7 @@ def average_precision(detections: Sequence[Sequence[Detection]],
                       threshold: float,
                       bucket: tuple[float, float] = AREA_BUCKETS["all"]) -> Optional[float]:
     """Dataset AP at one IoU threshold, restricted to one area bucket."""
-    if len(detections) != len(gts):
-        raise ShapeMismatch("detections and ground truths must align per image")
-    rows = []
-    n_gt = 0
-    for img, (dets, g) in enumerate(zip(detections, gts)):
-        img_rows, img_gt = _match_image(dets, g, threshold, bucket)
-        rows.extend((s, img, o, tp, ig) for (s, o, tp, ig) in img_rows)
-        n_gt += img_gt
-    return _ap_from_rows(rows, n_gt)
+    return _ap_at(_prepare(detections, gts), threshold, bucket)
 
 
 def evaluate_ap(detections: Sequence[Sequence[Detection]],
@@ -165,9 +193,10 @@ def evaluate_ap(detections: Sequence[Sequence[Detection]],
                 iou_thresholds: Sequence[float] = IOU_THRESHOLDS,
                 area_buckets: dict = AREA_BUCKETS) -> APReport:
     """Full report: threshold-averaged AP, AP50/AP75, and size-bucket APs."""
+    images = _prepare(detections, gts)
 
     def mean_over_thresholds(bucket):
-        vals = [average_precision(detections, gts, t, bucket) for t in iou_thresholds]
+        vals = [_ap_at(images, t, bucket) for t in iou_thresholds]
         if all(v is None for v in vals):
             return None
         return float(np.mean([v for v in vals if v is not None]))
@@ -175,8 +204,8 @@ def evaluate_ap(detections: Sequence[Sequence[Detection]],
     all_b = area_buckets["all"]
     return APReport(
         mAP=mean_over_thresholds(all_b),
-        ap50=average_precision(detections, gts, 0.50, all_b),
-        ap75=average_precision(detections, gts, 0.75, all_b),
+        ap50=_ap_at(images, 0.50, all_b),
+        ap75=_ap_at(images, 0.75, all_b),
         ap_small=mean_over_thresholds(area_buckets["small"]),
         ap_medium=mean_over_thresholds(area_buckets["medium"]),
         ap_large=mean_over_thresholds(area_buckets["large"]),

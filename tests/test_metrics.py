@@ -257,3 +257,22 @@ class TestEvaluateApComposition:
             )
             assert report == want, f"seed {seed}"
             assert all(v is not None for v in want.to_json().values())
+
+    def test_each_iou_is_computed_once(self, monkeypatch):
+        from pokegrasp import metrics
+        dets, gts = bucket_scenes(5)
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return mask_iou(a, b)
+
+        monkeypatch.setattr(metrics, "mask_iou", counted)
+        evaluate_ap(dets, gts)
+        assert len(calls) == sum(len(d) * len(g) for d, g in zip(dets, gts)) > 0
+
+    def test_detection_shape_mismatch_raises(self):
+        dets, gts = bucket_scenes(5)
+        dets[0] = dets[0] + [Detection(block_mask((64, 64), 2, 2, 8, 8), 0.5, 0)]
+        with pytest.raises(ShapeMismatch):
+            evaluate_ap(dets, gts)
