@@ -49,6 +49,9 @@ class TactileSensorSpec:
             raise InvalidConfig("sensing area and max_indent must be finite")
         if self.area_x <= 0 or self.area_y <= 0:
             raise InvalidConfig("sensing area must be positive")
+        if not all(isinstance(r, (int, np.integer)) and not isinstance(r, bool)
+                   for r in (self.res_x, self.res_y)):
+            raise InvalidConfig("resolutions must be integers")
         if self.res_x < 16 or self.res_y < 16:
             raise InvalidConfig("resolutions must be >= 16")
         if self.max_indent <= 0:

@@ -82,6 +82,16 @@ class TestSimulateFrame:
             with pytest.raises(InvalidConfig, match="finite"):
                 TactileSensorSpec(**{field: value})
 
+    @pytest.mark.parametrize("res", [{"res_x": 16.5}, {"res_y": 16.0}, {"res_x": True}])
+    def test_rejects_non_integer_resolution(self, res):
+        # res_x=16.5 used to build 17 sensel columns, then fail mid-poke
+        with pytest.raises(InvalidConfig, match="integer"):
+            TactileSensorSpec(**res)
+
+    def test_accepts_numpy_integer_resolution(self):
+        spec = TactileSensorSpec(res_x=np.int64(32), res_y=np.int32(16))
+        assert spec.sensel_offsets.shape == (32 * 16, 2)
+
 
 class TestDetectContact:
     def test_identical_frames(self):
