@@ -157,12 +157,11 @@ def mask_loss_grad(logits, gt, cfg: LossConfig) -> np.ndarray:
     logits, gt = _check_pair(logits, gt)
     with np.errstate(over="ignore"):
         sig = 1.0 / (1.0 + np.exp(-logits))
-    if cfg.variant == "vanilla":
-        beta, scale = 1.0, 1.0 / logits.size
-    else:
-        beta, scale = _beta_for(gt, cfg), 1.0
+    beta = 1.0 if cfg.variant == "vanilla" else _beta_for(gt, cfg)
     grad = np.where(gt, -beta * (1.0 - sig), sig)
-    return grad * scale
+    if cfg.variant == "vanilla":
+        grad *= 1.0 / logits.size
+    return grad
 
 
 def total_loss(l_cls: float, l_loc: float, l_mask: float) -> float:

@@ -201,6 +201,21 @@ class TestMaskLossGrad:
         g2 = mask_loss_grad(logits, gt2, LossConfig("pn"))
         assert g1[1, 2] < 0 < g2[1, 2]
 
+    def test_summed_variants_are_the_unscaled_closed_form(self):
+        # saturated logits give signed zeros; lpn on a mostly positive
+        # instance has beta < 0
+        logits = np.array([[40.0, -40.0, 0.3], [-1.5, 40.0, 2.0]])
+        for gt in (np.array([[1, 0, 1], [0, 1, 0]], bool), np.array([[1, 1, 1], [1, 1, 0]], bool)):
+            sig = 1.0 / (1.0 + np.exp(-logits))
+            n_pos = int(gt.sum())
+            for cfg in ALL_CONFIGS[1:]:
+                beta = (cfg.fixed_weight if cfg.variant == "weighted"
+                        else pn_beta(n_pos, gt.size - n_pos, cfg.variant))
+                want = np.where(gt, -beta * (1.0 - sig), sig)
+                got = mask_loss_grad(logits, gt, cfg)
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
 
 class TestClsAndTotal:
     def test_softmax_cross_entropy_hand_computed(self):
