@@ -93,7 +93,7 @@ class _Image(NamedTuple):
 
     scores: list[float]        # per detection
     order: list[int]           # detection indices by descending score
-    ious: np.ndarray           # (n_det, n_gt) mask IoU
+    ious: list[list[float]]    # [detection][ground truth] mask IoU
     det_areas: list[int]
     gt_areas: list[int]        # poking-region pixel areas
 
@@ -105,12 +105,10 @@ def _prepare(detections: Sequence[Sequence[Detection]],
         raise ShapeMismatch("detections and ground truths must align per image")
     images = []
     for dets, g in zip(detections, gts):
-        ious = np.array([[mask_iou(d.mask, a.poking_region) for a in g] for d in dets],
-                        dtype=np.float64).reshape(len(dets), len(g))
         images.append(_Image(
             scores=[d.score for d in dets],
             order=sorted(range(len(dets)), key=lambda i: -dets[i].score),  # stable: ties keep input order
-            ious=ious,
+            ious=[[mask_iou(d.mask, a.poking_region) for a in g] for d in dets],
             det_areas=[d.area for d in dets],
             gt_areas=[a.poking_area for a in g]))
     return images
@@ -126,7 +124,7 @@ def _match_image(image: _Image, threshold: float, bucket: tuple[float, float]):
         score = image.scores[i]
         best_j, best_iou = -1, -1.0
         best_ign_j, best_ign_iou = -1, -1.0
-        for j, iou in enumerate(image.ious[i].tolist()):
+        for j, iou in enumerate(image.ious[i]):
             if gt_taken[j] or iou < threshold:
                 continue
             # IoU ties go to the lowest ground-truth index (strict >)
@@ -171,6 +169,7 @@ def _ap_from_rows(rows, n_gt: int) -> Optional[float]:
 
 def _ap_at(images: Sequence[_Image], threshold: float,
           bucket: tuple[float, float]) -> Optional[float]:
+    """Dataset AP at one IoU threshold and area bucket over prepared images."""
     rows = []
     n_gt = 0
     for img, image in enumerate(images):
