@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from pokegrasp.catalog import CATALOG, SIDE, UPRIGHT, UPSIDE_DOWN, benchmark_scene, \
+from pokegrasp.catalog import CATALOG, OBJECT_NAMES, SIDE, UPRIGHT, UPSIDE_DOWN, benchmark_scene, \
     benchmark_scene_set, catalog_entry, default_camera, make_object, small_vial_scene
 from pokegrasp.errors import InvalidConfig, InvalidGeometry, ShapeMismatch
 from pokegrasp.geometry import RigidTransform, rot_x, rot_z
@@ -46,12 +46,25 @@ def inline_corrupt_depth(buffers, scene, rng, dropout, sigma):
 
 
 class TestCorruptDepth:
-    def test_matches_inline_pixel_grid(self):
-        scene = benchmark_scene("mug", 8, master_seed=0)
+    @pytest.mark.parametrize("slot", (0, 4, 8))
+    @pytest.mark.parametrize("name", OBJECT_NAMES)
+    def test_matches_inline_pixel_grid(self, name, slot):
+        scene = benchmark_scene(name, slot, master_seed=0)
         buf = render(scene)
-        got = corrupt_depth(buf, scene, np.random.default_rng(7), 0.7, 0.01)
-        expected = inline_corrupt_depth(buf, scene, np.random.default_rng(7), 0.7, 0.01)
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        got = corrupt_depth(buf, scene, rng, 0.7, 0.01)
+        expected = inline_corrupt_depth(buf, scene, ref_rng, 0.7, 0.01)
         assert got.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_nothing_in_view_draws_nothing(self):
+        scene = Scene(camera=default_camera())
+        buf = render(scene)
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        got = corrupt_depth(buf, scene, rng, 0.7, 0.01)
+        assert got.tobytes() == buf.depth.tobytes()
+        assert rng.bit_generator.state == state
 
     def test_shape_mismatch(self):
         scene = benchmark_scene("vial", 0, master_seed=0)
@@ -664,3 +677,16 @@ def test_calibration_ablation_is_pinned():
     unaligned = [run_grasp_trial(scene, off, s, "tactile", prepared=prepared) for s in range(12)]
     assert sum(g.status == SUCCESS for g in grasps[:12]) \
         > sum(g.status == SUCCESS for g in unaligned)
+
+
+# SHA-256 of the sorted-key JSON of the camera-mask and camera-pr grasp table
+# over every catalog object at attempt slots 0, 4 and 8, master seed 0
+CAMERA_GRASP_SHA256 = "8f6f54021e593882dfdeedea6b1a3212a485ad91e7850183b0eb57f81139d8f4"
+
+
+def test_camera_grasp_table_is_pinned():
+    scenes = {n: [benchmark_scene(n, s, master_seed=0) for s in (0, 4, 8)] for n in OBJECT_NAMES}
+    table = run_benchmark(scenes, ("camera-mask", "camera-pr"), 3, TrialConfig(), task="grasp")
+    assert len(table.trials) == 2 * 27
+    digest = hashlib.sha256(json.dumps(table.to_json(), sort_keys=True).encode()).hexdigest()
+    assert digest == CAMERA_GRASP_SHA256

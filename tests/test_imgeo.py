@@ -99,6 +99,57 @@ class TestContour:
             find_external_contour(np.zeros((4, 4), dtype=bool))
 
 
+def blob_mask(rng, shape=(18, 26)):
+    """Seeded irregular mask: a disk with random pixels cleared and set."""
+    mask = disk_mask(shape, (shape[1] / 2.0, shape[0] / 2.0), min(shape) / 2.0 - 1.0)
+    return mask ^ (rng.random(shape) < 0.08)
+
+
+class TestContourWindowInvariance:
+    """The contour depends on the mask's pixels, not on where the frame
+    around them ends."""
+
+    @pytest.mark.parametrize("dv, du", [(0, 0), (3, 5), (100, 200), (222, 294)])
+    def test_embedded_mask_is_offset(self, dv, du):
+        rng = np.random.default_rng(dv + du)
+        for small in (blob_mask(rng), annulus_mask((18, 26), (13, 9), 4, 8)):
+            frame = np.zeros((240, 320), dtype=bool)
+            frame[dv:dv + small.shape[0], du:du + small.shape[1]] = small
+            expected = find_external_contour(small) + [du, dv]
+            assert find_external_contour(frame).tolist() == expected.tolist()
+
+    @pytest.mark.parametrize("border", ["top", "bottom", "left", "right"])
+    def test_component_touching_a_border(self, border):
+        rng = np.random.default_rng(1)
+        mask = np.zeros((30, 40), dtype=bool)
+        v0 = {"top": 0, "bottom": 18}.get(border, 9)
+        u0 = {"left": 0, "right": 24}.get(border, 12)
+        mask[v0:v0 + 12, u0:u0 + 16] = rng.random((12, 16)) > 0.1
+        got = find_external_contour(mask)
+        assert got.tolist() == (find_external_contour(np.pad(mask, 3)) - 3).tolist()
+        assert np.all(mask[got[:, 1], got[:, 0]])
+        on_border = {"top": got[:, 1] == 0, "bottom": got[:, 1] == 29,
+                     "left": got[:, 0] == 0, "right": got[:, 0] == 39}
+        assert on_border[border].any()
+
+    @pytest.mark.parametrize("second", [(14, 2), (5, 30)])
+    def test_equal_components_first_label_wins(self, second):
+        mask = np.zeros((24, 40), dtype=bool)
+        mask[5:8, 20:23] = True  # first in row-major order
+        v, u = second
+        mask[v:v + 3, u:u + 3] = True
+        contour = find_external_contour(mask)
+        assert len(contour) == 8
+        assert np.all((contour[:, 0] >= 20) & (contour[:, 0] < 23))
+        assert np.all((contour[:, 1] >= 5) & (contour[:, 1] < 8))
+
+    @pytest.mark.parametrize("v, u", [(0, 0), (0, 319), (239, 0), (239, 319)])
+    def test_one_pixel_in_a_corner(self, v, u):
+        mask = np.zeros((240, 320), dtype=bool)
+        mask[v, u] = True
+        assert find_external_contour(mask).tolist() == [[u, v]]
+
+
 class TestFitEllipse:
     def test_circle_recovery(self):
         pts = ellipse_points((50.0, 40.0), 12.0, 12.0, 0.0)

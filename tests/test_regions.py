@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from pokegrasp.catalog import benchmark_scene
+from pokegrasp.catalog import OBJECT_NAMES, SIDE, UPRIGHT, benchmark_scene, catalog_entry, \
+    default_camera, make_object
 from pokegrasp.errors import InvalidConfig, ShapeMismatch
 from pokegrasp.geometry import RigidTransform, rot_x
-from pokegrasp.regions import (DEFAULT_H_MIN, DEFAULT_TAU_DOT, dot_product_map,
+from pokegrasp.regions import (DEFAULT_H_MIN, DEFAULT_TAU_DOT, bbox_of, dot_product_map,
                                height_map, poking_region)
-from pokegrasp.render import render
+from pokegrasp.render import RenderBuffers, render
 from pokegrasp.scene import Box, ObjectModel, RevolutionProfile, Scene
 
 from conftest import overhead_camera, straight_cup
@@ -200,3 +201,91 @@ class TestPokingRegion:
         ann = poking_region(buf, cup_scene.camera)[0]
         vs, us = np.nonzero(ann.mask)
         assert ann.bbox == (us.min(), vs.min(), us.max(), vs.max())
+
+
+def literal_poking_region(buf, cam, table_normal=TABLE_NORMAL, tau_dot=DEFAULT_TAU_DOT,
+                          h_min=DEFAULT_H_MIN):
+    """poking_region as the full-frame composition of its public pieces."""
+    eligible = (dot_product_map(buf.normals, table_normal) >= tau_dot) \
+        & (height_map(buf.depth, cam) >= h_min)
+    out = []
+    for oid in np.unique(buf.instance[buf.instance != 0]):
+        mask = buf.instance_mask(int(oid))
+        out.append((int(oid), mask, mask & eligible, bbox_of(mask)))
+    return out
+
+
+def assert_matches_literal(anns, expected):
+    def key(oid, mask, region, bbox):
+        return (oid, mask.shape, mask.dtype, mask.tobytes(), region.shape, region.dtype,
+                region.tobytes(), bbox)
+    assert [key(a.id, a.mask, a.poking_region, a.bbox) for a in anns] == \
+        [key(*e) for e in expected]
+
+
+class TestPokingRegionMatchesFullFrame:
+    """poking_region is byte-equal to the full-frame composition of
+    dot_product_map, height_map, instance_mask and bbox_of."""
+
+    @pytest.mark.parametrize("slot", (0, 4, 8))
+    @pytest.mark.parametrize("name", OBJECT_NAMES)
+    def test_catalog_objects(self, name, slot):
+        scene = benchmark_scene(name, slot, master_seed=0)
+        buf = render(scene)
+        anns = poking_region(buf, scene.camera, scene.table_normal)
+        assert anns and anns[0].poking_area > 0
+        assert_matches_literal(anns, literal_poking_region(buf, scene.camera))
+
+    def test_three_objects_one_cut_by_the_frame_edge(self):
+        cam = default_camera()
+        objs = (make_object(catalog_entry("mug"), UPRIGHT, -0.08, 0.02, 0.3, oid=1),
+                make_object(catalog_entry("rectangular_cup"), SIDE, 0.05, -0.06, 1.1, oid=2),
+                make_object(catalog_entry("jar"), UPRIGHT, 0.31, 0.0, 0.0, oid=3))
+        scene = Scene(camera=cam, objects=objs)
+        buf = render(scene)
+        anns = poking_region(buf, cam)
+        assert [a.id for a in anns] == [1, 2, 3]
+        assert anns[2].mask[:, -1].any() and not anns[2].mask[:, 0].any()
+        assert_matches_literal(anns, literal_poking_region(buf, cam))
+
+    def test_tilted_table_normal(self):
+        scene = benchmark_scene("rectangular_cup", 8, master_seed=0)
+        buf = render(scene)
+        normal = np.array([0.08, -0.05, 1.0])
+        normal /= np.linalg.norm(normal)
+        anns = poking_region(buf, scene.camera, normal, tau_dot=0.95)
+        assert anns[0].poking_area > 0
+        assert_matches_literal(anns, literal_poking_region(buf, scene.camera, normal,
+                                                           tau_dot=0.95))
+
+    def test_single_pixel_on_the_dot_threshold(self):
+        # one visible pixel whose full-frame dot is the threshold itself: a
+        # one-row product computed another way could land an ulp below it
+        cam = overhead_camera(height=0.6, width=8, height_px=8, cx=4.0, cy=4.0,
+                              fx=10.0, fy=10.0)
+        rng = np.random.default_rng(11)
+        for _ in range(64):
+            normal = rng.normal(size=3)
+            normal /= np.linalg.norm(normal)
+            table = rng.normal(size=3) * 0.2 + [0.0, 0.0, 1.0]
+            table /= np.linalg.norm(table)
+            if normal @ table < 0.0:
+                normal = -normal
+            depth = np.full((8, 8), np.inf)
+            depth[4, 4] = 0.5
+            normals = np.zeros((8, 8, 3))
+            normals[4, 4] = normal
+            instance = np.zeros((8, 8), dtype=np.int32)
+            instance[4, 4] = 1
+            buf = RenderBuffers(depth=depth, normals=normals, instance=instance)
+            tau = float(dot_product_map(normals, table)[4, 4])
+            anns = poking_region(buf, cam, table, tau_dot=tau, h_min=0.0)
+            assert anns[0].poking_area == 1
+            assert_matches_literal(anns, literal_poking_region(buf, cam, table, tau, 0.0))
+
+    def test_non_unit_table_normal_raises_with_nothing_in_view(self, down_cam):
+        buf = render(Scene(camera=down_cam))
+        assert not buf.instance.any()
+        with pytest.raises(InvalidConfig):
+            poking_region(buf, down_cam, table_normal=(0.0, 0.0, 2.0))
+        assert poking_region(buf, down_cam) == []
