@@ -42,7 +42,7 @@ from .errors import (DegenerateInput, EmptyMask, InsufficientContact, InvalidCon
                      InvalidGeometry, WidthOverflow)
 from .plan import RING, SIMPLY_CONNECTED, GraspProposal, GripperSpec, PokePlan, \
     heuristic_grasp, poking_point
-from .regions import InstanceAnnotation, height_map, pixel_ray_dz, poking_region, \
+from .regions import InstanceAnnotation, pixel_ray_dz, poking_region, surface_heights, \
     DEFAULT_H_MIN, DEFAULT_TAU_DOT
 from .render import RenderBuffers, contains, intersect_object, object_top_z, render, \
     top_height_bound, top_heights
@@ -301,19 +301,25 @@ def corrupt_depth(buffers: RenderBuffers, scene: Scene, rng: np.random.Generator
     """Transparent-surface depth model: object pixels read the background
     (table) depth with probability ``dropout``; survivors get Gaussian
     noise of scale ``sigma``. Table pixels are returned unchanged. Raises
-    ShapeMismatch unless the buffers are (H, W) images of the camera."""
+    ShapeMismatch unless the buffers are (H, W) images of the camera.
+
+    The generator draws one full-frame ``random`` array, then one normal
+    per survivor in row-major order, and nothing with no object in view.
+    The arithmetic runs on the gathered object pixels only; the result is
+    byte-equal to doing it over the whole frame."""
     cam = scene.camera
     dz = pixel_ray_dz(buffers.depth, cam)
     depth = buffers.depth.copy()
-    obj_px = buffers.instance > 0
-    if not obj_px.any():
+    idx = np.flatnonzero(buffers.instance > 0)
+    if len(idx) == 0:
         return depth
-    with np.errstate(divide="ignore"):
-        t_table = (scene.table_height - cam.pose.translation[2]) / dz
-    drop = obj_px & (rng.random(depth.shape) < dropout) & (dz < 0)
-    depth[drop] = t_table[drop]
-    survive = obj_px & ~drop
-    depth[survive] += rng.normal(0.0, sigma, size=int(survive.sum()))
+    dz = dz.reshape(-1)[idx]
+    obj_depth = depth.reshape(-1)[idx]
+    drop = (rng.random(depth.shape).reshape(-1)[idx] < dropout) & (dz < 0)
+    obj_depth[drop] = (scene.table_height - cam.pose.translation[2]) / dz[drop]
+    survive = ~drop
+    obj_depth[survive] += rng.normal(0.0, sigma, size=int(survive.sum()))
+    depth.reshape(-1)[idx] = obj_depth
     return depth
 
 
@@ -621,11 +627,12 @@ def run_grasp_trial(scene: Scene, cfg: TrialConfig, seed: int, mode: str,
 
     if mode.startswith("camera"):
         corrupted = corrupt_depth(buffers, scene, rng, cfg.depth_dropout, cfg.depth_sigma)
-        heights = height_map(corrupted, cam)
-        sel = region & np.isfinite(heights)
-        if not sel.any():
+        heights = surface_heights(corrupted[region], pixel_ray_dz(corrupted, cam)[region],
+                                  cam.pose.translation[2])
+        heights = heights[np.isfinite(heights)]
+        if not heights.size:
             return GraspOutcome(status=FAILURE, seed=seed, reason="no_depth")
-        z_est = max(float(heights[sel].mean()), scene.table_height + 0.001)
+        z_est = max(float(heights.mean()), scene.table_height + 0.001)
         poke_v = cam.backproject_at_height(plan.point_px, z_est)
         try:
             proposal = heuristic_grasp(poke_v, region, plan.ellipse, cam, cfg.gripper)

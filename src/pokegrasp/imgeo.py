@@ -4,7 +4,9 @@ Pixel coordinates are (u, v) = (column, row) throughout; masks are indexed
 ``mask[v, u]``. Contours are traced with Moore boundary following on the
 largest 8-connected component and returned counter-clockwise in the (u, v)
 plane (positive shoelace area), each boundary pixel exactly once, starting
-at the component's first row-major pixel.
+at the component's first row-major pixel. The labelling and the trace run
+on the mask's bounding window, not the whole frame; the contour is
+byte-equal to the whole-frame one.
 
 The ellipse fit is the direct least-squares conic fit constrained to
 ellipses, in the numerically stabilized form that splits the 6x6
@@ -97,15 +99,30 @@ def _shoelace(points_uv: np.ndarray) -> float:
     return 0.5 * float(np.sum(u * np.roll(v, -1) - np.roll(u, -1) * v))
 
 
+def bbox_of(mask: np.ndarray) -> tuple[int, int, int, int]:
+    """Inclusive (u_min, v_min, u_max, v_max) of the positive pixels, read
+    from ``any`` over the rows and the columns. Raises EmptyMask when the
+    mask has no positive pixel."""
+    rows = np.flatnonzero(mask.any(axis=1))
+    if len(rows) == 0:
+        raise EmptyMask("mask has no positive pixels")
+    cols = np.flatnonzero(mask.any(axis=0))
+    return int(cols[0]), int(rows[0]), int(cols[-1]), int(rows[-1])
+
+
 def find_external_contour(mask: np.ndarray) -> np.ndarray:
     """Outer boundary of the largest component as (N, 2) integer (u, v).
 
-    Raises EmptyMask when the mask has no positive pixel.
+    Labels and traces only the mask's bounding window: it holds every
+    positive pixel in the same row-major order, so the labels, the largest
+    component and the trace are those of the whole frame, shifted by the
+    window's corner. Raises EmptyMask when the mask has no positive pixel.
     """
     mask = np.asarray(mask, dtype=bool)
-    comp = largest_component(mask)
+    u0, v0, u1, v1 = bbox_of(mask)
+    comp = largest_component(mask[v0:v1 + 1, u0:u1 + 1])
     pts = _trace_boundary(comp)
-    uv = np.array([[u, v] for v, u in pts], dtype=np.int64)
+    uv = np.array([[u + u0, v + v0] for v, u in pts], dtype=np.int64)
     if len(uv) >= 3 and _shoelace(uv.astype(np.float64)) < 0.0:
         uv = np.concatenate([uv[:1], uv[1:][::-1]], axis=0)
     return uv

@@ -6,6 +6,11 @@ or above a threshold) and (b) high enough above the table that a flat
 sensor can touch it without bottoming out. Both thresholds are
 configurable; the defaults keep rims and top faces and reject walls and
 low inner floors.
+
+``poking_region`` gathers the object pixels once and computes the dots and
+heights only there, then scatters the result into the frame. Its output is
+byte-equal to the full-frame composition of ``dot_product_map``,
+``height_map``, ``RenderBuffers.instance_mask`` and ``bbox_of``.
 """
 from __future__ import annotations
 
@@ -14,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfig, ShapeMismatch
+from .imgeo import bbox_of
 from .render import RenderBuffers
 from .scene import CameraModel
 
@@ -45,11 +51,14 @@ class InstanceAnnotation:
 def dot_product_map(normals: np.ndarray, table_normal: np.ndarray) -> np.ndarray:
     """Per-pixel normal . table_normal; -2 sentinel where nothing was hit.
 
-    No-hit pixels are identified by their zero normal vector.
+    No-hit pixels are identified by their zero normal vector. ``normals``
+    is any (..., 3) array: a frame or a gathered set of pixels. Raises
+    InvalidConfig unless ``table_normal`` is a finite unit vector.
     """
     table_normal = np.asarray(table_normal, dtype=np.float64)
-    if abs(np.linalg.norm(table_normal) - 1.0) > 1e-9:
-        raise InvalidConfig("table_normal must be unit length")
+    # written so that a NaN length fails it too
+    if not abs(np.linalg.norm(table_normal) - 1.0) <= 1e-9:
+        raise InvalidConfig("table_normal must be a finite unit vector")
     dots = normals @ table_normal
     # equal to np.linalg.norm(normals, axis=-1), in fewer full-frame passes
     nx, ny, nz = normals[..., 0], normals[..., 1], normals[..., 2]
@@ -68,6 +77,16 @@ def pixel_ray_dz(depth: np.ndarray, camera: CameraModel) -> np.ndarray:
     return camera.pixel_directions()[:, 2].reshape(depth.shape)
 
 
+def surface_heights(depth: np.ndarray, dz: np.ndarray, camera_z: float) -> np.ndarray:
+    """World z of the surface points at ``depth`` along rays of z component
+    ``dz`` from a camera at height ``camera_z``; -inf where the depth is not
+    finite. Elementwise, so a gathered set of pixels gets the values the
+    full frame has there."""
+    hit = np.isfinite(depth)
+    z = camera_z + np.where(hit, depth, 0.0) * dz
+    return np.where(hit, z, HEIGHT_SENTINEL)
+
+
 def height_map(depth: np.ndarray, camera: CameraModel) -> np.ndarray:
     """World z of the surface point behind every pixel; -inf where no hit.
 
@@ -75,15 +94,7 @@ def height_map(depth: np.ndarray, camera: CameraModel) -> np.ndarray:
     so only its z component is needed here. Raises ShapeMismatch unless
     ``depth`` is an (H, W) image of the camera.
     """
-    dz = pixel_ray_dz(depth, camera)
-    hit = np.isfinite(depth)
-    z = camera.pose.translation[2] + np.where(hit, depth, 0.0) * dz
-    return np.where(hit, z, HEIGHT_SENTINEL)
-
-
-def bbox_of(mask: np.ndarray) -> tuple[int, int, int, int]:
-    vs, us = np.nonzero(mask)
-    return int(us.min()), int(vs.min()), int(us.max()), int(vs.max())
+    return surface_heights(depth, pixel_ray_dz(depth, camera), camera.pose.translation[2])
 
 
 def poking_region(buffers: RenderBuffers, camera: CameraModel,
@@ -95,17 +106,28 @@ def poking_region(buffers: RenderBuffers, camera: CameraModel,
     A pixel joins its instance's poking region iff dot >= tau_dot and
     height >= h_min. Instances with no visible pixels are omitted;
     instances whose poking region is empty are kept (empty region).
+    Raises InvalidConfig for thresholds outside their ranges or a table
+    normal that is not a finite unit vector, also with nothing in view.
     """
     if not (0.0 < tau_dot <= 1.0):
         raise InvalidConfig("tau_dot must be in (0, 1]")
-    if h_min < 0.0:
-        raise InvalidConfig("h_min must be >= 0")
-    dots = dot_product_map(buffers.normals, table_normal)
-    heights = height_map(buffers.depth, camera)
-    eligible = (dots >= tau_dot) & (heights >= h_min)
-    out = []
+    # an infinite or NaN h_min would silently empty every region
+    if not (0.0 <= h_min < np.inf):
+        raise InvalidConfig("h_min must be finite and >= 0")
     instance = buffers.instance
-    for oid in np.unique(instance[instance != 0]):
+    idx = np.flatnonzero(instance != 0)
+    normals = buffers.normals.reshape(-1, 3)[idx]
+    if len(idx) == 1:
+        # a one-row product runs as a BLAS dot, which can round differently
+        # from the per-row matrix-vector product the full frame gets
+        normals = np.repeat(normals, 2, axis=0)
+    dots = dot_product_map(normals, table_normal)[:len(idx)]
+    dz = pixel_ray_dz(buffers.depth, camera).reshape(-1)[idx]
+    heights = surface_heights(buffers.depth.reshape(-1)[idx], dz, camera.pose.translation[2])
+    eligible = np.zeros(instance.shape, dtype=bool)
+    eligible.reshape(-1)[idx] = (dots >= tau_dot) & (heights >= h_min)
+    out = []
+    for oid in np.unique(instance.reshape(-1)[idx]):
         mask = buffers.instance_mask(int(oid))
         if not mask.any():
             continue

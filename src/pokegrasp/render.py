@@ -15,7 +15,8 @@ is a hit with instance id 0 and finite depth.
 Rays are cast through integer pixel coordinates (u, v) so that
 ``camera.project`` of a hit point returns the pixel it was rendered at.
 Their directions come from ``CameraModel.pixel_directions``, one cached
-grid shared with ``regions.height_map`` and ``harness.corrupt_depth``.
+grid whose z column ``regions.pixel_ray_dz`` reads for the height and the
+depth-corruption models.
 
 An object covers a small part of the frame, so a camera render first culls
 the rays against a padded bounding sphere of each object (centred on the

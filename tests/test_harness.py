@@ -17,6 +17,7 @@ from pokegrasp.harness import FAILURE, POKE_GUIDANCE_MODES, SIDE_INSIDE_TOL, SUC
     run_grasp_trial, run_poke_trial, scene_top_z, simulate_grasp, simulate_poke, tipping_arms, \
     tipping_max_force
 from pokegrasp.plan import GraspProposal
+from pokegrasp.regions import poking_region
 from pokegrasp.render import RenderBuffers, compile_primitives, render, top_height_bound, \
     top_heights
 from pokegrasp.scene import Box, ObjectModel, RevolutionProfile, Scene
@@ -690,3 +691,18 @@ def test_camera_grasp_table_is_pinned():
     assert len(table.trials) == 2 * 27
     digest = hashlib.sha256(json.dumps(table.to_json(), sort_keys=True).encode()).hexdigest()
     assert digest == CAMERA_GRASP_SHA256
+
+
+def test_camera_grasp_without_finite_depth_reports_no_depth():
+    # buffers handed in as a plain pair: the mask reads no depth, and no
+    # pixel drops to the table depth
+    scene = benchmark_scene("mug", 0, master_seed=0)
+    buf = render(scene)
+    ann = poking_region(buf, scene.camera)[0]
+    depth = buf.depth.copy()
+    depth[ann.mask] = np.inf
+    blind = RenderBuffers(depth=depth, normals=buf.normals, instance=buf.instance)
+    cfg = TrialConfig(depth_dropout=0.0)
+    out = run_grasp_trial(scene, cfg, 0, "camera-mask", prepared=(blind, [ann]))
+    assert (out.status, out.reason) == (FAILURE, "no_depth")
+    assert run_grasp_trial(scene, cfg, 0, "camera-mask").reason != "no_depth"

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pokegrasp.errors import DegenerateInput, EmptyMask
-from pokegrasp.imgeo import Ellipse, find_external_contour, fit_ellipse, nearest_positive
+from pokegrasp.imgeo import Ellipse, bbox_of, find_external_contour, fit_ellipse, \
+    nearest_positive
 
 
 def bfs_components(mask):
@@ -148,6 +149,16 @@ class TestContourWindowInvariance:
         mask = np.zeros((240, 320), dtype=bool)
         mask[v, u] = True
         assert find_external_contour(mask).tolist() == [[u, v]]
+
+
+def test_bbox_of_matches_nonzero_extremes():
+    rng = np.random.default_rng(5)
+    for density in (0.0005, 0.01, 0.3):
+        mask = rng.random((40, 60)) < density
+        vs, us = np.nonzero(mask)
+        assert bbox_of(mask) == (us.min(), vs.min(), us.max(), vs.max())
+    with pytest.raises(EmptyMask):
+        bbox_of(np.zeros((4, 4), dtype=bool))
 
 
 class TestFitEllipse:

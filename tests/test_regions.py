@@ -59,6 +59,14 @@ class TestDotProductMap:
         with pytest.raises(InvalidConfig):
             dot_product_map(np.zeros((1, 1, 3)), np.array([0.0, 0.0, 2.0]))
 
+    @pytest.mark.parametrize("normal", [(np.nan, 0.0, 1.0), (0.0, 0.0, np.inf),
+                                        (np.nan, np.nan, np.nan)])
+    def test_rejects_non_finite_normal(self, normal):
+        # a NaN normal has a NaN length, which no length check rejects
+        # unless written to: every dot would read NaN
+        with pytest.raises(InvalidConfig):
+            dot_product_map(np.zeros((1, 1, 3)), np.array(normal))
+
     def test_hit_test_matches_linalg_norm(self):
         # zero, unit and 0.3 / 0.5 / 0.6 long normals, lengths a few ulps and
         # 1e-5 either side of 0.5, then seeded random ones straddling 0.5
@@ -144,6 +152,24 @@ class TestPokingRegion:
         top = (buf.instance == 3) & (heights > 0.0799)
         assert np.array_equal(anns[0].poking_region, top)
         assert anns[0].poking_area == top.sum() > 0
+
+    @pytest.mark.parametrize("h_min", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_h_min(self, h_min):
+        # a NaN or infinite h_min would silently return empty regions
+        scene = benchmark_scene("mug", 0, master_seed=0)
+        buf = render(scene)
+        assert poking_region(buf, scene.camera)[0].poking_area > 0
+        with pytest.raises(InvalidConfig):
+            poking_region(buf, scene.camera, h_min=h_min)
+
+    @pytest.mark.parametrize("normal", [(np.nan, 0.0, 1.0), (0.0, np.inf, 1.0)])
+    def test_rejects_non_finite_table_normal(self, cup_scene, normal):
+        buf = render(cup_scene)
+        with pytest.raises(InvalidConfig):
+            poking_region(buf, cup_scene.camera, table_normal=normal)
+        with pytest.raises(InvalidConfig):
+            poking_region(render(Scene(camera=cup_scene.camera)), cup_scene.camera,
+                          table_normal=normal)
 
     def test_tau_dot_bounds(self, cup_scene):
         buf = render(cup_scene)
