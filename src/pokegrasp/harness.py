@@ -28,6 +28,13 @@ once.
 The sensor is pressed straight down at yaw 0, so a probe places it by its
 centre alone: the view-ray point at the probe height, shifted along world
 x by the calibration error, with the probe height itself as its z.
+
+The descent is coarse, then fine. The coarse phase asks only whether any
+sensel indents, so it casts a sparse lattice of the sensel columns first,
+one sensel in every 8 x 8 block, and the full frame only where no lattice
+sensel counts. A column's height does not depend on the other columns cast
+with it, so a lattice touch is a touch of the full frame. The fine phase
+casts full frames, and the one that fires is the contact frame.
 """
 from __future__ import annotations
 
@@ -301,21 +308,39 @@ def corrupt_depth(buffers: RenderBuffers, scene: Scene, rng: np.random.Generator
     """Transparent-surface depth model: object pixels read the background
     (table) depth with probability ``dropout``; survivors get Gaussian
     noise of scale ``sigma``. Table pixels are returned unchanged. Raises
-    ShapeMismatch unless the buffers are (H, W) images of the camera.
+    ShapeMismatch unless the buffers are (H, W) images of the camera, and
+    InvalidConfig unless ``rng`` runs on a PCG64 bit generator.
 
-    The generator draws one full-frame ``random`` array, then one normal
-    per survivor in row-major order, and nothing with no object in view.
-    The arithmetic runs on the gathered object pixels only; the result is
+    The generator's draws are those of one full-frame ``random`` array,
+    then one normal per survivor in row-major order, and nothing with no
+    object in view. PCG64 spends one 64-bit output per double, so the
+    uniforms from the first to the last object pixel are drawn and the
+    outputs before and after them are skipped with ``advance``: the draws
+    and the generator's final state equal the full-frame draw's. The
+    arithmetic runs on the gathered object pixels only; the result is
     byte-equal to doing it over the whole frame."""
+    bits = rng.bit_generator
+    if not isinstance(bits, np.random.PCG64):
+        raise InvalidConfig(f"corrupt_depth needs a PCG64 generator, not {type(bits).__name__}")
     cam = scene.camera
     dz = pixel_ray_dz(buffers.depth, cam)
     depth = buffers.depth.copy()
     idx = np.flatnonzero(buffers.instance > 0)
     if len(idx) == 0:
         return depth
+    first, last = int(idx[0]), int(idx[-1])
+    # advance drops a buffered 32-bit half that drawing doubles would keep
+    kept = bits.state
+    bits.advance(first)
+    uniform = rng.random(last - first + 1)
+    bits.advance(depth.size - last - 1)
+    if kept["has_uint32"]:
+        state = bits.state
+        state["has_uint32"], state["uinteger"] = kept["has_uint32"], kept["uinteger"]
+        bits.state = state
     dz = dz.reshape(-1)[idx]
     obj_depth = depth.reshape(-1)[idx]
-    drop = (rng.random(depth.shape).reshape(-1)[idx] < dropout) & (dz < 0)
+    drop = (uniform[idx - first] < dropout) & (dz < 0)
     obj_depth[drop] = (scene.table_height - cam.pose.translation[2]) / dz[drop]
     survive = ~drop
     obj_depth[survive] += rng.normal(0.0, sigma, size=int(survive.sum()))
@@ -339,13 +364,31 @@ def _footprint_heights(scene: Scene, spec: TactileSensorSpec, center: np.ndarray
     ``z_start``, by default 1 cm above ``scene_top_z``."""
     if z_start is None:
         z_start = scene_top_z(scene) + 0.01
-    offsets = spec.sensel_offsets
-    xy = np.empty((offsets.shape[0], 2))
-    xy[:, 0] = offsets[:, 0] + center[0]
-    xy[:, 1] = offsets[:, 1] + center[1]
+    xy = _column_xy(spec.sensel_offsets, center)
     heights, ids = top_heights(scene.objects, xy, z_start=z_start, floor=floor)
     shape = (spec.res_y, spec.res_x)
     return heights.reshape(shape), ids.reshape(shape), xy.reshape(shape + (2,))
+
+
+def _column_xy(offsets: np.ndarray, center: np.ndarray) -> np.ndarray:
+    """World (x, y) of the sensel columns at ``offsets`` from ``center``."""
+    xy = np.empty((offsets.shape[0], 2))
+    xy[:, 0] = offsets[:, 0] + center[0]
+    xy[:, 1] = offsets[:, 1] + center[1]
+    return xy
+
+
+# the coarse descent first casts one sensel in every 8 x 8 block: 15 x 20 of
+# the default 120 x 160 sensels, 0.7 mm apart
+_LATTICE_STRIDE = 8
+
+
+def _lattice_rows(spec: TactileSensorSpec) -> np.ndarray:
+    """Row-major frame indices of the sensels the coarse descent casts first:
+    sensel (4, 4) of every 8 x 8 block, counted from sensel (0, 0)."""
+    start = _LATTICE_STRIDE // 2
+    frame = np.arange(spec.res_y * spec.res_x).reshape(spec.res_y, spec.res_x)
+    return frame[start::_LATTICE_STRIDE, start::_LATTICE_STRIDE].ravel()
 
 
 def _contact_dot(scene: Scene, object_id: int, contact: np.ndarray) -> float:
@@ -379,6 +422,18 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan], cfg: TrialConfig,
     floor. A sensel whose column surface does not rise above the plane
     indents by 0 at any height, so it reads -inf / 0 without being cast; the
     contact sensel indents by more than 0 and keeps its cast height and id.
+
+    The coarse descent, in ``coarse_step`` strides, looks for the first
+    height at which any sensel counts. At each height it casts first the
+    lattice of ``_lattice_rows``, 300 of the default 19,200 sensels, with
+    the same floor and start height. A lattice sensel that indents by more
+    than ``value_threshold`` is a first touch. Only where none does is the
+    full frame cast, and its count decides. ``top_heights`` gives a column
+    the same bytes whichever other columns are cast with it, so the lattice
+    counts a sensel only where the full frame counts it, and the first
+    touch is the one a full-frame descent finds. The fine descent, in
+    ``descent_step`` strides from one coarse step above that height, casts
+    full frames until image-subtraction contact fires.
     """
     if plan is None:
         return PokeOutcome(status=MISS, seed=seed)
@@ -400,23 +455,40 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan], cfg: TrialConfig,
     top = scene_top_z(scene)
     half = np.array([spec.area_x, spec.area_y]) / 2.0
 
-    def probe(z: float):
-        center = center_at(z)
+    lattice = spec.sensel_offsets[_lattice_rows(spec)]
+
+    def skipped(center: np.ndarray) -> bool:
         bound = top_height_bound(scene.objects, center[:2] - half, center[:2] + half)
-        if z >= bound - cfg.value_threshold + 1e-9:
-            return False, 0, None
-        heights, ids, xy = _footprint_heights(scene, spec, center, floor=z, z_start=top + 0.01)
+        return center[2] >= bound - cfg.value_threshold + 1e-9
+
+    def probe(center: np.ndarray):
+        """The full frame at ``center``: (hit, count, (heights, ids, xy, frame))."""
+        heights, ids, xy = _footprint_heights(scene, spec, center, floor=center[2],
+                                              z_start=top + 0.01)
         frame = frame_from_heights(heights, spec, center)
         hit, count = detect_contact(reference, frame.image,
                                     cfg.value_threshold, cfg.count_threshold)
         return hit, count, (heights, ids, xy, frame)
 
+    def touches(z: float) -> bool:
+        """Whether any sensel counts at ``z``: the lattice first, then,
+        where no lattice sensel counts, the full frame."""
+        center = center_at(z)
+        if skipped(center):
+            return False
+        heights, _ = top_heights(scene.objects, _column_xy(lattice, center),
+                                 z_start=top + 0.01, floor=z)
+        # the image is >= 0: detect_contact against the zero reference counts these
+        image = frame_from_heights(heights, spec, center).image
+        if np.count_nonzero(image > cfg.value_threshold):
+            return True
+        return probe(center)[1] > 0
+
     z_top = top + cfg.coarse_step
     z = z_top
     first_touch = None
     while z >= cfg.h_stop - 1e-12:
-        _, count, _ = probe(z)
-        if count > 0:
+        if touches(z):
             first_touch = z
             break
         z -= cfg.coarse_step
@@ -424,7 +496,8 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan], cfg: TrialConfig,
         return PokeOutcome(status=MISS, seed=seed, stop_z=cfg.h_stop)
     z = min(first_touch + cfg.coarse_step, z_top)
     while z >= cfg.h_stop - 1e-12:
-        hit, _, touched = probe(z)
+        center = center_at(z)
+        hit, _, touched = (False, 0, None) if skipped(center) else probe(center)
         if hit:
             heights, ids, xy, frame = touched
             pen = frame.image

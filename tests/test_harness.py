@@ -11,18 +11,20 @@ from pokegrasp.catalog import CATALOG, OBJECT_NAMES, SIDE, UPRIGHT, UPSIDE_DOWN,
 from pokegrasp.errors import InvalidConfig, InvalidGeometry, ShapeMismatch
 from pokegrasp.geometry import RigidTransform, rot_x, rot_z
 from pokegrasp import harness
-from pokegrasp.harness import FAILURE, POKE_GUIDANCE_MODES, SIDE_INSIDE_TOL, SUCCESS, TOPPLE, \
-    TrialConfig, _contact_dot, _convex_hull, _footprint_heights, annotations_for, \
-    calibration_shift, corrupt_depth, poke_pixel_for_guidance, run_benchmark, \
-    run_grasp_trial, run_poke_trial, scene_top_z, simulate_grasp, simulate_poke, tipping_arms, \
-    tipping_max_force
-from pokegrasp.plan import GraspProposal
+from pokegrasp.harness import FAILURE, MISS, POKE_GUIDANCE_MODES, SIDE_INSIDE_TOL, SUCCESS, \
+    TOPPLE, PokeOutcome, TrialConfig, _contact_dot, _convex_hull, _footprint_heights, \
+    _lattice_rows, annotations_for, calibration_shift, corrupt_depth, \
+    poke_pixel_for_guidance, poke_would_topple, run_benchmark, run_grasp_trial, run_poke_trial, \
+    scene_top_z, simulate_grasp, simulate_poke, tipping_arms, tipping_max_force
+from pokegrasp.plan import SIMPLY_CONNECTED, GraspProposal, PokePlan
 from pokegrasp.regions import poking_region
 from pokegrasp.render import RenderBuffers, compile_primitives, render, top_height_bound, \
     top_heights
 from pokegrasp.scene import Box, ObjectModel, RevolutionProfile, Scene
 from pokegrasp.seeding import rng_for
 from pokegrasp.tactile import TactileSensorSpec, detect_contact, frame_from_heights
+
+from conftest import overhead_camera
 
 
 def inline_corrupt_depth(buffers, scene, rng, dropout, sigma):
@@ -57,6 +59,29 @@ class TestCorruptDepth:
         expected = inline_corrupt_depth(buf, scene, ref_rng, 0.7, 0.01)
         assert got.tobytes() == expected.tobytes()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert rng.random() == ref_rng.random()
+
+    def test_keeps_a_buffered_32_bit_half(self):
+        # a 32-bit draw leaves half a 64-bit output buffered; skipping past
+        # the pixels must keep it, as drawing their uniforms would
+        scene = benchmark_scene("mug", 0, master_seed=0)
+        buf = render(scene)
+        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
+        for r in (rng, ref_rng):
+            r.integers(0, 1 << 30, dtype=np.int32)
+        assert rng.bit_generator.state["has_uint32"]
+        got = corrupt_depth(buf, scene, rng, 0.7, 0.01)
+        expected = inline_corrupt_depth(buf, scene, ref_rng, 0.7, 0.01)
+        assert got.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert rng.integers(0, 1 << 30, dtype=np.int32) == ref_rng.integers(0, 1 << 30,
+                                                                           dtype=np.int32)
+
+    @pytest.mark.parametrize("bits", (np.random.MT19937, np.random.Philox, np.random.PCG64DXSM))
+    def test_rejects_a_generator_that_is_not_pcg64(self, bits):
+        scene = benchmark_scene("vial", 0, master_seed=0)
+        with pytest.raises(InvalidConfig, match="PCG64"):
+            corrupt_depth(render(scene), scene, np.random.Generator(bits(7)), 0.7, 0.01)
 
     def test_nothing_in_view_draws_nothing(self):
         scene = Scene(camera=default_camera())
@@ -236,6 +261,32 @@ def primitive_radii(obj) -> list:
     return sorted(r for r in radii if r > 0)
 
 
+def probe_columns(entry, obj, spec, rng) -> np.ndarray:
+    """(x, y) of the sensel columns of footprints centred at ``footprint_radii``
+    from the axis (three seeded azimuths, at the base, the middle and the top
+    of the axis), one footprint after another, then of rings of columns on
+    every segment end radius, where the cast is most sensitive."""
+    z1 = entry.shape.z_max
+    azimuths = rng.uniform(0.0, 2.0 * np.pi, size=3)
+    centers = obj.pose.apply(np.array([[rho * np.cos(a), rho * np.sin(a), z]
+                                       for rho in footprint_radii(entry)
+                                       for a, z in zip(azimuths, (0.0, z1 / 2.0, z1))]))
+    footprints = [spec.sensel_offsets + c[:2] for c in centers]
+    ring = rng.uniform(0.0, 2.0 * np.pi) + np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
+    edges = np.array([[r * np.cos(a), r * np.sin(a), 0.0]
+                      for r in primitive_radii(obj) for a in ring]).reshape(-1, 3)
+    return np.concatenate(footprints + [obj.pose.apply(edges)[:, :2]])
+
+
+def probe_floors(scene, obj, cfg) -> set:
+    """-inf, two sensing planes below the top, and every primitive height
+    and its neighbours 1e-12 away."""
+    top = scene_top_z(scene)
+    floors = {-np.inf, top - cfg.value_threshold, (scene.table_height + top) / 2.0}
+    floors.update(z + e for z in primitive_world_zs(obj) for e in (-1e-12, 0.0, 1e-12))
+    return floors
+
+
 @pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
 def test_floored_top_heights_equal_the_full_query(entry):
     """A floored query casts only the columns that can rise above the floor;
@@ -244,27 +295,14 @@ def test_floored_top_heights_equal_the_full_query(entry):
     spec = TactileSensorSpec(res_x=40, res_y=30)
     cfg = TrialConfig()
     rng = rng_for(0, 0xF10, CATALOG.index(entry))
-    z1 = entry.shape.z_max
     for orientation in (UPRIGHT, UPSIDE_DOWN, SIDE):
         for yaw in rng.uniform(0.0, 2.0 * np.pi, size=3):
             obj = make_object(entry, orientation, 0.01, -0.02, float(yaw))
             scene = Scene(camera=default_camera(), objects=(obj,))
-            azimuths = rng.uniform(0.0, 2.0 * np.pi, size=3)
-            centers = obj.pose.apply(np.array([[rho * np.cos(a), rho * np.sin(a), z]
-                                               for rho in footprint_radii(entry)
-                                               for a, z in zip(azimuths, (0.0, z1 / 2.0, z1))]))
-            footprints = [spec.sensel_offsets + c[:2] for c in centers]
-            # columns on every segment end radius, where the cast is most sensitive
-            ring = rng.uniform(0.0, 2.0 * np.pi) + np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False)
-            edges = np.array([[r * np.cos(a), r * np.sin(a), 0.0]
-                              for r in primitive_radii(obj) for a in ring]).reshape(-1, 3)
-            xy = np.concatenate(footprints + [obj.pose.apply(edges)[:, :2]])
-            top = scene_top_z(scene)
-            z_start = top + 0.01
+            xy = probe_columns(entry, obj, spec, rng)
+            z_start = scene_top_z(scene) + 0.01
             full, ids = top_heights(scene.objects, xy, z_start=z_start)
-            floors = {-np.inf, top - cfg.value_threshold, (scene.table_height + top) / 2.0}
-            floors.update(z + e for z in primitive_world_zs(obj) for e in (-1e-12, 0.0, 1e-12))
-            for f in sorted(floors):
+            for f in sorted(probe_floors(scene, obj, cfg)):
                 got, got_ids = top_heights(scene.objects, xy, z_start=z_start, floor=f)
                 above = full > f
                 assert got.tobytes() == np.where(above, full, -np.inf).tobytes(), f
@@ -276,6 +314,38 @@ def march(z: float, step: float, h_stop: float):
     while z >= h_stop - 1e-12:
         yield z
         z -= step
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
+def test_a_subset_cast_equals_the_full_cast(entry):
+    """The coarse descent casts a lattice of the sensel columns before the
+    frame; a column must read the same bytes, height and id, whichever
+    other columns are cast with it."""
+    spec = TactileSensorSpec(res_x=40, res_y=30)
+    cfg = TrialConfig()
+    rng = rng_for(0, 0x5B5, CATALOG.index(entry))
+    n_sensels = spec.res_y * spec.res_x
+    lattice = np.concatenate([_lattice_rows(spec) + k * n_sensels
+                              for k in range(len(footprint_radii(entry)) * 3)])
+    for orientation in (UPRIGHT, UPSIDE_DOWN, SIDE):
+        obj = make_object(entry, orientation, 0.01, -0.02, float(rng.uniform(0.0, 2.0 * np.pi)))
+        scene = Scene(camera=default_camera(), objects=(obj,))
+        xy = probe_columns(entry, obj, spec, rng)
+        n = len(xy)
+        start = int(rng.integers(0, n // 2))
+        subsets = {"lattice": lattice,
+                   "random": rng.choice(n, n // 7, replace=False),  # in seeded order
+                   "range": np.arange(start, start + n // 3)}
+        top = scene_top_z(scene)
+        z_start = top + 0.01
+        floors = probe_floors(scene, obj, cfg)
+        floors.update(march(top + cfg.coarse_step, cfg.coarse_step, cfg.h_stop))
+        for f in sorted(floors):
+            full, ids = top_heights(scene.objects, xy, z_start=z_start, floor=f)
+            for name, sub in subsets.items():
+                got, got_ids = top_heights(scene.objects, xy[sub], z_start=z_start, floor=f)
+                assert got.tobytes() == full[sub].tobytes(), (name, f)
+                assert got_ids.tobytes() == ids[sub].tobytes(), (name, f)
 
 
 @pytest.mark.parametrize("name, attempt", [("jar", 0), ("mug", 5), ("champagne_cup", 0),
@@ -324,6 +394,163 @@ def test_probes_the_bound_skips_count_no_sensel(name, attempt):
                 assert count_at(z) == 0, z
                 skipped += 1
     assert skipped >= 5
+
+
+def lattice_count(scene, spec, cfg, center) -> int:
+    """Sensels of the coarse lattice that count at ``center``, each indented as
+    frame_from_heights does and counted as detect_contact counts against the
+    zero reference."""
+    xy = spec.sensel_offsets[_lattice_rows(spec)] + center[:2]
+    heights, _ = top_heights(scene.objects, xy, z_start=scene_top_z(scene) + 0.01,
+                             floor=center[2])
+    pen = np.where(np.isfinite(heights), np.clip(heights - center[2], 0.0, spec.max_indent), 0.0)
+    return int(np.count_nonzero(np.abs(pen - 0.0) > cfg.value_threshold))
+
+
+def frame_count(scene, spec, cfg, center) -> int:
+    heights, _, _ = _footprint_heights(scene, spec, center, floor=center[2],
+                                       z_start=scene_top_z(scene) + 0.01)
+    frame = frame_from_heights(heights, spec, center)
+    return detect_contact(np.zeros_like(frame.image), frame.image, cfg.value_threshold,
+                          cfg.count_threshold)[1]
+
+
+@pytest.mark.parametrize("name, attempt", [("jar", 0), ("mug", 5), ("champagne_cup", 0),
+                                           ("rectangular_cup", 8), ("tumble_cup", 4)])
+def test_the_lattice_decides_as_the_full_frame(name, attempt):
+    """Along each guidance pixel's view ray, at every coarse height, a lattice
+    sensel counts only where the full frame counts. The coarse descent casts
+    the frame where no lattice sensel counts, so it decides as the frame."""
+    scene = benchmark_scene(name, attempt, master_seed=0)
+    cfg = TrialConfig()
+    spec = cfg.sensor
+    _, anns = annotations_for(scene, cfg)
+    plans = [poke_pixel_for_guidance(anns[0], g) for g in POKE_GUIDANCE_MODES]
+    touches = 0
+    for px in sorted({plan.point_px for plan in plans if plan is not None}):
+        origin, direction = scene.camera.pixel_ray(px)
+        for z in march(scene_top_z(scene) + cfg.coarse_step, cfg.coarse_step, cfg.h_stop):
+            center = origin + (z - origin[2]) / direction[2] * direction
+            center[2] = z
+            if lattice_count(scene, spec, cfg, center) > 0:
+                assert frame_count(scene, spec, cfg, center) > 0, z
+                touches += 1
+    assert touches > 0
+
+
+def full_frame_poke(scene, plan, cfg, dx=0.0, seed=0):
+    """simulate_poke with a coarse descent that casts the full frame at every
+    height the bound does not skip, as it did before the lattice."""
+    origin, direction = scene.camera.pixel_ray(plan.point_px)
+    spec = cfg.sensor
+    top = scene_top_z(scene)
+    half = np.array([spec.area_x, spec.area_y]) / 2.0
+
+    def probe(z):
+        center = origin + (z - origin[2]) / direction[2] * direction + np.array([dx, 0.0, 0.0])
+        center[2] = z
+        bound = top_height_bound(scene.objects, center[:2] - half, center[:2] + half)
+        if z >= bound - cfg.value_threshold + 1e-9:
+            return False, 0, None
+        heights, ids, xy = _footprint_heights(scene, spec, center, floor=z, z_start=top + 0.01)
+        frame = frame_from_heights(heights, spec, center)
+        hit, count = detect_contact(np.zeros_like(frame.image), frame.image,
+                                    cfg.value_threshold, cfg.count_threshold)
+        return hit, count, (heights, ids, xy, frame)
+
+    z_top = top + cfg.coarse_step
+    first_touch = next((z for z in march(z_top, cfg.coarse_step, cfg.h_stop)
+                        if probe(z)[1] > 0), None)
+    if first_touch is None:
+        return PokeOutcome(status=MISS, seed=seed, stop_z=cfg.h_stop)
+    for z in march(min(first_touch + cfg.coarse_step, z_top), cfg.descent_step, cfg.h_stop):
+        hit, _, touched = probe(z)
+        if hit:
+            heights, ids, xy, frame = touched
+            idx = np.unravel_index(int(np.argmax(frame.image)), frame.image.shape)
+            contact = np.array([xy[idx][0], xy[idx][1], heights[idx]])
+            cid = int(ids[idx])
+            if cid == 0 or _contact_dot(scene, cid, contact) < cfg.contact_dot_min:
+                return PokeOutcome(status=MISS, seed=seed, stop_z=z)
+            status = TOPPLE if poke_would_topple(scene, cid, contact, cfg.f_stop) else SUCCESS
+            return PokeOutcome(status=status, seed=seed, contact_point=contact,
+                               contact_object=cid, stop_z=z, frame=frame)
+    return PokeOutcome(status=MISS, seed=seed, stop_z=cfg.h_stop)
+
+
+def assert_same_poke(got, expected):
+    assert as_json([got]) == as_json([expected])
+    if expected.frame is None:
+        assert got.frame is None
+    else:
+        assert got.contact_point.tobytes() == expected.contact_point.tobytes()
+        assert got.frame.image.tobytes() == expected.frame.image.tobytes()
+        assert got.frame.center.tobytes() == expected.frame.center.tobytes()
+
+
+@pytest.mark.parametrize("attempt", (0, 4, 8))
+@pytest.mark.parametrize("name", OBJECT_NAMES)
+def test_lattice_pokes_equal_full_frame_pokes(name, attempt):
+    scene = benchmark_scene(name, attempt, master_seed=0)
+    cfg = TrialConfig()
+    _, anns = annotations_for(scene, cfg)
+    plans = [poke_pixel_for_guidance(anns[0], g) for g in POKE_GUIDANCE_MODES]
+    for plan in {plan.point_px: plan for plan in plans if plan is not None}.values():
+        for dx in (0.0, 0.004):
+            assert_same_poke(simulate_poke(scene, plan, cfg, dx=dx, seed=3),
+                             full_frame_poke(scene, plan, cfg, dx=dx, seed=3))
+
+
+def cast_sizes(monkeypatch) -> list:
+    """Replace ``harness.top_heights`` by a wrapper that logs how many columns
+    each call casts."""
+    sizes = []
+    original = harness.top_heights
+
+    def wrapper(objects, xy, *args, **kwargs):
+        sizes.append(len(xy))
+        return original(objects, xy, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "top_heights", wrapper)
+    return sizes
+
+
+def test_a_lattice_touch_casts_one_full_frame(monkeypatch):
+    # the coarse lattice finds the first touch; only the contact probe of the
+    # fine descent casts all 19,200 sensel columns
+    scene = benchmark_scene("jar", 0, master_seed=0)
+    cfg = TrialConfig()
+    _, anns = annotations_for(scene, cfg)
+    plan = poke_pixel_for_guidance(anns[0], "pr")
+    sizes = cast_sizes(monkeypatch)
+    outcome = simulate_poke(scene, plan, cfg)
+    assert outcome.status in (SUCCESS, TOPPLE)
+    frame = cfg.sensor.res_x * cfg.sensor.res_y
+    assert sizes.count(frame) == 1
+    assert set(sizes) == {len(_lattice_rows(cfg.sensor)), frame}
+
+
+def test_a_touch_between_lattice_sensels_falls_back_to_the_full_frame(monkeypatch):
+    # a plate 0.15 mm thick, straight below the sensor, whose top lies under
+    # sensel columns 7 and 8 alone, between lattice columns 4 and 12
+    spec = TactileSensorSpec()
+    cfg = TrialConfig()
+    x = 8 * spec.pitch_x - spec.area_x / 2.0  # between the centres of columns 7 and 8
+    plate = ObjectModel(id=1, shape=Box((0.00015, 0.008, 0.05)), mass=0.2,
+                        pose=RigidTransform(np.eye(3), [x, 0.0, 0.0]))
+    scene = Scene(camera=overhead_camera(), objects=(plate,))
+    plan = PokePlan(point_px=(320, 240), ellipse=None, region_topology=SIMPLY_CONNECTED)
+    center = np.array([0.0, 0.0, 0.042])  # the first coarse height that is cast
+    assert lattice_count(scene, spec, cfg, center) == 0
+    assert frame_count(scene, spec, cfg, center) > 0
+    sizes = cast_sizes(monkeypatch)
+    outcome = simulate_poke(scene, plan, cfg)
+    assert outcome.status != MISS
+    assert outcome.stop_z == pytest.approx(0.049)
+    # the lattice and the full frame at the first touch, then the contact frame
+    assert sizes == [len(_lattice_rows(spec)), spec.res_x * spec.res_y,
+                     spec.res_x * spec.res_y]
+    assert_same_poke(outcome, full_frame_poke(scene, plan, cfg))
 
 
 def test_contact_probe_carries_the_sensor_posed_at_the_contact():
