@@ -920,6 +920,21 @@ def test_camera_grasp_table_is_pinned():
     assert digest == CAMERA_GRASP_SHA256
 
 
+# SHA-256 of the sorted-key JSON of the bbox, mask and pr poke table, then the
+# tactile grasp table, over every catalog object at attempt slots 0, 4 and 8,
+# master seed 0
+TACTILE_COLUMNS_SHA256 = "0bb5a6162b5eb09980f494a87a5ff005bbab69ddb4237fa6e67d4053064b19df"
+
+
+def test_tactile_columns_are_pinned():
+    scenes = {n: [benchmark_scene(n, s, master_seed=0) for s in (0, 4, 8)] for n in OBJECT_NAMES}
+    tables = [run_benchmark(scenes, POKE_GUIDANCE_MODES, 3, TrialConfig(), task="poke").to_json(),
+              run_benchmark(scenes, ("tactile",), 3, TrialConfig(), task="grasp").to_json()]
+    assert [len(t["trials"]) for t in tables] == [3 * 27, 27]
+    digest = hashlib.sha256(json.dumps(tables, sort_keys=True).encode()).hexdigest()
+    assert digest == TACTILE_COLUMNS_SHA256
+
+
 def test_camera_grasp_without_finite_depth_reports_no_depth():
     # buffers handed in as a plain pair: the mask reads no depth, and no
     # pixel drops to the table depth
