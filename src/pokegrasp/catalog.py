@@ -32,6 +32,7 @@ DEFAULT_RENDER_WIDTH = 320
 DEFAULT_RENDER_HEIGHT = 240
 DEFAULT_CAMERA_HEIGHT = 0.60
 DEFAULT_CAMERA_TILT = np.deg2rad(12.0)
+PLACEMENT_EXTENT = 0.06  # a benchmark object's centre lies within +- this in x and y, meters
 
 
 @dataclass(frozen=True)
@@ -119,23 +120,21 @@ def make_object(entry: CatalogEntry, orientation: str, x: float, y: float,
                        pose=object_pose(entry.shape, orientation, x, y, yaw))
 
 
-def benchmark_scene(name: str, attempt: int, master_seed: int,
-                    camera: Optional[CameraModel] = None,
-                    placement_extent: float = 0.06) -> Scene:
+def benchmark_scene(name: str, attempt: int, master_seed: int) -> Scene:
     """Seeded single-object scene for one benchmark attempt."""
     entry = catalog_entry(name)
     obj_index = OBJECT_NAMES.index(name)
     rng = rng_for(master_seed, 0xC0FFEE, obj_index, attempt)
-    x, y = rng.uniform(-placement_extent, placement_extent, size=2)
+    x, y = rng.uniform(-PLACEMENT_EXTENT, PLACEMENT_EXTENT, size=2)
     yaw = rng.uniform(0.0, 2.0 * np.pi)
     orientation = orientation_for_attempt(entry, attempt)
     obj = make_object(entry, orientation, float(x), float(y), float(yaw))
-    return Scene(camera=camera or default_camera(), objects=(obj,))
+    return Scene(camera=default_camera(), objects=(obj,))
 
 
-def benchmark_scene_set(names=OBJECT_NAMES, attempts: int = 12, master_seed: int = 0,
-                        camera: Optional[CameraModel] = None) -> dict[str, list[Scene]]:
-    return {n: [benchmark_scene(n, a, master_seed, camera) for a in range(attempts)]
+def benchmark_scene_set(names=OBJECT_NAMES, attempts: int = 12,
+                        master_seed: int = 0) -> dict[str, list[Scene]]:
+    return {n: [benchmark_scene(n, a, master_seed) for a in range(attempts)]
             for n in names}
 
 

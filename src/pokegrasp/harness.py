@@ -15,6 +15,14 @@ the proposal against the true geometry: finger descent collision, a
 two-sided wall crossing of the closing segment, and a bound on the
 localization error against the crossing midpoint decide the outcome.
 
+The robot setup is fixed and lives in module constants: the gripper
+(``GRIPPER``), the tactile pad (``SENSOR``, with `tactile`'s contact
+thresholds), the protective stop (``H_STOP``, ``F_STOP``, ``CONTACT_DOT_MIN``),
+the descent strides, the depth model (``DEPTH_DROPOUT``, ``DEPTH_SIGMA``) and
+the poking-region thresholds `regions` defaults to. ``TrialConfig`` holds
+only what a run varies: the master seed and the calibration-error ablation's
+``calib_range`` and ``use_tactile_align``.
+
 Everything is reproducible from (scene, mode, master seed, trial index);
 per-trial seeds come from the splitmix64 mixer in `seeding`.
 
@@ -49,13 +57,12 @@ from .errors import (DegenerateInput, EmptyMask, InsufficientContact, InvalidCon
                      InvalidGeometry, WidthOverflow)
 from .plan import RING, SIMPLY_CONNECTED, GraspProposal, GripperSpec, PokePlan, \
     heuristic_grasp, poking_point
-from .regions import InstanceAnnotation, pixel_ray_dz, poking_region, surface_heights, \
-    DEFAULT_H_MIN, DEFAULT_TAU_DOT
+from .regions import InstanceAnnotation, pixel_ray_dz, poking_region, surface_heights
 from .render import RenderBuffers, contains, intersect_object, object_top_z, render, \
     top_height_bound, top_heights
 from .scene import Box, ObjectModel, Scene
 from .seeding import mix
-from .tactile import DEFAULT_COUNT_THRESHOLD, DEFAULT_VALUE_THRESHOLD, TactileFrame, \
+from .tactile import DEFAULT_VALUE_THRESHOLD, TactileFrame, \
     TactileSensorSpec, detect_contact, frame_from_heights, tactile_align
 
 GRAVITY = 9.81
@@ -71,58 +78,33 @@ FAILURE = "failure"
 SIDE_INSIDE_TOL = 0.005  # contact-patch allowance on line supports, meters
 
 
+H_STOP = 0.01  # protective-stop height: the descent ends here, meters
+F_STOP = 0.5  # the arm's stop force, newtons
+GRIPPER = GripperSpec()
+SENSOR = TactileSensorSpec()
+ADHESION_PROB = 0.1  # a poked side-lying cylinder is disturbed with this probability
+COARSE_STEP = 0.008  # descent strides, meters
+DESCENT_STEP = 0.001
+DESCEND_OFFSET = 0.02  # the fingers close this far below the grasp height, meters
+DEPTH_DROPOUT = 0.7  # an object pixel reads the table depth with this probability
+DEPTH_SIGMA = 0.01  # noise on the surviving object depths, meters
+# contacts on surfaces steeper than this (normal . table normal) jam the
+# arm laterally and trigger its protective stop instead of a clean poke
+CONTACT_DOT_MIN = float(np.cos(np.deg2rad(30.0)))
+
+
 @dataclass(frozen=True)
 class TrialConfig:
-    h_stop: float = 0.01
-    f_stop: float = 0.5
-    gripper: GripperSpec = field(default_factory=GripperSpec)
-    calib_range: float = 0.0
-    adhesion_prob: float = 0.1
+    """What a trial run varies: the seed, and the calibration-error ablation's
+    shift range and ring alignment."""
     master_seed: int = 0
-    sensor: TactileSensorSpec = field(default_factory=TactileSensorSpec)
-    value_threshold: float = DEFAULT_VALUE_THRESHOLD
-    count_threshold: int = DEFAULT_COUNT_THRESHOLD
-    descent_step: float = 0.001
-    coarse_step: float = 0.008
-    descend_offset: float = 0.02
-    depth_dropout: float = 0.7
-    depth_sigma: float = 0.01
-    tau_dot: float = DEFAULT_TAU_DOT
-    h_min: float = DEFAULT_H_MIN
+    calib_range: float = 0.0
     use_tactile_align: bool = False
-    # contacts on surfaces steeper than this (normal . table normal) jam the
-    # arm laterally and trigger its protective stop instead of a clean poke
-    contact_dot_min: float = float(np.cos(np.deg2rad(30.0)))
 
     def __post_init__(self):
-        # every comparison with NaN is false: a NaN h_stop or step would end
-        # the descent before its first probe and report every poke a miss
-        for f in dataclasses.fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise InvalidConfig(f"{f.name} must be finite")
-        if self.h_stop < 0:
-            raise InvalidConfig("h_stop must be >= 0")
-        if self.f_stop <= 0:
-            raise InvalidConfig("f_stop must be positive")
-        if not (0.0 <= self.adhesion_prob <= 1.0):
-            raise InvalidConfig("adhesion_prob must be in [0, 1]")
-        if self.calib_range < 0:
-            raise InvalidConfig("calib_range must be >= 0")
-        # a non-positive step never leaves the descent loop, and a negative
-        # threshold would count untouched sensels as contact
-        if self.coarse_step <= 0:
-            raise InvalidConfig("coarse_step must be positive")
-        if self.descent_step <= 0:
-            raise InvalidConfig("descent_step must be positive")
-        if self.value_threshold < 0:
-            raise InvalidConfig("value_threshold must be >= 0")
-        if self.count_threshold < 0:
-            raise InvalidConfig("count_threshold must be >= 0")
-        # corrupt_depth draws the dropout mask and the depth noise from these
-        if not (0.0 <= self.depth_dropout <= 1.0):
-            raise InvalidConfig("depth_dropout must be in [0, 1]")
-        if self.depth_sigma < 0:
-            raise InvalidConfig("depth_sigma must be >= 0")
+        # a NaN range would shift every executed motion by NaN
+        if not (0.0 <= self.calib_range < math.inf):
+            raise InvalidConfig("calib_range must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -400,8 +382,8 @@ def _contact_dot(scene: Scene, object_id: int, contact: np.ndarray) -> float:
     return float(normal[0] @ scene.table_normal)
 
 
-def simulate_poke(scene: Scene, plan: Optional[PokePlan], cfg: TrialConfig,
-                  dx: float = 0.0, seed: int = 0) -> PokeOutcome:
+def simulate_poke(scene: Scene, plan: Optional[PokePlan], dx: float = 0.0,
+                  seed: int = 0) -> PokeOutcome:
     """Lower the sensor along the plan pixel's view ray until contact.
 
     The sensor centre at probe height z is the ray's point at z moved by
@@ -410,12 +392,12 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan], cfg: TrialConfig,
     requires image-subtraction contact above the protective-stop
     height, and the contacted object must not tip at the stop force.
 
-    A sensel indents by more than ``value_threshold`` only where an object
-    surface rises above the plane by that much. The sensor has yaw 0, so its
-    footprint is the axis-aligned rectangle centre +- (area_x, area_y) / 2,
-    and ``top_height_bound`` bounds every surface under it. A probe whose
-    plane sits at or above that bound minus ``value_threshold`` (plus 1e-9
-    for rounding in the cast) counts no sensel and is skipped without
+    A sensel indents by more than ``DEFAULT_VALUE_THRESHOLD`` only where an
+    object surface rises above the plane by that much. The sensor has yaw 0,
+    so its footprint is the axis-aligned rectangle centre +- (area_x,
+    area_y) / 2, and ``top_height_bound`` bounds every surface under it. A
+    probe whose plane sits at or above that bound minus the threshold (plus
+    1e-9 for rounding in the cast) counts no sensel and is skipped without
     casting; the descent still steps through its height.
 
     A probe that is cast passes its plane height as the ``top_heights``
@@ -423,16 +405,16 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan], cfg: TrialConfig,
     indents by 0 at any height, so it reads -inf / 0 without being cast; the
     contact sensel indents by more than 0 and keeps its cast height and id.
 
-    The coarse descent, in ``coarse_step`` strides, looks for the first
+    The coarse descent, in ``COARSE_STEP`` strides, looks for the first
     height at which any sensel counts. At each height it casts first the
     lattice of ``_lattice_rows``, 300 of the default 19,200 sensels, with
     the same floor and start height. A lattice sensel that indents by more
-    than ``value_threshold`` is a first touch. Only where none does is the
-    full frame cast, and its count decides. ``top_heights`` gives a column
+    than the threshold is a first touch. Only where none does is the full
+    frame cast, and its count decides. ``top_heights`` gives a column
     the same bytes whichever other columns are cast with it, so the lattice
     counts a sensel only where the full frame counts it, and the first
     touch is the one a full-frame descent finds. The fine descent, in
-    ``descent_step`` strides from one coarse step above that height, casts
+    ``DESCENT_STEP`` strides from one coarse step above that height, casts
     full frames until image-subtraction contact fires.
     """
     if plan is None:
@@ -449,25 +431,23 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan], cfg: TrialConfig,
         center[2] = z  # the ray's z at t can differ from z in the last bit
         return center
 
-    spec = cfg.sensor
-    reference = np.zeros((spec.res_y, spec.res_x))
+    reference = np.zeros((SENSOR.res_y, SENSOR.res_x))
 
     top = scene_top_z(scene)
-    half = np.array([spec.area_x, spec.area_y]) / 2.0
+    half = np.array([SENSOR.area_x, SENSOR.area_y]) / 2.0
 
-    lattice = spec.sensel_offsets[_lattice_rows(spec)]
+    lattice = SENSOR.sensel_offsets[_lattice_rows(SENSOR)]
 
     def skipped(center: np.ndarray) -> bool:
         bound = top_height_bound(scene.objects, center[:2] - half, center[:2] + half)
-        return center[2] >= bound - cfg.value_threshold + 1e-9
+        return center[2] >= bound - DEFAULT_VALUE_THRESHOLD + 1e-9
 
     def probe(center: np.ndarray):
         """The full frame at ``center``: (hit, count, (heights, ids, xy, frame))."""
-        heights, ids, xy = _footprint_heights(scene, spec, center, floor=center[2],
+        heights, ids, xy = _footprint_heights(scene, SENSOR, center, floor=center[2],
                                               z_start=top + 0.01)
-        frame = frame_from_heights(heights, spec, center)
-        hit, count = detect_contact(reference, frame.image,
-                                    cfg.value_threshold, cfg.count_threshold)
+        frame = frame_from_heights(heights, SENSOR, center)
+        hit, count = detect_contact(reference, frame.image)
         return hit, count, (heights, ids, xy, frame)
 
     def touches(z: float) -> bool:
@@ -479,23 +459,23 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan], cfg: TrialConfig,
         heights, _ = top_heights(scene.objects, _column_xy(lattice, center),
                                  z_start=top + 0.01, floor=z)
         # the image is >= 0: detect_contact against the zero reference counts these
-        image = frame_from_heights(heights, spec, center).image
-        if np.count_nonzero(image > cfg.value_threshold):
+        image = frame_from_heights(heights, SENSOR, center).image
+        if np.count_nonzero(image > DEFAULT_VALUE_THRESHOLD):
             return True
         return probe(center)[1] > 0
 
-    z_top = top + cfg.coarse_step
+    z_top = top + COARSE_STEP
     z = z_top
     first_touch = None
-    while z >= cfg.h_stop - 1e-12:
+    while z >= H_STOP - 1e-12:
         if touches(z):
             first_touch = z
             break
-        z -= cfg.coarse_step
+        z -= COARSE_STEP
     if first_touch is None:
-        return PokeOutcome(status=MISS, seed=seed, stop_z=cfg.h_stop)
-    z = min(first_touch + cfg.coarse_step, z_top)
-    while z >= cfg.h_stop - 1e-12:
+        return PokeOutcome(status=MISS, seed=seed, stop_z=H_STOP)
+    z = min(first_touch + COARSE_STEP, z_top)
+    while z >= H_STOP - 1e-12:
         center = center_at(z)
         hit, _, touched = (False, 0, None) if skipped(center) else probe(center)
         if hit:
@@ -506,23 +486,22 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan], cfg: TrialConfig,
             cid = int(ids[idx])
             if cid == 0:
                 return PokeOutcome(status=MISS, seed=seed, stop_z=z)
-            if _contact_dot(scene, cid, contact) < cfg.contact_dot_min:
+            if _contact_dot(scene, cid, contact) < CONTACT_DOT_MIN:
                 # pressing a steep surface (e.g. a wall through the opening)
                 # jams the arm: protective stop, no usable contact
                 return PokeOutcome(status=MISS, seed=seed, stop_z=z)
-            status = TOPPLE if poke_would_topple(scene, cid, contact, cfg.f_stop) else SUCCESS
+            status = TOPPLE if poke_would_topple(scene, cid, contact, F_STOP) else SUCCESS
             return PokeOutcome(status=status, seed=seed, contact_point=contact,
                                contact_object=cid, stop_z=z, frame=frame)
-        z -= cfg.descent_step
-    return PokeOutcome(status=MISS, seed=seed, stop_z=cfg.h_stop)
+        z -= DESCENT_STEP
+    return PokeOutcome(status=MISS, seed=seed, stop_z=H_STOP)
 
 
 # ---------------------------------------------------------------------------
 # grasp simulation
 # ---------------------------------------------------------------------------
 
-def simulate_grasp(scene: Scene, grasp: GraspProposal, cfg: TrialConfig,
-                   seed: int = 0) -> GraspOutcome:
+def simulate_grasp(scene: Scene, grasp: GraspProposal, seed: int = 0) -> GraspOutcome:
     """Execute a proposal against true geometry.
 
     Success needs (i) both finger sweep prisms clear of the solid above
@@ -535,8 +514,8 @@ def simulate_grasp(scene: Scene, grasp: GraspProposal, cfg: TrialConfig,
     u = np.array([np.cos(close_angle), np.sin(close_angle)])
     perp = np.array([-u[1], u[0]])
     center = np.array([grasp.x, grasp.y])
-    z_exec = max(grasp.z - cfg.descend_offset, scene.table_height + 0.001)
-    fw = cfg.gripper.finger_width
+    z_exec = max(grasp.z - DESCEND_OFFSET, scene.table_height + 0.001)
+    fw = GRIPPER.finger_width
     spans = np.linspace(-fw / 2.0, fw / 2.0, 25)
     z_start = scene_top_z(scene) + 0.01
     for sign in (-1.0, 1.0):
@@ -604,13 +583,13 @@ class PreparedScene:
         made read-only, since every repeat shares them.
         """
         if plan is None:
-            return simulate_poke(self.scene, plan, self.cfg, dx=dx, seed=seed)
+            return simulate_poke(self.scene, plan, dx=dx, seed=seed)
         # bytes, not floats: -0.0 == 0.0, but the two may move a centre differently
         key = (plan.point_px, np.float64(dx).tobytes())
         memo = self._pokes.get(key)
         if memo is not None:
             return dataclasses.replace(memo, seed=seed)
-        out = simulate_poke(self.scene, plan, self.cfg, dx=dx, seed=seed)
+        out = simulate_poke(self.scene, plan, dx=dx, seed=seed)
         if out.contact_point is not None:  # a contact outcome carries all three arrays
             out.contact_point.setflags(write=False)
             out.frame.image.setflags(write=False)
@@ -621,8 +600,7 @@ class PreparedScene:
 
 def annotations_for(scene: Scene, cfg: TrialConfig) -> PreparedScene:
     buffers = render(scene)
-    anns = poking_region(buffers, scene.camera, scene.table_normal,
-                         tau_dot=cfg.tau_dot, h_min=cfg.h_min)
+    anns = poking_region(buffers, scene.camera, scene.table_normal)
     return PreparedScene(scene, cfg, buffers, anns)
 
 
@@ -699,7 +677,7 @@ def run_grasp_trial(scene: Scene, cfg: TrialConfig, seed: int, mode: str,
         return GraspOutcome(status=FAILURE, seed=seed, reason="planning_failed")
 
     if mode.startswith("camera"):
-        corrupted = corrupt_depth(buffers, scene, rng, cfg.depth_dropout, cfg.depth_sigma)
+        corrupted = corrupt_depth(buffers, scene, rng, DEPTH_DROPOUT, DEPTH_SIGMA)
         heights = surface_heights(corrupted[region], pixel_ray_dz(corrupted, cam)[region],
                                   cam.pose.translation[2])
         heights = heights[np.isfinite(heights)]
@@ -708,23 +686,23 @@ def run_grasp_trial(scene: Scene, cfg: TrialConfig, seed: int, mode: str,
         z_est = max(float(heights.mean()), scene.table_height + 0.001)
         poke_v = cam.backproject_at_height(plan.point_px, z_est)
         try:
-            proposal = heuristic_grasp(poke_v, region, plan.ellipse, cam, cfg.gripper)
+            proposal = heuristic_grasp(poke_v, region, plan.ellipse, cam, GRIPPER)
         except WidthOverflow:
             return GraspOutcome(status=FAILURE, seed=seed, reason="width_overflow")
         executed = dataclasses.replace(proposal, x=proposal.x + dx)
-        return simulate_grasp(scene, executed, cfg, seed=seed)
+        return simulate_grasp(scene, executed, seed=seed)
 
     # tactile localization: poke first
     poke = prepared.poke(plan, dx, seed)
     if poke.status != SUCCESS:
         return GraspOutcome(status=FAILURE, seed=seed, reason=f"poke_{poke.status}")
     target = scene.object_by_id(poke.contact_object)
-    if _is_side_lying_cylinder(target) and rng.random() < cfg.adhesion_prob:
+    if _is_side_lying_cylinder(target) and rng.random() < ADHESION_PROB:
         return GraspOutcome(status=FAILURE, seed=seed, reason="adhesion_disturbance")
     z_c = poke.contact_height
     poke_v = cam.backproject_at_height(plan.point_px, z_c)
     try:
-        proposal = heuristic_grasp(poke_v, region, plan.ellipse, cam, cfg.gripper)
+        proposal = heuristic_grasp(poke_v, region, plan.ellipse, cam, GRIPPER)
     except WidthOverflow:
         return GraspOutcome(status=FAILURE, seed=seed, reason="width_overflow")
     if proposal.kind == "edge" or plan.region_topology == SIMPLY_CONNECTED:
@@ -733,14 +711,14 @@ def run_grasp_trial(scene: Scene, cfg: TrialConfig, seed: int, mode: str,
         cx, cy = poke.contact_point[:2] + offset
     elif cfg.use_tactile_align:
         try:
-            rectified = tactile_align(poke.frame, cfg.sensor)
+            rectified = tactile_align(poke.frame, SENSOR)
             cx, cy = float(rectified[0]), float(rectified[1])
         except (InsufficientContact, DegenerateInput):
             cx, cy = proposal.x + dx, proposal.y
     else:
         cx, cy = proposal.x + dx, proposal.y
     executed = dataclasses.replace(proposal, x=float(cx), y=float(cy), z=z_c)
-    return simulate_grasp(scene, executed, cfg, seed=seed)
+    return simulate_grasp(scene, executed, seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -793,6 +771,8 @@ def run_benchmark(scenes_by_object: dict, modes: Sequence[str],
     """
     if task not in ("poke", "grasp"):
         raise InvalidConfig(f"unknown task {task!r}")
+    if attempts_per_object < 0:
+        raise InvalidConfig("attempts_per_object must be >= 0")
     valid = POKE_GUIDANCE_MODES if task == "poke" else GRASP_MODES
     for m in modes:
         if m not in valid:

@@ -1,18 +1,16 @@
-"""Loss numerics for the segmentation head: deconvolution sizing,
-classification / localization / mask losses and analytic mask gradients.
+"""Mask-loss numerics for the poking-region segmentation head: the
+per-instance mask loss and its analytic gradient.
 
 Mask-loss variants over a per-pixel activation map ``a`` and a binary
 ground truth, with p = sigmoid(a):
 
 * ``vanilla``  -- mean binary cross entropy over all pixels.
-* ``weighted`` -- summed cross entropy, positive terms scaled by a fixed
-  weight.
 * ``pn``       -- summed cross entropy, positive terms scaled by
   beta = n_neg / n_pos computed per instance (1 when n_pos == 0).
 * ``lpn``      -- same with beta = ln(n_neg / n_pos), which tames the huge
   weights tiny regions would otherwise get. Note ln gives beta = 0 for a
   balanced instance and beta < 0 when positives outnumber negatives; both
-  are kept as-is unless ``clamp_beta_nonneg`` is set.
+  are kept as-is.
 
 All reductions are plain float64 sums; everything here is pure and
 reentrant.
@@ -21,76 +19,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import InvalidConfig, ShapeMismatch
 
-VARIANTS = ("vanilla", "weighted", "pn", "lpn")
+VARIANTS = ("vanilla", "pn", "lpn")
 
 
 @dataclass(frozen=True)
 class LossConfig:
     variant: str
-    fixed_weight: Optional[float] = None
-    clamp_beta_nonneg: bool = False
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise InvalidConfig(f"unknown loss variant {self.variant!r}")
-        if self.variant == "weighted":
-            if self.fixed_weight is None or self.fixed_weight <= 0:
-                raise InvalidConfig("weighted variant needs fixed_weight > 0")
-
-
-@dataclass(frozen=True)
-class BoxOffsets:
-    x: float
-    y: float
-    w: float
-    h: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.w, self.h], dtype=np.float64)
-
-
-def deconv_output_size(s_in: int, stride: int, s_filter: int, padding: int) -> int:
-    """Transposed-convolution output size: stride*(S_i - 1) + S_f - 2*padding."""
-    if s_in < 1 or stride < 1 or s_filter < 1 or padding < 0:
-        raise InvalidConfig("deconvolution parameters out of range")
-    out = stride * (s_in - 1) + s_filter - 2 * padding
-    if out <= 0:
-        raise InvalidConfig(f"deconvolution output size {out} <= 0")
-    return out
-
-
-def smooth_l1(x: np.ndarray) -> np.ndarray:
-    """0.5 x^2 inside |x| < 1, |x| - 0.5 outside."""
-    x = np.abs(np.asarray(x, dtype=np.float64))
-    return np.where(x < 1.0, 0.5 * x * x, x - 0.5)
-
-
-def _offsets(t: Union[BoxOffsets, Sequence[float]]) -> np.ndarray:
-    if isinstance(t, BoxOffsets):
-        return t.as_array()
-    a = np.asarray(t, dtype=np.float64)
-    if a.shape != (4,):
-        raise ShapeMismatch(f"box offsets must have 4 components, got {a.shape}")
-    return a
-
-
-def smooth_l1_loc_loss(t, v) -> float:
-    """Localization loss: sum of smooth-L1 over the 4 offset components."""
-    return float(np.sum(smooth_l1(_offsets(t) - _offsets(v))))
-
-
-def softmax_cross_entropy(scores, true_class: int) -> float:
-    """Multinomial cross entropy of raw class scores (stable log-softmax)."""
-    s = np.asarray(scores, dtype=np.float64)
-    m = np.max(s)
-    logz = m + math.log(np.sum(np.exp(s - m)))
-    return float(logz - s[true_class])
 
 
 def pn_beta(n_pos: int, n_neg: int, variant: str = "pn") -> float:
@@ -123,14 +66,7 @@ def _check_pair(logits: np.ndarray, gt: np.ndarray):
 
 def _beta_for(gt: np.ndarray, cfg: LossConfig) -> float:
     n_pos = int(np.count_nonzero(gt))
-    n_neg = int(gt.size - n_pos)
-    if cfg.variant == "weighted":
-        beta = float(cfg.fixed_weight)
-    else:
-        beta = pn_beta(n_pos, n_neg, cfg.variant)
-    if cfg.clamp_beta_nonneg:
-        beta = max(beta, 0.0)
-    return beta
+    return pn_beta(n_pos, int(gt.size - n_pos), cfg.variant)
 
 
 def mask_loss(logits, gt, cfg: LossConfig) -> float:
@@ -163,7 +99,3 @@ def mask_loss_grad(logits, gt, cfg: LossConfig) -> np.ndarray:
         grad *= 1.0 / logits.size
     return grad
 
-
-def total_loss(l_cls: float, l_loc: float, l_mask: float) -> float:
-    """Multi-task total: unweighted sum of the three sub-losses."""
-    return float(l_cls) + float(l_loc) + float(l_mask)

@@ -188,24 +188,21 @@ def average_precision(detections: Sequence[Sequence[Detection]],
 
 
 def evaluate_ap(detections: Sequence[Sequence[Detection]],
-                gts: Sequence[Sequence[InstanceAnnotation]],
-                iou_thresholds: Sequence[float] = IOU_THRESHOLDS,
-                area_buckets: dict = AREA_BUCKETS) -> APReport:
+                gts: Sequence[Sequence[InstanceAnnotation]]) -> APReport:
     """Full report: threshold-averaged AP, AP50/AP75, and size-bucket APs."""
     images = _prepare(detections, gts)
 
     def mean_over_thresholds(bucket):
-        vals = [_ap_at(images, t, bucket) for t in iou_thresholds]
+        vals = [_ap_at(images, t, AREA_BUCKETS[bucket]) for t in IOU_THRESHOLDS]
         if all(v is None for v in vals):
             return None
         return float(np.mean([v for v in vals if v is not None]))
 
-    all_b = area_buckets["all"]
     return APReport(
-        mAP=mean_over_thresholds(all_b),
-        ap50=_ap_at(images, 0.50, all_b),
-        ap75=_ap_at(images, 0.75, all_b),
-        ap_small=mean_over_thresholds(area_buckets["small"]),
-        ap_medium=mean_over_thresholds(area_buckets["medium"]),
-        ap_large=mean_over_thresholds(area_buckets["large"]),
+        mAP=mean_over_thresholds("all"),
+        ap50=_ap_at(images, 0.50, AREA_BUCKETS["all"]),
+        ap75=_ap_at(images, 0.75, AREA_BUCKETS["all"]),
+        ap_small=mean_over_thresholds("small"),
+        ap_medium=mean_over_thresholds("medium"),
+        ap_large=mean_over_thresholds("large"),
     )

@@ -11,18 +11,20 @@ from pokegrasp.catalog import CATALOG, OBJECT_NAMES, SIDE, UPRIGHT, UPSIDE_DOWN,
 from pokegrasp.errors import InvalidConfig, InvalidGeometry, ShapeMismatch
 from pokegrasp.geometry import RigidTransform, rot_x, rot_z
 from pokegrasp import harness
-from pokegrasp.harness import FAILURE, MISS, POKE_GUIDANCE_MODES, SIDE_INSIDE_TOL, SUCCESS, \
-    TOPPLE, PokeOutcome, TrialConfig, _contact_dot, _convex_hull, _footprint_heights, \
-    _lattice_rows, annotations_for, calibration_shift, corrupt_depth, \
-    poke_pixel_for_guidance, poke_would_topple, run_benchmark, run_grasp_trial, run_poke_trial, \
-    scene_top_z, simulate_grasp, simulate_poke, tipping_arms, tipping_max_force
+from pokegrasp.harness import COARSE_STEP, CONTACT_DOT_MIN, DESCENT_STEP, F_STOP, FAILURE, \
+    GRIPPER, H_STOP, MISS, POKE_GUIDANCE_MODES, SENSOR, SIDE_INSIDE_TOL, SUCCESS, TOPPLE, \
+    PokeOutcome, TrialConfig, _contact_dot, _convex_hull, _footprint_heights, _lattice_rows, \
+    annotations_for, calibration_shift, corrupt_depth, poke_pixel_for_guidance, \
+    poke_would_topple, run_benchmark, run_grasp_trial, run_poke_trial, scene_top_z, \
+    simulate_grasp, simulate_poke, tipping_arms, tipping_max_force
 from pokegrasp.plan import SIMPLY_CONNECTED, GraspProposal, PokePlan
 from pokegrasp.regions import poking_region
 from pokegrasp.render import RenderBuffers, compile_primitives, render, top_height_bound, \
     top_heights
 from pokegrasp.scene import Box, ObjectModel, RevolutionProfile, Scene
 from pokegrasp.seeding import rng_for
-from pokegrasp.tactile import TactileSensorSpec, detect_contact, frame_from_heights
+from pokegrasp.tactile import DEFAULT_COUNT_THRESHOLD, DEFAULT_VALUE_THRESHOLD, \
+    TactileSensorSpec, detect_contact, frame_from_heights
 
 from conftest import overhead_camera
 
@@ -125,32 +127,21 @@ def test_small_tables_run_without_raising():
     assert grasp.successes("tactile") > 0
 
 
-@pytest.mark.parametrize("field, value", [("coarse_step", 0.0), ("descent_step", 0.0),
-                                          ("value_threshold", -1e-6), ("count_threshold", -1)])
-def test_trial_config_rejects_bad_probe_settings(field, value):
-    # a zero step would never leave simulate_poke's descent loop
-    with pytest.raises(InvalidConfig):
-        TrialConfig(**{field: value})
+def test_run_benchmark_rejects_negative_attempts():
+    # range(-1) is empty: the table came back with no rows and no trials
+    scenes = {"jar": [benchmark_scene("jar", 0, master_seed=0)]}
+    with pytest.raises(InvalidConfig, match="attempts_per_object"):
+        run_benchmark(scenes, ("bbox",), -1, TrialConfig())
+    assert run_benchmark(scenes, ("bbox",), 0, TrialConfig()).trials == ()
 
 
-def test_trial_config_rejects_negative_depth_sigma():
-    # corrupt_depth would raise numpy's "scale < 0" in the middle of a table
-    with pytest.raises(InvalidConfig):
-        TrialConfig(depth_sigma=-0.01)
-    assert TrialConfig(depth_sigma=0.0).depth_sigma == 0.0
+def test_trial_config_rejects_negative_calib_range():
+    with pytest.raises(InvalidConfig, match="calib_range"):
+        TrialConfig(calib_range=-0.001)
+    assert TrialConfig(calib_range=0.0).calib_range == 0.0
 
 
-@pytest.mark.parametrize("value", [-0.1, 1.5])
-def test_trial_config_rejects_depth_dropout_outside_unit_interval(value):
-    with pytest.raises(InvalidConfig):
-        TrialConfig(depth_dropout=value)
-    assert TrialConfig(depth_dropout=0.0).depth_dropout == 0.0
-    assert TrialConfig(depth_dropout=1.0).depth_dropout == 1.0
-
-
-FLOAT_FIELDS = ("h_stop", "f_stop", "calib_range", "adhesion_prob", "value_threshold",
-                "descent_step", "coarse_step", "descend_offset", "depth_dropout", "depth_sigma",
-                "tau_dot", "h_min", "contact_dot_min")
+FLOAT_FIELDS = ("calib_range",)
 
 
 def test_float_fields_are_the_ones_checked_for_finiteness():
@@ -160,8 +151,7 @@ def test_float_fields_are_the_ones_checked_for_finiteness():
 
 @pytest.mark.parametrize("field", FLOAT_FIELDS)
 def test_trial_config_rejects_non_finite(field):
-    # with h_stop or coarse_step NaN the descent loop never ran: every poke
-    # ended as a silent miss
+    # a NaN range shifted every executed motion by NaN
     for value in (np.nan, np.inf, -np.inf, np.float32("nan")):
         with pytest.raises(InvalidConfig, match=field):
             TrialConfig(**{field: value})
@@ -278,11 +268,11 @@ def probe_columns(entry, obj, spec, rng) -> np.ndarray:
     return np.concatenate(footprints + [obj.pose.apply(edges)[:, :2]])
 
 
-def probe_floors(scene, obj, cfg) -> set:
+def probe_floors(scene, obj) -> set:
     """-inf, two sensing planes below the top, and every primitive height
     and its neighbours 1e-12 away."""
     top = scene_top_z(scene)
-    floors = {-np.inf, top - cfg.value_threshold, (scene.table_height + top) / 2.0}
+    floors = {-np.inf, top - DEFAULT_VALUE_THRESHOLD, (scene.table_height + top) / 2.0}
     floors.update(z + e for z in primitive_world_zs(obj) for e in (-1e-12, 0.0, 1e-12))
     return floors
 
@@ -293,7 +283,6 @@ def test_floored_top_heights_equal_the_full_query(entry):
     every column must read what the full query reads, or -inf / 0 where that
     is not above the floor."""
     spec = TactileSensorSpec(res_x=40, res_y=30)
-    cfg = TrialConfig()
     rng = rng_for(0, 0xF10, CATALOG.index(entry))
     for orientation in (UPRIGHT, UPSIDE_DOWN, SIDE):
         for yaw in rng.uniform(0.0, 2.0 * np.pi, size=3):
@@ -302,7 +291,7 @@ def test_floored_top_heights_equal_the_full_query(entry):
             xy = probe_columns(entry, obj, spec, rng)
             z_start = scene_top_z(scene) + 0.01
             full, ids = top_heights(scene.objects, xy, z_start=z_start)
-            for f in sorted(probe_floors(scene, obj, cfg)):
+            for f in sorted(probe_floors(scene, obj)):
                 got, got_ids = top_heights(scene.objects, xy, z_start=z_start, floor=f)
                 above = full > f
                 assert got.tobytes() == np.where(above, full, -np.inf).tobytes(), f
@@ -322,7 +311,6 @@ def test_a_subset_cast_equals_the_full_cast(entry):
     frame; a column must read the same bytes, height and id, whichever
     other columns are cast with it."""
     spec = TactileSensorSpec(res_x=40, res_y=30)
-    cfg = TrialConfig()
     rng = rng_for(0, 0x5B5, CATALOG.index(entry))
     n_sensels = spec.res_y * spec.res_x
     lattice = np.concatenate([_lattice_rows(spec) + k * n_sensels
@@ -338,8 +326,8 @@ def test_a_subset_cast_equals_the_full_cast(entry):
                    "range": np.arange(start, start + n // 3)}
         top = scene_top_z(scene)
         z_start = top + 0.01
-        floors = probe_floors(scene, obj, cfg)
-        floors.update(march(top + cfg.coarse_step, cfg.coarse_step, cfg.h_stop))
+        floors = probe_floors(scene, obj)
+        floors.update(march(top + COARSE_STEP, COARSE_STEP, H_STOP))
         for f in sorted(floors):
             full, ids = top_heights(scene.objects, xy, z_start=z_start, floor=f)
             for name, sub in subsets.items():
@@ -354,13 +342,12 @@ def test_probes_the_bound_skips_count_no_sensel(name, attempt):
     """Cast every coarse and fine probe height the bound skips, along each
     guidance pixel's view ray, and check that none counts a sensel."""
     scene = benchmark_scene(name, attempt, master_seed=0)
-    cfg = TrialConfig()
-    spec = cfg.sensor
+    spec = SENSOR
     half = np.array([spec.area_x, spec.area_y]) / 2.0
     reference = np.zeros((spec.res_y, spec.res_x))
-    _, anns = annotations_for(scene, cfg)
+    _, anns = annotations_for(scene, TrialConfig())
     plans = [poke_pixel_for_guidance(anns[0], g) for g in POKE_GUIDANCE_MODES]
-    z_top = scene_top_z(scene) + cfg.coarse_step
+    z_top = scene_top_z(scene) + COARSE_STEP
     skipped = 0
     for px in sorted({plan.point_px for plan in plans if plan is not None}):
         origin, direction = scene.camera.pixel_ray(px)
@@ -373,30 +360,30 @@ def test_probes_the_bound_skips_count_no_sensel(name, attempt):
         def count_at(z):
             heights, _, _ = _footprint_heights(scene, spec, center_at(z))
             frame = frame_from_heights(heights, spec, center_at(z))
-            return detect_contact(reference, frame.image, cfg.value_threshold,
-                                  cfg.count_threshold)[1]
+            return detect_contact(reference, frame.image, DEFAULT_VALUE_THRESHOLD,
+                                  DEFAULT_COUNT_THRESHOLD)[1]
 
         def skips(z):
             c = center_at(z)[:2]
             return z >= top_height_bound(scene.objects, c - half, c + half) \
-                - cfg.value_threshold + 1e-9
+                - DEFAULT_VALUE_THRESHOLD + 1e-9
 
         first_touch = None
-        for z in march(z_top, cfg.coarse_step, cfg.h_stop):
+        for z in march(z_top, COARSE_STEP, H_STOP):
             if skips(z):
                 assert count_at(z) == 0, z
                 skipped += 1
             elif first_touch is None and count_at(z) > 0:
                 first_touch = z
-        fine_start = z_top if first_touch is None else min(first_touch + cfg.coarse_step, z_top)
-        for z in march(fine_start, cfg.descent_step, cfg.h_stop):
+        fine_start = z_top if first_touch is None else min(first_touch + COARSE_STEP, z_top)
+        for z in march(fine_start, DESCENT_STEP, H_STOP):
             if skips(z):
                 assert count_at(z) == 0, z
                 skipped += 1
     assert skipped >= 5
 
 
-def lattice_count(scene, spec, cfg, center) -> int:
+def lattice_count(scene, spec, center) -> int:
     """Sensels of the coarse lattice that count at ``center``, each indented as
     frame_from_heights does and counted as detect_contact counts against the
     zero reference."""
@@ -404,15 +391,15 @@ def lattice_count(scene, spec, cfg, center) -> int:
     heights, _ = top_heights(scene.objects, xy, z_start=scene_top_z(scene) + 0.01,
                              floor=center[2])
     pen = np.where(np.isfinite(heights), np.clip(heights - center[2], 0.0, spec.max_indent), 0.0)
-    return int(np.count_nonzero(np.abs(pen - 0.0) > cfg.value_threshold))
+    return int(np.count_nonzero(np.abs(pen - 0.0) > DEFAULT_VALUE_THRESHOLD))
 
 
-def frame_count(scene, spec, cfg, center) -> int:
+def frame_count(scene, spec, center) -> int:
     heights, _, _ = _footprint_heights(scene, spec, center, floor=center[2],
                                        z_start=scene_top_z(scene) + 0.01)
     frame = frame_from_heights(heights, spec, center)
-    return detect_contact(np.zeros_like(frame.image), frame.image, cfg.value_threshold,
-                          cfg.count_threshold)[1]
+    return detect_contact(np.zeros_like(frame.image), frame.image, DEFAULT_VALUE_THRESHOLD,
+                          DEFAULT_COUNT_THRESHOLD)[1]
 
 
 @pytest.mark.parametrize("name, attempt", [("jar", 0), ("mug", 5), ("champagne_cup", 0),
@@ -422,27 +409,26 @@ def test_the_lattice_decides_as_the_full_frame(name, attempt):
     sensel counts only where the full frame counts. The coarse descent casts
     the frame where no lattice sensel counts, so it decides as the frame."""
     scene = benchmark_scene(name, attempt, master_seed=0)
-    cfg = TrialConfig()
-    spec = cfg.sensor
-    _, anns = annotations_for(scene, cfg)
+    spec = SENSOR
+    _, anns = annotations_for(scene, TrialConfig())
     plans = [poke_pixel_for_guidance(anns[0], g) for g in POKE_GUIDANCE_MODES]
     touches = 0
     for px in sorted({plan.point_px for plan in plans if plan is not None}):
         origin, direction = scene.camera.pixel_ray(px)
-        for z in march(scene_top_z(scene) + cfg.coarse_step, cfg.coarse_step, cfg.h_stop):
+        for z in march(scene_top_z(scene) + COARSE_STEP, COARSE_STEP, H_STOP):
             center = origin + (z - origin[2]) / direction[2] * direction
             center[2] = z
-            if lattice_count(scene, spec, cfg, center) > 0:
-                assert frame_count(scene, spec, cfg, center) > 0, z
+            if lattice_count(scene, spec, center) > 0:
+                assert frame_count(scene, spec, center) > 0, z
                 touches += 1
     assert touches > 0
 
 
-def full_frame_poke(scene, plan, cfg, dx=0.0, seed=0):
+def full_frame_poke(scene, plan, dx=0.0, seed=0):
     """simulate_poke with a coarse descent that casts the full frame at every
     height the bound does not skip, as it did before the lattice."""
     origin, direction = scene.camera.pixel_ray(plan.point_px)
-    spec = cfg.sensor
+    spec = SENSOR
     top = scene_top_z(scene)
     half = np.array([spec.area_x, spec.area_y]) / 2.0
 
@@ -450,32 +436,31 @@ def full_frame_poke(scene, plan, cfg, dx=0.0, seed=0):
         center = origin + (z - origin[2]) / direction[2] * direction + np.array([dx, 0.0, 0.0])
         center[2] = z
         bound = top_height_bound(scene.objects, center[:2] - half, center[:2] + half)
-        if z >= bound - cfg.value_threshold + 1e-9:
+        if z >= bound - DEFAULT_VALUE_THRESHOLD + 1e-9:
             return False, 0, None
         heights, ids, xy = _footprint_heights(scene, spec, center, floor=z, z_start=top + 0.01)
         frame = frame_from_heights(heights, spec, center)
         hit, count = detect_contact(np.zeros_like(frame.image), frame.image,
-                                    cfg.value_threshold, cfg.count_threshold)
+                                    DEFAULT_VALUE_THRESHOLD, DEFAULT_COUNT_THRESHOLD)
         return hit, count, (heights, ids, xy, frame)
 
-    z_top = top + cfg.coarse_step
-    first_touch = next((z for z in march(z_top, cfg.coarse_step, cfg.h_stop)
-                        if probe(z)[1] > 0), None)
+    z_top = top + COARSE_STEP
+    first_touch = next((z for z in march(z_top, COARSE_STEP, H_STOP) if probe(z)[1] > 0), None)
     if first_touch is None:
-        return PokeOutcome(status=MISS, seed=seed, stop_z=cfg.h_stop)
-    for z in march(min(first_touch + cfg.coarse_step, z_top), cfg.descent_step, cfg.h_stop):
+        return PokeOutcome(status=MISS, seed=seed, stop_z=H_STOP)
+    for z in march(min(first_touch + COARSE_STEP, z_top), DESCENT_STEP, H_STOP):
         hit, _, touched = probe(z)
         if hit:
             heights, ids, xy, frame = touched
             idx = np.unravel_index(int(np.argmax(frame.image)), frame.image.shape)
             contact = np.array([xy[idx][0], xy[idx][1], heights[idx]])
             cid = int(ids[idx])
-            if cid == 0 or _contact_dot(scene, cid, contact) < cfg.contact_dot_min:
+            if cid == 0 or _contact_dot(scene, cid, contact) < CONTACT_DOT_MIN:
                 return PokeOutcome(status=MISS, seed=seed, stop_z=z)
-            status = TOPPLE if poke_would_topple(scene, cid, contact, cfg.f_stop) else SUCCESS
+            status = TOPPLE if poke_would_topple(scene, cid, contact, F_STOP) else SUCCESS
             return PokeOutcome(status=status, seed=seed, contact_point=contact,
                                contact_object=cid, stop_z=z, frame=frame)
-    return PokeOutcome(status=MISS, seed=seed, stop_z=cfg.h_stop)
+    return PokeOutcome(status=MISS, seed=seed, stop_z=H_STOP)
 
 
 def assert_same_poke(got, expected):
@@ -492,13 +477,12 @@ def assert_same_poke(got, expected):
 @pytest.mark.parametrize("name", OBJECT_NAMES)
 def test_lattice_pokes_equal_full_frame_pokes(name, attempt):
     scene = benchmark_scene(name, attempt, master_seed=0)
-    cfg = TrialConfig()
-    _, anns = annotations_for(scene, cfg)
+    _, anns = annotations_for(scene, TrialConfig())
     plans = [poke_pixel_for_guidance(anns[0], g) for g in POKE_GUIDANCE_MODES]
     for plan in {plan.point_px: plan for plan in plans if plan is not None}.values():
         for dx in (0.0, 0.004):
-            assert_same_poke(simulate_poke(scene, plan, cfg, dx=dx, seed=3),
-                             full_frame_poke(scene, plan, cfg, dx=dx, seed=3))
+            assert_same_poke(simulate_poke(scene, plan, dx=dx, seed=3),
+                             full_frame_poke(scene, plan, dx=dx, seed=3))
 
 
 def cast_sizes(monkeypatch) -> list:
@@ -519,55 +503,52 @@ def test_a_lattice_touch_casts_one_full_frame(monkeypatch):
     # the coarse lattice finds the first touch; only the contact probe of the
     # fine descent casts all 19,200 sensel columns
     scene = benchmark_scene("jar", 0, master_seed=0)
-    cfg = TrialConfig()
-    _, anns = annotations_for(scene, cfg)
+    _, anns = annotations_for(scene, TrialConfig())
     plan = poke_pixel_for_guidance(anns[0], "pr")
     sizes = cast_sizes(monkeypatch)
-    outcome = simulate_poke(scene, plan, cfg)
+    outcome = simulate_poke(scene, plan)
     assert outcome.status in (SUCCESS, TOPPLE)
-    frame = cfg.sensor.res_x * cfg.sensor.res_y
+    frame = SENSOR.res_x * SENSOR.res_y
     assert sizes.count(frame) == 1
-    assert set(sizes) == {len(_lattice_rows(cfg.sensor)), frame}
+    assert set(sizes) == {len(_lattice_rows(SENSOR)), frame}
 
 
 def test_a_touch_between_lattice_sensels_falls_back_to_the_full_frame(monkeypatch):
     # a plate 0.15 mm thick, straight below the sensor, whose top lies under
     # sensel columns 7 and 8 alone, between lattice columns 4 and 12
-    spec = TactileSensorSpec()
-    cfg = TrialConfig()
+    spec = SENSOR
     x = 8 * spec.pitch_x - spec.area_x / 2.0  # between the centres of columns 7 and 8
     plate = ObjectModel(id=1, shape=Box((0.00015, 0.008, 0.05)), mass=0.2,
                         pose=RigidTransform(np.eye(3), [x, 0.0, 0.0]))
     scene = Scene(camera=overhead_camera(), objects=(plate,))
     plan = PokePlan(point_px=(320, 240), ellipse=None, region_topology=SIMPLY_CONNECTED)
     center = np.array([0.0, 0.0, 0.042])  # the first coarse height that is cast
-    assert lattice_count(scene, spec, cfg, center) == 0
-    assert frame_count(scene, spec, cfg, center) > 0
+    assert lattice_count(scene, spec, center) == 0
+    assert frame_count(scene, spec, center) > 0
     sizes = cast_sizes(monkeypatch)
-    outcome = simulate_poke(scene, plan, cfg)
+    outcome = simulate_poke(scene, plan)
     assert outcome.status != MISS
     assert outcome.stop_z == pytest.approx(0.049)
     # the lattice and the full frame at the first touch, then the contact frame
     assert sizes == [len(_lattice_rows(spec)), spec.res_x * spec.res_y,
                      spec.res_x * spec.res_y]
-    assert_same_poke(outcome, full_frame_poke(scene, plan, cfg))
+    assert_same_poke(outcome, full_frame_poke(scene, plan))
 
 
 def test_contact_probe_carries_the_sensor_posed_at_the_contact():
     # the contact frame carries the centre of the probe that fired: the view
     # ray's point at the stop height, with the stop height itself as its z
     scene = benchmark_scene("jar", 0, master_seed=0)
-    cfg = TrialConfig()
-    _, anns = annotations_for(scene, cfg)
+    _, anns = annotations_for(scene, TrialConfig())
     plan = poke_pixel_for_guidance(anns[0], "pr")
-    outcome = simulate_poke(scene, plan, cfg)
+    outcome = simulate_poke(scene, plan)
     assert outcome.status in (SUCCESS, TOPPLE)
     center = outcome.frame.center
     assert center[2] == outcome.stop_z
     origin, direction = scene.camera.pixel_ray(plan.point_px)
     on_ray = origin + (outcome.stop_z - origin[2]) / direction[2] * direction
     assert center[:2].tobytes() == on_ray[:2].tobytes()
-    grid = cfg.sensor.sensel_offsets + center[:2]
+    grid = SENSOR.sensel_offsets + center[:2]
     assert np.any(np.all(grid == outcome.contact_point[:2], axis=1))
 
 
@@ -682,7 +663,6 @@ class TestSimulateGraspReasons:
     world x: the fingers descend at x +- w/2, each sweeping y in
     +-finger_width/2 = +-0.01, to z = grasp.z - descend_offset = grasp.z - 0.02."""
 
-    cfg = TrialConfig()
     r_in, r_out, rim_z = 0.0365, 0.040, 0.095
 
     def mug_scene(self):
@@ -701,7 +681,7 @@ class TestSimulateGraspReasons:
         # tips at x = +-0.038: both sweeps stay within the rim annulus
         # (0.038 <= rho <= hypot(0.038, 0.01) = 0.0393 < 0.040), whose top
         # z = 0.095 is above the closing height 0.075
-        out = simulate_grasp(self.mug_scene(), self.edge(0.0, 0.076), self.cfg)
+        out = simulate_grasp(self.mug_scene(), self.edge(0.0, 0.076))
         assert (out.status, out.reason) == (FAILURE, "descent_collision")
 
     def test_closing_inside_the_bore_touches_nothing(self):
@@ -709,32 +689,32 @@ class TestSimulateGraspReasons:
         # (rho <= hypot(0.03, 0.01) = 0.0316 < 0.0365, top z = 0.0035), and the
         # whole closing segment at z = 0.075 lies in the open bore
         assert np.hypot(0.03, 0.01) < self.r_in
-        out = simulate_grasp(self.mug_scene(), self.edge(0.0, 0.06), self.cfg)
+        out = simulate_grasp(self.mug_scene(), self.edge(0.0, 0.06))
         assert (out.status, out.reason) == (FAILURE, "no_contact")
 
     def test_closing_at_the_top_face_starts_inside(self):
         # the closing height sits within 1e-9 below the box top (z = 0.08):
         # the top face does not rise above it, so the descent is clear, but
         # the segment's start x = 0.005 lies on the box (|x| <= 0.025)
-        z = 0.08 + self.cfg.descend_offset - 5e-10
-        out = simulate_grasp(self.box_scene(), self.edge(0.02, 0.03, z=z), self.cfg)
+        z = 0.08 + harness.DESCEND_OFFSET - 5e-10
+        out = simulate_grasp(self.box_scene(), self.edge(0.02, 0.03, z=z))
         assert (out.status, out.reason) == (FAILURE, "finger_inside_object")
 
     def test_off_centre_edge_grasp_is_a_localization_error(self):
         # tips at x = 0.03 (bore) and x = 0.07 (beside the mug): the segment
         # crosses the wall on [0.0365, 0.040], whose midpoint 0.03825 lies
         # 0.01175 from the grasp centre, beyond half a finger width (0.01)
-        out = simulate_grasp(self.mug_scene(), self.edge(0.05, 0.04), self.cfg)
+        out = simulate_grasp(self.mug_scene(), self.edge(0.05, 0.04))
         assert (out.status, out.reason) == (FAILURE, "localization_error")
         step = 0.04 / 800  # spacing of the closing-segment samples
         assert out.localization_error == pytest.approx(0.05 - (self.r_in + self.r_out) / 2,
                                                        abs=step)
-        assert out.localization_error >= self.cfg.gripper.finger_width / 2
+        assert out.localization_error >= GRIPPER.finger_width / 2
 
     def test_edge_grasp_across_the_rim_succeeds(self):
         # tips at x = 0.0283 (bore: rho <= 0.0300) and x = 0.0483 (beside):
         # the wall midpoint 0.03825 is 5e-5 from the centre
-        out = simulate_grasp(self.mug_scene(), self.edge(0.0383, 0.02), self.cfg)
+        out = simulate_grasp(self.mug_scene(), self.edge(0.0383, 0.02))
         assert (out.status, out.reason) == (SUCCESS, "")
         assert out.localization_error == pytest.approx(0.0383 - (self.r_in + self.r_out) / 2,
                                                        abs=0.02 / 800)
@@ -744,7 +724,7 @@ class TestSimulateGraspReasons:
         # world y: the tips at y = +-0.04 clear the box (|y| <= 0.035) and
         # the segment crosses it symmetrically about the centre
         grasp = GraspProposal(x=0.0, y=0.0, z=0.08, w=0.08, theta=0.0, kind="centroid")
-        out = simulate_grasp(self.box_scene(), grasp, self.cfg)
+        out = simulate_grasp(self.box_scene(), grasp)
         assert (out.status, out.reason) == (SUCCESS, "")
         assert out.localization_error == pytest.approx(0.0, abs=0.08 / 800)
 
@@ -935,7 +915,7 @@ def test_tactile_columns_are_pinned():
     assert digest == TACTILE_COLUMNS_SHA256
 
 
-def test_camera_grasp_without_finite_depth_reports_no_depth():
+def test_camera_grasp_without_finite_depth_reports_no_depth(monkeypatch):
     # buffers handed in as a plain pair: the mask reads no depth, and no
     # pixel drops to the table depth
     scene = benchmark_scene("mug", 0, master_seed=0)
@@ -944,7 +924,8 @@ def test_camera_grasp_without_finite_depth_reports_no_depth():
     depth = buf.depth.copy()
     depth[ann.mask] = np.inf
     blind = RenderBuffers(depth=depth, normals=buf.normals, instance=buf.instance)
-    cfg = TrialConfig(depth_dropout=0.0)
+    monkeypatch.setattr(harness, "DEPTH_DROPOUT", 0.0)
+    cfg = TrialConfig()
     out = run_grasp_trial(scene, cfg, 0, "camera-mask", prepared=(blind, [ann]))
     assert (out.status, out.reason) == (FAILURE, "no_depth")
     assert run_grasp_trial(scene, cfg, 0, "camera-mask").reason != "no_depth"
