@@ -11,9 +11,9 @@ from pokegrasp.catalog import CATALOG, OBJECT_NAMES, SIDE, UPRIGHT, UPSIDE_DOWN,
 from pokegrasp.errors import InvalidConfig, InvalidGeometry, ShapeMismatch
 from pokegrasp.geometry import RigidTransform, rot_x, rot_z
 from pokegrasp import harness
-from pokegrasp.harness import COARSE_STEP, CONTACT_DOT_MIN, DESCENT_STEP, F_STOP, FAILURE, \
-    GRIPPER, H_STOP, MISS, POKE_GUIDANCE_MODES, SENSOR, SIDE_INSIDE_TOL, SUCCESS, TOPPLE, \
-    PokeOutcome, TrialConfig, _contact_dot, _convex_hull, _footprint_heights, _lattice_rows, \
+from pokegrasp.harness import COARSE_STEP, CONTACT_DOT_MIN, DESCEND_OFFSET, DESCENT_STEP, \
+    F_STOP, FAILURE, GRIPPER, H_STOP, MISS, POKE_GUIDANCE_MODES, SENSOR, SIDE_INSIDE_TOL, \
+    SUCCESS, TOPPLE, PokeOutcome, TrialConfig, _contact_dot, _convex_hull, _footprint_heights, _lattice_rows, \
     annotations_for, calibration_shift, corrupt_depth, poke_pixel_for_guidance, \
     poke_would_topple, run_benchmark, run_grasp_trial, run_poke_trial, scene_top_z, \
     simulate_grasp, simulate_poke, tipping_arms, tipping_max_force
@@ -696,7 +696,7 @@ class TestSimulateGraspReasons:
         # the closing height sits within 1e-9 below the box top (z = 0.08):
         # the top face does not rise above it, so the descent is clear, but
         # the segment's start x = 0.005 lies on the box (|x| <= 0.025)
-        z = 0.08 + harness.DESCEND_OFFSET - 5e-10
+        z = 0.08 + DESCEND_OFFSET - 5e-10
         out = simulate_grasp(self.box_scene(), self.edge(0.02, 0.03, z=z))
         assert (out.status, out.reason) == (FAILURE, "finger_inside_object")
 
