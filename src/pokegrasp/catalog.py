@@ -15,7 +15,6 @@ overhead view with a small tilt.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -138,8 +137,7 @@ def benchmark_scene_set(names=OBJECT_NAMES, attempts: int = 12,
             for n in names}
 
 
-def small_vial_scene(camera: Optional[CameraModel] = None, x: float = 0.0,
-                     y: float = 0.0) -> Scene:
+def small_vial_scene() -> Scene:
     """Dedicated small-vial scene for the tactile-alignment experiment.
 
     The vial is narrow enough (bore radius below half a finger width) that
@@ -149,6 +147,5 @@ def small_vial_scene(camera: Optional[CameraModel] = None, x: float = 0.0,
     """
     shape = _cup(0.009, 0.009, 0.055)
     obj = ObjectModel(id=1, shape=shape, mass=0.02, wall_thickness=0.0025,
-                      pose=RigidTransform(rot_z(0.0), [x, y, 0.0]))
-    cam = camera or default_camera(width=640, height=240 * 640 // 320)
-    return Scene(camera=cam, objects=(obj,))
+                      pose=RigidTransform(rot_z(0.0), [0.0, 0.0, 0.0]))
+    return Scene(camera=default_camera(width=640, height=240 * 640 // 320), objects=(obj,))

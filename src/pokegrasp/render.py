@@ -18,15 +18,32 @@ Their directions come from ``CameraModel.pixel_directions``, one cached
 grid whose z column ``regions.pixel_ray_dz`` reads for the height and the
 depth-corruption models.
 
-An object covers a small part of the frame, so a camera render first culls
-the rays against a padded bounding sphere of each object (centred on the
-axis at mid-height, of the shape's ``bounding_radius``) and runs the
-primitive intersection only for the rays whose line passes through the
-sphere ahead of the origin. Every pixel ray starts at the camera centre,
-so the cull is one matrix-vector product of the ray directions with the
-centre-to-sphere vector. The pad covers rounding in that product too: it
-can only add or drop rays that miss, so the buffers are the same as
-intersecting every ray.
+An object covers a small part of the frame, so a camera render pays for
+the object, not the frame:
+
+* The table layer (the plane's depth and normal, and the zero instance
+  ids) depends only on the camera and the table height. It is computed
+  once per pair, kept read-only in a small cache like the pixel-ray grid,
+  and each render starts from a copy of it.
+* Each object is culled against a padded bounding sphere, centred on the
+  axis at mid-height, of the shape's ``bounding_radius``. Every pixel ray
+  starts at the camera centre, so the sphere test is one matrix-vector
+  product of the ray directions with the centre-to-sphere vector. It runs
+  only over the row band the sphere can project into: the projected rows
+  of its cube's eight corners, padded by 1 px and clipped to the image.
+  When a corner is not in front of the camera, the band is the whole
+  frame.
+* The sphere's survivors are tested against the object's local box
+  (``[-R, R]^2 x [z_min, z_max]`` for a solid of revolution, the box
+  itself for a ``Box``), padded by 1e-7 m, with a slab test in the object
+  frame, where all rays share one origin. Only the rays that meet it reach
+  ``intersect_object``.
+
+Each bound encloses the solid with a margin that covers the rounding in
+its own test and the tolerances of the primitive tests, so a culled ray
+is one that ``intersect_object`` would miss. A kept ray gives the same
+bytes whichever other rays are cast with it, so the buffers are
+byte-equal to those of intersecting every ray.
 
 ``top_heights`` serves the tactile sensel columns. It needs only the hit
 distance: it takes the minimum over the same per-primitive distances as
@@ -73,7 +90,7 @@ import numpy as np
 
 from .errors import InvalidGeometry
 from .geometry import RigidTransform
-from .scene import Box, ObjectModel, RevolutionProfile, Scene
+from .scene import Box, CameraModel, ObjectModel, RevolutionProfile, Scene
 
 T_EPS = 1e-9
 NO_HIT = np.inf
@@ -81,6 +98,15 @@ NO_HIT = np.inf
 # compiled primitives of up to this many distinct (shape, wall thickness) pairs
 _PRIMITIVES_KEPT = 64
 _PRIMITIVES: dict[tuple, tuple] = {}
+
+# table layers of up to a few distinct (camera, table height) pairs
+_TABLE_LAYERS_KEPT = 4
+_TABLE_LAYERS: dict[tuple, tuple] = {}
+
+# pad of the local-box cull, past the height and squared-radius tolerances
+# of the primitive tests
+_BOX_PAD = 1e-7
+_CUBE_CORNERS = np.array([[x, y, z] for x in (-1.0, 1.0) for y in (-1.0, 1.0) for z in (-1.0, 1.0)])
 
 
 @dataclass(frozen=True)
@@ -322,31 +348,102 @@ def _bounding_sphere(obj: ObjectModel) -> tuple[np.ndarray, float]:
     return obj.pose.apply(np.array([0.0, 0.0, zc])), shape.bounding_radius * (1.0 + 1e-9) + 1e-9
 
 
-def _cast(scene: Scene, origin: np.ndarray, dirs: np.ndarray):
-    """Nearest hits of the rays ``origin + t * dirs`` that share one (3,)
-    origin: the table plane (instance id 0), then every object."""
-    n = dirs.shape[0]
-    normal = np.zeros((n, 3))
-    inst = np.zeros(n, dtype=np.int32)
-    # table plane z = table_height, instance id 0
-    dz = dirs[:, 2]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_table = (scene.table_height - origin[2]) / dz
-    ok = (np.abs(dz) > 1e-14) & (t_table > T_EPS)
-    depth = np.where(ok, t_table, NO_HIT)
-    normal[:, 2] = np.where(ok, np.where(dz < 0, 1.0, -1.0), 0.0)
+def _local_box(obj: ObjectModel) -> tuple[np.ndarray, np.ndarray]:
+    """Low and high corners of an axis-aligned box enclosing the object's
+    solid in its local frame, padded past the primitive tests' tolerances."""
+    shape = obj.shape
+    if isinstance(shape, Box):
+        w, d, h = shape.size
+        lo, hi = np.array([-w / 2.0, -d / 2.0, 0.0]), np.array([w / 2.0, d / 2.0, h])
+    else:
+        r = shape.max_radius
+        lo, hi = np.array([-r, -r, shape.z_min]), np.array([r, r, shape.z_max])
+    return lo - _BOX_PAD, hi + _BOX_PAD
+
+
+def _table_layer(cam: CameraModel, table_height: float):
+    """Read-only (depth, normal, instance) of the pixel rays against the
+    table plane alone, flat over the pixels; cached per camera and table
+    height like ``CameraModel.pixel_directions``."""
+    origin = cam.pose.translation
+    key = (cam.fx, cam.fy, cam.cx, cam.cy, cam.width, cam.height,
+           cam.pose.rotation.tobytes(), origin.tobytes(), table_height)
+    layer = _TABLE_LAYERS.get(key)
+    if layer is None:
+        dz = cam.pixel_directions()[:, 2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_table = (table_height - origin[2]) / dz
+        ok = (np.abs(dz) > 1e-14) & (t_table > T_EPS)
+        depth = np.where(ok, t_table, NO_HIT)
+        normal = np.zeros((dz.size, 3))
+        normal[:, 2] = np.where(ok, np.where(dz < 0, 1.0, -1.0), 0.0)
+        layer = (depth, normal, np.zeros(dz.size, dtype=np.int32))
+        for a in layer:
+            a.setflags(write=False)
+        if len(_TABLE_LAYERS) >= _TABLE_LAYERS_KEPT:
+            _TABLE_LAYERS.clear()  # one atomic step, unlike evicting a chosen key
+        _TABLE_LAYERS[key] = layer
+    return layer
+
+
+def _row_band(cam: CameraModel, center: np.ndarray, radius: float) -> tuple[int, int]:
+    """Rows [lo, hi) that the sphere can project into: the rows of its
+    cube's eight corners, padded by 1 px and clipped to the image; every
+    row when a corner is not in front of the camera."""
+    corners = center + radius * _CUBE_CORNERS
+    pc = cam.pose.inverse().apply(corners)
+    if not np.all(pc[:, 2] > 0.0):
+        return 0, cam.height
+    v = np.clip(cam.fy * pc[:, 1] / pc[:, 2] + cam.cy, -2.0, cam.height + 1.0)
+    return max(math.floor(v.min()) - 1, 0), min(math.ceil(v.max()) + 2, cam.height)
+
+
+def _box_survivors(obj: ObjectModel, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """Indices of the rays ``origin + t * dirs`` (t > 0) that meet the
+    object's padded local box: a slab test in the object frame."""
+    inv = obj.pose.inverse()
+    o = inv.apply(origin)
+    d = inv.apply_vector(dirs)
+    lo, hi = _local_box(obj)
+    t_near, t_far = -NO_HIT, NO_HIT
+    for ax in range(3):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t0 = (lo[ax] - o[ax]) / d[:, ax]
+            t1 = (hi[ax] - o[ax]) / d[:, ax]
+        t_near = np.maximum(t_near, np.minimum(t0, t1))
+        t_far = np.minimum(t_far, np.maximum(t0, t1))
+    # NaN (a ray parallel to a padded face and in its plane) misses, as the
+    # solid lies strictly inside the padded box
+    return np.flatnonzero((t_near <= t_far) & (t_far > 0.0))
+
+
+def _cast(scene: Scene):
+    """Nearest hits of the camera's pixel rays, flat over the pixels: the
+    table plane (instance id 0), then every object."""
+    cam = scene.camera
+    origin = cam.pose.translation
+    dirs = cam.pixel_directions()
+    depth, normal, inst = (a.copy() for a in _table_layer(cam, scene.table_height))
     for obj in scene.objects:
-        # only rays whose line passes through the bounding sphere, ahead of
-        # the origin, can hit the object; the rest would return t = inf
+        # only rays in the sphere's row band whose line passes through the
+        # sphere, ahead of the origin, and then meets the local box can hit
+        # the object; the rest would return t = inf
         center, radius = _bounding_sphere(obj)
+        row_lo, row_hi = _row_band(cam, center, radius)
+        first = row_lo * cam.width
         oc = center - origin
-        along = dirs @ oc
+        along = dirs[first:row_hi * cam.width] @ oc
         off2 = oc @ oc - along * along
-        idx = np.flatnonzero((off2 <= radius * radius) & (along > -radius))
+        idx = first + np.flatnonzero((off2 <= radius * radius) & (along > -radius))
+        d = dirs[idx]
+        keep = _box_survivors(obj, origin, d)
+        if keep.size == 0:
+            continue
+        idx, d = idx[keep], d[keep]
         origins = np.empty((idx.size, 3))
         for i in range(3):
             origins[:, i] = origin[i]
-        t, nrm, _ = intersect_object(obj, origins, dirs[idx])
+        t, nrm, _ = intersect_object(obj, origins, d)
         closer = t < depth[idx]
         hit = idx[closer]
         depth[hit] = t[closer]
@@ -362,7 +459,7 @@ def render(scene: Scene) -> RenderBuffers:
     ``CameraModel.pixel_directions`` grid.
     """
     cam = scene.camera
-    depth, normal, inst = _cast(scene, cam.pose.translation, cam.pixel_directions())
+    depth, normal, inst = _cast(scene)
     shape = (cam.height, cam.width)
     return RenderBuffers(depth=depth.reshape(shape),
                          normals=normal.reshape(shape + (3,)),

@@ -1,15 +1,20 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from pokegrasp.catalog import OBJECT_NAMES, benchmark_scene, catalog_entry, default_camera, \
-    make_object
-from pokegrasp.geometry import RigidTransform, rot_x, rot_z
-from pokegrasp.render import _frustum_normal, _intersect_box, _intersect_disk, \
-    _intersect_frustum, compile_primitives, contains, \
-    intersect_object, render, top_height_bound, top_heights
+    make_object, small_vial_scene
+from pokegrasp.geometry import RigidTransform, rot_x, rot_y, rot_z
+from pokegrasp.render import _bounding_sphere, _frustum_normal, _intersect_box, \
+    _intersect_disk, _intersect_frustum, _row_band, _table_layer, compile_primitives, \
+    contains, intersect_object, render, top_height_bound, top_heights
 from pokegrasp.scene import Box, ObjectModel, RevolutionProfile, Scene
 
 from conftest import overhead_camera, straight_cup
+
+# the module, which the package's ``render`` function shadows as an attribute
+render_module = importlib.import_module("pokegrasp.render")
 
 
 def unit(v):
@@ -199,6 +204,79 @@ class TestCulledRenderMatchesUnculled:
         buf = render(scene)
         assert buf.instance_mask(1).any() and buf.instance_mask(2).any()
         assert_buffers_identical(buf, *unculled_render(scene))
+
+    @pytest.mark.parametrize("y, edge_row", [(0.25, 0), (-0.27, 239)])
+    def test_object_cut_by_the_image_edge(self, y, edge_row):
+        obj = make_object(catalog_entry("mug"), "upright", 0.0, y, 0.0)
+        scene = Scene(camera=default_camera(), objects=(obj,))
+        band = _row_band(scene.camera, *_bounding_sphere(obj))
+        assert edge_row in (band[0], band[1] - 1) and band != (0, 240)
+        buf = render(scene)
+        assert buf.instance_mask(1)[edge_row].any()
+        assert_buffers_identical(buf, *unculled_render(scene))
+
+    @pytest.mark.parametrize("x, y", [(0.0, 0.5), (0.0, -0.5), (0.6, 0.0)])
+    def test_object_out_of_view_casts_no_ray(self, x, y, monkeypatch):
+        obj = make_object(catalog_entry("jar"), "upright", x, y, 0.0)
+        scene = Scene(camera=default_camera(), objects=(obj,))
+        cast = []
+        monkeypatch.setattr(render_module, "intersect_object",
+                            lambda *args: cast.append(args) or intersect_object(*args))
+        buf = render(scene)
+        assert cast == [] and not buf.instance_mask(1).any()
+        assert_buffers_identical(buf, *unculled_render(scene))
+
+    def test_sphere_corner_behind_the_camera_casts_the_whole_frame(self):
+        cam = overhead_camera(height=0.105, width=160, height_px=120, cx=80.0, cy=60.0,
+                              fx=100.0, fy=100.0, tilt=0.1)
+        scene = Scene(camera=cam, objects=(straight_cup(),))
+        assert _row_band(cam, *_bounding_sphere(scene.objects[0])) == (0, 120)
+        buf = render(scene)
+        assert buf.instance_mask(1).any()
+        assert_buffers_identical(buf, *unculled_render(scene))
+
+    def test_raised_table(self):
+        obj = make_object(catalog_entry("tumble_cup"), "upright", 0.02, -0.01, 0.3)
+        for table_height in (0.0, 0.03, 0.0):
+            scene = Scene(camera=default_camera(), objects=(obj,), table_height=table_height)
+            assert_buffers_identical(render(scene), *unculled_render(scene))
+
+    def test_two_objects_with_overlapping_bands(self):
+        a = make_object(catalog_entry("highball_cup"), "upright", -0.04, 0.0, 0.0, oid=1)
+        b = make_object(catalog_entry("vial"), "upside_down", 0.035, 0.01, 0.0, oid=2)
+        scene = Scene(camera=default_camera(), objects=(a, b))
+        band_a, band_b = (_row_band(scene.camera, *_bounding_sphere(o)) for o in (a, b))
+        assert max(band_a[0], band_b[0]) < min(band_a[1], band_b[1])
+        buf = render(scene)
+        assert buf.instance_mask(1).any() and buf.instance_mask(2).any()
+        assert_buffers_identical(buf, *unculled_render(scene))
+
+    def test_side_lying_barrel_and_tilted_box(self):
+        barrel = make_object(catalog_entry("jar"), "side", -0.05, 0.02, 1.1, oid=1)
+        box = ObjectModel(id=2, shape=Box(size=(0.04, 0.06, 0.08)), mass=0.1,
+                          pose=RigidTransform(rot_z(0.4) @ rot_y(0.6) @ rot_x(-0.3),
+                                              [0.06, -0.03, 0.04]))
+        for objects in ((barrel,), (box,), (barrel, box)):
+            scene = Scene(camera=default_camera(), objects=objects)
+            buf = render(scene)
+            assert all(buf.instance_mask(o.id).any() for o in objects)
+            assert_buffers_identical(buf, *unculled_render(scene))
+
+    def test_table_layer_is_kept_per_camera(self):
+        scene = benchmark_scene("mug", 1, master_seed=3)
+        vial = small_vial_scene()
+        for s in (scene, vial, scene):
+            assert_buffers_identical(render(s), *unculled_render(s))
+
+    def test_a_changed_render_leaves_the_next_one_alone(self):
+        scene = benchmark_scene("big_disposable_cup", 4, master_seed=2)
+        buf = render(scene)
+        buf.depth[:] = 1.0
+        buf.normals[:] = 0.5
+        buf.instance[:] = 7
+        assert_buffers_identical(render(scene), *unculled_render(scene))
+        layer = _table_layer(scene.camera, scene.table_height)
+        assert not any(a.flags.writeable for a in layer)
 
 
 def columns_around(obj, half=0.16, n=64):
