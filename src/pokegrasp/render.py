@@ -394,6 +394,8 @@ def _row_band(cam: CameraModel, center: np.ndarray, radius: float) -> tuple[int,
     pc = cam.pose.inverse().apply(corners)
     if not np.all(pc[:, 2] > 0.0):
         return 0, cam.height
+    # a corner barely in front of the camera projects to a huge (even
+    # infinite) row; clipping first keeps floor and ceil finite
     v = np.clip(cam.fy * pc[:, 1] / pc[:, 2] + cam.cy, -2.0, cam.height + 1.0)
     return max(math.floor(v.min()) - 1, 0), min(math.ceil(v.max()) + 2, cam.height)
 
