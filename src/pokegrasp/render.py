@@ -25,25 +25,22 @@ the object, not the frame:
   ids) depends only on the camera and the table height. It is computed
   once per pair, kept read-only in a small cache like the pixel-ray grid,
   and each render starts from a copy of it.
-* Each object is culled against a padded bounding sphere, centred on the
-  axis at mid-height, of the shape's ``bounding_radius``. Every pixel ray
-  starts at the camera centre, so the sphere test is one matrix-vector
-  product of the ray directions with the centre-to-sphere vector. It runs
-  only over the row band the sphere can project into: the projected rows
-  of its cube's eight corners, padded by 1 px and clipped to the image.
-  When a corner is not in front of the camera, the band is the whole
-  frame.
-* The sphere's survivors are tested against the object's local box
-  (``[-R, R]^2 x [z_min, z_max]`` for a solid of revolution, the box
-  itself for a ``Box``), padded by 1e-7 m, with a slab test in the object
-  frame, where all rays share one origin. Only the rays that meet it reach
-  ``intersect_object``.
+* Each object has one bounding volume, its local box (``[-R, R]^2 x
+  [z_min, z_max]`` for a solid of revolution, the box itself for a
+  ``Box``), padded by 1e-7 m past the tolerances of the primitive tests.
+  Only the pixels of the box's window are considered: the columns and rows
+  spanned by its eight projected corners, padded by 1 px and clipped to
+  the image. When a corner is not in front of the camera, the window is
+  the whole frame. The window's rays are tested against the box with a
+  slab test in the object frame, where all rays share one origin, and only
+  the rays that meet it reach ``intersect_object``.
 
-Each bound encloses the solid with a margin that covers the rounding in
-its own test and the tolerances of the primitive tests, so a culled ray
-is one that ``intersect_object`` would miss. A kept ray gives the same
-bytes whichever other rays are cast with it, so the buffers are
-byte-equal to those of intersecting every ray.
+The solid lies inside the padded box, and a convex box wholly in front of
+the camera projects inside its corners' bounding rectangle; the pixel pad
+covers the rounding of the projection. A culled ray is therefore one that
+``intersect_object`` would miss. A kept ray gives the same bytes whichever
+other rays are cast with it, so the buffers are byte-equal to those of
+intersecting every ray.
 
 ``top_heights`` serves the tactile sensel columns. It needs only the hit
 distance: it takes the minimum over the same per-primitive distances as
@@ -63,8 +60,9 @@ of columns without casting, the same bounding-volume idea applied to a
 sensor footprint. For a solid of revolution with a vertical axis it keeps
 the primitives whose radial range meets the rectangle's distances to the
 axis and takes each one's highest point there; any other object
-contributes its highest point, ``object_top_z``. ``harness.simulate_poke``
-skips the probes whose footprint bound cannot reach the sensing plane.
+contributes its highest point, ``object_top_z``. The bound holds up to
+rounding (below 1e-15 m): ``harness.simulate_poke`` skips the probes whose
+footprint bound, padded by 1e-9 m, cannot reach the sensing plane.
 The bound and the floored query read the primitives of a vertical-axis
 solid from one place, ``_vertical_profile``.
 
@@ -82,6 +80,7 @@ pose.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -106,7 +105,8 @@ _TABLE_LAYERS: dict[tuple, tuple] = {}
 # pad of the local-box cull, past the height and squared-radius tolerances
 # of the primitive tests
 _BOX_PAD = 1e-7
-_CUBE_CORNERS = np.array([[x, y, z] for x in (-1.0, 1.0) for y in (-1.0, 1.0) for z in (-1.0, 1.0)])
+# the eight corners of a box, as whether each takes the high coordinate
+_CORNER_HIGH = np.array(list(itertools.product((False, True), repeat=3)))
 
 
 @dataclass(frozen=True)
@@ -340,14 +340,6 @@ def intersect_object(obj: ObjectModel, origins: np.ndarray, dirs: np.ndarray):
 # scene rendering
 # ---------------------------------------------------------------------------
 
-def _bounding_sphere(obj: ObjectModel) -> tuple[np.ndarray, float]:
-    """World centre and radius of a sphere enclosing the object's solid,
-    padded so that rounding in the primitive tests cannot put a hit outside."""
-    shape = obj.shape
-    zc = (shape.z_min + shape.z_max) / 2.0
-    return obj.pose.apply(np.array([0.0, 0.0, zc])), shape.bounding_radius * (1.0 + 1e-9) + 1e-9
-
-
 def _local_box(obj: ObjectModel) -> tuple[np.ndarray, np.ndarray]:
     """Low and high corners of an axis-aligned box enclosing the object's
     solid in its local frame, padded past the primitive tests' tolerances."""
@@ -386,18 +378,22 @@ def _table_layer(cam: CameraModel, table_height: float):
     return layer
 
 
-def _row_band(cam: CameraModel, center: np.ndarray, radius: float) -> tuple[int, int]:
-    """Rows [lo, hi) that the sphere can project into: the rows of its
-    cube's eight corners, padded by 1 px and clipped to the image; every
-    row when a corner is not in front of the camera."""
-    corners = center + radius * _CUBE_CORNERS
-    pc = cam.pose.inverse().apply(corners)
+def _pixel_window(cam: CameraModel, obj: ObjectModel) -> np.ndarray:
+    """Flat row-major indices of the pixels the object's padded local box
+    can project into: the window over its eight corners' columns and rows,
+    padded by 1 px and clipped to the image; every pixel when a corner is
+    not in front of the camera."""
+    lo, hi = _local_box(obj)
+    pc = cam.pose.inverse().apply(obj.pose.apply(np.where(_CORNER_HIGH, hi, lo)))
     if not np.all(pc[:, 2] > 0.0):
-        return 0, cam.height
+        return np.arange(cam.height * cam.width)
     # a corner barely in front of the camera projects to a huge (even
-    # infinite) row; clipping first keeps floor and ceil finite
+    # infinite) pixel; clipping first keeps floor and ceil finite
+    u = np.clip(cam.fx * pc[:, 0] / pc[:, 2] + cam.cx, -2.0, cam.width + 1.0)
     v = np.clip(cam.fy * pc[:, 1] / pc[:, 2] + cam.cy, -2.0, cam.height + 1.0)
-    return max(math.floor(v.min()) - 1, 0), min(math.ceil(v.max()) + 2, cam.height)
+    cols = np.arange(max(math.floor(u.min()) - 1, 0), min(math.ceil(u.max()) + 2, cam.width))
+    rows = np.arange(max(math.floor(v.min()) - 1, 0), min(math.ceil(v.max()) + 2, cam.height))
+    return (rows[:, None] * cam.width + cols).ravel()
 
 
 def _box_survivors(obj: ObjectModel, origin: np.ndarray, dirs: np.ndarray) -> np.ndarray:
@@ -427,16 +423,9 @@ def _cast(scene: Scene):
     dirs = cam.pixel_directions()
     depth, normal, inst = (a.copy() for a in _table_layer(cam, scene.table_height))
     for obj in scene.objects:
-        # only rays in the sphere's row band whose line passes through the
-        # sphere, ahead of the origin, and then meets the local box can hit
-        # the object; the rest would return t = inf
-        center, radius = _bounding_sphere(obj)
-        row_lo, row_hi = _row_band(cam, center, radius)
-        first = row_lo * cam.width
-        oc = center - origin
-        along = dirs[first:row_hi * cam.width] @ oc
-        off2 = oc @ oc - along * along
-        idx = first + np.flatnonzero((off2 <= radius * radius) & (along > -radius))
+        # only rays in the box's pixel window that meet the box can hit the
+        # object; the rest would return t = inf
+        idx = _pixel_window(cam, obj)
         d = dirs[idx]
         keep = _box_survivors(obj, origin, d)
         if keep.size == 0:
@@ -510,8 +499,9 @@ def _vertical_profile(obj: ObjectModel) -> Optional[list[tuple[float, float, flo
 
 
 def top_height_bound(objects: Sequence[ObjectModel], xy_lo, xy_hi) -> float:
-    """Upper bound on ``top_heights`` over the columns of the axis-aligned
-    rectangle [xy_lo, xy_hi]; -inf when no object can lie under it.
+    """Upper bound, up to rounding, which callers pad, on ``top_heights``
+    over the columns of the axis-aligned rectangle [xy_lo, xy_hi]; -inf
+    when no object can lie under it.
 
     A solid of revolution whose axis is vertical (upright or upside down)
     is bounded by the profile segments whose radial range meets the

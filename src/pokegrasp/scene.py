@@ -17,9 +17,7 @@ Objects come in two shapes:
 * ``Box`` -- a solid cuboid spanning x in [-w/2, w/2], y in [-d/2, d/2],
   z in [0, h] in its local frame.
 
-Both shapes give their local height range as ``z_min`` / ``z_max`` and the
-radius of a sphere about the axis point at mid-height that encloses them
-as ``bounding_radius``.
+Both shapes give their local height range as ``z_min`` / ``z_max``.
 """
 from __future__ import annotations
 
@@ -159,13 +157,6 @@ class RevolutionProfile:
         rs = [p[0] for p in self.points]
         return np.interp(z, zs, rs)
 
-    @property
-    def bounding_radius(self) -> float:
-        """Distance from the axis point at mid-height to the farthest point
-        of the solid (the distance is convex along each profile segment)."""
-        zc = (self.z_min + self.z_max) / 2.0
-        return max(float(np.hypot(r, z - zc)) for r, z in self.points)
-
 
 @dataclass(frozen=True)
 class Box:
@@ -188,12 +179,6 @@ class Box:
     @property
     def z_max(self) -> float:
         return self.size[2]
-
-    @property
-    def bounding_radius(self) -> float:
-        """Half the space diagonal: the distance from the centre to a corner."""
-        w, d, h = self.size
-        return 0.5 * float(np.sqrt(w * w + d * d + h * h))
 
     def corners(self) -> np.ndarray:
         """The eight local corners, (8, 3)."""

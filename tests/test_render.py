@@ -1,4 +1,5 @@
 import importlib
+import itertools
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ import pytest
 from pokegrasp.catalog import OBJECT_NAMES, benchmark_scene, catalog_entry, default_camera, \
     make_object, small_vial_scene
 from pokegrasp.geometry import RigidTransform, rot_x, rot_y, rot_z
-from pokegrasp.render import _bounding_sphere, _frustum_normal, _intersect_box, \
-    _intersect_disk, _intersect_frustum, _row_band, _table_layer, compile_primitives, \
+from pokegrasp.render import _frustum_normal, _intersect_box, _intersect_disk, \
+    _intersect_frustum, _local_box, _pixel_window, _table_layer, compile_primitives, \
     contains, intersect_object, render, top_height_bound, top_heights
 from pokegrasp.scene import Box, ObjectModel, RevolutionProfile, Scene
 
@@ -209,8 +210,8 @@ class TestCulledRenderMatchesUnculled:
     def test_object_cut_by_the_image_edge(self, y, edge_row):
         obj = make_object(catalog_entry("mug"), "upright", 0.0, y, 0.0)
         scene = Scene(camera=default_camera(), objects=(obj,))
-        band = _row_band(scene.camera, *_bounding_sphere(obj))
-        assert edge_row in (band[0], band[1] - 1) and band != (0, 240)
+        rows = _pixel_window(scene.camera, obj) // scene.camera.width
+        assert edge_row in (rows.min(), rows.max()) and rows.size < 240 * 320
         buf = render(scene)
         assert buf.instance_mask(1)[edge_row].any()
         assert_buffers_identical(buf, *unculled_render(scene))
@@ -227,13 +228,20 @@ class TestCulledRenderMatchesUnculled:
         assert_buffers_identical(buf, *unculled_render(scene))
 
     def test_sphere_corner_behind_the_camera_casts_the_whole_frame(self):
+        # a box corner behind the camera: a cup just below a tilted camera,
+        # and a tower beside it that rises above the camera, whose near face
+        # runs out to the frame edge while its corners project inside it
         cam = overhead_camera(height=0.105, width=160, height_px=120, cx=80.0, cy=60.0,
                               fx=100.0, fy=100.0, tilt=0.1)
-        scene = Scene(camera=cam, objects=(straight_cup(),))
-        assert _row_band(cam, *_bounding_sphere(scene.objects[0])) == (0, 120)
-        buf = render(scene)
-        assert buf.instance_mask(1).any()
-        assert_buffers_identical(buf, *unculled_render(scene))
+        tower = ObjectModel(id=1, shape=Box(size=(0.05, 0.05, 0.2)), mass=0.1,
+                            pose=RigidTransform(np.eye(3), [0.05, 0.0, 0.0]))
+        for obj in (straight_cup(), tower):
+            scene = Scene(camera=cam, objects=(obj,))
+            assert np.array_equal(_pixel_window(cam, obj), np.arange(120 * 160))
+            buf = render(scene)
+            assert buf.instance_mask(1).any()
+            assert_buffers_identical(buf, *unculled_render(scene))
+        assert buf.instance_mask(1)[:, -1].any()
 
     def test_raised_table(self):
         obj = make_object(catalog_entry("tumble_cup"), "upright", 0.02, -0.01, 0.3)
@@ -243,13 +251,40 @@ class TestCulledRenderMatchesUnculled:
 
     def test_two_objects_with_overlapping_bands(self):
         a = make_object(catalog_entry("highball_cup"), "upright", -0.04, 0.0, 0.0, oid=1)
-        b = make_object(catalog_entry("vial"), "upside_down", 0.035, 0.01, 0.0, oid=2)
+        b = make_object(catalog_entry("vial"), "upside_down", 0.0, 0.01, 0.0, oid=2)
         scene = Scene(camera=default_camera(), objects=(a, b))
-        band_a, band_b = (_row_band(scene.camera, *_bounding_sphere(o)) for o in (a, b))
-        assert max(band_a[0], band_b[0]) < min(band_a[1], band_b[1])
+        assert np.intersect1d(*(_pixel_window(scene.camera, o) for o in (a, b))).size > 0
         buf = render(scene)
         assert buf.instance_mask(1).any() and buf.instance_mask(2).any()
         assert_buffers_identical(buf, *unculled_render(scene))
+
+    @pytest.mark.parametrize("name", OBJECT_NAMES)
+    def test_seeded_tilted_poses(self, name):
+        # two poses in view and two cut by the frame edge: the point on the
+        # axis at mid-height on the ray of a border pixel, so that the border
+        # row or column crosses the solid
+        border = ((0, 120), (319, 120), (160, 0), (160, 239))
+        entry = catalog_entry(name)
+        k = OBJECT_NAMES.index(name)
+        rng = np.random.default_rng(k)
+        cam = default_camera()
+        for i in range(4):
+            rot = rot_z(rng.uniform(-np.pi, np.pi)) @ rot_y(rng.uniform(-np.pi, np.pi)) \
+                @ rot_x(rng.uniform(-np.pi, np.pi))
+            xyz = np.array([*rng.uniform(-0.1, 0.1, size=2), rng.uniform(0.0, 0.05)])
+            if i >= 2:
+                centre = rot @ [0.0, 0.0, (entry.shape.z_min + entry.shape.z_max) / 2.0]
+                xyz = cam.backproject_at_height(border[(k + i) % 4], xyz[2] + centre[2]) - centre
+            obj = ObjectModel(id=1, shape=entry.shape, mass=entry.mass,
+                              wall_thickness=entry.wall_thickness, pose=RigidTransform(rot, xyz))
+            scene = Scene(camera=cam, objects=(obj,))
+            depth, normals, instance = unculled_render(scene)
+            assert_buffers_identical(render(scene), depth, normals, instance)
+            mask = instance == 1
+            assert mask.any()
+            assert np.isin(np.flatnonzero(mask), _pixel_window(cam, obj)).all()
+            if i >= 2:
+                assert mask[[0, -1]].any() or mask[:, [0, -1]].any()
 
     def test_side_lying_barrel_and_tilted_box(self):
         barrel = make_object(catalog_entry("jar"), "side", -0.05, 0.02, 1.1, oid=1)
@@ -406,6 +441,54 @@ class TestTopHeightBound:
         heights, _ = top_heights([cone], np.array([[0.032, 0.0], [0.035, 0.0]]))
         assert heights.max() == pytest.approx(0.07, abs=1e-12)
         assert heights.max() <= got
+
+@pytest.mark.parametrize("name", OBJECT_NAMES)
+def test_top_height_bound_holds_up_to_rounding(name):
+    # the bound and the cast reach the same surface by different arithmetic,
+    # so the cast may exceed the bound by rounding (at most 8.5e-16 m here);
+    # 1e-12 m stays far below the 1e-9 m pad of simulate_poke
+    rng = np.random.default_rng(OBJECT_NAMES.index(name))
+    finite = 0
+    for attempt in range(12):
+        (obj,) = benchmark_scene(name, attempt, master_seed=0).objects
+        corners = obj.pose.apply(np.array(list(itertools.product(*zip(*_local_box(obj))))))
+        xy_lo, xy_hi = corners[:, :2].min(axis=0) - 0.01, corners[:, :2].max(axis=0) + 0.01
+        for _ in range(8):
+            centre = rng.uniform(xy_lo, xy_hi)
+            half = rng.uniform(0.0005, 0.015, size=2)
+            gx, gy = np.meshgrid(*(np.linspace(-h, h, 16) for h in half))
+            xy = centre + np.stack([gx.ravel(), gy.ravel()], axis=-1)
+            heights, _ = top_heights([obj], xy)
+            assert heights.max() <= top_height_bound([obj], centre - half, centre + half) + 1e-12
+            finite += np.isfinite(heights).any()
+    assert finite >= 32
+
+
+class TestRayCastMatchesContains:
+    """Just before a non-grazing hit of ``intersect_object`` a point is
+    outside the solid and just after it inside, by ``contains``, which
+    decides the finger sweep of a simulated grasp."""
+
+    @pytest.mark.parametrize("attempt", [0, 4, 8])
+    @pytest.mark.parametrize("name", OBJECT_NAMES)
+    def test_catalog_object(self, name, attempt):
+        # a step of 1e-6 m is far past the rounding of the hit point and
+        # far inside the thinnest wall; at a grazing hit (|n.d| <= 0.05) it
+        # moves the point too little across the surface to tell the sides
+        (obj,) = benchmark_scene(name, attempt, master_seed=0).objects
+        rng = np.random.default_rng(OBJECT_NAMES.index(name) * 12 + attempt)
+        lo, hi = _local_box(obj)
+        targets = obj.pose.apply(rng.uniform(lo, hi, size=(4000, 3)))
+        d = rng.normal(size=(4000, 3))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        origins = targets - 0.5 * d
+        t, normal, _ = intersect_object(obj, origins, d)
+        hit = np.isfinite(t) & (np.abs(np.sum(normal * d, axis=1)) > 0.05)
+        assert hit.sum() > 1000
+        p, d = origins[hit] + t[hit, None] * d[hit], d[hit]
+        assert not contains(obj, p - 1e-6 * d).any()
+        assert contains(obj, p + 1e-6 * d).all()
+
 
 def test_floor_below_the_mug_rim_leaves_only_the_rim_annulus():
     # a sensor footprint across the rim of an upright mug, with the sensing
