@@ -8,7 +8,7 @@ benchmark harness (``harness.run_benchmark``).
 """
 
 from .errors import (DegenerateInput, EmptyMask, InsufficientContact, InvalidConfig,
-                     InvalidGeometry, IoError, PointBehindCamera, PokeGraspError,
+                     InvalidGeometry, PointBehindCamera, PokeGraspError,
                      RayParallelToPlane, ResolutionMismatch, ShapeMismatch,
                      WidthOverflow)
 from .geometry import RigidTransform

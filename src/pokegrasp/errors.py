@@ -53,7 +53,3 @@ class InsufficientContact(PokeGraspError):
 
 class ShapeMismatch(PokeGraspError):
     """Two per-pixel maps that must share a shape do not."""
-
-
-class IoError(PokeGraspError):
-    """File read/write failed or a file is malformed."""
