@@ -442,6 +442,7 @@ class TestTopHeightBound:
         assert heights.max() == pytest.approx(0.07, abs=1e-12)
         assert heights.max() <= got
 
+
 @pytest.mark.parametrize("name", OBJECT_NAMES)
 def test_top_height_bound_holds_up_to_rounding(name):
     # the bound and the cast reach the same surface by different arithmetic,
