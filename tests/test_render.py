@@ -227,7 +227,7 @@ class TestCulledRenderMatchesUnculled:
         assert cast == [] and not buf.instance_mask(1).any()
         assert_buffers_identical(buf, *unculled_render(scene))
 
-    def test_sphere_corner_behind_the_camera_casts_the_whole_frame(self):
+    def test_a_box_corner_behind_the_camera_casts_the_whole_frame(self):
         # a box corner behind the camera: a cup just below a tilted camera,
         # and a tower beside it that rises above the camera, whose near face
         # runs out to the frame edge while its corners project inside it
@@ -249,7 +249,7 @@ class TestCulledRenderMatchesUnculled:
             scene = Scene(camera=default_camera(), objects=(obj,), table_height=table_height)
             assert_buffers_identical(render(scene), *unculled_render(scene))
 
-    def test_two_objects_with_overlapping_bands(self):
+    def test_two_objects_with_overlapping_windows(self):
         a = make_object(catalog_entry("highball_cup"), "upright", -0.04, 0.0, 0.0, oid=1)
         b = make_object(catalog_entry("vial"), "upside_down", 0.0, 0.01, 0.0, oid=2)
         scene = Scene(camera=default_camera(), objects=(a, b))
