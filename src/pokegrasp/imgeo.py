@@ -24,6 +24,12 @@ from .errors import DegenerateInput, EmptyMask
 
 # Moore neighborhood in clockwise screen order, offsets as (dv, du)
 _OFFS = [(0, -1), (-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1)]
+# the directions tried after a backtrack in direction b, clockwise from it
+_SCAN = [[(b + i) % 8 for i in range(1, 9)] for b in range(8)]
+# the direction from a pixel stepped to in direction d back to the new
+# backtrack, the neighbour tried just before it
+_BACK = [_OFFS.index((_OFFS[d - 1][0] - _OFFS[d][0], _OFFS[d - 1][1] - _OFFS[d][1]))
+         for d in range(8)]
 _EIGHT = np.ones((3, 3), dtype=int)
 
 
@@ -59,38 +65,34 @@ def _trace_boundary(mask: np.ndarray) -> list[tuple[int, int]]:
 
     ``mask`` must be a single 8-connected component. Returns (v, u) pixels
     in trace order, first occurrence only.
+
+    The walk runs on the mask padded by one background pixel, read as bytes
+    and stepped by flat offsets, so no neighbour needs a bounds check. The
+    backtrack is kept as the direction from the current pixel to it.
     """
     h, w = mask.shape
-    vs, us = np.nonzero(mask)
-    s = (int(vs[0]), int(us[0]))
-
-    def fg(p):
-        return 0 <= p[0] < h and 0 <= p[1] < w and mask[p[0], p[1]]
-
-    b0 = (s[0], s[1] - 1)  # west of the row-major first pixel: background
-    p, b = s, b0
+    stride = w + 2
+    padded = np.zeros((h + 2, stride), dtype=bool)
+    padded[1:-1, 1:-1] = mask
+    fg = padded.tobytes()
+    steps = [dv * stride + du for dv, du in _OFFS]
+    s = fg.index(1)  # the row-major first pixel; west of it is background
+    p, back = s, 0
     ordered = [s]
     seen = {s}
-    for _ in range(4 * (len(vs) + 8)):
-        b_idx = _OFFS.index((b[0] - p[0], b[1] - p[1]))
-        nxt = None
-        for i in range(1, 9):
-            d = (b_idx + i) % 8
-            cand = (p[0] + _OFFS[d][0], p[1] + _OFFS[d][1])
-            if fg(cand):
-                prev_d = (b_idx + i - 1) % 8
-                new_b = (p[0] + _OFFS[prev_d][0], p[1] + _OFFS[prev_d][1])
-                nxt = cand
+    for _ in range(4 * (fg.count(1) + 8)):
+        for d in _SCAN[back]:
+            if fg[p + steps[d]]:
                 break
-        if nxt is None:
+        else:
             break  # isolated pixel
-        if nxt == s and new_b == b0:
+        p, back = p + steps[d], _BACK[d]
+        if p == s and back == 0:
             break
-        p, b = nxt, new_b
         if p not in seen:
             seen.add(p)
             ordered.append(p)
-    return ordered
+    return [(q // stride - 1, q % stride - 1) for q in ordered]
 
 
 def _shoelace(points_uv: np.ndarray) -> float:

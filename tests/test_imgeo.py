@@ -3,9 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pokegrasp.catalog import OBJECT_NAMES, benchmark_scene
 from pokegrasp.errors import DegenerateInput, EmptyMask
-from pokegrasp.imgeo import Ellipse, bbox_of, find_external_contour, fit_ellipse, \
-    nearest_positive
+from pokegrasp.imgeo import Ellipse, _trace_boundary, bbox_of, find_external_contour, \
+    fit_ellipse, largest_component, nearest_positive
+from pokegrasp.regions import poking_region
+from pokegrasp.render import render
 
 
 def bfs_components(mask):
@@ -149,6 +152,103 @@ class TestContourWindowInvariance:
         mask = np.zeros((240, 320), dtype=bool)
         mask[v, u] = True
         assert find_external_contour(mask).tolist() == [[u, v]]
+
+
+# Moore neighborhood in clockwise screen order, offsets as (dv, du)
+REFERENCE_OFFS = [(0, -1), (-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1)]
+
+
+def reference_trace_boundary(mask):
+    """The Moore trace as it was before the padded flat-index walk: (v, u)
+    pixels, a bounds-checked neighbour test and the backtrack as a pixel."""
+    h, w = mask.shape
+    vs, us = np.nonzero(mask)
+    s = (int(vs[0]), int(us[0]))
+
+    def fg(p):
+        return 0 <= p[0] < h and 0 <= p[1] < w and mask[p[0], p[1]]
+
+    b0 = (s[0], s[1] - 1)  # west of the row-major first pixel: background
+    p, b = s, b0
+    ordered = [s]
+    seen = {s}
+    for _ in range(4 * (len(vs) + 8)):
+        b_idx = REFERENCE_OFFS.index((b[0] - p[0], b[1] - p[1]))
+        nxt = None
+        for i in range(1, 9):
+            d = (b_idx + i) % 8
+            cand = (p[0] + REFERENCE_OFFS[d][0], p[1] + REFERENCE_OFFS[d][1])
+            if fg(cand):
+                prev_d = (b_idx + i - 1) % 8
+                new_b = (p[0] + REFERENCE_OFFS[prev_d][0], p[1] + REFERENCE_OFFS[prev_d][1])
+                nxt = cand
+                break
+        if nxt is None:
+            break  # isolated pixel
+        if nxt == s and new_b == b0:
+            break
+        p, b = nxt, new_b
+        if p not in seen:
+            seen.add(p)
+            ordered.append(p)
+    return ordered
+
+
+def assert_trace_matches_reference(mask):
+    comp = largest_component(mask)
+    assert _trace_boundary(comp) == reference_trace_boundary(comp)
+
+
+class TestTraceMatchesReference:
+    """The padded flat-index trace walks the reference trace's path: the same
+    pixels in the same order."""
+
+    @pytest.mark.parametrize("attempt", [0, 4, 8])
+    @pytest.mark.parametrize("name", OBJECT_NAMES)
+    def test_catalog_regions(self, name, attempt):
+        scene = benchmark_scene(name, attempt, master_seed=0)
+        anns = poking_region(render(scene), scene.camera, scene.table_normal)
+        assert anns
+        for ann in anns:
+            for region in (ann.mask, ann.poking_region):
+                if region.any():
+                    u0, v0, u1, v1 = bbox_of(region)
+                    assert_trace_matches_reference(region[v0:v1 + 1, u0:u1 + 1])
+
+    def test_seeded_random_masks(self):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            h, w = rng.integers(1, 16, size=2)
+            mask = rng.random((h, w)) < rng.uniform(0.2, 0.9)
+            if mask.any():
+                assert_trace_matches_reference(mask)
+
+    @pytest.mark.parametrize("v, u", [(0, 0), (0, 6), (4, 0), (4, 6), (2, 3)])
+    def test_single_pixel(self, v, u):
+        mask = np.zeros((5, 7), dtype=bool)
+        mask[v, u] = True
+        assert _trace_boundary(mask) == reference_trace_boundary(mask) == [(v, u)]
+
+    def test_one_pixel_spurs(self):
+        # a disk with 1-px spurs out to every window edge and a diagonal one,
+        # walked out along the spur and back
+        mask = disk_mask((21, 21), (10, 10), 5)
+        mask[10, :] = True
+        mask[:, 10] = True
+        for k in range(4):
+            mask[3 - k, 3 - k] = True
+        assert_trace_matches_reference(mask)
+        assert_trace_matches_reference(mask[:, :12])
+
+    def test_masks_filling_the_window(self):
+        rng = np.random.default_rng(31)
+        for shape in ((1, 9), (9, 1), (2, 2), (6, 8)):
+            full = np.ones(shape, dtype=bool)
+            assert_trace_matches_reference(full)
+            holes = full & (rng.random(shape) < 0.8)
+            holes[0, 0] = holes[-1, -1] = True
+            if largest_component(holes)[0, 0]:
+                assert_trace_matches_reference(holes)
 
 
 def test_bbox_of_matches_nonzero_extremes():
