@@ -42,7 +42,15 @@ sensel indents, so it casts a sparse lattice of the sensel columns first,
 one sensel in every 8 x 8 block, and the full frame only where no lattice
 sensel counts. A column's height does not depend on the other columns cast
 with it, so a lattice touch is a touch of the full frame. The fine phase
-casts full frames, and the one that fires is the contact frame.
+casts full frames, and the one that fires is the contact frame. Its
+contact normal comes from the same downward ray at the contact column, cast
+only against the primitives that can rise above the contact height there;
+they hold the face that sets the column's top, so the normal is that of a
+cast against every primitive.
+
+A grasp's two finger sweeps, 25 columns each, are one ``top_heights``
+query floored at the collision height: only a surface above it can collide,
+and a column above the floor reads the full query's height.
 """
 from __future__ import annotations
 
@@ -58,7 +66,7 @@ from .errors import (DegenerateInput, EmptyMask, InsufficientContact, InvalidCon
 from .plan import RING, SIMPLY_CONNECTED, GraspProposal, GripperSpec, PokePlan, \
     heuristic_grasp, poking_point
 from .regions import InstanceAnnotation, pixel_ray_dz, poking_region, surface_heights
-from .render import RenderBuffers, contains, intersect_object, object_top_z, render, \
+from .render import RenderBuffers, _column_normal, contains, object_top_z, render, \
     top_height_bound, top_heights
 from .scene import Box, ObjectModel, Scene
 from .seeding import mix
@@ -373,13 +381,19 @@ def _lattice_rows(spec: TactileSensorSpec) -> np.ndarray:
     return frame[start::_LATTICE_STRIDE, start::_LATTICE_STRIDE].ravel()
 
 
+# the sensor-centre offsets of the default sensor's lattice columns
+_LATTICE_OFFSETS = SENSOR.sensel_offsets[_lattice_rows(SENSOR)]
+
+
 def _contact_dot(scene: Scene, object_id: int, contact: np.ndarray) -> float:
     """Table-normal component of the contacted surface normal, from the
-    same downward ray at the contact column that the probe cast."""
-    origin = np.array([[contact[0], contact[1], scene_top_z(scene) + 0.01]])
-    _, normal, _ = intersect_object(scene.object_by_id(object_id), origin,
-                                    np.array([[0.0, 0.0, -1.0]]))
-    return float(normal[0] @ scene.table_normal)
+    same downward ray at the contact column that the probe cast. The ray is
+    cast only against the primitives that can rise above the contact height
+    there (``render._column_normal``); the normal is that of a cast against
+    every primitive."""
+    origin = np.array([contact[0], contact[1], scene_top_z(scene) + 0.01])
+    normal = _column_normal(scene.object_by_id(object_id), origin, float(contact[2]))
+    return float(normal @ scene.table_normal)
 
 
 def simulate_poke(scene: Scene, plan: Optional[PokePlan], dx: float = 0.0,
@@ -436,8 +450,6 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan], dx: float = 0.0,
     top = scene_top_z(scene)
     half = np.array([SENSOR.area_x, SENSOR.area_y]) / 2.0
 
-    lattice = SENSOR.sensel_offsets[_lattice_rows(SENSOR)]
-
     def skipped(center: np.ndarray) -> bool:
         bound = top_height_bound(scene.objects, center[:2] - half, center[:2] + half)
         return center[2] >= bound - DEFAULT_VALUE_THRESHOLD + 1e-9
@@ -456,7 +468,7 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan], dx: float = 0.0,
         center = center_at(z)
         if skipped(center):
             return False
-        heights, _ = top_heights(scene.objects, _column_xy(lattice, center),
+        heights, _ = top_heights(scene.objects, _column_xy(_LATTICE_OFFSETS, center),
                                  z_start=top + 0.01, floor=z)
         # the image is >= 0: detect_contact against the zero reference counts these
         image = frame_from_heights(heights, SENSOR, center).image
@@ -509,6 +521,10 @@ def simulate_grasp(scene: Scene, grasp: GraspProposal, seed: int = 0) -> GraspOu
     at two opposed points with both segment ends free, and (iii) the
     horizontal gap between the grasp center and the crossing midpoint to
     stay under half a finger pad span (= finger_width / 2).
+
+    Both fingers' sweeps are one ``top_heights`` query, floored at the
+    collision height: a column above the floor reads the full query's
+    height, so the query finds a collision exactly where the full one does.
     """
     close_angle = grasp.theta if grasp.kind == "edge" else grasp.theta + np.pi / 2.0
     u = np.array([np.cos(close_angle), np.sin(close_angle)])
@@ -517,14 +533,13 @@ def simulate_grasp(scene: Scene, grasp: GraspProposal, seed: int = 0) -> GraspOu
     z_exec = max(grasp.z - DESCEND_OFFSET, scene.table_height + 0.001)
     fw = GRIPPER.finger_width
     spans = np.linspace(-fw / 2.0, fw / 2.0, 25)
-    z_start = scene_top_z(scene) + 0.01
-    for sign in (-1.0, 1.0):
-        tip = center + sign * (grasp.w / 2.0) * u
-        samples = tip[None, :] + spans[:, None] * perp[None, :]
-        heights, _ = top_heights(scene.objects, samples, z_start=z_start)
-        if np.any(heights > z_exec + 1e-9):
-            return GraspOutcome(status=FAILURE, seed=seed, reason="descent_collision",
-                                grasp=grasp)
+    tips = [center + sign * (grasp.w / 2.0) * u for sign in (-1.0, 1.0)]
+    samples = np.concatenate([tip[None, :] + spans[:, None] * perp[None, :] for tip in tips])
+    collision = z_exec + 1e-9
+    heights, _ = top_heights(scene.objects, samples, z_start=scene_top_z(scene) + 0.01,
+                             floor=collision)
+    if np.any(heights > collision):
+        return GraspOutcome(status=FAILURE, seed=seed, reason="descent_collision", grasp=grasp)
     ts = np.linspace(-grasp.w / 2.0, grasp.w / 2.0, 801)
     pts = np.concatenate([center[None, :] + ts[:, None] * u[None, :],
                           np.full((ts.size, 1), z_exec)], axis=1)

@@ -47,13 +47,26 @@ distance: it takes the minimum over the same per-primitive distances as
 ``intersect_object``, skips the nearest-face gather and the normals, and
 casts the shared downward direction as one row. A query may name a
 ``floor``, such as a sensing plane: a column whose surface does not rise
-above it reads -inf. An object whose top lies below the floor is skipped.
-A solid of revolution with a vertical axis casts each primitive only on the
-columns whose distance to the axis falls in the radial span where that
-primitive rises above the floor, padded by 1e-9 in radius and in height.
-The primitive that sets a column's top above the floor is always among
-them, so every column above the floor reads the full query's height, byte
-for byte. Boxes and side-lying or tilted solids cast every column.
+above it reads -inf. An object whose top lies below the floor is skipped,
+and within an object one cull rule, ``_rising_primitives``, names the
+primitives that can rise above the floor:
+
+* for a solid of revolution with a vertical axis, the primitives whose
+  profile segment rises above the floor, each cast only on the columns
+  whose distance to the axis falls in the radial span where it does,
+  padded by 1e-9 in radius and in height (on every column, with no
+  gather, where the span holds them all);
+* for a side-lying or tilted solid, the primitives whose world top, the
+  bounding cylinder of ``object_top_z`` taken primitive by primitive, lies
+  above the floor less 1e-9, each cast on every column;
+* for a box, its one primitive.
+
+The primitive that sets a column's top above the floor, and every
+primitive that ties with it, are always among them, so every column above
+the floor reads the full query's height, byte for byte. The contact-normal
+cast (``_column_normal``) applies the same rule to one column with the
+contact height as the floor: the nearest face is the full cast's, and so
+is its normal.
 
 ``top_height_bound`` bounds ``top_heights`` over an axis-aligned rectangle
 of columns without casting, the same bounding-volume idea applied to a
@@ -64,7 +77,8 @@ contributes its highest point, ``object_top_z``. The bound holds up to
 rounding (below 1e-15 m): ``harness.simulate_poke`` skips the probes whose
 footprint bound, padded by 1e-9 m, cannot reach the sensing plane.
 The bound and the floored query read the primitives of a vertical-axis
-solid from one place, ``_vertical_profile``.
+solid from one place, ``_vertical_profile``, whose profile segments are
+cached per (shape, wall thickness, up).
 
 The ray and column kernels work on 1-D per-axis arrays: they read the
 columns ``o[:, a]`` and ``d[:, a]`` of their (n, 3) inputs and combine the
@@ -97,6 +111,8 @@ NO_HIT = np.inf
 # compiled primitives of up to this many distinct (shape, wall thickness) pairs
 _PRIMITIVES_KEPT = 64
 _PRIMITIVES: dict[tuple, tuple] = {}
+# and their profile segments, per (shape, wall thickness, up)
+_SEGMENTS: dict[tuple, tuple] = {}
 
 # table layers of up to a few distinct (camera, table height) pairs
 _TABLE_LAYERS_KEPT = 4
@@ -317,10 +333,17 @@ def intersect_object(obj: ObjectModel, origins: np.ndarray, dirs: np.ndarray):
     Returns (t, normal_world, face_index); t = +inf where the object is
     missed. Normals are geometric and oriented against the ray.
     """
+    return _intersect_primitives(obj, compile_primitives(obj), origins, dirs)
+
+
+def _intersect_primitives(obj: ObjectModel, prims: Sequence[tuple], origins: np.ndarray,
+                          dirs: np.ndarray):
+    """``intersect_object`` against ``prims`` alone, a non-empty selection of
+    the object's primitives in ``compile_primitives`` order; face_index
+    indexes ``prims``."""
     inv = obj.pose.inverse()
     o = inv.apply(origins)
     d = inv.apply_vector(dirs)
-    prims = compile_primitives(obj)
     ts = np.stack([_intersect_primitive_t(p, o, d) for p in prims], axis=0)
     face = np.argmin(ts, axis=0)
     t = ts[face, np.arange(ts.shape[1])]
@@ -472,12 +495,28 @@ def object_top_z(obj: ObjectModel) -> float:
     return float(obj.pose.translation[2]) + axis_top + spread
 
 
-def _vertical_profile(obj: ObjectModel) -> Optional[list[tuple[float, float, float, float]]]:
-    """The primitives of a solid of revolution whose axis is vertical
-    (upright or upside down), in ``compile_primitives`` order, as the
-    profile segments ``(r0, h0, r1, h1)`` they sweep about the axis, where
-    ``h`` is the height above the pose origin (a disk is a flat segment);
-    None for a box or any other pose.
+def _profile_segments(obj: ObjectModel, up: float) -> tuple[tuple[float, float, float, float], ...]:
+    """The primitives of a solid of revolution, in ``compile_primitives``
+    order, as the profile segments ``(r0, h0, r1, h1)`` they sweep about the
+    axis, where ``h`` is ``up`` times the local height (a disk is a flat
+    segment). Objects with equal shapes, wall thicknesses and ``up`` share
+    one cached tuple."""
+    key = (obj.shape, obj.wall_thickness, up)
+    segments = _SEGMENTS.get(key)
+    if segments is None:
+        segments = tuple((prim[2], up * prim[1], prim[3], up * prim[1]) if prim[0] == "disk"
+                         else (prim[1], up * prim[2], prim[3], up * prim[4])
+                         for prim in compile_primitives(obj))
+        if len(_SEGMENTS) >= _PRIMITIVES_KEPT:
+            _SEGMENTS.clear()  # one atomic step, unlike evicting a chosen key
+        _SEGMENTS[key] = segments
+    return segments
+
+
+def _vertical_profile(obj: ObjectModel) -> Optional[tuple[tuple[float, float, float, float], ...]]:
+    """The ``_profile_segments`` of a solid of revolution whose axis is
+    vertical (upright or upside down), ``h`` being the height above the pose
+    origin; None for a box or any other pose.
     """
     if isinstance(obj.shape, Box):
         return None
@@ -486,16 +525,7 @@ def _vertical_profile(obj: ObjectModel) -> Optional[list[tuple[float, float, flo
     # axis then drifts far less than the 1e-9 pads of the callers
     if math.hypot(rot[0, 2], rot[1, 2]) > 1e-12:
         return None
-    up = 1.0 if rot[2, 2] > 0 else -1.0
-    segments = []
-    for prim in compile_primitives(obj):
-        if prim[0] == "disk":
-            _, zc, r_in, r_out, _ = prim
-            segments.append((r_in, up * zc, r_out, up * zc))
-        else:
-            _, r0, z0, r1, z1, _ = prim
-            segments.append((r0, up * z0, r1, up * z1))
-    return segments
+    return _profile_segments(obj, 1.0 if rot[2, 2] > 0 else -1.0)
 
 
 def top_height_bound(objects: Sequence[ObjectModel], xy_lo, xy_hi) -> float:
@@ -550,37 +580,91 @@ def _radial_span_above(segment, h_floor: float) -> Optional[tuple[float, float]]
     return min(r_cross, r_top), max(r_cross, r_top)
 
 
-def _column_ts(obj: ObjectModel, origins: np.ndarray, floor: float) -> np.ndarray:
-    """Distance down each vertical column from ``origins`` to the object's
-    top surface; +inf where the column misses the object.
+def _rising_primitives(obj: ObjectModel, floor: float) -> list[tuple]:
+    """The object's primitives that can rise above ``floor``, in
+    ``compile_primitives`` order, each with the radial span ``(lo, hi)`` of
+    the columns where it can, or None where any column can see it.
 
-    Under a finite ``floor`` a solid of revolution with a vertical axis
-    evaluates a primitive only on the columns whose distance to the axis
-    lies in the radial span where the primitive rises above the floor,
-    padded by 1e-9 in radius and in height. The primitive that sets a
-    column's top above the floor is then always evaluated there, so the
-    minimum over the evaluated primitives is the full one. A column whose
-    top does not rise above the floor may read a longer distance or +inf.
+    A solid of revolution with a vertical axis keeps the primitives whose
+    profile segment rises above the floor, with the radii where it does,
+    padded by 1e-9 in radius and in height. Any other solid of revolution
+    keeps the primitives whose world top, ``object_top_z``'s bounding
+    cylinder taken over the primitive's own segment, lies above the floor
+    less 1e-9. A box keeps its one primitive, and a floor of -inf keeps
+    every primitive.
     """
+    prims = compile_primitives(obj)
+    if floor == -NO_HIT or isinstance(obj.shape, Box):
+        return [(prim, None) for prim in prims]
+    tz = float(obj.pose.translation[2])
+    profile = _vertical_profile(obj)
+    if profile is None:
+        a_z = float((obj.pose.rotation @ np.array([0.0, 0.0, 1.0]))[2])
+        spread = math.sqrt(max(0.0, 1.0 - a_z * a_z))
+        return [(prim, None) for prim, (r0, h0, r1, h1) in zip(prims, _profile_segments(obj, 1.0))
+                if tz + max(h0 * a_z, h1 * a_z) + max(r0, r1) * spread > floor - 1e-9]
+    h_floor = floor - tz - 1e-9
+    rising = []
+    for prim, segment in zip(prims, profile):
+        span = _radial_span_above(segment, h_floor)
+        if span is not None:
+            rising.append((prim, (max(span[0] - 1e-9, 0.0), span[1] + 1e-9)))
+    return rising
+
+
+def _column_ts(obj: ObjectModel, origins: np.ndarray, floor: float) -> Optional[np.ndarray]:
+    """Distance down each vertical column from ``origins`` to the object's
+    top surface; +inf where the column misses the object, and None where no
+    primitive is cast on any column.
+
+    Each primitive of ``_rising_primitives`` is evaluated on the columns of
+    its radial span, or on every column where it has none. The primitive
+    that sets a column's top above the floor is then always evaluated there,
+    so the minimum over the evaluated primitives is the full one. A column
+    whose top does not rise above the floor may read a longer distance or
+    +inf.
+    """
+    rising = _rising_primitives(obj, floor)
+    if not rising:
+        return None
     inv = obj.pose.inverse()
     o = inv.apply(origins)
     d = inv.apply_vector(np.array([[0.0, 0.0, -1.0]]))
-    prims = compile_primitives(obj)
-    profile = _vertical_profile(obj) if floor > -NO_HIT else None
-    if profile is None:
-        return np.min([_intersect_primitive_t(p, o, d) for p in prims], axis=0)
-    rho2 = o[:, 0] * o[:, 0] + o[:, 1] * o[:, 1]
-    h_floor = floor - float(obj.pose.translation[2]) - 1e-9
-    t = np.full(o.shape[0], NO_HIT)
-    for prim, segment in zip(prims, profile):
-        span = _radial_span_above(segment, h_floor)
-        if span is None:
-            continue
-        lo, hi = max(span[0] - 1e-9, 0.0), span[1] + 1e-9
-        idx = np.flatnonzero((rho2 >= lo * lo) & (rho2 <= hi * hi))
-        if idx.size:
-            t[idx] = np.minimum(t[idx], _intersect_primitive_t(prim, o[idx], d))
+    t = None
+    rho2 = None
+    for prim, span in rising:
+        if span is not None:
+            if rho2 is None:
+                rho2 = o[:, 0] * o[:, 0] + o[:, 1] * o[:, 1]
+                rho2_lo, rho2_hi = rho2.min(), rho2.max()
+            lo2, hi2 = span[0] * span[0], span[1] * span[1]
+            if not (lo2 <= rho2_lo and rho2_hi <= hi2):
+                idx = np.flatnonzero((rho2 >= lo2) & (rho2 <= hi2))
+                if idx.size:
+                    if t is None:
+                        t = np.full(o.shape[0], NO_HIT)
+                    t[idx] = np.minimum(t[idx], _intersect_primitive_t(prim, o[idx], d))
+                continue
+        # the span, if any, holds every column
+        t_prim = _intersect_primitive_t(prim, o, d)
+        t = t_prim if t is None else np.minimum(t, t_prim)
     return t
+
+
+def _column_normal(obj: ObjectModel, origin: np.ndarray, floor: float) -> np.ndarray:
+    """World normal, oriented against the ray, where the downward column from
+    the world point ``origin`` meets the object, cast against only the
+    ``_rising_primitives`` of ``floor`` whose radial span, if any, holds the
+    column. Where the column's top lies above ``floor``, the primitive that
+    sets it and every primitive that ties with it are among them, so the
+    nearest face and its normal are those of ``intersect_object``."""
+    origins = origin[None, :]
+    o = obj.pose.inverse().apply(origins)
+    rho2 = o[0, 0] * o[0, 0] + o[0, 1] * o[0, 1]
+    prims = [prim for prim, span in _rising_primitives(obj, floor)
+             if span is None or span[0] * span[0] <= rho2 <= span[1] * span[1]]
+    _, normal, _ = _intersect_primitives(obj, prims, origins, np.array([[0.0, 0.0, -1.0]]))
+    return normal[0]
 
 
 def top_heights(objects: Sequence[ObjectModel], xy: np.ndarray, z_start: float = 10.0,
@@ -599,16 +683,23 @@ def top_heights(objects: Sequence[ObjectModel], xy: np.ndarray, z_start: float =
     origins[:, 0] = xy[:, 0]
     origins[:, 1] = xy[:, 1]
     origins[:, 2] = z_start
-    best_t = np.full(n, NO_HIT)
-    ids = np.zeros(n, dtype=np.int32)
+    best_t, ids = None, None
     for obj in objects:
         if object_top_z(obj) <= floor - 1e-9:
             continue
         t = _column_ts(obj, origins, floor)
-        closer = t < best_t
-        best_t = np.where(closer, t, best_t)
-        ids = np.where(closer, obj.id, ids)
-    height = np.where(np.isfinite(best_t), z_start - best_t, -NO_HIT)
+        if t is None:
+            continue
+        if best_t is None:
+            best_t, ids = t, np.int32(obj.id)
+        else:
+            closer = t < best_t
+            best_t = np.where(closer, t, best_t)
+            ids = np.where(closer, obj.id, ids)
+    if best_t is None:
+        return np.full(n, -NO_HIT), np.zeros(n, dtype=np.int32)
+    # z_start - inf is -inf where no object is below
+    height = z_start - best_t
     above = height > floor
     return np.where(above, height, -NO_HIT), np.where(above, ids, 0)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib
 import json
 import weakref
 
@@ -9,7 +10,7 @@ import pytest
 from pokegrasp.catalog import CATALOG, OBJECT_NAMES, SIDE, UPRIGHT, UPSIDE_DOWN, benchmark_scene, \
     benchmark_scene_set, catalog_entry, default_camera, make_object, small_vial_scene
 from pokegrasp.errors import InvalidConfig, InvalidGeometry, ShapeMismatch
-from pokegrasp.geometry import RigidTransform, rot_x, rot_z
+from pokegrasp.geometry import RigidTransform, rot_x, rot_y, rot_z
 from pokegrasp import harness
 from pokegrasp.harness import COARSE_STEP, CONTACT_DOT_MIN, DESCEND_OFFSET, DESCENT_STEP, \
     F_STOP, FAILURE, GRIPPER, H_STOP, MISS, POKE_GUIDANCE_MODES, SENSOR, SIDE_INSIDE_TOL, \
@@ -19,14 +20,17 @@ from pokegrasp.harness import COARSE_STEP, CONTACT_DOT_MIN, DESCEND_OFFSET, DESC
     simulate_grasp, simulate_poke, tipping_arms, tipping_max_force
 from pokegrasp.plan import SIMPLY_CONNECTED, GraspProposal, PokePlan
 from pokegrasp.regions import poking_region
-from pokegrasp.render import RenderBuffers, compile_primitives, render, top_height_bound, \
-    top_heights
+from pokegrasp.render import _CORNER_HIGH, RenderBuffers, _local_box, compile_primitives, \
+    intersect_object, render, top_height_bound, top_heights
 from pokegrasp.scene import Box, ObjectModel, RevolutionProfile, Scene
 from pokegrasp.seeding import rng_for
 from pokegrasp.tactile import DEFAULT_COUNT_THRESHOLD, DEFAULT_VALUE_THRESHOLD, \
     TactileSensorSpec, detect_contact, frame_from_heights
 
 from conftest import overhead_camera
+
+# the module, which the package's ``render`` function shadows as an attribute
+render_module = importlib.import_module("pokegrasp.render")
 
 
 def inline_corrupt_depth(buffers, scene, rng, dropout, sigma):
@@ -334,6 +338,174 @@ def test_a_subset_cast_equals_the_full_cast(entry):
                 got, got_ids = top_heights(scene.objects, xy[sub], z_start=z_start, floor=f)
                 assert got.tobytes() == full[sub].tobytes(), (name, f)
                 assert got_ids.tobytes() == ids[sub].tobytes(), (name, f)
+
+
+def tilted_scene(entry, rng) -> Scene:
+    """Two seeded ``rot_z @ rot_y @ rot_x`` poses of the entry's shape, ids 1
+    and 2, 3 cm apart along x, so that their columns overlap."""
+    objects = []
+    for oid, x in ((1, -0.015), (2, 0.015)):
+        rot = rot_z(rng.uniform(-np.pi, np.pi)) @ rot_y(rng.uniform(-np.pi, np.pi)) \
+            @ rot_x(rng.uniform(-np.pi, np.pi))
+        xyz = [x, rng.uniform(-0.01, 0.01), rng.uniform(0.0, 0.05)]
+        objects.append(ObjectModel(id=oid, shape=entry.shape, mass=entry.mass,
+                                   wall_thickness=entry.wall_thickness,
+                                   pose=RigidTransform(rot, xyz)))
+    return Scene(camera=default_camera(), objects=tuple(objects))
+
+
+def columns_over(scene, n=48) -> np.ndarray:
+    """(n*n, 2) grid of columns over the world rectangle that holds every
+    object's local box."""
+    corners = []
+    for obj in scene.objects:
+        lo, hi = _local_box(obj)
+        corners.append(obj.pose.apply(np.where(_CORNER_HIGH, hi, lo)))
+    corners = np.concatenate(corners)
+    lo, hi = corners[:, :2].min(axis=0), corners[:, :2].max(axis=0)
+    xx, yy = np.meshgrid(np.linspace(lo[0], hi[0], n), np.linspace(lo[1], hi[1], n))
+    return np.stack([xx.ravel(), yy.ravel()], axis=1)
+
+
+def primitive_world_tops(obj) -> list:
+    """World height of each primitive's bounding cylinder: its highest end
+    along the axis plus its widest radius times the axis' horizontal reach;
+    a box's highest corner."""
+    if isinstance(obj.shape, Box):
+        return [float(obj.pose.apply(obj.shape.corners())[:, 2].max())]
+    a_z = float(obj.pose.rotation[2, 2])
+    reach = np.sqrt(max(0.0, 1.0 - a_z * a_z))
+    tops = []
+    for prim in compile_primitives(obj):
+        if prim[0] == "disk":
+            zs, r = (prim[1],), prim[3]
+        else:
+            zs, r = (prim[2], prim[4]), max(prim[1], prim[3])
+        tops.append(float(obj.pose.translation[2]) + max(z * a_z for z in zs) + r * reach)
+    return tops
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
+def test_floored_top_heights_equal_the_full_query_on_tilted_poses(entry):
+    """On tilted solids the floor culls primitives by their world tops;
+    every column must still read what the full query reads, or -inf / 0
+    where that is not above the floor. The floors sit 1e-12 about every
+    primitive's heights on the axis, its world top and that top less the
+    1e-9 pad."""
+    rng = rng_for(0, 0x7117, CATALOG.index(entry))
+    for _ in range(3):
+        scene = tilted_scene(entry, rng)
+        xy = columns_over(scene)
+        z_start = scene_top_z(scene) + 0.01
+        full, ids = top_heights(scene.objects, xy, z_start=z_start)
+        assert set(np.unique(ids)) == {0, 1, 2}
+        floors = {-np.inf}
+        for obj in scene.objects:
+            heights = primitive_world_zs(obj) + primitive_world_tops(obj)
+            heights += [z - 1e-9 for z in primitive_world_tops(obj)]
+            floors.update(z + e for z in heights for e in (-1e-12, 0.0, 1e-12))
+        for f in sorted(floors):
+            got, got_ids = top_heights(scene.objects, xy, z_start=z_start, floor=f)
+            above = full > f
+            assert got.tobytes() == np.where(above, full, -np.inf).tobytes(), f
+            assert got_ids.tobytes() == np.where(above, ids, 0).tobytes(), f
+
+
+def full_contact_dot(scene, object_id, contact) -> float:
+    """``_contact_dot`` with the contact ray cast against every primitive of
+    the object, as it was before the cast was culled."""
+    origin = np.array([[contact[0], contact[1], scene_top_z(scene) + 0.01]])
+    _, normal, _ = intersect_object(scene.object_by_id(object_id), origin,
+                                    np.array([[0.0, 0.0, -1.0]]))
+    return float(normal[0] @ scene.table_normal)
+
+
+def assert_contact_dot_is_the_full_one(scene, object_id, contact):
+    got = np.float64(_contact_dot(scene, object_id, contact))
+    assert got.tobytes() == np.float64(full_contact_dot(scene, object_id, contact)).tobytes()
+
+
+@pytest.mark.parametrize("entry", CATALOG, ids=lambda e: e.name)
+def test_contact_dot_equals_the_full_cast_on_tilted_poses(entry):
+    # contacts at 150 seeded columns with a surface, at the cast height
+    rng = rng_for(0, 0xD07, CATALOG.index(entry))
+    for _ in range(2):
+        scene = tilted_scene(entry, rng)
+        xy = columns_over(scene)
+        heights, ids = top_heights(scene.objects, xy, z_start=scene_top_z(scene) + 0.01)
+        hit = np.flatnonzero(ids)
+        for k in rng.choice(hit, size=min(150, hit.size), replace=False):
+            contact = np.array([xy[k, 0], xy[k, 1], heights[k]])
+            assert_contact_dot_is_the_full_one(scene, int(ids[k]), contact)
+
+
+def test_contact_dot_equals_the_full_cast_on_the_catalog_slots(monkeypatch):
+    # every contact that fires in the bbox, mask and pr pokes of the 27
+    # catalog slot scenes, with and without a calibration shift
+    contacts = []
+    original = harness._contact_dot
+
+    def recording(scene, object_id, contact):
+        contacts.append((scene, object_id, contact.copy()))
+        return original(scene, object_id, contact)
+
+    monkeypatch.setattr(harness, "_contact_dot", recording)
+    for name in OBJECT_NAMES:
+        for attempt in (0, 4, 8):
+            scene = benchmark_scene(name, attempt, master_seed=0)
+            _, anns = annotations_for(scene, TrialConfig())
+            plans = [poke_pixel_for_guidance(anns[0], g) for g in POKE_GUIDANCE_MODES]
+            for plan in {p.point_px: p for p in plans if p is not None}.values():
+                for dx in (0.0, 0.004):
+                    simulate_poke(scene, plan, dx=dx)
+    assert len(contacts) > 100
+    for scene, object_id, contact in contacts:
+        assert_contact_dot_is_the_full_one(scene, object_id, contact)
+
+
+def evaluated_primitives(monkeypatch) -> list:
+    """Replace ``render._intersect_primitive_t`` by a wrapper that logs the
+    tag of each primitive it evaluates."""
+    tags = []
+    original = render_module._intersect_primitive_t
+
+    def wrapper(prim, o, d):
+        tags.append(prim[-1])
+        return original(prim, o, d)
+
+    monkeypatch.setattr(render_module, "_intersect_primitive_t", wrapper)
+    return tags
+
+
+def test_the_jar_contact_cast_evaluates_one_primitive(monkeypatch):
+    # the pr poke of the upright jar fires on the rim: of the five
+    # primitives only the rim rises above the contact height at its radius
+    scene = benchmark_scene("jar", 0, master_seed=0)
+    _, anns = annotations_for(scene, TrialConfig())
+    plan = poke_pixel_for_guidance(anns[0], "pr")
+    outcome = simulate_poke(scene, plan)
+    assert outcome.status in (SUCCESS, TOPPLE)
+    tags = evaluated_primitives(monkeypatch)
+    _contact_dot(scene, outcome.contact_object, outcome.contact_point)
+    assert tags == ["rim"]
+
+
+def test_a_side_lying_floored_frame_skips_the_cavity(monkeypatch):
+    # the jar on its side, at the height its pr poke fires: the inner wall
+    # and the cavity floor lie below the sensing plane, so neither is cast
+    scene = benchmark_scene("jar", 8, master_seed=0)
+    assert abs(scene.objects[0].pose.rotation[2, 2]) < 1e-12
+    _, anns = annotations_for(scene, TrialConfig())
+    outcome = simulate_poke(scene, poke_pixel_for_guidance(anns[0], "pr"))
+    assert outcome.status in (SUCCESS, TOPPLE)
+    tags = evaluated_primitives(monkeypatch)
+    heights, _, _ = _footprint_heights(scene, SENSOR, outcome.frame.center,
+                                       floor=outcome.stop_z,
+                                       z_start=scene_top_z(scene) + 0.01)
+    assert np.isfinite(heights).any()
+    assert tags == ["bottom", "rim", "outer:0"]
+    assert {p[-1] for p in compile_primitives(scene.objects[0])} \
+        == {"bottom", "rim", "outer:0", "inner:0", "cavity_floor"}
 
 
 @pytest.mark.parametrize("name, attempt", [("jar", 0), ("mug", 5), ("champagne_cup", 0),
@@ -718,6 +890,16 @@ class TestSimulateGraspReasons:
         assert (out.status, out.reason) == (SUCCESS, "")
         assert out.localization_error == pytest.approx(0.0383 - (self.r_in + self.r_out) / 2,
                                                        abs=0.02 / 800)
+
+    @pytest.mark.parametrize("x", [0.004, -0.004])
+    def test_both_sweeps_are_one_floored_query(self, x, monkeypatch):
+        # one tip over the bore (|x| = 0.030) and one over the rim (0.038):
+        # whichever finger reaches the rim, the one query of both fingers'
+        # 50 columns finds the collision
+        sizes = cast_sizes(monkeypatch)
+        out = simulate_grasp(self.mug_scene(), self.edge(x, 0.068))
+        assert (out.status, out.reason) == (FAILURE, "descent_collision")
+        assert sizes == [50]
 
     def test_centroid_grasp_across_the_box_succeeds(self):
         # a centroid proposal closes perpendicular to theta, here along

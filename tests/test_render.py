@@ -8,8 +8,8 @@ from pokegrasp.catalog import OBJECT_NAMES, benchmark_scene, catalog_entry, defa
     make_object, small_vial_scene
 from pokegrasp.geometry import RigidTransform, rot_x, rot_y, rot_z
 from pokegrasp.render import _frustum_normal, _intersect_box, _intersect_disk, \
-    _intersect_frustum, _local_box, _pixel_window, _table_layer, compile_primitives, \
-    contains, intersect_object, render, top_height_bound, top_heights
+    _intersect_frustum, _local_box, _pixel_window, _table_layer, _vertical_profile, \
+    compile_primitives, contains, intersect_object, render, top_height_bound, top_heights
 from pokegrasp.scene import Box, ObjectModel, RevolutionProfile, Scene
 
 from conftest import overhead_camera, straight_cup
@@ -541,6 +541,20 @@ def test_compile_primitives_is_one_tuple_per_shape():
                           wall_thickness=entry.wall_thickness / 2.0)
     assert compile_primitives(thinner) != prims
 
+
+
+def test_vertical_profile_is_one_tuple_per_shape_and_direction():
+    entry = catalog_entry("mug")
+    upright = make_object(entry, "upright", 0.0, 0.0, 0.3)
+    profile = _vertical_profile(upright)
+    assert len(profile) == len(compile_primitives(upright))
+    assert _vertical_profile(make_object(entry, "upright", 0.05, -0.02, 1.7, oid=2)) is profile
+    flipped = _vertical_profile(make_object(entry, "upside_down", 0.0, 0.0, 0.3))
+    assert flipped == tuple((r0, -h0, r1, -h1) for r0, h0, r1, h1 in profile)
+    assert _vertical_profile(make_object(entry, "side", 0.0, 0.0, 0.3)) is None
+    thinner = ObjectModel(id=4, shape=entry.shape, mass=entry.mass,
+                          wall_thickness=entry.wall_thickness / 2.0)
+    assert _vertical_profile(thinner) != profile
 
 # ---------------------------------------------------------------------------
 # the one-dimensional kernels against their (n, 3) forms
