@@ -67,7 +67,7 @@ from .plan import RING, SIMPLY_CONNECTED, GraspProposal, GripperSpec, PokePlan, 
     heuristic_grasp, poking_point
 from .regions import InstanceAnnotation, pixel_ray_dz, poking_region, surface_heights
 from .render import RenderBuffers, _column_normal, contains, object_top_z, render, \
-    top_height_bound, top_heights
+    rises_above, top_heights
 from .scene import Box, ObjectModel, Scene
 from .seeding import mix
 from .tactile import DEFAULT_VALUE_THRESHOLD, TactileFrame, \
@@ -163,14 +163,13 @@ def tipping_max_force(weight: float, d1: float, d2: float) -> float:
 
 def _support_geometry(obj: ObjectModel):
     """('circle', center_xy, r) | ('segment', p0_xy, p1_xy) | ('polygon', pts)."""
-    rot = obj.pose.rotation
     if isinstance(obj.shape, Box):
         world = obj.pose.apply(obj.shape.corners())
         zmin = world[:, 2].min()
         base = world[world[:, 2] < zmin + 1e-6][:, :2]
         hull = _convex_hull(base)
         return ("polygon", hull)
-    axis_z = float((rot @ np.array([0.0, 0.0, 1.0]))[2])
+    axis_z = float(obj.pose.rotation[2, 2])
     bottom = obj.pose.apply(np.array([0.0, 0.0, obj.shape.z_min]))
     top = obj.pose.apply(np.array([0.0, 0.0, obj.shape.z_max]))
     if axis_z > 0.99:
@@ -406,13 +405,14 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan], dx: float = 0.0,
     requires image-subtraction contact above the protective-stop
     height, and the contacted object must not tip at the stop force.
 
-    A sensel indents by more than ``DEFAULT_VALUE_THRESHOLD`` only where an
-    object surface rises above the plane by that much. The sensor has yaw 0,
-    so its footprint is the axis-aligned rectangle centre +- (area_x,
-    area_y) / 2, and ``top_height_bound`` bounds every surface under it. A
-    probe whose plane sits at or above that bound minus the threshold (plus
-    1e-9 for rounding in the cast) counts no sensel and is skipped without
-    casting; the descent still steps through its height.
+    A sensel indents by more than ``DEFAULT_VALUE_THRESHOLD`` only where its
+    column rises above the plane by more than that. The sensor has yaw 0,
+    so its footprint is the axis-aligned rectangle
+    centre +- (area_x, area_y) / 2. A probe is skipped without casting, and
+    counts no sensel, when ``rises_above`` finds no surface under that
+    rectangle that can rise above the plane plus the threshold: the cull
+    rule of the floored casts, whose 1e-9 pads cover their rounding. The
+    descent still steps through the probe's height.
 
     A probe that is cast passes its plane height as the ``top_heights``
     floor. A sensel whose column surface does not rise above the plane
@@ -451,8 +451,8 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan], dx: float = 0.0,
     half = np.array([SENSOR.area_x, SENSOR.area_y]) / 2.0
 
     def skipped(center: np.ndarray) -> bool:
-        bound = top_height_bound(scene.objects, center[:2] - half, center[:2] + half)
-        return center[2] >= bound - DEFAULT_VALUE_THRESHOLD + 1e-9
+        return not rises_above(scene.objects, center[:2] - half, center[:2] + half,
+                               center[2] + DEFAULT_VALUE_THRESHOLD)
 
     def probe(center: np.ndarray):
         """The full frame at ``center``: (hit, count, (heights, ids, xy, frame))."""
@@ -657,8 +657,7 @@ def poke_pixel_for_guidance(ann: InstanceAnnotation, guidance: str) -> Optional[
 def _is_side_lying_cylinder(obj: ObjectModel) -> bool:
     if isinstance(obj.shape, Box):
         return False
-    a_z = float((obj.pose.rotation @ np.array([0.0, 0.0, 1.0]))[2])
-    return abs(a_z) < 0.01
+    return abs(float(obj.pose.rotation[2, 2])) < 0.01
 
 
 def run_poke_trial(scene: Scene, cfg: TrialConfig, seed: int, guidance: str,

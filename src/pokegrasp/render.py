@@ -47,9 +47,9 @@ distance: it takes the minimum over the same per-primitive distances as
 ``intersect_object``, skips the nearest-face gather and the normals, and
 casts the shared downward direction as one row. A query may name a
 ``floor``, such as a sensing plane: a column whose surface does not rise
-above it reads -inf. An object whose top lies below the floor is skipped,
-and within an object one cull rule, ``_rising_primitives``, names the
-primitives that can rise above the floor:
+above it reads -inf. One cull rule, ``_rising_primitives``, names the
+primitives of an object that can rise above the floor, and an object that
+keeps none is skipped:
 
 * for a solid of revolution with a vertical axis, the primitives whose
   profile segment rises above the floor, each cast only on the columns
@@ -59,7 +59,8 @@ primitives that can rise above the floor:
 * for a side-lying or tilted solid, the primitives whose world top, the
   bounding cylinder of ``object_top_z`` taken primitive by primitive, lies
   above the floor less 1e-9, each cast on every column;
-* for a box, its one primitive.
+* for a box, its one primitive, while its top (``object_top_z``) lies
+  above the floor less 1e-9.
 
 The primitive that sets a column's top above the floor, and every
 primitive that ties with it, are always among them, so every column above
@@ -68,17 +69,9 @@ cast (``_column_normal``) applies the same rule to one column with the
 contact height as the floor: the nearest face is the full cast's, and so
 is its normal.
 
-``top_height_bound`` bounds ``top_heights`` over an axis-aligned rectangle
-of columns without casting, the same bounding-volume idea applied to a
-sensor footprint. For a solid of revolution with a vertical axis it keeps
-the primitives whose radial range meets the rectangle's distances to the
-axis and takes each one's highest point there; any other object
-contributes its highest point, ``object_top_z``. The bound holds up to
-rounding (below 1e-15 m): ``harness.simulate_poke`` skips the probes whose
-footprint bound, padded by 1e-9 m, cannot reach the sensing plane.
-The bound and the floored query read the primitives of a vertical-axis
-solid from one place, ``_vertical_profile``, whose profile segments are
-cached per (shape, wall thickness, up).
+``rises_above`` applies the same rule to an axis-aligned rectangle of
+columns without casting, and ``harness.simulate_poke`` skips a probe when
+it finds nothing under the sensor footprint that can indent a sensel.
 
 The ray and column kernels work on 1-D per-axis arrays: they read the
 columns ``o[:, a]`` and ``d[:, a]`` of their (n, 3) inputs and combine the
@@ -88,9 +81,9 @@ length 3. The box slab test folds its axes with ``np.maximum`` /
 ``np.minimum`` and picks the entry axis with a strict ``>``, the first
 maximum that ``argmax`` returns. A dot product or squared norm is written
 out left to right, the order in which numpy reduces the axis. The results
-are therefore those of the (n, 3) forms, byte for byte. Primitives are
-compiled once per (shape, wall thickness) and a pose's inverse once per
-pose.
+are therefore those of the (n, 3) forms, byte for byte. Primitives and
+their profile segments are compiled once per (shape, wall thickness) and a
+pose's inverse once per pose.
 """
 from __future__ import annotations
 
@@ -108,11 +101,10 @@ from .scene import Box, CameraModel, ObjectModel, RevolutionProfile, Scene
 T_EPS = 1e-9
 NO_HIT = np.inf
 
-# compiled primitives of up to this many distinct (shape, wall thickness) pairs
+# compiled primitives, with their profile segments, of up to this many
+# distinct (shape, wall thickness) pairs
 _PRIMITIVES_KEPT = 64
 _PRIMITIVES: dict[tuple, tuple] = {}
-# and their profile segments, per (shape, wall thickness, up)
-_SEGMENTS: dict[tuple, tuple] = {}
 
 # table layers of up to a few distinct (camera, table height) pairs
 _TABLE_LAYERS_KEPT = 4
@@ -167,14 +159,25 @@ def compile_primitives(obj: ObjectModel) -> tuple[tuple, ...]:
 
     Objects with equal shapes and wall thicknesses share one cached tuple.
     """
+    return _compiled(obj)[0]
+
+
+def _compiled(obj: ObjectModel) -> tuple[tuple, tuple]:
+    """The cached ``(primitives, segments)`` of the object's (shape, wall
+    thickness). A segment ``(r0, h0, r1, h1)`` is the profile that a
+    primitive of a solid of revolution sweeps about the axis, at local
+    heights (a disk is a flat segment); a box has none."""
     key = (obj.shape, obj.wall_thickness)
-    prims = _PRIMITIVES.get(key)
-    if prims is None:
+    entry = _PRIMITIVES.get(key)
+    if entry is None:
         prims = tuple(_compile_shape(obj.shape, obj.wall_thickness))
+        segments = tuple((p[2], p[1], p[3], p[1]) if p[0] == "disk" else p[1:5]
+                         for p in prims if p[0] != "box")
+        entry = (prims, segments)
         if len(_PRIMITIVES) >= _PRIMITIVES_KEPT:
             _PRIMITIVES.clear()  # one atomic step, unlike evicting a chosen key
-        _PRIMITIVES[key] = prims
-    return prims
+        _PRIMITIVES[key] = entry
+    return entry
 
 
 def _compile_shape(shape, wall: float) -> list[tuple]:
@@ -489,95 +492,31 @@ def object_top_z(obj: ObjectModel) -> float:
     revolution, of the bounding cylinder of its widest radius)."""
     if isinstance(obj.shape, Box):
         return float(obj.pose.apply(obj.shape.corners())[:, 2].max())
-    a_z = float((obj.pose.rotation @ np.array([0.0, 0.0, 1.0]))[2])
+    a_z = float(obj.pose.rotation[2, 2])
     spread = obj.shape.max_radius * math.sqrt(max(0.0, 1.0 - a_z * a_z))
     axis_top = max(obj.shape.z_min * a_z, obj.shape.z_max * a_z)
     return float(obj.pose.translation[2]) + axis_top + spread
 
 
-def _profile_segments(obj: ObjectModel, up: float) -> tuple[tuple[float, float, float, float], ...]:
-    """The primitives of a solid of revolution, in ``compile_primitives``
-    order, as the profile segments ``(r0, h0, r1, h1)`` they sweep about the
-    axis, where ``h`` is ``up`` times the local height (a disk is a flat
-    segment). Objects with equal shapes, wall thicknesses and ``up`` share
-    one cached tuple."""
-    key = (obj.shape, obj.wall_thickness, up)
-    segments = _SEGMENTS.get(key)
-    if segments is None:
-        segments = tuple((prim[2], up * prim[1], prim[3], up * prim[1]) if prim[0] == "disk"
-                         else (prim[1], up * prim[2], prim[3], up * prim[4])
-                         for prim in compile_primitives(obj))
-        if len(_SEGMENTS) >= _PRIMITIVES_KEPT:
-            _SEGMENTS.clear()  # one atomic step, unlike evicting a chosen key
-        _SEGMENTS[key] = segments
-    return segments
-
-
-def _vertical_profile(obj: ObjectModel) -> Optional[tuple[tuple[float, float, float, float], ...]]:
-    """The ``_profile_segments`` of a solid of revolution whose axis is
-    vertical (upright or upside down), ``h`` being the height above the pose
-    origin; None for a box or any other pose.
-    """
-    if isinstance(obj.shape, Box):
-        return None
-    rot = obj.pose.rotation
-    # vertical up to rounding in the pose (upside down leaves ~1e-16): the
-    # axis then drifts far less than the 1e-9 pads of the callers
-    if math.hypot(rot[0, 2], rot[1, 2]) > 1e-12:
-        return None
-    return _profile_segments(obj, 1.0 if rot[2, 2] > 0 else -1.0)
-
-
-def top_height_bound(objects: Sequence[ObjectModel], xy_lo, xy_hi) -> float:
-    """Upper bound, up to rounding, which callers pad, on ``top_heights``
-    over the columns of the axis-aligned rectangle [xy_lo, xy_hi]; -inf
-    when no object can lie under it.
-
-    A solid of revolution whose axis is vertical (upright or upside down)
-    is bounded by the profile segments whose radial range meets the
-    rectangle's distances to the axis, each at its highest point over that
-    overlap. Any other object contributes its ``object_top_z``.
-    """
+def rises_above(objects: Sequence[ObjectModel], xy_lo, xy_hi, floor: float) -> bool:
+    """Whether a column of the axis-aligned rectangle [xy_lo, xy_hi] can
+    rise above ``floor``: some object keeps a ``_rising_primitives`` entry
+    with no radial span, or with one that meets the rectangle's distances
+    to the object's axis. Where it is False, ``top_heights`` with that
+    floor reads -inf on every column of the rectangle."""
     lo = np.asarray(xy_lo, dtype=np.float64)
     hi = np.asarray(xy_hi, dtype=np.float64)
-    bound = -NO_HIT
     for obj in objects:
-        profile = _vertical_profile(obj)
-        if profile is None:
-            bound = max(bound, object_top_z(obj))
-            continue
-        axis = obj.pose.translation[:2]
-        near = np.clip(axis, lo, hi) - axis
-        far = np.maximum(np.abs(lo - axis), np.abs(hi - axis))
-        # the pad also covers the squared-radius tolerance of _intersect_disk
-        rho_lo = max(float(np.hypot(*near)) - 1e-9, 0.0)
-        rho_hi = float(np.hypot(*far)) + 1e-9
-        hs = []
-        for r0, h0, r1, h1 in profile:
-            a, b = max(min(r0, r1), rho_lo), min(max(r0, r1), rho_hi)
-            if a > b:
-                continue
-            if r0 == r1:
-                hs += [h0, h1]
-            else:
-                hs += [h0 + (r - r0) * (h1 - h0) / (r1 - r0) for r in (a, b)]
-        if hs:
-            bound = max(bound, float(obj.pose.translation[2]) + max(hs))
-    return bound
-
-
-def _radial_span_above(segment, h_floor: float) -> Optional[tuple[float, float]]:
-    """Radii at which a profile segment ``(r0, h0, r1, h1)`` rises above
-    ``h_floor``; None where it does not."""
-    r0, h0, r1, h1 = segment
-    if max(h0, h1) <= h_floor:
-        return None
-    if min(h0, h1) >= h_floor:
-        return min(r0, r1), max(r0, r1)
-    # the segment crosses the floor: from the crossing radius to its upper end
-    r_cross = r0 + (h_floor - h0) * (r1 - r0) / (h1 - h0)
-    r_top = r1 if h1 > h0 else r0
-    return min(r_cross, r_top), max(r_cross, r_top)
+        spans = [span for _, span in _rising_primitives(obj, floor)]
+        if None in spans:
+            return True
+        if spans:
+            axis = obj.pose.translation[:2]
+            near = float(np.hypot(*(np.clip(axis, lo, hi) - axis)))
+            far = float(np.hypot(*np.maximum(np.abs(lo - axis), np.abs(hi - axis))))
+            if any(span_lo <= far and near <= span_hi for span_lo, span_hi in spans):
+                return True
+    return False
 
 
 def _rising_primitives(obj: ObjectModel, floor: float) -> list[tuple]:
@@ -590,25 +529,38 @@ def _rising_primitives(obj: ObjectModel, floor: float) -> list[tuple]:
     padded by 1e-9 in radius and in height. Any other solid of revolution
     keeps the primitives whose world top, ``object_top_z``'s bounding
     cylinder taken over the primitive's own segment, lies above the floor
-    less 1e-9. A box keeps its one primitive, and a floor of -inf keeps
-    every primitive.
+    less 1e-9. A box keeps its one primitive while ``object_top_z`` lies
+    above the floor less 1e-9, and a floor of -inf keeps every primitive.
     """
-    prims = compile_primitives(obj)
-    if floor == -NO_HIT or isinstance(obj.shape, Box):
+    prims, segments = _compiled(obj)
+    if floor == -NO_HIT:
         return [(prim, None) for prim in prims]
+    if isinstance(obj.shape, Box):
+        return [(prims[0], None)] if object_top_z(obj) > floor - 1e-9 else []
+    rot = obj.pose.rotation
     tz = float(obj.pose.translation[2])
-    profile = _vertical_profile(obj)
-    if profile is None:
-        a_z = float((obj.pose.rotation @ np.array([0.0, 0.0, 1.0]))[2])
+    # vertical up to rounding in the pose (upside down leaves ~1e-16): the
+    # axis then drifts far less than the 1e-9 pads
+    if math.hypot(rot[0, 2], rot[1, 2]) > 1e-12:
+        a_z = float(rot[2, 2])
         spread = math.sqrt(max(0.0, 1.0 - a_z * a_z))
-        return [(prim, None) for prim, (r0, h0, r1, h1) in zip(prims, _profile_segments(obj, 1.0))
+        return [(prim, None) for prim, (r0, h0, r1, h1) in zip(prims, segments)
                 if tz + max(h0 * a_z, h1 * a_z) + max(r0, r1) * spread > floor - 1e-9]
+    up = 1.0 if rot[2, 2] > 0 else -1.0
     h_floor = floor - tz - 1e-9
     rising = []
-    for prim, segment in zip(prims, profile):
-        span = _radial_span_above(segment, h_floor)
-        if span is not None:
-            rising.append((prim, (max(span[0] - 1e-9, 0.0), span[1] + 1e-9)))
+    for prim, (r0, h0, r1, h1) in zip(prims, segments):
+        h0, h1 = up * h0, up * h1
+        if max(h0, h1) <= h_floor:
+            continue
+        if min(h0, h1) >= h_floor:
+            lo, hi = min(r0, r1), max(r0, r1)
+        else:
+            # the segment crosses the floor: from the crossing radius to its upper end
+            r_cross = r0 + (h_floor - h0) * (r1 - r0) / (h1 - h0)
+            r_top = r1 if h1 > h0 else r0
+            lo, hi = min(r_cross, r_top), max(r_cross, r_top)
+        rising.append((prim, (max(lo - 1e-9, 0.0), hi + 1e-9)))
     return rising
 
 
@@ -685,8 +637,6 @@ def top_heights(objects: Sequence[ObjectModel], xy: np.ndarray, z_start: float =
     origins[:, 2] = z_start
     best_t, ids = None, None
     for obj in objects:
-        if object_top_z(obj) <= floor - 1e-9:
-            continue
         t = _column_ts(obj, origins, floor)
         if t is None:
             continue

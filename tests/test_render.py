@@ -7,9 +7,9 @@ import pytest
 from pokegrasp.catalog import OBJECT_NAMES, benchmark_scene, catalog_entry, default_camera, \
     make_object, small_vial_scene
 from pokegrasp.geometry import RigidTransform, rot_x, rot_y, rot_z
-from pokegrasp.render import _frustum_normal, _intersect_box, _intersect_disk, \
-    _intersect_frustum, _local_box, _pixel_window, _table_layer, _vertical_profile, \
-    compile_primitives, contains, intersect_object, render, top_height_bound, top_heights
+from pokegrasp.render import _compiled, _frustum_normal, _intersect_box, _intersect_disk, \
+    _intersect_frustum, _local_box, _pixel_window, _table_layer, compile_primitives, contains, \
+    intersect_object, render, rises_above, top_heights
 from pokegrasp.scene import Box, ObjectModel, RevolutionProfile, Scene
 
 from conftest import overhead_camera, straight_cup
@@ -384,7 +384,9 @@ class TestSolidQueries:
 
 
 class TestTopHeightBound:
-    """Closed forms of the per-rectangle bound on a posed straight mug."""
+    """Closed forms of the highest surface under a sensor footprint on a
+    posed straight mug: ``rises_above`` is True at a floor just below it and
+    False just above."""
 
     r, height, wall = 0.04, 0.095, 0.0035
 
@@ -392,34 +394,40 @@ class TestTopHeightBound:
         shape = RevolutionProfile(points=((self.r, 0.0), (self.r, self.height)), open_top=True)
         return ObjectModel(id=1, shape=shape, mass=0.3, wall_thickness=self.wall, pose=pose)
 
-    def bound(self, obj, center, half=(0.007, 0.00525)):
+    def rises(self, obj, center, floor, half=(0.007, 0.00525)):
         c, h = np.asarray(center), np.asarray(half)
-        return top_height_bound([obj], c - h, c + h)
+        return rises_above([obj], c - h, c + h, floor)
+
+    def assert_top(self, obj, center, top, half=(0.007, 0.00525)):
+        assert self.rises(obj, center, top - 1e-7, half)
+        assert not self.rises(obj, center, top + 1e-7, half)
 
     def test_upright(self):
         mug = self.mug(RigidTransform(rot_z(0.3), [0.01, -0.02, 0.0]))
         # inside the bore only the cavity floor can be under the footprint
-        assert self.bound(mug, [0.01, -0.02]) == self.wall
-        assert self.bound(mug, [0.01 + 0.02, -0.02]) == self.wall
+        self.assert_top(mug, [0.01, -0.02], self.wall)
+        self.assert_top(mug, [0.01 + 0.02, -0.02], self.wall)
         # across the rim, or on the wall: the rim height
-        assert self.bound(mug, [0.01 + 0.038, -0.02]) == self.height
-        assert self.bound(mug, [0.01, -0.02 - self.r]) == self.height
+        self.assert_top(mug, [0.01 + 0.038, -0.02], self.height)
+        self.assert_top(mug, [0.01, -0.02 - self.r], self.height)
         # beside the mug nothing is under the footprint
-        assert self.bound(mug, [0.01 + self.r + 0.01, -0.02]) == -np.inf
+        for floor in (-1e3, 0.0, self.wall):
+            assert not self.rises(mug, [0.01 + self.r + 0.01, -0.02], floor)
 
     def test_upside_down(self):
         mug = self.mug(RigidTransform(rot_x(np.pi), [0.0, 0.0, self.height]))
         # the closed base faces up: flat at the top over the whole disk
-        assert self.bound(mug, [0.0, 0.0]) == pytest.approx(self.height, abs=1e-15)
-        assert self.bound(mug, [self.r + 0.01, 0.0]) == -np.inf
+        self.assert_top(mug, [0.0, 0.0], self.height)
+        assert not self.rises(mug, [self.r + 0.01, 0.0], -1e3)
 
     def test_other_poses_fall_back_to_the_object_top(self):
         side = self.mug(RigidTransform(rot_x(np.pi / 2), [0.0, 0.0, self.r]))
-        assert self.bound(side, [0.5, 0.5]) == pytest.approx(2 * self.r, abs=1e-15)
+        self.assert_top(side, [0.5, 0.5], 2 * self.r)
         box = ObjectModel(id=2, shape=Box(size=(0.05, 0.07, 0.09)), mass=0.2,
                           pose=RigidTransform(rot_z(0.4), [0.0, 0.0, 0.0]))
-        assert top_height_bound([side, box], (0.4, 0.4), (0.5, 0.5)) == pytest.approx(0.09)
-        assert top_height_bound([], (0.0, 0.0), (0.1, 0.1)) == -np.inf
+        assert rises_above([side, box], (0.4, 0.4), (0.5, 0.5), 0.09 - 1e-7)
+        assert not rises_above([side, box], (0.4, 0.4), (0.5, 0.5), 0.09 + 1e-7)
+        assert not rises_above([], (0.0, 0.0), (0.1, 0.1), -1e3)
 
     def test_slightly_tilted_axis_is_not_taken_as_vertical(self):
         # a 1e-6 rad tilt moves the rim 9.5e-8 m sideways: a column just
@@ -427,27 +435,26 @@ class TestTopHeightBound:
         mug = self.mug(RigidTransform(rot_x(1e-6), [0.0, 0.0, 0.0]))
         bore = self.r - self.wall
         column = np.array([[0.0, bore - 7e-8]])
-        assert top_heights([mug], column)[0][0] == pytest.approx(self.height, abs=1e-6)
-        got = top_height_bound([mug], column[0] - [0.0, 2e-8], column[0] + [0.0, 2e-8])
-        assert got >= self.height
+        height = top_heights([mug], column)[0][0]
+        assert height == pytest.approx(self.height, abs=1e-6)
+        assert rises_above([mug], column[0] - [0.0, 2e-8], column[0] + [0.0, 2e-8],
+                           height - 1e-12)
 
     def test_tapered_wall_is_bounded_at_the_clipped_radius(self):
         # inner wall r = 0.028 + 0.1 z: over radii [0.032, 0.035] it rises to
         # z = 0.07, below the rim (0.1) and above the outer wall (0.05)
         shape = RevolutionProfile(points=((0.03, 0.0), (0.04, 0.1)), open_top=True)
         cone = ObjectModel(id=1, shape=shape, mass=0.1, wall_thickness=0.002)
-        got = top_height_bound([cone], (0.032, 0.0), (0.035, 0.0))
-        assert got == pytest.approx(0.07, abs=1e-7)
+        self.assert_top(cone, [0.0335, 0.0], 0.07, half=(0.0015, 0.0))
         heights, _ = top_heights([cone], np.array([[0.032, 0.0], [0.035, 0.0]]))
         assert heights.max() == pytest.approx(0.07, abs=1e-12)
-        assert heights.max() <= got
+        assert rises_above([cone], (0.032, 0.0), (0.035, 0.0), heights.max() - 1e-12)
 
 
 @pytest.mark.parametrize("name", OBJECT_NAMES)
 def test_top_height_bound_holds_up_to_rounding(name):
-    # the bound and the cast reach the same surface by different arithmetic,
-    # so the cast may exceed the bound by rounding (at most 8.5e-16 m here);
-    # 1e-12 m stays far below the 1e-9 m pad of simulate_poke
+    # rises_above is sharp: it is True at a floor 1e-12 m below the highest
+    # cast column of the rectangle, far inside the 1e-9 m pads of the rule
     rng = np.random.default_rng(OBJECT_NAMES.index(name))
     finite = 0
     for attempt in range(12):
@@ -460,8 +467,9 @@ def test_top_height_bound_holds_up_to_rounding(name):
             gx, gy = np.meshgrid(*(np.linspace(-h, h, 16) for h in half))
             xy = centre + np.stack([gx.ravel(), gy.ravel()], axis=-1)
             heights, _ = top_heights([obj], xy)
-            assert heights.max() <= top_height_bound([obj], centre - half, centre + half) + 1e-12
-            finite += np.isfinite(heights).any()
+            if np.isfinite(heights).any():
+                assert rises_above([obj], centre - half, centre + half, heights.max() - 1e-12)
+                finite += 1
     assert finite >= 32
 
 
@@ -530,6 +538,11 @@ def test_compile_primitives_is_one_tuple_per_shape():
     prims = compile_primitives(a)
     assert isinstance(prims, tuple) and all(isinstance(p, tuple) for p in prims)
     assert compile_primitives(b) is prims
+    # the profile segments, one per primitive, share the entry whatever the pose
+    segments = _compiled(a)[1]
+    assert _compiled(a)[0] is prims and len(segments) == len(prims)
+    assert _compiled(b)[1] is segments
+    assert _compiled(make_object(entry, "upside_down", 0.0, 0.0, 0.3, oid=3))[1] is segments
     # an equal shape built anew compiles to an equal tuple
     copy = ObjectModel(id=3, shape=RevolutionProfile(points=entry.shape.points, open_top=True,
                                                      cavity_depth=entry.shape.cavity_depth),
@@ -540,21 +553,8 @@ def test_compile_primitives_is_one_tuple_per_shape():
     thinner = ObjectModel(id=4, shape=entry.shape, mass=entry.mass,
                           wall_thickness=entry.wall_thickness / 2.0)
     assert compile_primitives(thinner) != prims
+    assert _compiled(thinner)[1] != segments
 
-
-
-def test_vertical_profile_is_one_tuple_per_shape_and_direction():
-    entry = catalog_entry("mug")
-    upright = make_object(entry, "upright", 0.0, 0.0, 0.3)
-    profile = _vertical_profile(upright)
-    assert len(profile) == len(compile_primitives(upright))
-    assert _vertical_profile(make_object(entry, "upright", 0.05, -0.02, 1.7, oid=2)) is profile
-    flipped = _vertical_profile(make_object(entry, "upside_down", 0.0, 0.0, 0.3))
-    assert flipped == tuple((r0, -h0, r1, -h1) for r0, h0, r1, h1 in profile)
-    assert _vertical_profile(make_object(entry, "side", 0.0, 0.0, 0.3)) is None
-    thinner = ObjectModel(id=4, shape=entry.shape, mass=entry.mass,
-                          wall_thickness=entry.wall_thickness / 2.0)
-    assert _vertical_profile(thinner) != profile
 
 # ---------------------------------------------------------------------------
 # the one-dimensional kernels against their (n, 3) forms
