@@ -8,8 +8,8 @@ from pokegrasp.catalog import OBJECT_NAMES, benchmark_scene, catalog_entry, defa
     make_object, small_vial_scene
 from pokegrasp.geometry import RigidTransform, rot_x, rot_y, rot_z
 from pokegrasp.render import _compiled, _frustum_normal, _intersect_box, _intersect_disk, \
-    _intersect_frustum, _local_box, _pixel_window, _table_layer, compile_primitives, contains, \
-    intersect_object, render, rises_above, top_heights
+    _intersect_frustum, _local_box, _pixel_window, _rising_primitives, _table_layer, \
+    compile_primitives, contains, intersect_object, render, rises_above, top_heights
 from pokegrasp.scene import Box, ObjectModel, RevolutionProfile, Scene
 
 from conftest import overhead_camera, straight_cup
@@ -538,11 +538,6 @@ def test_compile_primitives_is_one_tuple_per_shape():
     prims = compile_primitives(a)
     assert isinstance(prims, tuple) and all(isinstance(p, tuple) for p in prims)
     assert compile_primitives(b) is prims
-    # the profile segments, one per primitive, share the entry whatever the pose
-    segments = _compiled(a)[1]
-    assert _compiled(a)[0] is prims and len(segments) == len(prims)
-    assert _compiled(b)[1] is segments
-    assert _compiled(make_object(entry, "upside_down", 0.0, 0.0, 0.3, oid=3))[1] is segments
     # an equal shape built anew compiles to an equal tuple
     copy = ObjectModel(id=3, shape=RevolutionProfile(points=entry.shape.points, open_top=True,
                                                      cavity_depth=entry.shape.cavity_depth),
@@ -553,7 +548,29 @@ def test_compile_primitives_is_one_tuple_per_shape():
     thinner = ObjectModel(id=4, shape=entry.shape, mass=entry.mass,
                           wall_thickness=entry.wall_thickness / 2.0)
     assert compile_primitives(thinner) != prims
-    assert _compiled(thinner)[1] != segments
+
+
+def test_vertical_profile_is_one_tuple_per_shape_and_direction():
+    entry = catalog_entry("mug")
+    upright = make_object(entry, "upright", 0.0, 0.0, 0.3)
+    prims, profile = _compiled(upright)
+    assert prims is compile_primitives(upright) and len(profile) == len(prims)
+    assert _compiled(make_object(entry, "upright", 0.05, -0.02, 1.7, oid=2))[1] is profile
+    # every pose shares the one profile; upside down, the cull rule negates its heights
+    assert _compiled(make_object(entry, "side", 0.0, 0.0, 0.3))[1] is profile
+    flipped = make_object(entry, "upside_down", 0.0, 0.0, 0.3)
+    assert _compiled(flipped)[1] is profile
+    tz = float(flipped.pose.translation[2])
+    heights = sorted({-h for seg in profile for h in (seg[1], seg[3])})
+    floors = [heights[0] - 0.01] + [(a + b) / 2.0 for a, b in zip(heights, heights[1:])]
+    for h in floors:
+        kept = [prim for prim, _ in _rising_primitives(flipped, tz + h)]
+        assert kept == [prim for prim, (_, h0, _, h1) in zip(prims, profile)
+                        if max(-h0, -h1) > h]
+    assert _rising_primitives(flipped, tz + heights[-1] + 0.01) == []
+    thinner = ObjectModel(id=4, shape=entry.shape, mass=entry.mass,
+                          wall_thickness=entry.wall_thickness / 2.0)
+    assert _compiled(thinner)[1] != profile
 
 
 # ---------------------------------------------------------------------------
