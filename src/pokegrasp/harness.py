@@ -300,41 +300,52 @@ def corrupt_depth(buffers: RenderBuffers, scene: Scene, rng: np.random.Generator
     ShapeMismatch unless the buffers are (H, W) images of the camera, and
     InvalidConfig unless ``rng`` runs on a PCG64 bit generator.
 
+    The result is a copy of the depth frame with the object pixels'
+    corrupted depths (``_corrupted_pixel_depths``) scattered into it."""
+    pixel_depth, _ = _corrupted_pixel_depths(buffers, scene, rng, dropout, sigma)
+    depth = buffers.depth.copy()
+    depth.reshape(-1)[buffers.pixels] = pixel_depth
+    return depth
+
+
+def _corrupted_pixel_depths(buffers: RenderBuffers, scene: Scene, rng: np.random.Generator,
+                            dropout: float, sigma: float):
+    """``corrupt_depth`` at the object pixels alone: their corrupted depths
+    and their rays' world z components, both in ``buffers.pixels`` order,
+    with ``corrupt_depth``'s checks.
+
     The generator's draws are those of one full-frame ``random`` array,
     then one normal per survivor in row-major order, and nothing with no
     object in view. PCG64 spends one 64-bit output per double, so the
     uniforms from the first to the last object pixel are drawn and the
     outputs before and after them are skipped with ``advance``: the draws
     and the generator's final state equal the full-frame draw's. The
-    arithmetic runs on the gathered object pixels only; the result is
-    byte-equal to doing it over the whole frame."""
+    arithmetic runs on the object pixels only; it gives them the bytes that
+    doing it over the whole frame gives."""
     bits = rng.bit_generator
     if not isinstance(bits, np.random.PCG64):
         raise InvalidConfig(f"corrupt_depth needs a PCG64 generator, not {type(bits).__name__}")
     cam = scene.camera
-    dz = pixel_ray_dz(buffers.depth, cam)
-    depth = buffers.depth.copy()
-    idx = np.flatnonzero(buffers.instance > 0)
+    idx = buffers.pixels
+    dz = pixel_ray_dz(buffers.depth, cam).reshape(-1)[idx]
+    depth = buffers.depth.reshape(-1)[idx]
     if len(idx) == 0:
-        return depth
+        return depth, dz
     first, last = int(idx[0]), int(idx[-1])
     # advance drops a buffered 32-bit half that drawing doubles would keep
     kept = bits.state
     bits.advance(first)
     uniform = rng.random(last - first + 1)
-    bits.advance(depth.size - last - 1)
+    bits.advance(buffers.depth.size - last - 1)
     if kept["has_uint32"]:
         state = bits.state
         state["has_uint32"], state["uinteger"] = kept["has_uint32"], kept["uinteger"]
         bits.state = state
-    dz = dz.reshape(-1)[idx]
-    obj_depth = depth.reshape(-1)[idx]
     drop = (uniform[idx - first] < dropout) & (dz < 0)
-    obj_depth[drop] = (scene.table_height - cam.pose.translation[2]) / dz[drop]
+    depth[drop] = (scene.table_height - cam.pose.translation[2]) / dz[drop]
     survive = ~drop
-    obj_depth[survive] += rng.normal(0.0, sigma, size=int(survive.sum()))
-    depth.reshape(-1)[idx] = obj_depth
-    return depth
+    depth[survive] += rng.normal(0.0, sigma, size=int(survive.sum()))
+    return depth, dz
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +654,7 @@ def poke_pixel_for_guidance(ann: InstanceAnnotation, guidance: str) -> Optional[
     if guidance == "pr":
         return _plan_or_none(ann.poking_region)
     if guidance == "mask":
-        vs, us = np.nonzero(ann.mask)
+        vs, us = np.divmod(np.flatnonzero(ann.mask), ann.mask.shape[1])
         px = (int(round(us.mean())), int(round(vs.mean())))
     elif guidance == "bbox":
         u0, v0, u1, v1 = ann.bbox
@@ -691,9 +702,10 @@ def run_grasp_trial(scene: Scene, cfg: TrialConfig, seed: int, mode: str,
         return GraspOutcome(status=FAILURE, seed=seed, reason="planning_failed")
 
     if mode.startswith("camera"):
-        corrupted = corrupt_depth(buffers, scene, rng, DEPTH_DROPOUT, DEPTH_SIGMA)
-        heights = surface_heights(corrupted[region], pixel_ray_dz(corrupted, cam)[region],
-                                  cam.pose.translation[2])
+        # the region's pixels are object pixels, read in the same row-major order
+        depth, dz = _corrupted_pixel_depths(buffers, scene, rng, DEPTH_DROPOUT, DEPTH_SIGMA)
+        in_region = region.reshape(-1)[buffers.pixels]
+        heights = surface_heights(depth[in_region], dz[in_region], cam.pose.translation[2])
         heights = heights[np.isfinite(heights)]
         if not heights.size:
             return GraspOutcome(status=FAILURE, seed=seed, reason="no_depth")

@@ -7,9 +7,10 @@ sensor can touch it without bottoming out. Both thresholds are
 configurable; the defaults keep rims and top faces and reject walls and
 low inner floors.
 
-``poking_region`` gathers the object pixels once and computes the dots and
-heights only there, then scatters the result into the frame. Its output is
-byte-equal to the full-frame composition of ``dot_product_map``,
+``poking_region`` reads the object pixels and their normals that the
+render kept (``RenderBuffers.pixels`` and ``pixel_normals``), computes the
+dots and heights only there, then scatters the result into the frame. Its
+output is byte-equal to the full-frame composition of ``dot_product_map``,
 ``height_map``, ``RenderBuffers.instance_mask`` and ``bbox_of``.
 """
 from __future__ import annotations
@@ -115,8 +116,8 @@ def poking_region(buffers: RenderBuffers, camera: CameraModel,
     if not (0.0 <= h_min < np.inf):
         raise InvalidConfig("h_min must be finite and >= 0")
     instance = buffers.instance
-    idx = np.flatnonzero(instance != 0)
-    normals = buffers.normals.reshape(-1, 3)[idx]
+    idx = buffers.pixels
+    normals = buffers.pixel_normals
     if len(idx) == 1:
         # a one-row product runs as a BLAS dot, which can round differently
         # from the per-row matrix-vector product the full frame gets

@@ -23,8 +23,11 @@ the object, not the frame:
 
 * The table layer (the plane's depth and normal, and the zero instance
   ids) depends only on the camera and the table height. It is computed
-  once per pair, kept read-only in a small cache like the pixel-ray grid,
-  and each render starts from a copy of it.
+  once per pair, kept read-only in a small cache like the pixel-ray grid.
+  A render's depth and instance ids start from copies of it, while its
+  normals stay the read-only layer plus the object pixels: the cast keeps
+  each object pixel's normal (where two objects overlap, the closer one's),
+  and ``RenderBuffers.normals`` builds the full image only when it is read.
 * Each object has one bounding volume, its local box (``[-R, R]^2 x
   [z_min, z_max]`` for a solid of revolution, the box itself for a
   ``Box``), padded by 1e-7 m past the tolerances of the primitive tests.
@@ -87,9 +90,9 @@ pose's inverse once per pose.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -117,13 +120,54 @@ _BOX_PAD = 1e-7
 _CORNER_HIGH = np.array(list(itertools.product((False, True), repeat=3)))
 
 
-@dataclass(frozen=True)
 class RenderBuffers:
-    """Per-pixel geometry channels from a render pass."""
+    """Per-pixel geometry channels from a render pass; the attributes cannot
+    be rebound.
 
-    depth: np.ndarray     # (H, W) float64, +inf where nothing was hit
-    normals: np.ndarray   # (H, W, 3) float64 unit vectors, 0 where no hit
-    instance: np.ndarray  # (H, W) int32, 0 = table or no hit
+    * ``depth``: (H, W) float64, +inf where nothing was hit;
+    * ``normals``: (H, W, 3) float64 unit vectors, 0 where no hit;
+    * ``instance``: (H, W) int32, 0 = table or no hit;
+    * ``pixels``: the object pixels, the ascending flat row-major indices
+      where ``instance != 0``;
+    * ``pixel_normals``: (n, 3) the normals at ``pixels``, in their order.
+
+    A render passes the object pixels that its cast found, with the camera's
+    read-only table-normal layer, and no ``normals`` image: one is built from
+    the layer and the object pixels on its first read, a writable image of
+    these buffers' own, and kept; writing into it does not reach
+    ``pixel_normals``. Buffers built from ``depth``, ``normals`` and
+    ``instance`` read their object pixels off ``instance`` and ``normals``.
+    """
+
+    def __init__(self, depth: np.ndarray, normals: np.ndarray, instance: np.ndarray):
+        vars(self).update(depth=depth, normals=normals, instance=instance)
+
+    @classmethod
+    def _of_cast(cls, depth: np.ndarray, instance: np.ndarray, pixels: np.ndarray,
+                 pixel_normals: np.ndarray, table_normals: np.ndarray) -> "RenderBuffers":
+        """Buffers of a render: ``table_normals`` is the (H*W, 3) table layer."""
+        buffers = cls.__new__(cls)
+        vars(buffers).update(depth=depth, instance=instance, pixels=pixels,
+                             pixel_normals=pixel_normals, _table_normals=table_normals)
+        return buffers
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"RenderBuffers is read-only: cannot set {name!r}")
+
+    # cached_property stores into the instance dict, past __setattr__
+    @functools.cached_property
+    def normals(self) -> np.ndarray:
+        normals = self._table_normals.copy()
+        normals[self.pixels] = self.pixel_normals
+        return normals.reshape(self.depth.shape + (3,))
+
+    @functools.cached_property
+    def pixels(self) -> np.ndarray:
+        return np.flatnonzero(self.instance != 0)
+
+    @functools.cached_property
+    def pixel_normals(self) -> np.ndarray:
+        return self.normals.reshape(-1, 3)[self.pixels]
 
     @property
     def hit(self) -> np.ndarray:
@@ -443,11 +487,15 @@ def _box_survivors(obj: ObjectModel, origin: np.ndarray, dirs: np.ndarray) -> np
 
 def _cast(scene: Scene):
     """Nearest hits of the camera's pixel rays, flat over the pixels: the
-    table plane (instance id 0), then every object."""
+    table plane (instance id 0), then every object. Returns the depth and
+    instance ids of every pixel, the object pixels (ascending) with their
+    normals, and the read-only table-normal layer."""
     cam = scene.camera
     origin = cam.pose.translation
     dirs = cam.pixel_directions()
-    depth, normal, inst = (a.copy() for a in _table_layer(cam, scene.table_height))
+    table_depth, table_normal, table_inst = _table_layer(cam, scene.table_height)
+    depth, inst = table_depth.copy(), table_inst.copy()
+    hits, normals = [], []
     for obj in scene.objects:
         # only rays in the box's pixel window that meet the box can hit the
         # object; the rest would return t = inf
@@ -464,23 +512,32 @@ def _cast(scene: Scene):
         closer = t < depth[idx]
         hit = idx[closer]
         depth[hit] = t[closer]
-        normal[hit] = nrm[closer]
         inst[hit] = obj.id
-    return depth, normal, inst
+        hits.append(hit)
+        normals.append(nrm[closer])
+    if len(hits) == 1:
+        return depth, inst, hits[0], normals[0], table_normal
+    # an object writes a pixel only where it is closer than every earlier
+    # write, so a pixel keeps the normal of the last object that wrote it:
+    # the first occurrence in the objects taken in reverse
+    pixels, last = np.unique(np.concatenate([np.empty(0, dtype=np.intp)] + hits[::-1]),
+                             return_index=True)
+    pixel_normals = np.concatenate([np.empty((0, 3))] + normals[::-1])[last]
+    return depth, inst, pixels, pixel_normals, table_normal
 
 
 def render(scene: Scene) -> RenderBuffers:
     """Render the camera view to depth / normal / instance buffers.
 
     Every pixel ray starts at the camera centre and runs along the cached
-    ``CameraModel.pixel_directions`` grid.
+    ``CameraModel.pixel_directions`` grid. The buffers carry the object
+    pixels the cast found; their ``normals`` image is built on first read.
     """
     cam = scene.camera
-    depth, normal, inst = _cast(scene)
+    depth, inst, pixels, pixel_normals, table_normal = _cast(scene)
     shape = (cam.height, cam.width)
-    return RenderBuffers(depth=depth.reshape(shape),
-                         normals=normal.reshape(shape + (3,)),
-                         instance=inst.reshape(shape))
+    return RenderBuffers._of_cast(depth.reshape(shape), inst.reshape(shape), pixels,
+                                  pixel_normals, table_normal)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from pokegrasp.harness import COARSE_STEP, CONTACT_DOT_MIN, DESCEND_OFFSET, DESC
     poke_would_topple, run_benchmark, run_grasp_trial, run_poke_trial, scene_top_z, \
     simulate_grasp, simulate_poke, tipping_arms, tipping_max_force
 from pokegrasp.plan import SIMPLY_CONNECTED, GraspProposal, PokePlan
-from pokegrasp.regions import poking_region
+from pokegrasp.regions import pixel_ray_dz, poking_region, surface_heights
 from pokegrasp.render import _CORNER_HIGH, RenderBuffers, _local_box, compile_primitives, \
     intersect_object, render, rises_above, top_heights
 from pokegrasp.scene import Box, ObjectModel, RevolutionProfile, Scene
@@ -105,6 +105,45 @@ class TestCorruptDepth:
                                 instance=buf.instance[:-1])
         with pytest.raises(ShapeMismatch):
             corrupt_depth(cropped, scene, np.random.default_rng(0), 0.7, 0.01)
+
+
+@pytest.mark.parametrize("slot", (0, 4, 8))
+@pytest.mark.parametrize("name", OBJECT_NAMES)
+def test_camera_trial_heights_equal_the_full_frame_gather(name, slot, monkeypatch):
+    # a camera trial corrupts and reads only the object pixels; the reference
+    # corrupts the whole frame and gathers it through the region
+    scene = benchmark_scene(name, slot, master_seed=0)
+    cam = scene.camera
+    cfg = TrialConfig()
+    prepared = annotations_for(scene, cfg)
+    buf, anns = prepared
+    averaged, generators = [], []
+    original = harness._corrupted_pixel_depths
+
+    def recording_depths(buffers, scene, rng, *args):
+        generators.append((rng, rng.bit_generator.state))
+        return original(buffers, scene, rng, *args)
+
+    def recording_heights(*args):
+        averaged.append(surface_heights(*args))
+        return averaged[-1]
+
+    monkeypatch.setattr(harness, "_corrupted_pixel_depths", recording_depths)
+    monkeypatch.setattr(harness, "surface_heights", recording_heights)
+    modes = {"camera-mask": anns[0].mask, "camera-pr": anns[0].poking_region}
+    for mode, region in modes.items():
+        averaged.clear()
+        generators.clear()
+        run_grasp_trial(scene, cfg, 5 + slot, mode, prepared=prepared)
+        ((rng, start),), (got,) = generators, averaged
+        ref_rng = np.random.default_rng()
+        ref_rng.bit_generator.state = start
+        corrupted = inline_corrupt_depth(buf, scene, ref_rng, harness.DEPTH_DROPOUT,
+                                         harness.DEPTH_SIGMA)
+        expected = surface_heights(corrupted[region], pixel_ray_dz(corrupted, cam)[region],
+                                   cam.pose.translation[2])
+        assert got.size and got.tobytes() == expected.tobytes(), mode
+        assert rng.bit_generator.state == ref_rng.bit_generator.state, mode
 
 
 def test_contact_dot_on_side_lying_barrel():

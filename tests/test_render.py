@@ -7,9 +7,10 @@ import pytest
 from pokegrasp.catalog import OBJECT_NAMES, benchmark_scene, catalog_entry, default_camera, \
     make_object, small_vial_scene
 from pokegrasp.geometry import RigidTransform, rot_x, rot_y, rot_z
-from pokegrasp.render import _compiled, _frustum_normal, _intersect_box, _intersect_disk, \
-    _intersect_frustum, _local_box, _pixel_window, _rising_primitives, _table_layer, \
-    compile_primitives, contains, intersect_object, render, rises_above, top_heights
+from pokegrasp.harness import TrialConfig, annotations_for, run_grasp_trial
+from pokegrasp.render import RenderBuffers, _compiled, _frustum_normal, _intersect_box, \
+    _intersect_disk, _intersect_frustum, _local_box, _pixel_window, _rising_primitives, \
+    _table_layer, compile_primitives, contains, intersect_object, render, rises_above, top_heights
 from pokegrasp.scene import Box, ObjectModel, RevolutionProfile, Scene
 
 from conftest import overhead_camera, straight_cup
@@ -185,6 +186,10 @@ def unculled_render(scene):
 
 
 def assert_buffers_identical(buf, depth, normals, instance):
+    # the object pixels the cast kept, before the normals image is built from them
+    pixels = np.flatnonzero(instance != 0)
+    assert buf.pixels.tobytes() == pixels.tobytes()
+    assert buf.pixel_normals.tobytes() == normals.reshape(-1, 3)[pixels].tobytes()
     assert buf.depth.tobytes() == depth.tobytes()
     assert buf.normals.tobytes() == normals.tobytes()
     assert buf.instance.tobytes() == instance.tobytes()
@@ -258,6 +263,22 @@ class TestCulledRenderMatchesUnculled:
         assert buf.instance_mask(1).any() and buf.instance_mask(2).any()
         assert_buffers_identical(buf, *unculled_render(scene))
 
+    @pytest.mark.parametrize("closer_first", [False, True])
+    def test_an_object_hidden_in_part_by_a_closer_one(self, closer_first):
+        # a plate held above a mug covers part of its image: there the plate
+        # is the closer hit, whichever of the two is cast first
+        mug = make_object(catalog_entry("mug"), "upright", 0.0, 0.0, 0.0, oid=1)
+        plate = ObjectModel(id=2, shape=Box(size=(0.06, 0.06, 0.01)), mass=0.1,
+                            pose=RigidTransform(rot_z(0.3), [0.04, 0.0, 0.15]))
+        cam = default_camera()
+        hidden = np.logical_and(*(render(Scene(camera=cam, objects=(o,))).instance_mask(o.id)
+                                  for o in (mug, plate)))
+        scene = Scene(camera=cam, objects=(plate, mug) if closer_first else (mug, plate))
+        buf = render(scene)
+        assert hidden.any() and np.all(buf.instance[hidden] == 2)
+        assert (buf.instance_mask(1) & ~hidden).any()
+        assert_buffers_identical(buf, *unculled_render(scene))
+
     @pytest.mark.parametrize("name", OBJECT_NAMES)
     def test_seeded_tilted_poses(self, name):
         # two poses in view and two cut by the frame edge: the point on the
@@ -312,6 +333,22 @@ class TestCulledRenderMatchesUnculled:
         assert_buffers_identical(render(scene), *unculled_render(scene))
         layer = _table_layer(scene.camera, scene.table_height)
         assert not any(a.flags.writeable for a in layer)
+
+
+def test_the_camera_trials_never_build_the_normals_image(monkeypatch):
+    # the annotations and both camera grasps read the object pixels that the
+    # render kept; a full normals image would copy the table layer per render
+    def built(buffers):
+        raise AssertionError("the full normals image was built")
+
+    monkeypatch.setattr(RenderBuffers, "normals", property(built))
+    scene = benchmark_scene("mug", 0, master_seed=0)
+    cfg = TrialConfig()
+    prepared = annotations_for(scene, cfg)
+    assert prepared.anns
+    for seed, mode in ((1, "camera-mask"), (2, "camera-pr")):
+        out = run_grasp_trial(scene, cfg, seed, mode, prepared=prepared)
+        assert out.grasp is not None, mode
 
 
 def columns_around(obj, half=0.16, n=64):
@@ -383,7 +420,7 @@ class TestSolidQueries:
         assert np.isneginf(heights[1])  # beyond the barrel end
 
 
-class TestTopHeightBound:
+class TestRisesAbove:
     """Closed forms of the highest surface under a sensor footprint on a
     posed straight mug: ``rises_above`` is True at a floor just below it and
     False just above."""
@@ -452,7 +489,7 @@ class TestTopHeightBound:
 
 
 @pytest.mark.parametrize("name", OBJECT_NAMES)
-def test_top_height_bound_holds_up_to_rounding(name):
+def test_rises_above_holds_up_to_rounding(name):
     # rises_above is sharp: it is True at a floor 1e-12 m below the highest
     # cast column of the rectangle, far inside the 1e-9 m pads of the rule
     rng = np.random.default_rng(OBJECT_NAMES.index(name))
