@@ -519,7 +519,8 @@ def _cast(scene: Scene):
         return depth, inst, hits[0], normals[0], table_normal
     # an object writes a pixel only where it is closer than every earlier
     # write, so a pixel keeps the normal of the last object that wrote it:
-    # the first occurrence in the objects taken in reverse
+    # the first occurrence in the objects taken in reverse (the empty leading
+    # arrays stand for a scene with no object cast)
     pixels, last = np.unique(np.concatenate([np.empty(0, dtype=np.intp)] + hits[::-1]),
                              return_index=True)
     pixel_normals = np.concatenate([np.empty((0, 3))] + normals[::-1])[last]
