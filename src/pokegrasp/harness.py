@@ -5,7 +5,12 @@ center, instance-mask centroid, or the poking-region planner), then
 lowers the flat sensor along that pixel's view ray, parallel to the
 table, until image-subtraction contact fires or the protective-stop
 height is reached (miss). A contact on a light object whose static
-tipping bound falls below the arm's stop force is a topple.
+tipping bound falls below the arm's stop force is a topple. Every object
+rests on one kind of support: a convex footprint of points within a radius
+of a hull, which is a box's base corners, a side-lying solid's axis
+segment, or an upright solid's axis point grown by its base radius. A
+contact over the footprint cannot tip the object; one beside it pivots
+about the footprint point nearest it.
 
 A grasp trial localizes the grasp either from tactile poking (contact
 position, optionally rectified by the ring alignment) or from camera
@@ -161,44 +166,30 @@ def tipping_max_force(weight: float, d1: float, d2: float) -> float:
     return weight * d1 / d2
 
 
-def _support_geometry(obj: ObjectModel):
-    """('circle', center_xy, r) | ('segment', p0_xy, p1_xy) | ('polygon', pts)."""
+def _support(obj: ObjectModel):
+    """(hull, radius, tol): the support footprint is every point within
+    ``radius + tol`` of the convex polygon, segment or point ``hull``, an
+    (n, 2) array of world (x, y) vertices in counter-clockwise order.
+
+    An upright or upside-down solid is its axis point grown by the base
+    radius; a side-lying solid is its axis segment; a box is its base
+    corners. A line or point support (a side-lying solid, a box on an edge
+    or a corner) gets the contact-patch allowance ``SIDE_INSIDE_TOL``; a
+    face or a disk gets 1e-12, so a contact on its edge is inside."""
     if isinstance(obj.shape, Box):
         world = obj.pose.apply(obj.shape.corners())
-        zmin = world[:, 2].min()
-        base = world[world[:, 2] < zmin + 1e-6][:, :2]
-        hull = _convex_hull(base)
-        return ("polygon", hull)
+        base = world[world[:, 2] < world[:, 2].min() + 1e-6][:, :2]
+        rel = base - base.mean(axis=0)
+        hull = base[np.argsort(np.arctan2(rel[:, 1], rel[:, 0]))]
+        return hull, 0.0, 1e-12 if len(hull) >= 3 else SIDE_INSIDE_TOL
     axis_z = float(obj.pose.rotation[2, 2])
-    bottom = obj.pose.apply(np.array([0.0, 0.0, obj.shape.z_min]))
-    top = obj.pose.apply(np.array([0.0, 0.0, obj.shape.z_max]))
+    bottom = obj.pose.apply(np.array([0.0, 0.0, obj.shape.z_min]))[:2]
+    top = obj.pose.apply(np.array([0.0, 0.0, obj.shape.z_max]))[:2]
     if axis_z > 0.99:
-        return ("circle", bottom[:2], obj.shape.bottom_radius)
+        return bottom[None], obj.shape.bottom_radius, 1e-12
     if axis_z < -0.99:
-        return ("circle", top[:2], obj.shape.top_radius)
-    return ("segment", bottom[:2], top[:2])
-
-
-def _convex_hull(pts: np.ndarray) -> np.ndarray:
-    pts = np.unique(np.round(pts, 12), axis=0)
-    if len(pts) <= 2:
-        return pts
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-
-    def turn(o, a, b):  # z of the cross product (a - o) x (b - o)
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    def half(points):
-        out = []
-        for p in points:
-            while len(out) >= 2 and turn(out[-2], out[-1], p) <= 0:
-                out.pop()
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(pts[::-1])
-    return np.array(lower[:-1] + upper[:-1])
+        return top[None], obj.shape.top_radius, 1e-12
+    return np.array([bottom, top]), 0.0, SIDE_INSIDE_TOL
 
 
 def _closest_on_segment(p0, p1, c):
@@ -211,43 +202,26 @@ def _closest_on_segment(p0, p1, c):
 def tipping_arms(obj: ObjectModel, contact_xy: np.ndarray):
     """(inside_support, d1, d2) of a vertical poke at contact_xy.
 
-    inside_support means the contact is over the support footprint and
-    cannot generate a tipping moment. Otherwise d2 is the contact's
-    horizontal distance to the nearest support-edge pivot and d1 the
-    mass-center line's distance to the tipping axis through that pivot.
+    inside_support means the contact is over the support footprint
+    (``_support``) and cannot generate a tipping moment. Otherwise the
+    pivot is the footprint point nearest the contact: d2 is the contact's
+    horizontal distance to it and d1 the mass-center line's distance to the
+    tipping axis through it.
     """
-    kind, *geom = _support_geometry(obj)
+    hull, radius, tol = _support(obj)
     c = np.asarray(contact_xy, dtype=np.float64)
-    com = obj.pose.apply(_local_com(obj))[:2]
-    if kind == "circle":
-        center, r = geom
-        delta = c - center
-        rho = float(np.hypot(*delta))
-        if rho <= r + 1e-12:
-            return True, 0.0, 0.0
-        u = delta / rho
-        pivot = center + r * u
-        return False, float(-(com - pivot) @ u), rho - r
-    if kind == "segment":
-        p0, p1 = geom
-        pivot = _closest_on_segment(p0, p1, c)
-        dist = float(np.hypot(*(c - pivot)))
-        if dist <= SIDE_INSIDE_TOL:
-            return True, 0.0, 0.0
-        u = (c - pivot) / dist
-        return False, float(-(com - pivot) @ u), dist
-    (hull,) = geom
-    if _point_in_polygon(c, hull):
+    if len(hull) >= 3 and _point_in_polygon(c, hull):
         return True, 0.0, 0.0
-    best = None
-    for i in range(len(hull)):
-        p = _closest_on_segment(hull[i], hull[(i + 1) % len(hull)], c)
-        d = float(np.hypot(*(c - p)))
-        if best is None or d < best[0]:
-            best = (d, p)
-    dist, pivot = best
-    u = (c - pivot) / dist
-    return False, float(-(com - pivot) @ u), dist
+    edges = zip(hull, np.roll(hull, -1, axis=0))
+    nearest = min((_closest_on_segment(p, q, c) for p, q in edges),
+                  key=lambda p: float(np.hypot(*(c - p))))
+    dist = float(np.hypot(*(c - nearest)))
+    if dist <= radius + tol:
+        return True, 0.0, 0.0
+    u = (c - nearest) / dist
+    pivot = nearest + radius * u
+    com = obj.pose.apply(_local_com(obj))[:2]
+    return False, float(-(com - pivot) @ u), dist - radius
 
 
 def _local_com(obj: ObjectModel) -> np.ndarray:
@@ -255,8 +229,6 @@ def _local_com(obj: ObjectModel) -> np.ndarray:
 
 
 def _point_in_polygon(p, poly) -> bool:
-    if len(poly) < 3:
-        return float(np.hypot(*(p - _closest_on_segment(poly[0], poly[-1], p)))) <= SIDE_INSIDE_TOL
     inside = False
     x, y = p
     for i in range(len(poly)):
@@ -507,8 +479,6 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan], dx: float = 0.0,
             idx = np.unravel_index(int(np.argmax(pen)), pen.shape)
             contact = np.array([xy[idx][0], xy[idx][1], heights[idx]])
             cid = int(ids[idx])
-            if cid == 0:
-                return PokeOutcome(status=MISS, seed=seed, stop_z=z)
             if _contact_dot(scene, cid, contact) < CONTACT_DOT_MIN:
                 # pressing a steep surface (e.g. a wall through the opening)
                 # jams the arm: protective stop, no usable contact
@@ -673,6 +643,17 @@ def _is_side_lying_cylinder(obj: ObjectModel) -> bool:
 
 def run_poke_trial(scene: Scene, cfg: TrialConfig, seed: int, guidance: str,
                    prepared=None) -> PokeOutcome:
+    """One poke of ``scene`` guided by ``guidance`` ("bbox", "mask" or "pr").
+
+    The trial targets ``anns[0]``, the visible object with the lowest id.
+    It ends as ``miss`` when, in order: nothing is in view; there is no plan
+    (an empty or degenerate region); the plan pixel's ray does not point
+    down; no sensel counts before ``H_STOP``; the contact is on a surface
+    steeper than ``CONTACT_DOT_MIN``; or the fine descent never fires. A
+    contact ends as ``topple`` when the object tips below ``F_STOP``, and
+    as ``success`` otherwise. Raises InvalidConfig for an unknown guidance
+    once an object is in view.
+    """
     prepared = _owned(scene, cfg, prepared)
     if not prepared.anns:
         return PokeOutcome(status=MISS, seed=seed)
@@ -685,65 +666,76 @@ def run_poke_trial(scene: Scene, cfg: TrialConfig, seed: int, guidance: str,
 
 def run_grasp_trial(scene: Scene, cfg: TrialConfig, seed: int, mode: str,
                     prepared=None) -> GraspOutcome:
+    """One grasp of ``scene`` localized by ``mode`` (one of ``GRASP_MODES``).
+
+    The trial targets ``anns[0]``, the visible object with the lowest id,
+    and plans on its instance mask ("camera-mask") or its poking region.
+    The grasp height comes from the corrupted depths of the region (the
+    camera modes) or from a poke's contact (``tactile``). One proposal at
+    the plan pixel back-projected to that height is executed: at the
+    proposal shifted by the calibration error, or, for ``tactile``, at the
+    contact height and, where the proposal is an edge grasp or the region is
+    simply connected, anchored to the contact; a centroid grasp on a ring
+    takes ``tactile_align``'s centre when ``cfg.use_tactile_align`` is set
+    and the frame allows it.
+
+    The failure reasons, in the order they are decided: ``no_annotation``,
+    ``planning_failed``; ``no_depth`` (camera modes) or ``poke_miss``,
+    ``poke_topple``, ``adhesion_disturbance`` (``tactile``);
+    ``width_overflow``; then ``simulate_grasp``'s ``descent_collision``,
+    ``no_contact``, ``finger_inside_object`` and ``localization_error``.
+    Raises InvalidConfig for an unknown mode.
+    """
     if mode not in GRASP_MODES:
         raise InvalidConfig(f"unknown grasp mode {mode!r}")
     prepared = _owned(scene, cfg, prepared)
     buffers, anns = prepared
     if not anns:
         return GraspOutcome(status=FAILURE, seed=seed, reason="no_annotation")
-    ann = anns[0]
     cam = scene.camera
     rng = np.random.default_rng(mix(seed, 0x9A59))
     dx = calibration_shift(cfg, seed)
     region_name = "mask" if mode == "camera-mask" else "poking_region"
-    region = getattr(ann, region_name)
     plan = prepared.plan(region_name)
     if plan is None:
         return GraspOutcome(status=FAILURE, seed=seed, reason="planning_failed")
 
-    if mode.startswith("camera"):
+    if mode == "tactile":
+        poke = prepared.poke(plan, dx, seed)
+        if poke.status != SUCCESS:
+            return GraspOutcome(status=FAILURE, seed=seed, reason=f"poke_{poke.status}")
+        target = scene.object_by_id(poke.contact_object)
+        if _is_side_lying_cylinder(target) and rng.random() < ADHESION_PROB:
+            return GraspOutcome(status=FAILURE, seed=seed, reason="adhesion_disturbance")
+        height = poke.contact_height
+    else:
         # the region's pixels are object pixels, read in the same row-major order
         depth, dz = _corrupted_pixel_depths(buffers, scene, rng, DEPTH_DROPOUT, DEPTH_SIGMA)
-        in_region = region.reshape(-1)[buffers.pixels]
+        in_region = getattr(anns[0], region_name).reshape(-1)[buffers.pixels]
         heights = surface_heights(depth[in_region], dz[in_region], cam.pose.translation[2])
         heights = heights[np.isfinite(heights)]
         if not heights.size:
             return GraspOutcome(status=FAILURE, seed=seed, reason="no_depth")
-        z_est = max(float(heights.mean()), scene.table_height + 0.001)
-        poke_v = cam.backproject_at_height(plan.point_px, z_est)
-        try:
-            proposal = heuristic_grasp(poke_v, region, plan.ellipse, cam, GRIPPER)
-        except WidthOverflow:
-            return GraspOutcome(status=FAILURE, seed=seed, reason="width_overflow")
-        executed = dataclasses.replace(proposal, x=proposal.x + dx)
-        return simulate_grasp(scene, executed, seed=seed)
-
-    # tactile localization: poke first
-    poke = prepared.poke(plan, dx, seed)
-    if poke.status != SUCCESS:
-        return GraspOutcome(status=FAILURE, seed=seed, reason=f"poke_{poke.status}")
-    target = scene.object_by_id(poke.contact_object)
-    if _is_side_lying_cylinder(target) and rng.random() < ADHESION_PROB:
-        return GraspOutcome(status=FAILURE, seed=seed, reason="adhesion_disturbance")
-    z_c = poke.contact_height
-    poke_v = cam.backproject_at_height(plan.point_px, z_c)
+        height = max(float(heights.mean()), scene.table_height + 0.001)
+    poke_v = cam.backproject_at_height(plan.point_px, height)
     try:
-        proposal = heuristic_grasp(poke_v, region, plan.ellipse, cam, GRIPPER)
+        proposal = heuristic_grasp(poke_v, plan, cam, GRIPPER)
     except WidthOverflow:
         return GraspOutcome(status=FAILURE, seed=seed, reason="width_overflow")
-    if proposal.kind == "edge" or plan.region_topology == SIMPLY_CONNECTED:
-        # anchored to the physically sensed contact point
-        offset = np.array([proposal.x, proposal.y]) - poke_v[:2]
-        cx, cy = poke.contact_point[:2] + offset
-    elif cfg.use_tactile_align:
-        try:
-            rectified = tactile_align(poke.frame, SENSOR)
-            cx, cy = float(rectified[0]), float(rectified[1])
-        except (InsufficientContact, DegenerateInput):
-            cx, cy = proposal.x + dx, proposal.y
-    else:
-        cx, cy = proposal.x + dx, proposal.y
-    executed = dataclasses.replace(proposal, x=float(cx), y=float(cy), z=z_c)
+    # the camera modes keep proposal.z: the back-projected z can differ from
+    # the height in the last bit
+    x, y, z = proposal.x + dx, proposal.y, proposal.z
+    if mode == "tactile":
+        z = height
+        if proposal.kind == "edge" or plan.region_topology == SIMPLY_CONNECTED:
+            # anchored to the physically sensed contact point
+            x, y = poke.contact_point[:2] + (np.array([proposal.x, proposal.y]) - poke_v[:2])
+        elif cfg.use_tactile_align:
+            try:
+                x, y = tactile_align(poke.frame, SENSOR)[:2]
+            except (InsufficientContact, DegenerateInput):
+                pass
+    executed = dataclasses.replace(proposal, x=float(x), y=float(y), z=z)
     return simulate_grasp(scene, executed, seed=seed)
 
 

@@ -6,11 +6,12 @@ it falls on the region (simply-connected case, e.g. a closed top face),
 else at the region pixel nearest the center (ring case, e.g. a vessel
 rim) so the sensor lands on material instead of the opening.
 
-The grasp proposal is a top-down parallel-jaw grasp [x, y, z, w, theta]:
+The grasp proposal is a top-down parallel-jaw grasp [x, y, z, w, theta],
+planned from the poking point's plan, whose topology is decided once:
 
-* center on the region -> centroid grasp at the poked point, maximum
+* simply-connected plan -> centroid grasp at the poked point, maximum
   width, oriented by the fitted ellipse angle;
-* ring case -> compare the horizontal distance D between the poked rim
+* ring plan -> compare the horizontal distance D between the poked rim
   point and the ellipse center (both taken at the contact height). If D
   exceeds half a finger width there is room to slot one finger inside the
   opening: edge grasp at the rim point with width 2*D along the
@@ -98,32 +99,29 @@ def poking_point(region: np.ndarray) -> PokePlan:
     return PokePlan(point_px=point, ellipse=ellipse, region_topology=RING)
 
 
-def heuristic_grasp(poke_world: np.ndarray, region: np.ndarray, ellipse: Ellipse,
-                    camera: CameraModel, gripper: GripperSpec) -> GraspProposal:
-    """Top-down grasp proposal from a poked point and its region geometry.
+def heuristic_grasp(poke_world: np.ndarray, plan: PokePlan, camera: CameraModel,
+                    gripper: GripperSpec) -> GraspProposal:
+    """Top-down grasp proposal from a poked point and the plan it was poked by.
 
     ``poke_world`` is the contact position; its z is the contact height at
-    which the ellipse center is back-projected.
+    which the ellipse center is back-projected. ``plan`` is the
+    ``poking_point`` of the poked region: its ``region_topology`` picks the
+    branch and its ``ellipse`` gives the center and the centroid angle.
+    Raises WidthOverflow when an edge grasp would open wider than the gripper.
     """
     poke_world = np.asarray(poke_world, dtype=np.float64)
-    region = np.asarray(region, dtype=bool)
-    if _in_region(region, _centroid_pixel(ellipse)):
-        return GraspProposal(x=float(poke_world[0]), y=float(poke_world[1]),
-                             z=float(poke_world[2]),
-                             w=gripper.maximum_gripper_width,
-                             theta=ellipse.rotation_angle, kind="centroid")
-    center_world = camera.backproject_at_height(ellipse.centroid, float(poke_world[2]))
-    delta = poke_world[:2] - center_world[:2]
-    dist = float(np.hypot(delta[0], delta[1]))
-    if dist > 0.5 * gripper.finger_width:
-        width = 2.0 * dist
-        if width > gripper.maximum_gripper_width:
-            raise WidthOverflow(width, gripper.maximum_gripper_width)
-        bearing = float(np.arctan2(delta[1], delta[0])) % np.pi
-        return GraspProposal(x=float(poke_world[0]), y=float(poke_world[1]),
-                             z=float(poke_world[2]), w=width, theta=bearing,
-                             kind="edge")
-    return GraspProposal(x=float(center_world[0]), y=float(center_world[1]),
-                         z=float(poke_world[2]),
-                         w=gripper.maximum_gripper_width,
+    ellipse = plan.ellipse
+    x, y, z = (float(v) for v in poke_world)
+    if plan.region_topology == RING:
+        center_world = camera.backproject_at_height(ellipse.centroid, z)
+        delta = poke_world[:2] - center_world[:2]
+        dist = float(np.hypot(delta[0], delta[1]))
+        if dist > 0.5 * gripper.finger_width:
+            width = 2.0 * dist
+            if width > gripper.maximum_gripper_width:
+                raise WidthOverflow(width, gripper.maximum_gripper_width)
+            bearing = float(np.arctan2(delta[1], delta[0])) % np.pi
+            return GraspProposal(x=x, y=y, z=z, w=width, theta=bearing, kind="edge")
+        x, y = float(center_world[0]), float(center_world[1])
+    return GraspProposal(x=x, y=y, z=z, w=gripper.maximum_gripper_width,
                          theta=ellipse.rotation_angle, kind="centroid")

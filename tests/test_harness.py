@@ -14,7 +14,7 @@ from pokegrasp.geometry import RigidTransform, rot_x, rot_y, rot_z
 from pokegrasp import harness
 from pokegrasp.harness import COARSE_STEP, CONTACT_DOT_MIN, DESCEND_OFFSET, DESCENT_STEP, \
     F_STOP, FAILURE, GRIPPER, H_STOP, MISS, POKE_GUIDANCE_MODES, SENSOR, SIDE_INSIDE_TOL, \
-    SUCCESS, TOPPLE, PokeOutcome, TrialConfig, _contact_dot, _convex_hull, _footprint_heights, _lattice_rows, \
+    SUCCESS, TOPPLE, PokeOutcome, TrialConfig, _contact_dot, _footprint_heights, _lattice_rows, \
     annotations_for, calibration_shift, corrupt_depth, poke_pixel_for_guidance, \
     poke_would_topple, run_benchmark, run_grasp_trial, run_poke_trial, scene_top_z, \
     simulate_grasp, simulate_poke, tipping_arms, tipping_max_force
@@ -789,7 +789,7 @@ def test_footprint_sensels_match_the_posed_grid():
 
 
 class TestTippingStatics:
-    """Closed-form tipping arms on the three support kinds."""
+    """Closed-form tipping arms on disk, segment, face and edge supports."""
 
     def test_max_force_is_torque_balance(self):
         assert tipping_max_force(2.0, 0.03, 0.01) == pytest.approx(6.0)
@@ -859,12 +859,39 @@ class TestTippingStatics:
         assert d1 == pytest.approx(float((corner - center) @ u), abs=1e-12)
         assert tipping_arms(box, center + 0.02 * ex - 0.03 * ey) == (True, 0.0, 0.0)
 
+    @pytest.mark.parametrize("yaw", [0.0, 0.4])
+    def test_polygon_edges_and_corners_are_inside(self, yaw):
+        # a contact on a base edge or a corner cannot tip the box: no zero or
+        # sub-ulp arm, no negative maximum force
+        w, d, h = 0.05, 0.08, 0.1
+        box = ObjectModel(id=1, shape=Box(size=(w, d, h)), mass=0.2,
+                          pose=RigidTransform(rot_z(yaw), [0.01, 0.02, 0.0]))
+        local = [(sx * w / 2, 0.0) for sx in (-1, 1)] + [(0.0, sy * d / 2) for sy in (-1, 1)] \
+            + [(sx * w / 2, sy * d / 2) for sx in (-1, 1) for sy in (-1, 1)]
+        for x, y in local:
+            contact = box.pose.apply(np.array([x, y, 0.0]))[:2]
+            assert tipping_arms(box, contact) == (True, 0.0, 0.0), (x, y)
 
-def test_convex_hull_drops_interior_and_collinear_points():
-    square = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
-    extra = [[0.5, 0.5], [0.5, 0.0], [1.0, 0.25], [0.2, 0.7]]
-    hull = _convex_hull(np.array(extra + square[::-1]))
-    assert hull.tolist() == square
+    def test_edge_support(self):
+        # a box tipped about world y onto its +x bottom edge, posed by hand: the
+        # support is that edge's line, x = w/2 cos(a), y in [-d/2, d/2]
+        w, d, h, a = 0.05, 0.08, 0.1, 0.3
+        box = ObjectModel(id=1, shape=Box(size=(w, d, h)), mass=0.2,
+                          pose=RigidTransform(rot_y(a), [0.0, 0.0, w / 2 * np.sin(a)]))
+        edge_x = w / 2 * np.cos(a)
+        com_x = h / 2 * np.sin(a)
+        assert tipping_arms(box, np.array([edge_x + 0.8 * SIDE_INSIDE_TOL, 0.01])) == \
+            (True, 0.0, 0.0)
+        # beside the edge: pivot on the line, the mass centre edge_x - com_x behind it
+        inside, d1, d2 = tipping_arms(box, np.array([edge_x + 0.02, 0.01]))
+        assert not inside
+        assert d1 == pytest.approx(edge_x - com_x, abs=1e-12)
+        assert d2 == pytest.approx(0.02, abs=1e-12)
+        # past the edge's end: the end corner is the pivot, half a depth from the mass centre
+        inside, d1, d2 = tipping_arms(box, np.array([edge_x, d / 2 + 0.02]))
+        assert not inside
+        assert d1 == pytest.approx(d / 2, abs=1e-12)
+        assert d2 == pytest.approx(0.02, abs=1e-12)
 
 
 class TestSimulateGraspReasons:

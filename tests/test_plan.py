@@ -3,7 +3,7 @@ import pytest
 
 from pokegrasp.errors import EmptyMask, InvalidConfig, WidthOverflow
 from pokegrasp.imgeo import Ellipse
-from pokegrasp.plan import (RING, SIMPLY_CONNECTED, GripperSpec, heuristic_grasp,
+from pokegrasp.plan import (RING, SIMPLY_CONNECTED, GripperSpec, PokePlan, heuristic_grasp,
                             poking_point)
 
 from conftest import overhead_camera
@@ -46,34 +46,41 @@ class TestPokingPoint:
         assert (p0[0] + du, p0[1] + dv) == p1
 
 
+def ring_plan(ellipse):
+    """The plan of an annulus of radii 30-36 px around the ellipse center:
+    poked on its rim, with the center off the region."""
+    return PokePlan(point_px=(353, 240), ellipse=ellipse, region_topology=RING)
+
+
 def make_ring_setup(dist, z=0.10):
-    """Region whose fitted center is off-mask, plus a camera and poke point
-    placed exactly `dist` meters (horizontal) from the back-projected center."""
+    """Ring plan whose fitted center is off the region, plus a camera and poke
+    point placed exactly `dist` meters (horizontal) from the back-projected
+    center."""
     cam = overhead_camera(height=0.6)
-    mask = annulus_mask((480, 640), (320, 240), 30, 36)
     ellipse = Ellipse(centroid=(320.0, 240.0), semi_major=33.0, semi_minor=33.0,
                       rotation_angle=0.4)
     center_world = cam.backproject_at_height(ellipse.centroid, z)
     poke_world = center_world + np.array([dist, 0.0, 0.0])
-    return cam, mask, ellipse, poke_world, center_world
+    return cam, ring_plan(ellipse), ellipse, poke_world, center_world
 
 
 class TestHeuristicGrasp:
     def test_simply_connected_centroid_grasp(self):
         cam = overhead_camera()
-        mask = disk_mask((480, 640), (320, 240), 25)
+        # the plan of a 25 px disk around the ellipse center
         ellipse = Ellipse(centroid=(320.0, 240.0), semi_major=25.0, semi_minor=25.0,
                           rotation_angle=1.0)
+        plan = PokePlan(point_px=(320, 240), ellipse=ellipse, region_topology=SIMPLY_CONNECTED)
         poke_world = np.array([0.0, 0.0, 0.08])
-        g = heuristic_grasp(poke_world, mask, ellipse, cam, GRIPPER)
+        g = heuristic_grasp(poke_world, plan, cam, GRIPPER)
         assert g.kind == "centroid"
         assert (g.x, g.y, g.z) == (0.0, 0.0, 0.08)
         assert g.w == GRIPPER.maximum_gripper_width
         assert g.theta == ellipse.rotation_angle
 
     def test_ring_edge_grasp_width_is_twice_distance(self):
-        cam, mask, ellipse, poke_world, _ = make_ring_setup(0.020)
-        g = heuristic_grasp(poke_world, mask, ellipse, cam, GRIPPER)
+        cam, plan, ellipse, poke_world, _ = make_ring_setup(0.020)
+        g = heuristic_grasp(poke_world, plan, cam, GRIPPER)
         assert g.kind == "edge"
         assert abs(g.w - 0.040) < 1e-12
         assert np.allclose([g.x, g.y, g.z], poke_world, atol=1e-12)
@@ -81,8 +88,8 @@ class TestHeuristicGrasp:
         assert min(g.theta, np.pi - g.theta) < 1e-9
 
     def test_ring_small_distance_falls_back_to_centroid(self):
-        cam, mask, ellipse, poke_world, center_world = make_ring_setup(0.005)
-        g = heuristic_grasp(poke_world, mask, ellipse, cam, GRIPPER)
+        cam, plan, ellipse, poke_world, center_world = make_ring_setup(0.005)
+        g = heuristic_grasp(poke_world, plan, cam, GRIPPER)
         assert g.kind == "centroid"
         assert np.allclose([g.x, g.y], center_world[:2], atol=1e-12)
         assert g.z == poke_world[2]
@@ -91,31 +98,31 @@ class TestHeuristicGrasp:
 
     def test_boundary_distance_takes_centroid_branch(self):
         half_fw = 0.5 * GRIPPER.finger_width
-        cam, mask, ellipse, poke_world, _ = make_ring_setup(half_fw)
-        assert heuristic_grasp(poke_world, mask, ellipse, cam, GRIPPER).kind == "centroid"
-        cam, mask, ellipse, poke_world, _ = make_ring_setup(half_fw - 1e-9)
-        assert heuristic_grasp(poke_world, mask, ellipse, cam, GRIPPER).kind == "centroid"
-        cam, mask, ellipse, poke_world, _ = make_ring_setup(half_fw + 1e-9)
-        assert heuristic_grasp(poke_world, mask, ellipse, cam, GRIPPER).kind == "edge"
+        cam, plan, ellipse, poke_world, _ = make_ring_setup(half_fw)
+        assert heuristic_grasp(poke_world, plan, cam, GRIPPER).kind == "centroid"
+        cam, plan, ellipse, poke_world, _ = make_ring_setup(half_fw - 1e-9)
+        assert heuristic_grasp(poke_world, plan, cam, GRIPPER).kind == "centroid"
+        cam, plan, ellipse, poke_world, _ = make_ring_setup(half_fw + 1e-9)
+        assert heuristic_grasp(poke_world, plan, cam, GRIPPER).kind == "edge"
 
     def test_width_overflow_signaled(self):
-        cam, mask, ellipse, poke_world, _ = make_ring_setup(0.050)  # 2 D = 0.1 > 0.085
+        cam, plan, ellipse, poke_world, _ = make_ring_setup(0.050)  # 2 D = 0.1 > 0.085
         with pytest.raises(WidthOverflow):
-            heuristic_grasp(poke_world, mask, ellipse, cam, GRIPPER)
+            heuristic_grasp(poke_world, plan, cam, GRIPPER)
 
     def test_edge_theta_parallel_to_segment(self):
         rng = np.random.default_rng(9)
         cam = overhead_camera()
-        mask = annulus_mask((480, 640), (320, 240), 30, 36)
         ellipse = Ellipse(centroid=(320.0, 240.0), semi_major=33.0, semi_minor=33.0,
                           rotation_angle=0.0)
+        plan = ring_plan(ellipse)
         z = 0.07
         center_world = cam.backproject_at_height(ellipse.centroid, z)
         for _ in range(50):
             ang = rng.uniform(0, 2 * np.pi)
             dist = rng.uniform(0.011, 0.042)
             poke_world = center_world + dist * np.array([np.cos(ang), np.sin(ang), 0.0])
-            g = heuristic_grasp(poke_world, mask, ellipse, cam, GRIPPER)
+            g = heuristic_grasp(poke_world, plan, cam, GRIPPER)
             assert g.kind == "edge"
             diff = (g.theta - ang) % np.pi
             assert min(diff, np.pi - diff) < 1e-9
@@ -123,8 +130,8 @@ class TestHeuristicGrasp:
 
 
 def test_grasp_proposal_json():
-    cam, mask, ellipse, poke_world, _ = make_ring_setup(0.02)
-    g = heuristic_grasp(poke_world, mask, ellipse, cam, GRIPPER)
+    cam, plan, ellipse, poke_world, _ = make_ring_setup(0.02)
+    g = heuristic_grasp(poke_world, plan, cam, GRIPPER)
     d = g.to_json()
     assert set(d) == {"x", "y", "z", "w", "theta", "kind"}
     assert d["kind"] == "edge"
