@@ -378,6 +378,14 @@ def _contact_dot(scene: Scene, object_id: int, contact: np.ndarray) -> float:
     return float(normal @ scene.table_normal)
 
 
+def _contact(heights: np.ndarray, ids: np.ndarray, xy: np.ndarray, image: np.ndarray):
+    """Contact point and object id of a probe whose frame fired: those of
+    the first sensel, in row-major order, of the largest indentation in its
+    ``image``."""
+    idx = np.unravel_index(int(np.argmax(image)), image.shape)
+    return np.array([xy[idx][0], xy[idx][1], heights[idx]]), int(ids[idx])
+
+
 def simulate_poke(scene: Scene, plan: Optional[PokePlan], dx: float = 0.0,
                   seed: int = 0) -> PokeOutcome:
     """Lower the sensor along the plan pixel's view ray until contact.
@@ -475,10 +483,7 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan], dx: float = 0.0,
         hit, _, touched = (False, 0, None) if skipped(center) else probe(center)
         if hit:
             heights, ids, xy, frame = touched
-            pen = frame.image
-            idx = np.unravel_index(int(np.argmax(pen)), pen.shape)
-            contact = np.array([xy[idx][0], xy[idx][1], heights[idx]])
-            cid = int(ids[idx])
+            contact, cid = _contact(heights, ids, xy, frame.image)
             if _contact_dot(scene, cid, contact) < CONTACT_DOT_MIN:
                 # pressing a steep surface (e.g. a wall through the opening)
                 # jams the arm: protective stop, no usable contact
@@ -651,9 +656,10 @@ def run_poke_trial(scene: Scene, cfg: TrialConfig, seed: int, guidance: str,
     down; no sensel counts before ``H_STOP``; the contact is on a surface
     steeper than ``CONTACT_DOT_MIN``; or the fine descent never fires. A
     contact ends as ``topple`` when the object tips below ``F_STOP``, and
-    as ``success`` otherwise. Raises InvalidConfig for an unknown guidance
-    once an object is in view.
+    as ``success`` otherwise. Raises InvalidConfig for an unknown guidance.
     """
+    if guidance not in POKE_GUIDANCE_MODES:
+        raise InvalidConfig(f"unknown guidance {guidance!r}")
     prepared = _owned(scene, cfg, prepared)
     if not prepared.anns:
         return PokeOutcome(status=MISS, seed=seed)

@@ -107,10 +107,14 @@ def heuristic_grasp(poke_world: np.ndarray, plan: PokePlan, camera: CameraModel,
     which the ellipse center is back-projected. ``plan`` is the
     ``poking_point`` of the poked region: its ``region_topology`` picks the
     branch and its ``ellipse`` gives the center and the centroid angle.
-    Raises WidthOverflow when an edge grasp would open wider than the gripper.
+    Raises InvalidConfig for a plan with no ellipse (a bbox or mask guidance
+    plan) and WidthOverflow when an edge grasp would open wider than the
+    gripper.
     """
-    poke_world = np.asarray(poke_world, dtype=np.float64)
     ellipse = plan.ellipse
+    if ellipse is None:
+        raise InvalidConfig("heuristic_grasp needs a plan with a fitted ellipse")
+    poke_world = np.asarray(poke_world, dtype=np.float64)
     x, y, z = (float(v) for v in poke_world)
     if plan.region_topology == RING:
         center_world = camera.backproject_at_height(ellipse.centroid, z)

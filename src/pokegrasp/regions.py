@@ -10,8 +10,9 @@ low inner floors.
 ``poking_region`` reads the object pixels and their normals that the
 render kept (``RenderBuffers.pixels`` and ``pixel_normals``), computes the
 dots and heights only there, then scatters the result into the frame. Its
-output is byte-equal to the full-frame composition of ``dot_product_map``,
-``height_map``, ``RenderBuffers.instance_mask`` and ``bbox_of``.
+output is byte-equal to the full-frame composition of ``height_map``, the
+instance masks, ``bbox_of`` and ``dot_product_map`` over a normals image
+that holds those normals at the object pixels.
 """
 from __future__ import annotations
 

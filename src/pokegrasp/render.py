@@ -1,4 +1,5 @@
-"""Analytic ray casting: depth / surface-normal / instance-id buffers.
+"""Analytic ray casting: depth / instance-id buffers and the object pixels'
+surface normals.
 
 Objects are compiled into local-frame primitives:
 
@@ -7,10 +8,10 @@ Objects are compiled into local-frame primitives:
 * boxes (slab intersection).
 
 Transparent objects are rendered opaque: the buffers are geometry channels
-(nearest-surface depth, unit world normal, instance id), not photometry.
-Depth is the Euclidean distance along the pixel ray. Pixels that hit
-nothing carry depth +inf, a zero normal and instance id 0; the table plane
-is a hit with instance id 0 and finite depth.
+(nearest-surface depth, instance id, and the unit world normal at each
+object pixel), not photometry. Depth is the Euclidean distance along the
+pixel ray. Pixels that hit nothing carry depth +inf and instance id 0; the
+table plane is a hit with instance id 0 and finite depth.
 
 Rays are cast through integer pixel coordinates (u, v) so that
 ``camera.project`` of a hit point returns the pixel it was rendered at.
@@ -21,13 +22,11 @@ depth-corruption models.
 An object covers a small part of the frame, so a camera render pays for
 the object, not the frame:
 
-* The table layer (the plane's depth and normal, and the zero instance
-  ids) depends only on the camera and the table height. It is computed
-  once per pair, kept read-only in a small cache like the pixel-ray grid.
-  A render's depth and instance ids start from copies of it, while its
-  normals stay the read-only layer plus the object pixels: the cast keeps
-  each object pixel's normal (where two objects overlap, the closer one's),
-  and ``RenderBuffers.normals`` builds the full image only when it is read.
+* The table plane's depth depends only on the camera and the table
+  height. It is computed once per pair and kept read-only in a small cache
+  like the pixel-ray grid. A render's depth starts from a copy of it and
+  its instance ids from zeros. Normals are kept only at the object pixels:
+  each one's normal is that of the closest object there.
 * Each object has one bounding volume, its local box (``[-R, R]^2 x
   [z_min, z_max]`` for a solid of revolution, the box itself for a
   ``Box``), padded by 1e-7 m past the tolerances of the primitive tests.
@@ -90,9 +89,9 @@ pose's inverse once per pose.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -109,9 +108,9 @@ NO_HIT = np.inf
 _PRIMITIVES_KEPT = 64
 _PRIMITIVES: dict[tuple, tuple] = {}
 
-# table layers of up to a few distinct (camera, table height) pairs
-_TABLE_LAYERS_KEPT = 4
-_TABLE_LAYERS: dict[tuple, tuple] = {}
+# table depths of up to a few distinct (camera, table height) pairs
+_TABLE_DEPTHS_KEPT = 4
+_TABLE_DEPTHS: dict[tuple, np.ndarray] = {}
 
 # pad of the local-box cull, past the height and squared-radius tolerances
 # of the primitive tests
@@ -120,54 +119,23 @@ _BOX_PAD = 1e-7
 _CORNER_HIGH = np.array(list(itertools.product((False, True), repeat=3)))
 
 
+@dataclass(frozen=True, eq=False)
 class RenderBuffers:
-    """Per-pixel geometry channels from a render pass; the attributes cannot
-    be rebound.
+    """Per-pixel geometry channels from a render pass; the fields cannot be
+    rebound.
 
     * ``depth``: (H, W) float64, +inf where nothing was hit;
-    * ``normals``: (H, W, 3) float64 unit vectors, 0 where no hit;
     * ``instance``: (H, W) int32, 0 = table or no hit;
     * ``pixels``: the object pixels, the ascending flat row-major indices
       where ``instance != 0``;
-    * ``pixel_normals``: (n, 3) the normals at ``pixels``, in their order.
-
-    A render passes the object pixels that its cast found, with the camera's
-    read-only table-normal layer, and no ``normals`` image: one is built from
-    the layer and the object pixels on its first read, a writable image of
-    these buffers' own, and kept; writing into it does not reach
-    ``pixel_normals``. Buffers built from ``depth``, ``normals`` and
-    ``instance`` read their object pixels off ``instance`` and ``normals``.
+    * ``pixel_normals``: (n, 3) float64 unit world normals at ``pixels``,
+      in their order.
     """
 
-    def __init__(self, depth: np.ndarray, normals: np.ndarray, instance: np.ndarray):
-        vars(self).update(depth=depth, normals=normals, instance=instance)
-
-    @classmethod
-    def _of_cast(cls, depth: np.ndarray, instance: np.ndarray, pixels: np.ndarray,
-                 pixel_normals: np.ndarray, table_normals: np.ndarray) -> "RenderBuffers":
-        """Buffers of a render: ``table_normals`` is the (H*W, 3) table layer."""
-        buffers = cls.__new__(cls)
-        vars(buffers).update(depth=depth, instance=instance, pixels=pixels,
-                             pixel_normals=pixel_normals, _table_normals=table_normals)
-        return buffers
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"RenderBuffers is read-only: cannot set {name!r}")
-
-    # cached_property stores into the instance dict, past __setattr__
-    @functools.cached_property
-    def normals(self) -> np.ndarray:
-        normals = self._table_normals.copy()
-        normals[self.pixels] = self.pixel_normals
-        return normals.reshape(self.depth.shape + (3,))
-
-    @functools.cached_property
-    def pixels(self) -> np.ndarray:
-        return np.flatnonzero(self.instance != 0)
-
-    @functools.cached_property
-    def pixel_normals(self) -> np.ndarray:
-        return self.normals.reshape(-1, 3)[self.pixels]
+    depth: np.ndarray
+    instance: np.ndarray
+    pixels: np.ndarray
+    pixel_normals: np.ndarray
 
     @property
     def hit(self) -> np.ndarray:
@@ -423,29 +391,24 @@ def _local_box(obj: ObjectModel) -> tuple[np.ndarray, np.ndarray]:
     return lo - _BOX_PAD, hi + _BOX_PAD
 
 
-def _table_layer(cam: CameraModel, table_height: float):
-    """Read-only (depth, normal, instance) of the pixel rays against the
-    table plane alone, flat over the pixels; cached per camera and table
-    height like ``CameraModel.pixel_directions``."""
+def _table_depth(cam: CameraModel, table_height: float) -> np.ndarray:
+    """Read-only depth of the pixel rays against the table plane alone, flat
+    over the pixels; cached per camera and table height like
+    ``CameraModel.pixel_directions``."""
     origin = cam.pose.translation
     key = (cam.fx, cam.fy, cam.cx, cam.cy, cam.width, cam.height,
            cam.pose.rotation.tobytes(), origin.tobytes(), table_height)
-    layer = _TABLE_LAYERS.get(key)
-    if layer is None:
+    depth = _TABLE_DEPTHS.get(key)
+    if depth is None:
         dz = cam.pixel_directions()[:, 2]
         with np.errstate(divide="ignore", invalid="ignore"):
             t_table = (table_height - origin[2]) / dz
-        ok = (np.abs(dz) > 1e-14) & (t_table > T_EPS)
-        depth = np.where(ok, t_table, NO_HIT)
-        normal = np.zeros((dz.size, 3))
-        normal[:, 2] = np.where(ok, np.where(dz < 0, 1.0, -1.0), 0.0)
-        layer = (depth, normal, np.zeros(dz.size, dtype=np.int32))
-        for a in layer:
-            a.setflags(write=False)
-        if len(_TABLE_LAYERS) >= _TABLE_LAYERS_KEPT:
-            _TABLE_LAYERS.clear()  # one atomic step, unlike evicting a chosen key
-        _TABLE_LAYERS[key] = layer
-    return layer
+        depth = np.where((np.abs(dz) > 1e-14) & (t_table > T_EPS), t_table, NO_HIT)
+        depth.setflags(write=False)
+        if len(_TABLE_DEPTHS) >= _TABLE_DEPTHS_KEPT:
+            _TABLE_DEPTHS.clear()  # one atomic step, unlike evicting a chosen key
+        _TABLE_DEPTHS[key] = depth
+    return depth
 
 
 def _pixel_window(cam: CameraModel, obj: ObjectModel) -> np.ndarray:
@@ -485,16 +448,19 @@ def _box_survivors(obj: ObjectModel, origin: np.ndarray, dirs: np.ndarray) -> np
     return np.flatnonzero((t_near <= t_far) & (t_far > 0.0))
 
 
-def _cast(scene: Scene):
-    """Nearest hits of the camera's pixel rays, flat over the pixels: the
-    table plane (instance id 0), then every object. Returns the depth and
-    instance ids of every pixel, the object pixels (ascending) with their
-    normals, and the read-only table-normal layer."""
+def render(scene: Scene) -> RenderBuffers:
+    """Render the camera view to depth / instance buffers and the object
+    pixels' normals.
+
+    Every pixel ray starts at the camera centre and runs along the cached
+    ``CameraModel.pixel_directions`` grid. It meets the table plane
+    (instance id 0), then every object.
+    """
     cam = scene.camera
     origin = cam.pose.translation
     dirs = cam.pixel_directions()
-    table_depth, table_normal, table_inst = _table_layer(cam, scene.table_height)
-    depth, inst = table_depth.copy(), table_inst.copy()
+    depth = _table_depth(cam, scene.table_height).copy()
+    inst = np.zeros(depth.size, dtype=np.int32)
     hits, normals = [], []
     for obj in scene.objects:
         # only rays in the box's pixel window that meet the box can hit the
@@ -516,29 +482,17 @@ def _cast(scene: Scene):
         hits.append(hit)
         normals.append(nrm[closer])
     if len(hits) == 1:
-        return depth, inst, hits[0], normals[0], table_normal
-    # an object writes a pixel only where it is closer than every earlier
-    # write, so a pixel keeps the normal of the last object that wrote it:
-    # the first occurrence in the objects taken in reverse (the empty leading
-    # arrays stand for a scene with no object cast)
-    pixels, last = np.unique(np.concatenate([np.empty(0, dtype=np.intp)] + hits[::-1]),
-                             return_index=True)
-    pixel_normals = np.concatenate([np.empty((0, 3))] + normals[::-1])[last]
-    return depth, inst, pixels, pixel_normals, table_normal
-
-
-def render(scene: Scene) -> RenderBuffers:
-    """Render the camera view to depth / normal / instance buffers.
-
-    Every pixel ray starts at the camera centre and runs along the cached
-    ``CameraModel.pixel_directions`` grid. The buffers carry the object
-    pixels the cast found; their ``normals`` image is built on first read.
-    """
-    cam = scene.camera
-    depth, inst, pixels, pixel_normals, table_normal = _cast(scene)
+        pixels, pixel_normals = hits[0], normals[0]
+    else:
+        # an object writes a pixel only where it is closer than every earlier
+        # write, so a pixel keeps the normal of the last object that wrote it:
+        # the first occurrence in the objects taken in reverse (the empty
+        # leading arrays stand for a scene with no object cast)
+        pixels, last = np.unique(np.concatenate([np.empty(0, dtype=np.intp)] + hits[::-1]),
+                                 return_index=True)
+        pixel_normals = np.concatenate([np.empty((0, 3))] + normals[::-1])[last]
     shape = (cam.height, cam.width)
-    return RenderBuffers._of_cast(depth.reshape(shape), inst.reshape(shape), pixels,
-                                  pixel_normals, table_normal)
+    return RenderBuffers(depth.reshape(shape), inst.reshape(shape), pixels, pixel_normals)
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,13 @@ from pokegrasp.geometry import RigidTransform, rot_x, rot_y, rot_z
 from pokegrasp import harness
 from pokegrasp.harness import COARSE_STEP, CONTACT_DOT_MIN, DESCEND_OFFSET, DESCENT_STEP, \
     F_STOP, FAILURE, GRIPPER, H_STOP, MISS, POKE_GUIDANCE_MODES, SENSOR, SIDE_INSIDE_TOL, \
-    SUCCESS, TOPPLE, PokeOutcome, TrialConfig, _contact_dot, _footprint_heights, _lattice_rows, \
-    annotations_for, calibration_shift, corrupt_depth, poke_pixel_for_guidance, \
+    SUCCESS, TOPPLE, PokeOutcome, TrialConfig, _contact, _contact_dot, _footprint_heights, \
+    _lattice_rows, annotations_for, calibration_shift, corrupt_depth, poke_pixel_for_guidance, \
     poke_would_topple, run_benchmark, run_grasp_trial, run_poke_trial, scene_top_z, \
     simulate_grasp, simulate_poke, tipping_arms, tipping_max_force
-from pokegrasp.plan import SIMPLY_CONNECTED, GraspProposal, PokePlan
+from pokegrasp.plan import SIMPLY_CONNECTED, GraspProposal, PokePlan, heuristic_grasp
 from pokegrasp.regions import pixel_ray_dz, poking_region, surface_heights
-from pokegrasp.render import _CORNER_HIGH, RenderBuffers, _local_box, compile_primitives, \
+from pokegrasp.render import _CORNER_HIGH, _local_box, compile_primitives, \
     intersect_object, render, rises_above, top_heights
 from pokegrasp.scene import Box, ObjectModel, RevolutionProfile, Scene
 from pokegrasp.seeding import rng_for
@@ -101,8 +101,7 @@ class TestCorruptDepth:
     def test_shape_mismatch(self):
         scene = benchmark_scene("vial", 0, master_seed=0)
         buf = render(scene)
-        cropped = RenderBuffers(depth=buf.depth[:-1], normals=buf.normals[:-1],
-                                instance=buf.instance[:-1])
+        cropped = dataclasses.replace(buf, depth=buf.depth[:-1], instance=buf.instance[:-1])
         with pytest.raises(ShapeMismatch):
             corrupt_depth(cropped, scene, np.random.default_rng(0), 0.7, 0.01)
 
@@ -176,6 +175,23 @@ def test_run_benchmark_rejects_negative_attempts():
     with pytest.raises(InvalidConfig, match="attempts_per_object"):
         run_benchmark(scenes, ("bbox",), -1, TrialConfig())
     assert run_benchmark(scenes, ("bbox",), 0, TrialConfig()).trials == ()
+
+
+def test_an_unknown_guidance_raises_with_nothing_in_view():
+    scene = Scene(camera=default_camera())
+    cfg = TrialConfig()
+    assert run_poke_trial(scene, cfg, 0, "bbox").status == MISS
+    with pytest.raises(InvalidConfig, match="guidance"):
+        run_poke_trial(scene, cfg, 0, "centre")
+
+
+@pytest.mark.parametrize("guidance", ["bbox", "mask"])
+def test_a_guidance_plan_without_an_ellipse_gets_no_grasp(guidance):
+    scene = benchmark_scene("jar", 0, master_seed=0)
+    plan = poke_pixel_for_guidance(annotations_for(scene, TrialConfig()).anns[0], guidance)
+    assert plan.ellipse is None
+    with pytest.raises(InvalidConfig, match="ellipse"):
+        heuristic_grasp(np.array([0.0, 0.0, 0.05]), plan, scene.camera, GRIPPER)
 
 
 def test_trial_config_rejects_negative_calib_range():
@@ -664,9 +680,7 @@ def full_frame_poke(scene, plan, dx=0.0, seed=0):
         hit, _, touched = probe(z)
         if hit:
             heights, ids, xy, frame = touched
-            idx = np.unravel_index(int(np.argmax(frame.image)), frame.image.shape)
-            contact = np.array([xy[idx][0], xy[idx][1], heights[idx]])
-            cid = int(ids[idx])
+            contact, cid = _contact(heights, ids, xy, frame.image)
             if cid == 0 or _contact_dot(scene, cid, contact) < CONTACT_DOT_MIN:
                 return PokeOutcome(status=MISS, seed=seed, stop_z=z)
             status = TOPPLE if poke_would_topple(scene, cid, contact, F_STOP) else SUCCESS
@@ -1183,7 +1197,7 @@ def test_camera_grasp_without_finite_depth_reports_no_depth(monkeypatch):
     ann = poking_region(buf, scene.camera)[0]
     depth = buf.depth.copy()
     depth[ann.mask] = np.inf
-    blind = RenderBuffers(depth=depth, normals=buf.normals, instance=buf.instance)
+    blind = dataclasses.replace(buf, depth=depth)
     monkeypatch.setattr(harness, "DEPTH_DROPOUT", 0.0)
     cfg = TrialConfig()
     out = run_grasp_trial(scene, cfg, 0, "camera-mask", prepared=(blind, [ann]))

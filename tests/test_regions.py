@@ -10,7 +10,7 @@ from pokegrasp.regions import (DEFAULT_H_MIN, DEFAULT_TAU_DOT, bbox_of, dot_prod
 from pokegrasp.render import RenderBuffers, render
 from pokegrasp.scene import Box, ObjectModel, RevolutionProfile, Scene
 
-from conftest import overhead_camera, straight_cup
+from conftest import overhead_camera, straight_cup, unculled_render
 
 TABLE_NORMAL = np.array([0.0, 0.0, 1.0])
 
@@ -20,10 +20,10 @@ class TestDotProductMap:
         # classify pixels analytically from their hit points: the rim is the
         # annulus plane z = 0.10, the outer wall the cylinder rho = 0.03
         buf = render(cup_scene)
-        dots = dot_product_map(buf.normals, TABLE_NORMAL)
-        heights = height_map(buf.depth, cup_scene.camera)
-        rim = (buf.instance == 1) & (np.abs(heights - 0.10) < 1e-9)
-        wall = (buf.instance == 1) & (heights < 0.0999) & (heights > 0.01)
+        dots = dot_product_map(buf.pixel_normals, TABLE_NORMAL)
+        heights = height_map(buf.depth, cup_scene.camera).reshape(-1)[buf.pixels]
+        rim = np.abs(heights - 0.10) < 1e-9
+        wall = (heights < 0.0999) & (heights > 0.01)
         assert rim.sum() > 100 and wall.sum() > 100
         assert np.abs(dots[rim] - 1.0).max() < 1e-6
         # walls are the outer/inner cylinder: normals horizontal
@@ -40,9 +40,9 @@ class TestDotProductMap:
         cam = overhead_camera(height=0.6)
         scene = Scene(camera=cam, objects=(jar,))
         buf = render(scene)
-        dots = dot_product_map(buf.normals, TABLE_NORMAL)
-        heights = height_map(buf.depth, cam)
-        barrel = (buf.instance == 1) & (dots > -1.5) & (np.abs(buf.normals[..., 1]) < 0.01)
+        dots = dot_product_map(buf.pixel_normals, TABLE_NORMAL)
+        heights = height_map(buf.depth, cam).reshape(-1)[buf.pixels]
+        barrel = np.abs(buf.pixel_normals[:, 1]) < 0.01
         assert barrel.sum() > 500
         expected = (heights[barrel] - r) / r
         assert np.abs(dots[barrel] - expected).max() < 1e-6
@@ -94,8 +94,8 @@ class TestHeightMap:
 
     def test_rim_height(self, cup_scene):
         buf = render(cup_scene)
-        heights = height_map(buf.depth, cup_scene.camera)
-        rim = (buf.instance == 1) & (buf.normals[..., 2] > 0.999) & (heights > 0.05)
+        heights = height_map(buf.depth, cup_scene.camera).reshape(-1)[buf.pixels]
+        rim = (buf.pixel_normals[:, 2] > 0.999) & (heights > 0.05)
         assert rim.any()
         assert np.abs(heights[rim] - 0.10).max() < 1e-6
 
@@ -140,9 +140,9 @@ class TestPokingRegion:
         rim_truth = (buf.instance == 1) & (np.abs(heights - 0.10) < 1e-9)
         assert np.array_equal(ann.poking_region, rim_truth)
         # the cavity floor is visible through the bore but excluded by height
-        floor = (buf.instance == 1) & (heights < 0.0999) & (buf.normals[..., 2] > 0.999)
+        floor = (heights.reshape(-1)[buf.pixels] < 0.0999) & (buf.pixel_normals[:, 2] > 0.999)
         assert floor.any()
-        assert not np.any(ann.poking_region & floor)
+        assert not np.any(ann.poking_region.reshape(-1)[buf.pixels] & floor)
 
     def test_closed_box_region_is_top_face(self, down_cam):
         box = ObjectModel(id=3, shape=Box(size=(0.06, 0.05, 0.08)), mass=0.2)
@@ -176,14 +176,14 @@ class TestPokingRegion:
         with pytest.raises(InvalidConfig):
             poking_region(buf, cup_scene.camera, tau_dot=1.0 + 1e-9)
         anns = poking_region(buf, cup_scene.camera, tau_dot=1.0)
-        dots = dot_product_map(buf.normals, TABLE_NORMAL)
+        dots = dot_product_map(unculled_render(cup_scene)[1], TABLE_NORMAL)
         assert np.all(dots[anns[0].poking_region] >= 1.0)
 
     def test_region_pixels_satisfy_all_conditions(self, cup_scene):
         buf = render(cup_scene)
         tau, h_min = 0.9, 0.03
         anns = poking_region(buf, cup_scene.camera, tau_dot=tau, h_min=h_min)
-        dots = dot_product_map(buf.normals, TABLE_NORMAL)
+        dots = dot_product_map(unculled_render(cup_scene)[1], TABLE_NORMAL)
         heights = height_map(buf.depth, cup_scene.camera)
         for ann in anns:
             pr = ann.poking_region
@@ -229,14 +229,15 @@ class TestPokingRegion:
         assert ann.bbox == (us.min(), vs.min(), us.max(), vs.max())
 
 
-def literal_poking_region(buf, cam, table_normal=TABLE_NORMAL, tau_dot=DEFAULT_TAU_DOT,
-                          h_min=DEFAULT_H_MIN):
-    """poking_region as the full-frame composition of its public pieces."""
-    eligible = (dot_product_map(buf.normals, table_normal) >= tau_dot) \
-        & (height_map(buf.depth, cam) >= h_min)
+def literal_poking_region(cam, depth, normals, instance, table_normal=TABLE_NORMAL,
+                          tau_dot=DEFAULT_TAU_DOT, h_min=DEFAULT_H_MIN):
+    """poking_region as the full-frame composition of its public pieces, on
+    (depth, normals, instance) images such as ``unculled_render``'s."""
+    eligible = (dot_product_map(normals, table_normal) >= tau_dot) \
+        & (height_map(depth, cam) >= h_min)
     out = []
-    for oid in np.unique(buf.instance[buf.instance != 0]):
-        mask = buf.instance_mask(int(oid))
+    for oid in np.unique(instance[instance != 0]):
+        mask = (instance == oid) & np.isfinite(depth)
         out.append((int(oid), mask, mask & eligible, bbox_of(mask)))
     return out
 
@@ -251,7 +252,8 @@ def assert_matches_literal(anns, expected):
 
 class TestPokingRegionMatchesFullFrame:
     """poking_region is byte-equal to the full-frame composition of
-    dot_product_map, height_map, instance_mask and bbox_of."""
+    dot_product_map, height_map, the instance masks and bbox_of on a
+    reference cast."""
 
     @pytest.mark.parametrize("slot", (0, 4, 8))
     @pytest.mark.parametrize("name", OBJECT_NAMES)
@@ -260,7 +262,7 @@ class TestPokingRegionMatchesFullFrame:
         buf = render(scene)
         anns = poking_region(buf, scene.camera, scene.table_normal)
         assert anns and anns[0].poking_area > 0
-        assert_matches_literal(anns, literal_poking_region(buf, scene.camera))
+        assert_matches_literal(anns, literal_poking_region(scene.camera, *unculled_render(scene)))
 
     def test_three_objects_one_cut_by_the_frame_edge(self):
         cam = default_camera()
@@ -272,7 +274,7 @@ class TestPokingRegionMatchesFullFrame:
         anns = poking_region(buf, cam)
         assert [a.id for a in anns] == [1, 2, 3]
         assert anns[2].mask[:, -1].any() and not anns[2].mask[:, 0].any()
-        assert_matches_literal(anns, literal_poking_region(buf, cam))
+        assert_matches_literal(anns, literal_poking_region(cam, *unculled_render(scene)))
 
     def test_tilted_table_normal(self):
         scene = benchmark_scene("rectangular_cup", 8, master_seed=0)
@@ -281,8 +283,8 @@ class TestPokingRegionMatchesFullFrame:
         normal /= np.linalg.norm(normal)
         anns = poking_region(buf, scene.camera, normal, tau_dot=0.95)
         assert anns[0].poking_area > 0
-        assert_matches_literal(anns, literal_poking_region(buf, scene.camera, normal,
-                                                           tau_dot=0.95))
+        assert_matches_literal(anns, literal_poking_region(scene.camera, *unculled_render(scene),
+                                                           normal, tau_dot=0.95))
 
     def test_single_pixel_on_the_dot_threshold(self):
         # one visible pixel whose full-frame dot is the threshold itself: a
@@ -303,11 +305,14 @@ class TestPokingRegionMatchesFullFrame:
             normals[4, 4] = normal
             instance = np.zeros((8, 8), dtype=np.int32)
             instance[4, 4] = 1
-            buf = RenderBuffers(depth=depth, normals=normals, instance=instance)
+            pixels = np.flatnonzero(instance)
+            buf = RenderBuffers(depth=depth, instance=instance, pixels=pixels,
+                                pixel_normals=normals.reshape(-1, 3)[pixels])
             tau = float(dot_product_map(normals, table)[4, 4])
             anns = poking_region(buf, cam, table, tau_dot=tau, h_min=0.0)
             assert anns[0].poking_area == 1
-            assert_matches_literal(anns, literal_poking_region(buf, cam, table, tau, 0.0))
+            assert_matches_literal(anns, literal_poking_region(cam, depth, normals, instance,
+                                                               table, tau, 0.0))
 
     def test_non_unit_table_normal_raises_with_nothing_in_view(self, down_cam):
         buf = render(Scene(camera=down_cam))

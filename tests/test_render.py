@@ -7,13 +7,12 @@ import pytest
 from pokegrasp.catalog import OBJECT_NAMES, benchmark_scene, catalog_entry, default_camera, \
     make_object, small_vial_scene
 from pokegrasp.geometry import RigidTransform, rot_x, rot_y, rot_z
-from pokegrasp.harness import TrialConfig, annotations_for, run_grasp_trial
-from pokegrasp.render import RenderBuffers, _compiled, _frustum_normal, _intersect_box, \
-    _intersect_disk, _intersect_frustum, _local_box, _pixel_window, _rising_primitives, \
-    _table_layer, compile_primitives, contains, intersect_object, render, rises_above, top_heights
+from pokegrasp.render import _compiled, _frustum_normal, _intersect_box, _intersect_disk, \
+    _intersect_frustum, _local_box, _pixel_window, _rising_primitives, _table_depth, \
+    compile_primitives, contains, intersect_object, render, rises_above, top_heights
 from pokegrasp.scene import Box, ObjectModel, RevolutionProfile, Scene
 
-from conftest import overhead_camera, straight_cup
+from conftest import overhead_camera, straight_cup, unculled_render
 
 # the module, which the package's ``render`` function shadows as an attribute
 render_module = importlib.import_module("pokegrasp.render")
@@ -109,23 +108,24 @@ class TestRender:
         d = np.stack([(u - cam.cx) / cam.fx, (v - cam.cy) / cam.fy, np.ones_like(u)], axis=-1)
         cos = 1.0 / np.linalg.norm(d, axis=-1)
         assert np.abs(buf.depth - 0.7 / cos).max() < 1e-9
-        assert np.allclose(buf.normals[..., 2], 1.0)
+        assert buf.pixels.size == 0 and buf.pixel_normals.shape == (0, 3)
 
     def test_upright_cylinder_rim_and_wall_normals(self, cup_scene):
         buf = render(cup_scene)
-        nz = buf.normals[..., 2]
-        rim = buf.hit & (buf.instance == 1) & (np.abs(nz) > 0.5)
-        wall = buf.hit & (buf.instance == 1) & (np.abs(nz) <= 0.5)
+        assert np.all(buf.instance.reshape(-1)[buf.pixels] == 1)
+        nz = buf.pixel_normals[:, 2]
+        rim = np.abs(nz) > 0.5
         assert rim.sum() > 100
         assert np.all(nz[rim] >= 0.999)
-        assert np.all(np.abs(nz[wall]) <= 0.01)
+        assert np.all(np.abs(nz[~rim]) <= 0.01)
 
     def test_render_deterministic(self, cup_scene):
         a = render(cup_scene)
         b = render(cup_scene)
         assert np.array_equal(a.depth, b.depth)
-        assert np.array_equal(a.normals, b.normals)
         assert np.array_equal(a.instance, b.instance)
+        assert np.array_equal(a.pixels, b.pixels)
+        assert np.array_equal(a.pixel_normals, b.pixel_normals)
 
     def test_occlusion_brute_force(self):
         # nearest-hit bookkeeping vs per-object single-ray queries at 64x48
@@ -162,36 +162,12 @@ class TestRender:
         assert np.array_equal(m1, (buf.instance == 1) & buf.hit)
 
 
-def unculled_render(scene):
-    """Reference nearest-hit buffers: every pixel ray against the table and
-    every object, with no bounding-volume culling."""
-    cam = scene.camera
-    d = cam.pixel_directions()
-    o = np.broadcast_to(cam.pose.translation, d.shape)
-    with np.errstate(divide="ignore"):
-        t_table = (scene.table_height - o[:, 2]) / d[:, 2]
-    on_table = (np.abs(d[:, 2]) > 1e-14) & (t_table > 1e-9)
-    depth = np.where(on_table, t_table, np.inf)
-    normal = np.zeros(d.shape)
-    normal[on_table] = np.where(d[on_table, 2:] < 0, [0.0, 0.0, 1.0], [0.0, 0.0, -1.0])
-    inst = np.zeros(d.shape[0], dtype=np.int32)
-    for obj in scene.objects:
-        t, nrm, _ = intersect_object(obj, o, d)
-        closer = t < depth
-        depth[closer] = t[closer]
-        normal[closer] = nrm[closer]
-        inst[closer] = obj.id
-    shape = (cam.height, cam.width)
-    return depth.reshape(shape), normal.reshape(shape + (3,)), inst.reshape(shape)
-
-
 def assert_buffers_identical(buf, depth, normals, instance):
-    # the object pixels the cast kept, before the normals image is built from them
+    # the object pixels the cast kept, with their normals
     pixels = np.flatnonzero(instance != 0)
     assert buf.pixels.tobytes() == pixels.tobytes()
     assert buf.pixel_normals.tobytes() == normals.reshape(-1, 3)[pixels].tobytes()
     assert buf.depth.tobytes() == depth.tobytes()
-    assert buf.normals.tobytes() == normals.tobytes()
     assert buf.instance.tobytes() == instance.tobytes()
 
 
@@ -318,7 +294,7 @@ class TestCulledRenderMatchesUnculled:
             assert all(buf.instance_mask(o.id).any() for o in objects)
             assert_buffers_identical(buf, *unculled_render(scene))
 
-    def test_table_layer_is_kept_per_camera(self):
+    def test_table_depth_is_kept_per_camera(self):
         scene = benchmark_scene("mug", 1, master_seed=3)
         vial = small_vial_scene()
         for s in (scene, vial, scene):
@@ -328,27 +304,17 @@ class TestCulledRenderMatchesUnculled:
         scene = benchmark_scene("big_disposable_cup", 4, master_seed=2)
         buf = render(scene)
         buf.depth[:] = 1.0
-        buf.normals[:] = 0.5
         buf.instance[:] = 7
+        buf.pixels[:] = 0
+        buf.pixel_normals[:] = 0.5
         assert_buffers_identical(render(scene), *unculled_render(scene))
-        layer = _table_layer(scene.camera, scene.table_height)
-        assert not any(a.flags.writeable for a in layer)
+        assert not _table_depth(scene.camera, scene.table_height).flags.writeable
 
-
-def test_the_camera_trials_never_build_the_normals_image(monkeypatch):
-    # the annotations and both camera grasps read the object pixels that the
-    # render kept; a full normals image would copy the table layer per render
-    def built(buffers):
-        raise AssertionError("the full normals image was built")
-
-    monkeypatch.setattr(RenderBuffers, "normals", property(built))
-    scene = benchmark_scene("mug", 0, master_seed=0)
-    cfg = TrialConfig()
-    prepared = annotations_for(scene, cfg)
-    assert prepared.anns
-    for seed, mode in ((1, "camera-mask"), (2, "camera-pr")):
-        out = run_grasp_trial(scene, cfg, seed, mode, prepared=prepared)
-        assert out.grasp is not None, mode
+    def test_a_field_cannot_be_rebound(self):
+        buf = render(benchmark_scene("mug", 0, master_seed=0))
+        for name in ("depth", "instance", "pixels", "pixel_normals"):
+            with pytest.raises(AttributeError):
+                setattr(buf, name, getattr(buf, name).copy())
 
 
 def columns_around(obj, half=0.16, n=64):
