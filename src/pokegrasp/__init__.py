@@ -14,7 +14,7 @@ from .errors import (DegenerateInput, EmptyMask, InsufficientContact, InvalidCon
 from .geometry import RigidTransform
 from .scene import Box, CameraModel, ObjectModel, RevolutionProfile, Scene
 from .render import RenderBuffers, render
-from .regions import InstanceAnnotation, dot_product_map, height_map, poking_region
+from .regions import InstanceAnnotation, height_map, poking_region
 from .imgeo import Ellipse, find_external_contour, fit_ellipse, nearest_positive
 from .plan import GraspProposal, GripperSpec, PokePlan, heuristic_grasp, poking_point
 from .tactile import TactileFrame, TactileSensorSpec, detect_contact, tactile_align

@@ -38,9 +38,12 @@ is only stamped on its outcome, so the `pr` poke and the `tactile` grasp's
 poke, or a `bbox` and a `mask` poke on the same pixel, lower the sensor
 once.
 
-The sensor is pressed straight down at yaw 0, so a probe places it by its
-centre alone: the view-ray point at the probe height, shifted along world
-x by the calibration error, with the probe height itself as its z.
+The table is the world plane z = 0 with +z up (`scene`): the protective
+stop, the grasp floors and the depth model's background read heights from
+it. The sensor is pressed straight down (-z) at yaw 0, so a probe places
+it by its centre alone: the view-ray point at the probe height, shifted
+along world x by the calibration error, with the probe height itself as
+its z.
 
 The descent is coarse, then fine. The coarse phase asks only whether any
 sensel indents, so it casts a sparse lattice of the sensel columns first,
@@ -101,7 +104,7 @@ DESCENT_STEP = 0.001
 DESCEND_OFFSET = 0.02  # the fingers close this far below the grasp height, meters
 DEPTH_DROPOUT = 0.7  # an object pixel reads the table depth with this probability
 DEPTH_SIGMA = 0.01  # noise on the surviving object depths, meters
-# contacts on surfaces steeper than this (normal . table normal) jam the
+# contacts on surfaces steeper than this (the normal's z component) jam the
 # arm laterally and trigger its protective stop instead of a clean poke
 CONTACT_DOT_MIN = float(np.cos(np.deg2rad(30.0)))
 
@@ -314,7 +317,7 @@ def _corrupted_pixel_depths(buffers: RenderBuffers, scene: Scene, rng: np.random
         state["has_uint32"], state["uinteger"] = kept["has_uint32"], kept["uinteger"]
         bits.state = state
     drop = (uniform[idx - first] < dropout) & (dz < 0)
-    depth[drop] = (scene.table_height - cam.pose.translation[2]) / dz[drop]
+    depth[drop] = (0.0 - cam.pose.translation[2]) / dz[drop]
     survive = ~drop
     depth[survive] += rng.normal(0.0, sigma, size=int(survive.sum()))
     return depth, dz
@@ -325,7 +328,8 @@ def _corrupted_pixel_depths(buffers: RenderBuffers, scene: Scene, rng: np.random
 # ---------------------------------------------------------------------------
 
 def scene_top_z(scene: Scene) -> float:
-    return max([scene.table_height] + [object_top_z(obj) for obj in scene.objects])
+    """Height of the highest object point, or of the table z = 0."""
+    return max([0.0] + [object_top_z(obj) for obj in scene.objects])
 
 
 def _footprint_heights(scene: Scene, spec: TactileSensorSpec, center: np.ndarray,
@@ -368,14 +372,14 @@ _LATTICE_OFFSETS = SENSOR.sensel_offsets[_lattice_rows(SENSOR)]
 
 
 def _contact_dot(scene: Scene, object_id: int, contact: np.ndarray) -> float:
-    """Table-normal component of the contacted surface normal, from the
+    """Table-normal (+z) component of the contacted surface normal, from the
     same downward ray at the contact column that the probe cast. The ray is
     cast only against the primitives that can rise above the contact height
     there (``render._column_normal``); the normal is that of a cast against
     every primitive."""
     origin = np.array([contact[0], contact[1], scene_top_z(scene) + 0.01])
     normal = _column_normal(scene.object_by_id(object_id), origin, float(contact[2]))
-    return float(normal @ scene.table_normal)
+    return float(normal[2])
 
 
 def _contact(heights: np.ndarray, ids: np.ndarray, xy: np.ndarray, image: np.ndarray):
@@ -516,7 +520,7 @@ def simulate_grasp(scene: Scene, grasp: GraspProposal, seed: int = 0) -> GraspOu
     u = np.array([np.cos(close_angle), np.sin(close_angle)])
     perp = np.array([-u[1], u[0]])
     center = np.array([grasp.x, grasp.y])
-    z_exec = max(grasp.z - DESCEND_OFFSET, scene.table_height + 0.001)
+    z_exec = max(grasp.z - DESCEND_OFFSET, 0.001)
     fw = GRIPPER.finger_width
     spans = np.linspace(-fw / 2.0, fw / 2.0, 25)
     tips = [center + sign * (grasp.w / 2.0) * u for sign in (-1.0, 1.0)]
@@ -601,7 +605,7 @@ class PreparedScene:
 
 def annotations_for(scene: Scene, cfg: TrialConfig) -> PreparedScene:
     buffers = render(scene)
-    anns = poking_region(buffers, scene.camera, scene.table_normal)
+    anns = poking_region(buffers, scene.camera)
     return PreparedScene(scene, cfg, buffers, anns)
 
 
@@ -722,7 +726,7 @@ def run_grasp_trial(scene: Scene, cfg: TrialConfig, seed: int, mode: str,
         heights = heights[np.isfinite(heights)]
         if not heights.size:
             return GraspOutcome(status=FAILURE, seed=seed, reason="no_depth")
-        height = max(float(heights.mean()), scene.table_height + 0.001)
+        height = max(float(heights.mean()), 0.001)
     poke_v = cam.backproject_at_height(plan.point_px, height)
     try:
         proposal = heuristic_grasp(poke_v, plan, cam, GRIPPER)

@@ -1,18 +1,18 @@
 """Poking-region ground truth from rendered buffers.
 
 A poking region is the part of an object's visible surface that is (a)
-near-parallel to the table (surface normal dotted with the table normal at
-or above a threshold) and (b) high enough above the table that a flat
-sensor can touch it without bottoming out. Both thresholds are
-configurable; the defaults keep rims and top faces and reject walls and
-low inner floors.
+near-parallel to the table (the z component of the unit surface normal at
+or above a threshold, the table being the plane z = 0 with +z up) and (b)
+high enough above the table that a flat sensor can touch it without
+bottoming out. Both thresholds are configurable; the defaults keep rims
+and top faces and reject walls and low inner floors.
 
 ``poking_region`` reads the object pixels and their normals that the
 render kept (``RenderBuffers.pixels`` and ``pixel_normals``), computes the
-dots and heights only there, then scatters the result into the frame. Its
-output is byte-equal to the full-frame composition of ``height_map``, the
-instance masks, ``bbox_of`` and ``dot_product_map`` over a normals image
-that holds those normals at the object pixels.
+heights only there, then scatters the result into the frame. Its output
+is byte-equal to the full-frame composition of ``height_map``, the
+instance masks, ``bbox_of`` and the z component of a normals image that
+holds those normals at the object pixels.
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from .imgeo import bbox_of
 from .render import RenderBuffers
 from .scene import CameraModel
 
-DOT_SENTINEL = -2.0
 HEIGHT_SENTINEL = -np.inf
 
 DEFAULT_TAU_DOT = float(np.cos(np.deg2rad(10.0)))
@@ -48,24 +47,6 @@ class InstanceAnnotation:
     @property
     def poking_area(self) -> int:
         return int(np.count_nonzero(self.poking_region))
-
-
-def dot_product_map(normals: np.ndarray, table_normal: np.ndarray) -> np.ndarray:
-    """Per-pixel normal . table_normal; -2 sentinel where nothing was hit.
-
-    No-hit pixels are identified by their zero normal vector. ``normals``
-    is any (..., 3) array: a frame or a gathered set of pixels. Raises
-    InvalidConfig unless ``table_normal`` is a finite unit vector.
-    """
-    table_normal = np.asarray(table_normal, dtype=np.float64)
-    # written so that a NaN length fails it too
-    if not abs(np.linalg.norm(table_normal) - 1.0) <= 1e-9:
-        raise InvalidConfig("table_normal must be a finite unit vector")
-    dots = normals @ table_normal
-    # equal to np.linalg.norm(normals, axis=-1), in fewer full-frame passes
-    nx, ny, nz = normals[..., 0], normals[..., 1], normals[..., 2]
-    hit = np.sqrt(nx * nx + ny * ny + nz * nz) > 0.5
-    return np.where(hit, dots, DOT_SENTINEL)
 
 
 def pixel_ray_dz(depth: np.ndarray, camera: CameraModel) -> np.ndarray:
@@ -99,17 +80,17 @@ def height_map(depth: np.ndarray, camera: CameraModel) -> np.ndarray:
     return surface_heights(depth, pixel_ray_dz(depth, camera), camera.pose.translation[2])
 
 
-def poking_region(buffers: RenderBuffers, camera: CameraModel,
-                  table_normal=(0.0, 0.0, 1.0),
+def poking_region(buffers: RenderBuffers, camera: CameraModel, *,
                   tau_dot: float = DEFAULT_TAU_DOT,
                   h_min: float = DEFAULT_H_MIN) -> list[InstanceAnnotation]:
     """Ground-truth annotations for every object visible in the buffers.
 
-    A pixel joins its instance's poking region iff dot >= tau_dot and
-    height >= h_min. Instances with no visible pixels are omitted;
-    instances whose poking region is empty are kept (empty region).
-    Raises InvalidConfig for thresholds outside their ranges or a table
-    normal that is not a finite unit vector, also with nothing in view.
+    A pixel joins its instance's poking region iff its normal's z component
+    (its dot with the table normal +z) is >= tau_dot and its height above
+    the table z = 0 is >= h_min. Instances with no visible pixels are
+    omitted; instances whose poking region is empty are kept (empty
+    region). Raises InvalidConfig for thresholds outside their ranges, also
+    with nothing in view.
     """
     if not (0.0 < tau_dot <= 1.0):
         raise InvalidConfig("tau_dot must be in (0, 1]")
@@ -118,12 +99,7 @@ def poking_region(buffers: RenderBuffers, camera: CameraModel,
         raise InvalidConfig("h_min must be finite and >= 0")
     instance = buffers.instance
     idx = buffers.pixels
-    normals = buffers.pixel_normals
-    if len(idx) == 1:
-        # a one-row product runs as a BLAS dot, which can round differently
-        # from the per-row matrix-vector product the full frame gets
-        normals = np.repeat(normals, 2, axis=0)
-    dots = dot_product_map(normals, table_normal)[:len(idx)]
+    dots = buffers.pixel_normals[:, 2]
     dz = pixel_ray_dz(buffers.depth, camera).reshape(-1)[idx]
     heights = surface_heights(buffers.depth.reshape(-1)[idx], dz, camera.pose.translation[2])
     eligible = np.zeros(instance.shape, dtype=bool)

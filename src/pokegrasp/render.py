@@ -22,11 +22,12 @@ depth-corruption models.
 An object covers a small part of the frame, so a camera render pays for
 the object, not the frame:
 
-* The table plane's depth depends only on the camera and the table
-  height. It is computed once per pair and kept read-only in a small cache
-  like the pixel-ray grid. A render's depth starts from a copy of it and
-  its instance ids from zeros. Normals are kept only at the object pixels:
-  each one's normal is that of the closest object there.
+* The table is the world plane z = 0 with normal +z (``scene``), so its
+  depth depends only on the camera. It is computed once per camera and
+  kept read-only in a small cache like the pixel-ray grid. A render's
+  depth starts from a copy of it and its instance ids from zeros. Normals
+  are kept only at the object pixels: each one's normal is that of the
+  closest object there.
 * Each object has one bounding volume, its local box (``[-R, R]^2 x
   [z_min, z_max]`` for a solid of revolution, the box itself for a
   ``Box``), padded by 1e-7 m past the tolerances of the primitive tests.
@@ -108,7 +109,7 @@ NO_HIT = np.inf
 _PRIMITIVES_KEPT = 64
 _PRIMITIVES: dict[tuple, tuple] = {}
 
-# table depths of up to a few distinct (camera, table height) pairs
+# table depths of up to a few distinct cameras
 _TABLE_DEPTHS_KEPT = 4
 _TABLE_DEPTHS: dict[tuple, np.ndarray] = {}
 
@@ -231,7 +232,7 @@ def _intersect_frustum(o, d, r0, z0, r1, z1):
     b = 2.0 * (o[:, 0] * d[:, 0] + o[:, 1] * d[:, 1] - m * k * d[:, 2])
     c = o[:, 0] ** 2 + o[:, 1] ** 2 - m ** 2
     t_best = np.full(o.shape[0], NO_HIT)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         lin = np.abs(a) < 1e-14
         # one shared direction (the sensel columns) makes a and lin single
         # values: only the branch lin selects is evaluated, and the linear
@@ -272,7 +273,7 @@ def _intersect_disk(o, d, zc, r_in, r_out):
         # one shared direction parallel to the disk (a side-lying solid's
         # disks under the sensel columns): the ok mask below is all False
         return np.full(o.shape[0], NO_HIT)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         t = (zc - o[:, 2]) / d[:, 2]
     x = o[:, 0] + t * d[:, 0]
     y = o[:, 1] + t * d[:, 1]
@@ -286,7 +287,7 @@ def _intersect_box(o, d, w, dd, h):
     near_ax the first axis of the entry slab."""
     for ax, (lo, hi) in enumerate(((-w / 2.0, w / 2.0), (-dd / 2.0, dd / 2.0), (0.0, h))):
         o_a, d_a = o[:, ax], d[:, ax]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             t0 = (lo - o_a) / d_a
             t1 = (hi - o_a) / d_a
         t_lo = np.where(np.isnan(t0), -NO_HIT, np.minimum(t0, t1))
@@ -391,18 +392,18 @@ def _local_box(obj: ObjectModel) -> tuple[np.ndarray, np.ndarray]:
     return lo - _BOX_PAD, hi + _BOX_PAD
 
 
-def _table_depth(cam: CameraModel, table_height: float) -> np.ndarray:
-    """Read-only depth of the pixel rays against the table plane alone, flat
-    over the pixels; cached per camera and table height like
+def _table_depth(cam: CameraModel) -> np.ndarray:
+    """Read-only depth of the pixel rays against the table plane z = 0
+    alone, flat over the pixels; cached per camera like
     ``CameraModel.pixel_directions``."""
     origin = cam.pose.translation
     key = (cam.fx, cam.fy, cam.cx, cam.cy, cam.width, cam.height,
-           cam.pose.rotation.tobytes(), origin.tobytes(), table_height)
+           cam.pose.rotation.tobytes(), origin.tobytes())
     depth = _TABLE_DEPTHS.get(key)
     if depth is None:
         dz = cam.pixel_directions()[:, 2]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_table = (table_height - origin[2]) / dz
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            t_table = (0.0 - origin[2]) / dz
         depth = np.where((np.abs(dz) > 1e-14) & (t_table > T_EPS), t_table, NO_HIT)
         depth.setflags(write=False)
         if len(_TABLE_DEPTHS) >= _TABLE_DEPTHS_KEPT:
@@ -438,7 +439,7 @@ def _box_survivors(obj: ObjectModel, origin: np.ndarray, dirs: np.ndarray) -> np
     lo, hi = _local_box(obj)
     t_near, t_far = -NO_HIT, NO_HIT
     for ax in range(3):
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             t0 = (lo[ax] - o[ax]) / d[:, ax]
             t1 = (hi[ax] - o[ax]) / d[:, ax]
         t_near = np.maximum(t_near, np.minimum(t0, t1))
@@ -453,13 +454,13 @@ def render(scene: Scene) -> RenderBuffers:
     pixels' normals.
 
     Every pixel ray starts at the camera centre and runs along the cached
-    ``CameraModel.pixel_directions`` grid. It meets the table plane
+    ``CameraModel.pixel_directions`` grid. It meets the table plane z = 0
     (instance id 0), then every object.
     """
     cam = scene.camera
     origin = cam.pose.translation
     dirs = cam.pixel_directions()
-    depth = _table_depth(cam, scene.table_height).copy()
+    depth = _table_depth(cam).copy()
     inst = np.zeros(depth.size, dtype=np.int32)
     hits, normals = [], []
     for obj in scene.objects:

@@ -1,9 +1,11 @@
-"""Scene description: camera model, parametric objects, table.
+"""Scene description: camera model and parametric objects on a table.
 
-World frame is the table frame: the table plane is z = ``table_height``
-(default 0) with normal +z. Camera frame follows the usual pinhole
-convention: +z along the view direction, +x to the image right, +y down
-the image. ``CameraModel.pose`` maps camera-frame points into the world.
+World frame is the table frame: the table is the plane z = 0 and +z is
+up. This is a constant of the model, not a field of a scene; resting
+poses, heights, thresholds and the sensor's approach all read it. Camera
+frame follows the usual pinhole convention: +z along the view direction,
++x to the image right, +y down the image. ``CameraModel.pose`` maps
+camera-frame points into the world.
 
 Objects come in two shapes:
 
@@ -55,6 +57,10 @@ class CameraModel:
             raise InvalidConfig("focal lengths and principal point must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise InvalidConfig("focal lengths must be positive")
+        if not all(isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+                   for n in (self.width, self.height)):
+            raise InvalidConfig("width and height must be integers")
+        # this also rejects a width or height below 1
         if not (0 <= self.cx < self.width) or not (0 <= self.cy < self.height):
             raise InvalidConfig("principal point outside the image")
 
@@ -217,22 +223,12 @@ class ObjectModel:
 
 @dataclass(frozen=True)
 class Scene:
-    """Table plane, camera, and posed objects."""
+    """Camera and posed objects; the table is the plane z = 0."""
 
     camera: CameraModel
     objects: tuple[ObjectModel, ...] = ()
-    table_normal: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
-    table_height: float = 0.0
 
     def __post_init__(self):
-        n = np.array(self.table_normal, dtype=np.float64)
-        # a NaN normal passes the unit-length check, every comparison being false
-        if not (np.all(np.isfinite(n)) and math.isfinite(self.table_height)):
-            raise InvalidGeometry("table_normal and table_height must be finite")
-        if abs(np.linalg.norm(n) - 1.0) > 1e-9:
-            raise InvalidGeometry("table_normal must be unit length")
-        n.setflags(write=False)
-        object.__setattr__(self, "table_normal", n)
         object.__setattr__(self, "objects", tuple(self.objects))
         ids = [o.id for o in self.objects]
         if len(set(ids)) != len(ids):

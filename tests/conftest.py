@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pokegrasp.geometry import RigidTransform, rot_x, rot_z
 from pokegrasp.render import intersect_object
 from pokegrasp.scene import Box, CameraModel, ObjectModel, RevolutionProfile, Scene
+
+# every property test draws the same examples on every run: no random seed,
+# no example database carried between runs and no timing deadline
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 
 def overhead_camera(height=0.6, fx=600.0, fy=600.0, cx=320.0, cy=240.0,
@@ -25,13 +31,13 @@ def straight_cup(radius=0.03, height=0.10, wall=0.003, mass=0.2, oid=1,
 def unculled_render(scene):
     """Reference nearest-hit (depth, normals, instance) images: every pixel
     ray against the table and every object, with no bounding-volume
-    culling. The normals image holds the table's normal on the table and 0
-    where nothing is hit."""
+    culling. The table is the plane z = 0. The normals image holds the
+    table's normal on the table and 0 where nothing is hit."""
     cam = scene.camera
     d = cam.pixel_directions()
     o = np.broadcast_to(cam.pose.translation, d.shape)
     with np.errstate(divide="ignore"):
-        t_table = (scene.table_height - o[:, 2]) / d[:, 2]
+        t_table = (0.0 - o[:, 2]) / d[:, 2]
     on_table = (np.abs(d[:, 2]) > 1e-14) & (t_table > 1e-9)
     depth = np.where(on_table, t_table, np.inf)
     normal = np.zeros(d.shape)

@@ -46,7 +46,7 @@ def inline_corrupt_depth(buffers, scene, rng, dropout, sigma):
     d_world /= np.linalg.norm(d_world, axis=-1, keepdims=True)
     dz = d_world[:, 2].reshape(h, w)
     with np.errstate(divide="ignore"):
-        t_table = (scene.table_height - cam.pose.translation[2]) / dz
+        t_table = (0.0 - cam.pose.translation[2]) / dz
     drop = obj_px & (rng.random(depth.shape) < dropout) & (dz < 0)
     depth[drop] = t_table[drop]
     survive = obj_px & ~drop
@@ -333,7 +333,7 @@ def probe_floors(scene, obj) -> set:
     """-inf, two sensing planes below the top, and every primitive height
     and its neighbours 1e-12 away."""
     top = scene_top_z(scene)
-    floors = {-np.inf, top - DEFAULT_VALUE_THRESHOLD, (scene.table_height + top) / 2.0}
+    floors = {-np.inf, top - DEFAULT_VALUE_THRESHOLD, top / 2.0}
     floors.update(z + e for z in primitive_world_zs(obj) for e in (-1e-12, 0.0, 1e-12))
     return floors
 
@@ -474,7 +474,7 @@ def full_contact_dot(scene, object_id, contact) -> float:
     origin = np.array([[contact[0], contact[1], scene_top_z(scene) + 0.01]])
     _, normal, _ = intersect_object(scene.object_by_id(object_id), origin,
                                     np.array([[0.0, 0.0, -1.0]]))
-    return float(normal[0] @ scene.table_normal)
+    return float(normal[0, 2])
 
 
 def assert_contact_dot_is_the_full_one(scene, object_id, contact):

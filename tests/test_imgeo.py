@@ -207,7 +207,7 @@ class TestTraceMatchesReference:
     @pytest.mark.parametrize("name", OBJECT_NAMES)
     def test_catalog_regions(self, name, attempt):
         scene = benchmark_scene(name, attempt, master_seed=0)
-        anns = poking_region(render(scene), scene.camera, scene.table_normal)
+        anns = poking_region(render(scene), scene.camera)
         assert anns
         for ann in anns:
             for region in (ann.mask, ann.poking_region):

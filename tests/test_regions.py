@@ -5,22 +5,21 @@ from pokegrasp.catalog import OBJECT_NAMES, SIDE, UPRIGHT, benchmark_scene, cata
     default_camera, make_object
 from pokegrasp.errors import InvalidConfig, ShapeMismatch
 from pokegrasp.geometry import RigidTransform, rot_x
-from pokegrasp.regions import (DEFAULT_H_MIN, DEFAULT_TAU_DOT, bbox_of, dot_product_map,
-                               height_map, poking_region)
-from pokegrasp.render import RenderBuffers, render
+from pokegrasp.regions import DEFAULT_H_MIN, DEFAULT_TAU_DOT, bbox_of, height_map, poking_region
+from pokegrasp.render import render
 from pokegrasp.scene import Box, ObjectModel, RevolutionProfile, Scene
 
 from conftest import overhead_camera, straight_cup, unculled_render
 
-TABLE_NORMAL = np.array([0.0, 0.0, 1.0])
-
 
 class TestDotProductMap:
+    """A normal's dot with the table normal +z is its z component."""
+
     def test_rim_parallel_and_wall_orthogonal(self, cup_scene):
         # classify pixels analytically from their hit points: the rim is the
         # annulus plane z = 0.10, the outer wall the cylinder rho = 0.03
         buf = render(cup_scene)
-        dots = dot_product_map(buf.pixel_normals, TABLE_NORMAL)
+        dots = buf.pixel_normals[:, 2]
         heights = height_map(buf.depth, cup_scene.camera).reshape(-1)[buf.pixels]
         rim = np.abs(heights - 0.10) < 1e-9
         wall = (heights < 0.0999) & (heights > 0.01)
@@ -40,50 +39,13 @@ class TestDotProductMap:
         cam = overhead_camera(height=0.6)
         scene = Scene(camera=cam, objects=(jar,))
         buf = render(scene)
-        dots = dot_product_map(buf.pixel_normals, TABLE_NORMAL)
+        dots = buf.pixel_normals[:, 2]
         heights = height_map(buf.depth, cam).reshape(-1)[buf.pixels]
         barrel = np.abs(buf.pixel_normals[:, 1]) < 0.01
         assert barrel.sum() > 500
         expected = (heights[barrel] - r) / r
         assert np.abs(dots[barrel] - expected).max() < 1e-6
         assert dots[barrel].max() > 0.9999  # top line present
-
-    def test_non_hit_sentinel(self):
-        normals = np.zeros((2, 2, 3))
-        normals[0, 0] = [0, 0, 1]
-        dots = dot_product_map(normals, TABLE_NORMAL)
-        assert dots[0, 0] == 1.0
-        assert np.all(dots.ravel()[1:] == -2.0)
-
-    def test_requires_unit_normal(self):
-        with pytest.raises(InvalidConfig):
-            dot_product_map(np.zeros((1, 1, 3)), np.array([0.0, 0.0, 2.0]))
-
-    @pytest.mark.parametrize("normal", [(np.nan, 0.0, 1.0), (0.0, 0.0, np.inf),
-                                        (np.nan, np.nan, np.nan)])
-    def test_rejects_non_finite_normal(self, normal):
-        # a NaN normal has a NaN length, which no length check rejects
-        # unless written to: every dot would read NaN
-        with pytest.raises(InvalidConfig):
-            dot_product_map(np.zeros((1, 1, 3)), np.array(normal))
-
-    def test_hit_test_matches_linalg_norm(self):
-        # zero, unit and 0.3 / 0.5 / 0.6 long normals, lengths a few ulps and
-        # 1e-5 either side of 0.5, then seeded random ones straddling 0.5
-        rng = np.random.default_rng(3)
-        dirs = rng.standard_normal((6, 3))
-        dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
-        near = [np.nextafter(0.5, s) for s in (0.0, 1.0)] + [0.49999, 0.50001]
-        fixed = np.concatenate([np.zeros((1, 3)), np.eye(3), -np.eye(3), dirs,
-                                0.3 * dirs, 0.5 * dirs, 0.6 * dirs, 0.5 * np.eye(3)]
-                               + [r * dirs for r in near])
-        noise = rng.uniform(-0.6, 0.6, size=(4096, 3))
-        for normals in (fixed[None], noise.reshape(64, 64, 3)):
-            hit = np.linalg.norm(normals, axis=-1) > 0.5
-            expected = np.where(hit, normals @ TABLE_NORMAL, -2.0)
-            got = dot_product_map(normals, TABLE_NORMAL)
-            assert got.tobytes() == expected.tobytes()
-        assert 0 < np.count_nonzero(np.linalg.norm(noise, axis=-1) > 0.5) < noise.shape[0]
 
 
 class TestHeightMap:
@@ -161,29 +123,32 @@ class TestPokingRegion:
         assert poking_region(buf, scene.camera)[0].poking_area > 0
         with pytest.raises(InvalidConfig):
             poking_region(buf, scene.camera, h_min=h_min)
+        # also with nothing in view, where valid thresholds give no annotation
+        empty = render(Scene(camera=scene.camera))
+        assert poking_region(empty, scene.camera) == []
+        with pytest.raises(InvalidConfig):
+            poking_region(empty, scene.camera, h_min=h_min)
 
-    @pytest.mark.parametrize("normal", [(np.nan, 0.0, 1.0), (0.0, np.inf, 1.0)])
-    def test_rejects_non_finite_table_normal(self, cup_scene, normal):
+    def test_thresholds_are_keyword_only(self, cup_scene):
+        # a third positional argument, such as a table normal, must not be
+        # read as tau_dot
         buf = render(cup_scene)
-        with pytest.raises(InvalidConfig):
-            poking_region(buf, cup_scene.camera, table_normal=normal)
-        with pytest.raises(InvalidConfig):
-            poking_region(render(Scene(camera=cup_scene.camera)), cup_scene.camera,
-                          table_normal=normal)
+        with pytest.raises(TypeError):
+            poking_region(buf, cup_scene.camera, (0.0, 0.0, 1.0))
 
     def test_tau_dot_bounds(self, cup_scene):
         buf = render(cup_scene)
         with pytest.raises(InvalidConfig):
             poking_region(buf, cup_scene.camera, tau_dot=1.0 + 1e-9)
         anns = poking_region(buf, cup_scene.camera, tau_dot=1.0)
-        dots = dot_product_map(unculled_render(cup_scene)[1], TABLE_NORMAL)
+        dots = unculled_render(cup_scene)[1][..., 2]
         assert np.all(dots[anns[0].poking_region] >= 1.0)
 
     def test_region_pixels_satisfy_all_conditions(self, cup_scene):
         buf = render(cup_scene)
         tau, h_min = 0.9, 0.03
         anns = poking_region(buf, cup_scene.camera, tau_dot=tau, h_min=h_min)
-        dots = dot_product_map(unculled_render(cup_scene)[1], TABLE_NORMAL)
+        dots = unculled_render(cup_scene)[1][..., 2]
         heights = height_map(buf.depth, cup_scene.camera)
         for ann in anns:
             pr = ann.poking_region
@@ -229,12 +194,12 @@ class TestPokingRegion:
         assert ann.bbox == (us.min(), vs.min(), us.max(), vs.max())
 
 
-def literal_poking_region(cam, depth, normals, instance, table_normal=TABLE_NORMAL,
+def literal_poking_region(cam, depth, normals, instance,
                           tau_dot=DEFAULT_TAU_DOT, h_min=DEFAULT_H_MIN):
     """poking_region as the full-frame composition of its public pieces, on
-    (depth, normals, instance) images such as ``unculled_render``'s."""
-    eligible = (dot_product_map(normals, table_normal) >= tau_dot) \
-        & (height_map(depth, cam) >= h_min)
+    (depth, normals, instance) images such as ``unculled_render``'s. A pixel
+    with no hit has a zero normal, whose z component 0 is below any tau_dot."""
+    eligible = (normals[..., 2] >= tau_dot) & (height_map(depth, cam) >= h_min)
     out = []
     for oid in np.unique(instance[instance != 0]):
         mask = (instance == oid) & np.isfinite(depth)
@@ -251,8 +216,8 @@ def assert_matches_literal(anns, expected):
 
 
 class TestPokingRegionMatchesFullFrame:
-    """poking_region is byte-equal to the full-frame composition of
-    dot_product_map, height_map, the instance masks and bbox_of on a
+    """poking_region is byte-equal to the full-frame composition of the
+    normals' z components, height_map, the instance masks and bbox_of on a
     reference cast."""
 
     @pytest.mark.parametrize("slot", (0, 4, 8))
@@ -260,7 +225,7 @@ class TestPokingRegionMatchesFullFrame:
     def test_catalog_objects(self, name, slot):
         scene = benchmark_scene(name, slot, master_seed=0)
         buf = render(scene)
-        anns = poking_region(buf, scene.camera, scene.table_normal)
+        anns = poking_region(buf, scene.camera)
         assert anns and anns[0].poking_area > 0
         assert_matches_literal(anns, literal_poking_region(scene.camera, *unculled_render(scene)))
 
@@ -275,48 +240,3 @@ class TestPokingRegionMatchesFullFrame:
         assert [a.id for a in anns] == [1, 2, 3]
         assert anns[2].mask[:, -1].any() and not anns[2].mask[:, 0].any()
         assert_matches_literal(anns, literal_poking_region(cam, *unculled_render(scene)))
-
-    def test_tilted_table_normal(self):
-        scene = benchmark_scene("rectangular_cup", 8, master_seed=0)
-        buf = render(scene)
-        normal = np.array([0.08, -0.05, 1.0])
-        normal /= np.linalg.norm(normal)
-        anns = poking_region(buf, scene.camera, normal, tau_dot=0.95)
-        assert anns[0].poking_area > 0
-        assert_matches_literal(anns, literal_poking_region(scene.camera, *unculled_render(scene),
-                                                           normal, tau_dot=0.95))
-
-    def test_single_pixel_on_the_dot_threshold(self):
-        # one visible pixel whose full-frame dot is the threshold itself: a
-        # one-row product computed another way could land an ulp below it
-        cam = overhead_camera(height=0.6, width=8, height_px=8, cx=4.0, cy=4.0,
-                              fx=10.0, fy=10.0)
-        rng = np.random.default_rng(11)
-        for _ in range(64):
-            normal = rng.normal(size=3)
-            normal /= np.linalg.norm(normal)
-            table = rng.normal(size=3) * 0.2 + [0.0, 0.0, 1.0]
-            table /= np.linalg.norm(table)
-            if normal @ table < 0.0:
-                normal = -normal
-            depth = np.full((8, 8), np.inf)
-            depth[4, 4] = 0.5
-            normals = np.zeros((8, 8, 3))
-            normals[4, 4] = normal
-            instance = np.zeros((8, 8), dtype=np.int32)
-            instance[4, 4] = 1
-            pixels = np.flatnonzero(instance)
-            buf = RenderBuffers(depth=depth, instance=instance, pixels=pixels,
-                                pixel_normals=normals.reshape(-1, 3)[pixels])
-            tau = float(dot_product_map(normals, table)[4, 4])
-            anns = poking_region(buf, cam, table, tau_dot=tau, h_min=0.0)
-            assert anns[0].poking_area == 1
-            assert_matches_literal(anns, literal_poking_region(cam, depth, normals, instance,
-                                                               table, tau, 0.0))
-
-    def test_non_unit_table_normal_raises_with_nothing_in_view(self, down_cam):
-        buf = render(Scene(camera=down_cam))
-        assert not buf.instance.any()
-        with pytest.raises(InvalidConfig):
-            poking_region(buf, down_cam, table_normal=(0.0, 0.0, 2.0))
-        assert poking_region(buf, down_cam) == []

@@ -4,10 +4,14 @@ classified reason, and never raise.
 The benchmark places one object within +-6 cm of the table origin. Here
 every poke guidance and every grasp mode runs on seeded scenes drawn
 wider: single objects at +-6, +-16 and +-35 cm (the last partly out of
-view) and three non-overlapping objects at +-12 cm.
+view) and three non-overlapping objects at +-12 cm. A hypothesis variant
+draws the object count, the catalog objects, their resting poses and their
+placements at +-35 cm.
 """
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pokegrasp.catalog import CATALOG, SIDE, UPRIGHT, UPSIDE_DOWN, default_camera, make_object
 from pokegrasp.harness import FAILURE, GRASP_MODES, MISS, POKE_GUIDANCE_MODES, SUCCESS, \
@@ -52,6 +56,19 @@ def drawn_scene(kind: str, index: int) -> Scene:
     return Scene(camera=default_camera(), objects=tuple(objects))
 
 
+def run_every_mode(scene: Scene, cfg: TrialConfig):
+    """Run every poke guidance and every grasp mode on the scene and check
+    that each ends in a success or a known reason; return the preparation."""
+    prepared = annotations_for(scene, cfg)
+    for seed, guidance in enumerate(POKE_GUIDANCE_MODES):
+        assert run_poke_trial(scene, cfg, seed, guidance, prepared).status in (SUCCESS, MISS, TOPPLE)
+    for seed, mode in enumerate(GRASP_MODES):
+        outcome = run_grasp_trial(scene, cfg, seed, mode, prepared)
+        assert (outcome.status, outcome.reason) == (SUCCESS, "") or \
+            (outcome.status == FAILURE and outcome.reason in GRASP_REASONS)
+    return prepared
+
+
 @pytest.mark.parametrize("kind", list(KINDS))
 def test_every_trial_ends_in_a_known_outcome(kind):
     cfg = TrialConfig()
@@ -59,13 +76,31 @@ def test_every_trial_ends_in_a_known_outcome(kind):
     for index in range(SCENES_PER_KIND):
         scene = drawn_scene(kind, index)
         assert len(scene.objects) == KINDS[kind][0]
-        prepared = annotations_for(scene, cfg)
-        empty_views += not prepared.anns
-        for seed, guidance in enumerate(POKE_GUIDANCE_MODES):
-            assert run_poke_trial(scene, cfg, seed, guidance, prepared).status in (SUCCESS, MISS, TOPPLE)
-        for seed, mode in enumerate(GRASP_MODES):
-            outcome = run_grasp_trial(scene, cfg, seed, mode, prepared)
-            assert (outcome.status, outcome.reason) == (SUCCESS, "") or \
-                (outcome.status == FAILURE and outcome.reason in GRASP_REASONS)
+        empty_views += not run_every_mode(scene, cfg).anns
     # the widest draw must reach the nothing-in-view path, the others never do
     assert (empty_views > 0) == (kind == "single_35cm")
+
+
+@st.composite
+def hypothesis_scenes(draw):
+    """One to three catalog objects, each in a drawn resting pose at a drawn
+    placement within +-35 cm; a draw that overlaps a placed object is
+    rejected."""
+    placed, objects = [], []
+    for oid in range(1, draw(st.integers(1, 3)) + 1):
+        entry = draw(st.sampled_from(CATALOG))
+        poses = (UPRIGHT, UPSIDE_DOWN, SIDE) if entry.side_capable else (UPRIGHT, UPSIDE_DOWN)
+        orientation = draw(st.sampled_from(poses))
+        x, y = draw(st.floats(-0.35, 0.35)), draw(st.floats(-0.35, 0.35))
+        yaw = draw(st.floats(0.0, 2.0 * np.pi))
+        radius = footprint_radius(entry, orientation)
+        assume(all(np.hypot(x - px, y - py) > radius + pr for px, py, pr in placed))
+        placed.append((x, y, radius))
+        objects.append(make_object(entry, orientation, x, y, yaw, oid=oid))
+    return Scene(camera=default_camera(), objects=tuple(objects))
+
+
+@settings(max_examples=60)
+@given(hypothesis_scenes())
+def test_drawn_scenes_end_in_a_known_outcome(scene):
+    run_every_mode(scene, TrialConfig())

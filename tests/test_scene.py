@@ -113,6 +113,20 @@ class TestValidation:
         with pytest.raises(InvalidConfig):
             CameraModel(fx=600, fy=600, cx=999, cy=240, width=640, height=480)
 
+    @pytest.mark.parametrize("width, height", [(320.0, 240), (320, 240.0), (True, 240),
+                                               (320, False), (np.float64(320), 240),
+                                               ("320", 240), (0, 240), (320, -1)])
+    def test_camera_resolution_must_be_a_positive_integer(self, width, height):
+        # a float width would pass the principal-point check and fail the
+        # render with a bare TypeError when the flat buffers are reshaped
+        with pytest.raises(InvalidConfig):
+            CameraModel(fx=60.0, fy=60.0, cx=0.5, cy=0.5, width=width, height=height)
+
+    def test_camera_resolution_accepts_numpy_integers(self):
+        cam = CameraModel(fx=60.0, fy=60.0, cx=32.0, cy=24.0,
+                          width=np.int64(64), height=np.int32(48))
+        assert cam.pixel_directions().shape == (64 * 48, 3)
+
     @pytest.mark.parametrize("value", NON_FINITE)
     def test_camera_intrinsics_must_be_finite(self, value):
         # with fx NaN a 64x48 camera rendered 0 of 3,072 finite depths
@@ -171,15 +185,3 @@ class TestValidation:
         b = straight_cup(oid=1)
         with pytest.raises(InvalidConfig):
             Scene(camera=cam, objects=(a, b))
-
-    @pytest.mark.parametrize("value", NON_FINITE)
-    def test_table_must_be_finite(self, value):
-        # a NaN normal passed the unit-length check
-        for kwargs in ({"table_height": value}, {"table_normal": np.array([0.0, value, 1.0])},
-                       {"table_normal": np.array([value, value, value])}):
-            with pytest.raises(InvalidGeometry, match="finite"):
-                Scene(camera=identity_camera(), **kwargs)
-
-    def test_table_normal_unit(self):
-        with pytest.raises(InvalidGeometry):
-            Scene(camera=identity_camera(), table_normal=np.array([0.0, 0.0, 2.0]))
