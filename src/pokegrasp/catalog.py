@@ -135,17 +135,3 @@ def benchmark_scene_set(names=OBJECT_NAMES, attempts: int = 12,
                         master_seed: int = 0) -> dict[str, list[Scene]]:
     return {n: [benchmark_scene(n, a, master_seed) for a in range(attempts)]
             for n in names}
-
-
-def small_vial_scene() -> Scene:
-    """Dedicated small-vial scene for the tactile-alignment experiment.
-
-    The vial is narrow enough (bore radius below half a finger width) that
-    the planner takes the centroid-grasp branch, which is the branch the
-    calibration-error rectification protects. Rendered at full resolution
-    so the thin rim ring stays connected in the poking region.
-    """
-    shape = _cup(0.009, 0.009, 0.055)
-    obj = ObjectModel(id=1, shape=shape, mass=0.02, wall_thickness=0.0025,
-                      pose=RigidTransform(rot_z(0.0), [0.0, 0.0, 0.0]))
-    return Scene(camera=default_camera(width=640, height=240 * 640 // 320), objects=(obj,))

@@ -47,9 +47,5 @@ class ResolutionMismatch(PokeGraspError):
     """Two tactile frames being compared have different resolutions."""
 
 
-class InsufficientContact(PokeGraspError):
-    """Tactile alignment found too few contact contour points to fit."""
-
-
 class ShapeMismatch(PokeGraspError):
     """Two per-pixel maps that must share a shape do not."""

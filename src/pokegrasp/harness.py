@@ -12,38 +12,35 @@ segment, or an upright solid's axis point grown by its base radius. A
 contact over the footprint cannot tip the object; one beside it pivots
 about the footprint point nearest it.
 
-A grasp trial localizes the grasp either from tactile poking (contact
-position, optionally rectified by the ring alignment) or from camera
-depth corrupted by the transparent-surface model (pass-through dropout to
-the background plus Gaussian noise on surviving pixels), then executes
-the proposal against the true geometry: finger descent collision, a
-two-sided wall crossing of the closing segment, and a bound on the
-localization error against the crossing midpoint decide the outcome.
+A grasp trial localizes the grasp either from tactile poking (the
+contact position) or from camera depth corrupted by the
+transparent-surface model (pass-through dropout to the background plus
+Gaussian noise on surviving pixels), then executes the proposal against
+the true geometry: finger descent collision, a two-sided wall crossing of
+the closing segment, and a bound on the localization error against the
+crossing midpoint decide the outcome.
 
 The robot setup is fixed and lives in module constants: the gripper
 (``GRIPPER``), the tactile pad (``SENSOR``, with `tactile`'s contact
 thresholds), the protective stop (``H_STOP``, ``F_STOP``, ``CONTACT_DOT_MIN``),
 the descent strides, the depth model (``DEPTH_DROPOUT``, ``DEPTH_SIGMA``) and
 the poking-region thresholds `regions` defaults to. ``TrialConfig`` holds
-only what a run varies: the master seed and the calibration-error ablation's
-``calib_range`` and ``use_tactile_align``.
+only what a run varies: the master seed.
 
 Everything is reproducible from (scene, mode, master seed, trial index);
 per-trial seeds come from the splitmix64 mixer in `seeding`.
 
 The trials on one scene share its `PreparedScene`: one render and one
 poking-region pass, one plan per annotation region and one poke per
-(pixel, calibration shift). A poke does not depend on the trial seed, which
-is only stamped on its outcome, so the `pr` poke and the `tactile` grasp's
-poke, or a `bbox` and a `mask` poke on the same pixel, lower the sensor
-once.
+pixel. A poke does not depend on the trial seed, which is only stamped on
+its outcome, so the `pr` poke and the `tactile` grasp's poke, or a `bbox`
+and a `mask` poke on the same pixel, lower the sensor once.
 
 The table is the world plane z = 0 with +z up (`scene`): the protective
 stop, the grasp floors and the depth model's background read heights from
 it. The sensor is pressed straight down (-z) at yaw 0, so a probe places
-it by its centre alone: the view-ray point at the probe height, shifted
-along world x by the calibration error, with the probe height itself as
-its z.
+it by its centre alone: the view-ray point at the probe height, with the
+probe height itself as its z.
 
 The descent is coarse, then fine. The coarse phase asks only whether any
 sensel indents, so it casts a sparse lattice of the sensel columns first,
@@ -63,14 +60,13 @@ and a column above the floor reads the full query's height.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import (DegenerateInput, EmptyMask, InsufficientContact, InvalidConfig,
-                     InvalidGeometry, WidthOverflow)
+from .errors import DegenerateInput, EmptyMask, InvalidConfig, InvalidGeometry, \
+    WidthOverflow
 from .plan import RING, SIMPLY_CONNECTED, GraspProposal, GripperSpec, PokePlan, \
     heuristic_grasp, poking_point
 from .regions import InstanceAnnotation, pixel_ray_dz, poking_region, surface_heights
@@ -79,7 +75,7 @@ from .render import RenderBuffers, _column_normal, contains, object_top_z, rende
 from .scene import Box, ObjectModel, Scene
 from .seeding import mix
 from .tactile import DEFAULT_VALUE_THRESHOLD, TactileFrame, \
-    TactileSensorSpec, detect_contact, frame_from_heights, tactile_align
+    TactileSensorSpec, detect_contact, frame_from_heights
 
 GRAVITY = 9.81
 
@@ -111,16 +107,8 @@ CONTACT_DOT_MIN = float(np.cos(np.deg2rad(30.0)))
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """What a trial run varies: the seed, and the calibration-error ablation's
-    shift range and ring alignment."""
+    """What a trial run varies: the master seed."""
     master_seed: int = 0
-    calib_range: float = 0.0
-    use_tactile_align: bool = False
-
-    def __post_init__(self):
-        # a NaN range would shift every executed motion by NaN
-        if not (0.0 <= self.calib_range < math.inf):
-            raise InvalidConfig("calib_range must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -254,18 +242,8 @@ def poke_would_topple(scene: Scene, object_id: int, contact: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# calibration error and depth corruption
+# depth corruption
 # ---------------------------------------------------------------------------
-
-def calibration_shift(cfg: TrialConfig, seed: int) -> float:
-    """Uniform calibration error in [-calib_range, calib_range] along world
-    x, added to everything executed from camera-frame coordinates; 0.0 when
-    the configured range is zero."""
-    if cfg.calib_range == 0.0:
-        return 0.0
-    rng = np.random.default_rng(mix(seed, 0x0CA11B))
-    return float(rng.uniform(-cfg.calib_range, cfg.calib_range))
-
 
 def corrupt_depth(buffers: RenderBuffers, scene: Scene, rng: np.random.Generator,
                   dropout: float, sigma: float) -> np.ndarray:
@@ -390,15 +368,14 @@ def _contact(heights: np.ndarray, ids: np.ndarray, xy: np.ndarray, image: np.nda
     return np.array([xy[idx][0], xy[idx][1], heights[idx]]), int(ids[idx])
 
 
-def simulate_poke(scene: Scene, plan: Optional[PokePlan], dx: float = 0.0,
-                  seed: int = 0) -> PokeOutcome:
+def simulate_poke(scene: Scene, plan: Optional[PokePlan], *, seed: int = 0) -> PokeOutcome:
     """Lower the sensor along the plan pixel's view ray until contact.
 
-    The sensor centre at probe height z is the ray's point at z moved by
-    ``dx`` along world x (the calibration error), with z itself as its
-    height: the sensing plane the indentation is taken against. Success
-    requires image-subtraction contact above the protective-stop
-    height, and the contacted object must not tip at the stop force.
+    The sensor centre at probe height z is the ray's point at z, with z
+    itself as its height: the sensing plane the indentation is taken
+    against. Success requires image-subtraction contact above the
+    protective-stop height, and the contacted object must not tip at the
+    stop force.
 
     A sensel indents by more than ``DEFAULT_VALUE_THRESHOLD`` only where its
     column rises above the plane by more than that. The sensor has yaw 0,
@@ -432,11 +409,10 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan], dx: float = 0.0,
     origin, direction = cam.pixel_ray(plan.point_px)
     if direction[2] >= -1e-9:
         return PokeOutcome(status=MISS, seed=seed)
-    shift = np.array([dx, 0.0, 0.0])
 
     def center_at(z: float) -> np.ndarray:
         t = (z - origin[2]) / direction[2]
-        center = origin + t * direction + shift
+        center = origin + t * direction
         center[2] = z  # the ray's z at t can differ from z in the last bit
         return center
 
@@ -580,26 +556,24 @@ class PreparedScene:
             self._plans[region] = _plan_or_none(getattr(self.anns[0], region))
         return self._plans[region]
 
-    def poke(self, plan: Optional[PokePlan], dx: float, seed: int) -> PokeOutcome:
-        """``simulate_poke`` of ``plan`` with ``dx``, once per (pixel, dx).
+    def poke(self, plan: Optional[PokePlan], seed: int) -> PokeOutcome:
+        """``simulate_poke`` of ``plan``, once per pixel.
 
         A poke reads only the plan's pixel, and the seed only stamps its
         outcome, so a repeat is the first outcome restamped. Its arrays are
         made read-only, since every repeat shares them.
         """
         if plan is None:
-            return simulate_poke(self.scene, plan, dx=dx, seed=seed)
-        # bytes, not floats: -0.0 == 0.0, but the two may move a centre differently
-        key = (plan.point_px, np.float64(dx).tobytes())
-        memo = self._pokes.get(key)
+            return simulate_poke(self.scene, plan, seed=seed)
+        memo = self._pokes.get(plan.point_px)
         if memo is not None:
             return dataclasses.replace(memo, seed=seed)
-        out = simulate_poke(self.scene, plan, dx=dx, seed=seed)
+        out = simulate_poke(self.scene, plan, seed=seed)
         if out.contact_point is not None:  # a contact outcome carries all three arrays
             out.contact_point.setflags(write=False)
             out.frame.image.setflags(write=False)
             out.frame.center.setflags(write=False)
-        self._pokes[key] = out
+        self._pokes[plan.point_px] = out
         return out
 
 
@@ -671,7 +645,7 @@ def run_poke_trial(scene: Scene, cfg: TrialConfig, seed: int, guidance: str,
         plan = prepared.plan("poking_region")
     else:
         plan = poke_pixel_for_guidance(prepared.anns[0], guidance)
-    return prepared.poke(plan, calibration_shift(cfg, seed), seed)
+    return prepared.poke(plan, seed)
 
 
 def run_grasp_trial(scene: Scene, cfg: TrialConfig, seed: int, mode: str,
@@ -682,12 +656,9 @@ def run_grasp_trial(scene: Scene, cfg: TrialConfig, seed: int, mode: str,
     and plans on its instance mask ("camera-mask") or its poking region.
     The grasp height comes from the corrupted depths of the region (the
     camera modes) or from a poke's contact (``tactile``). One proposal at
-    the plan pixel back-projected to that height is executed: at the
-    proposal shifted by the calibration error, or, for ``tactile``, at the
-    contact height and, where the proposal is an edge grasp or the region is
-    simply connected, anchored to the contact; a centroid grasp on a ring
-    takes ``tactile_align``'s centre when ``cfg.use_tactile_align`` is set
-    and the frame allows it.
+    the plan pixel back-projected to that height is executed as proposed,
+    or, for ``tactile``, at the contact height and, where the proposal is an
+    edge grasp or the region is simply connected, anchored to the contact.
 
     The failure reasons, in the order they are decided: ``no_annotation``,
     ``planning_failed``; ``no_depth`` (camera modes) or ``poke_miss``,
@@ -704,14 +675,13 @@ def run_grasp_trial(scene: Scene, cfg: TrialConfig, seed: int, mode: str,
         return GraspOutcome(status=FAILURE, seed=seed, reason="no_annotation")
     cam = scene.camera
     rng = np.random.default_rng(mix(seed, 0x9A59))
-    dx = calibration_shift(cfg, seed)
     region_name = "mask" if mode == "camera-mask" else "poking_region"
     plan = prepared.plan(region_name)
     if plan is None:
         return GraspOutcome(status=FAILURE, seed=seed, reason="planning_failed")
 
     if mode == "tactile":
-        poke = prepared.poke(plan, dx, seed)
+        poke = prepared.poke(plan, seed)
         if poke.status != SUCCESS:
             return GraspOutcome(status=FAILURE, seed=seed, reason=f"poke_{poke.status}")
         target = scene.object_by_id(poke.contact_object)
@@ -732,21 +702,15 @@ def run_grasp_trial(scene: Scene, cfg: TrialConfig, seed: int, mode: str,
         proposal = heuristic_grasp(poke_v, plan, cam, GRIPPER)
     except WidthOverflow:
         return GraspOutcome(status=FAILURE, seed=seed, reason="width_overflow")
-    # the camera modes keep proposal.z: the back-projected z can differ from
-    # the height in the last bit
-    x, y, z = proposal.x + dx, proposal.y, proposal.z
+    # the camera modes execute the proposal as it is: its back-projected z
+    # can differ from the height in the last bit
     if mode == "tactile":
-        z = height
+        x, y = proposal.x, proposal.y
         if proposal.kind == "edge" or plan.region_topology == SIMPLY_CONNECTED:
             # anchored to the physically sensed contact point
-            x, y = poke.contact_point[:2] + (np.array([proposal.x, proposal.y]) - poke_v[:2])
-        elif cfg.use_tactile_align:
-            try:
-                x, y = tactile_align(poke.frame, SENSOR)[:2]
-            except (InsufficientContact, DegenerateInput):
-                pass
-    executed = dataclasses.replace(proposal, x=float(x), y=float(y), z=z)
-    return simulate_grasp(scene, executed, seed=seed)
+            x, y = poke.contact_point[:2] + (np.array([x, y]) - poke_v[:2])
+        proposal = dataclasses.replace(proposal, x=float(x), y=float(y), z=height)
+    return simulate_grasp(scene, proposal, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -189,20 +189,23 @@ def average_precision(detections: Sequence[Sequence[Detection]],
 
 def evaluate_ap(detections: Sequence[Sequence[Detection]],
                 gts: Sequence[Sequence[InstanceAnnotation]]) -> APReport:
-    """Full report: threshold-averaged AP, AP50/AP75, and size-bucket APs."""
+    """Full report: threshold-averaged AP, AP50/AP75 (the "all" bucket's
+    entries at 0.50 and 0.75), and size-bucket APs."""
     images = _prepare(detections, gts)
 
-    def mean_over_thresholds(bucket):
-        vals = [_ap_at(images, t, AREA_BUCKETS[bucket]) for t in IOU_THRESHOLDS]
-        if all(v is None for v in vals):
-            return None
-        return float(np.mean([v for v in vals if v is not None]))
+    def sweep(bucket):
+        return [_ap_at(images, t, AREA_BUCKETS[bucket]) for t in IOU_THRESHOLDS]
 
+    def mean(vals):
+        kept = [v for v in vals if v is not None]
+        return float(np.mean(kept)) if kept else None
+
+    every = sweep("all")
     return APReport(
-        mAP=mean_over_thresholds("all"),
-        ap50=_ap_at(images, 0.50, AREA_BUCKETS["all"]),
-        ap75=_ap_at(images, 0.75, AREA_BUCKETS["all"]),
-        ap_small=mean_over_thresholds("small"),
-        ap_medium=mean_over_thresholds("medium"),
-        ap_large=mean_over_thresholds("large"),
+        mAP=mean(every),
+        ap50=every[IOU_THRESHOLDS.index(0.50)],
+        ap75=every[IOU_THRESHOLDS.index(0.75)],
+        ap_small=mean(sweep("small")),
+        ap_medium=mean(sweep("medium")),
+        ap_large=mean(sweep("large")),
     )

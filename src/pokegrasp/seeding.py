@@ -14,7 +14,11 @@ where splitmix64 is the standard finalizer
 """
 from __future__ import annotations
 
+import operator
+
 import numpy as np
+
+from .errors import InvalidConfig
 
 MASK64 = (1 << 64) - 1
 
@@ -26,10 +30,18 @@ def splitmix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+def _word(v) -> int:
+    """``v`` mod 2^64, for a Python or numpy integer; InvalidConfig otherwise."""
+    try:
+        return operator.index(v) & MASK64
+    except TypeError:
+        raise InvalidConfig(f"seeds must be integers, not {type(v).__name__}") from None
+
+
 def mix(master: int, *parts: int) -> int:
-    state = master & MASK64
+    state = _word(master)
     for p in parts:
-        state = splitmix64(state ^ (p & MASK64))
+        state = splitmix64(state ^ _word(p))
     return state
 
 

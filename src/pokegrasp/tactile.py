@@ -3,8 +3,8 @@
 The simulated "tactile image" is an indentation map: each sensel stores
 how deep the nearest object surface penetrates the sensing plane, clamped
 to [0, max_indent], with 0 meaning no contact. Contact detection by
-image subtraction and the ring-arc alignment both operate on such maps
-exactly as they would on thresholded photometric frames.
+image subtraction operates on such maps exactly as it would on
+thresholded photometric frames.
 
 The sensor is pressed straight down: its sensing surface is parallel to
 the table, faces it and has yaw 0, so it is placed by the world position
@@ -22,9 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InsufficientContact, InvalidConfig, ResolutionMismatch
-from .imgeo import find_external_contour, fit_ellipse
-from scipy import ndimage
+from .errors import InvalidConfig, ResolutionMismatch
 
 DEFAULT_AREA_X = 0.014
 DEFAULT_AREA_Y = 0.0105
@@ -106,51 +104,3 @@ def detect_contact(reference: np.ndarray, current: np.ndarray,
     diff = np.abs(current - reference)
     count = int(np.count_nonzero(diff > value_threshold))
     return count > count_threshold, count
-
-
-def _inner_contact_contour(contact: np.ndarray) -> np.ndarray:
-    """Contour points of the contact region's inner ring.
-
-    When the contact region encloses a hole (a full ring in view), the
-    hole's boundary is the inner ring. With only an arc in view there is
-    no enclosed hole; the external contour of the arc is the best
-    available stand-in.
-    """
-    background = ~contact
-    labels, n = ndimage.label(background)  # 4-connectivity complements the 8-connected region
-    hole_mask = None
-    if n > 0:
-        border_labels = set(np.unique(labels[0, :])) | set(np.unique(labels[-1, :])) \
-            | set(np.unique(labels[:, 0])) | set(np.unique(labels[:, -1]))
-        best_size = 0
-        for lab in range(1, n + 1):
-            if lab in border_labels:
-                continue
-            size = int(np.count_nonzero(labels == lab))
-            if size > best_size:
-                best_size = size
-                hole_mask = labels == lab
-    if hole_mask is not None:
-        return find_external_contour(hole_mask)
-    return find_external_contour(contact)
-
-
-def tactile_align(frame: TactileFrame, spec: TactileSensorSpec) -> np.ndarray:
-    """Rectified world-frame centroid of the contacted ring.
-
-    Fits an ellipse to the inner contour of the contact region in the
-    tactile image and maps its center through the sensel pitch to the
-    world, about the frame's sensor centre. The returned point lies on the
-    sensing plane; only its horizontal components are meaningful as a
-    grasp-center correction.
-    """
-    contact = frame.image > 0.0
-    if np.count_nonzero(contact) < 5:
-        raise InsufficientContact(f"{np.count_nonzero(contact)} contact pixels")
-    contour = _inner_contact_contour(contact)
-    if contour.shape[0] < 5:
-        raise InsufficientContact(f"{contour.shape[0]} contour points")
-    u, v = fit_ellipse(contour).centroid
-    x = (float(u) + 0.5) * spec.pitch_x - spec.area_x / 2.0
-    y = (float(v) + 0.5) * spec.pitch_y - spec.area_y / 2.0
-    return np.array([frame.center[0] + x, frame.center[1] - y, frame.center[2]])

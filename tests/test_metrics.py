@@ -182,6 +182,19 @@ class TestEvaluateAp:
         per_thr = [average_precision(dets, gts, t) for t in IOU_THRESHOLDS]
         assert abs(report.mAP - np.mean(per_thr)) < 1e-12
 
+    def test_ap50_and_ap75_are_the_sweeps_entries(self):
+        shape = (32, 32)
+        g1 = block_mask(shape, 2, 2, 8, 8)
+        g2 = block_mask(shape, 18, 18, 8, 8)
+        loose = block_mask(shape, 2, 4, 8, 8)      # IoU 48/80 with g1
+        tight = block_mask(shape, 18, 18, 8, 9)    # IoU 8/9 with g2
+        dets = [[Detection(loose, 0.9), Detection(tight, 0.7)]]
+        gts = [[ann_from_mask(g1, 1), ann_from_mask(g2, 2)]]
+        report = evaluate_ap(dets, gts)
+        assert report.ap50 == average_precision(dets, gts, 0.50)
+        assert report.ap75 == average_precision(dets, gts, 0.75)
+        assert report.ap50 > report.ap75
+
     def test_area_bucket_na(self):
         dets, gts = self.perfect_setup()
         report = evaluate_ap(dets, gts)

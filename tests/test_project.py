@@ -1,6 +1,9 @@
-"""Project metadata: every console script ``pyproject.toml`` declares must
-resolve to a callable, or the installed command fails on start."""
+"""Project metadata and settings: every console script ``pyproject.toml``
+declares must resolve to a callable, or the installed command fails on start,
+and the pytest settings must let a failing test report."""
 import importlib
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -15,3 +18,27 @@ def test_console_scripts_resolve():
     for name, target in project.get("scripts", {}).items():
         module, _, attr = target.partition(":")
         assert callable(getattr(importlib.import_module(module), attr)), name
+
+
+FAILING_PROPERTY = '''
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None, derandomize=True)
+@given(st.integers())
+def test_always_fails(x):
+    assert x != x
+'''
+
+
+def test_a_failing_property_test_reports_its_example(tmp_path):
+    # under the "error" warning filter, a deprecation warning raised while
+    # hypothesis built its failure report ended the run in an INTERNALERROR
+    (tmp_path / "test_failing_property.py").write_text(FAILING_PROPERTY)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(PYPROJECT), "--rootdir", str(tmp_path), str(tmp_path)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 1, run.stdout + run.stderr
+    assert "Falsifying example" in run.stdout
+    assert "INTERNALERROR" not in run.stdout + run.stderr

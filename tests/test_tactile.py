@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from pokegrasp.errors import InsufficientContact, InvalidConfig, ResolutionMismatch
+from pokegrasp.errors import InvalidConfig, ResolutionMismatch
 from pokegrasp.harness import _footprint_heights
 from pokegrasp.scene import Box, ObjectModel, RevolutionProfile, Scene
 from pokegrasp.geometry import RigidTransform
-from pokegrasp.tactile import (TactileFrame, TactileSensorSpec, detect_contact,
-                               frame_from_heights, tactile_align)
+from pokegrasp.tactile import TactileSensorSpec, detect_contact, frame_from_heights
 
 from conftest import overhead_camera, straight_cup
 
@@ -29,7 +28,8 @@ def sensed_frame(scene, spec, center):
     return frame_from_heights(heights, spec, center)
 
 
-ALIGN_SENSOR = TactileSensorSpec(area_x=0.044, area_y=0.044, res_x=176, res_y=176)
+# wide enough to hold a whole vial rim in one frame
+WIDE_SENSOR = TactileSensorSpec(area_x=0.044, area_y=0.044, res_x=176, res_y=176)
 
 
 class TestSimulateFrame:
@@ -56,16 +56,16 @@ class TestSimulateFrame:
         vial = ring_vial()
         scene = scene_with(vial)
         center = (0.003, -0.002, 0.055 - 0.0004)
-        frame = sensed_frame(scene, ALIGN_SENSOR, center)
-        _, _, xy = _footprint_heights(scene, ALIGN_SENSOR, center)
+        frame = sensed_frame(scene, WIDE_SENSOR, center)
+        _, _, xy = _footprint_heights(scene, WIDE_SENSOR, center)
         rho = np.hypot(xy[..., 0], xy[..., 1])
         expected = (rho >= 0.009 - 0.0025 - 1e-12) & (rho <= 0.009 + 1e-12)
         assert np.array_equal(frame.image > 0, expected)
 
     def test_deterministic(self):
         scene = scene_with(ring_vial())
-        a = sensed_frame(scene, ALIGN_SENSOR, (0.0, 0.0, 0.0546))
-        b = sensed_frame(scene, ALIGN_SENSOR, (0.0, 0.0, 0.0546))
+        a = sensed_frame(scene, WIDE_SENSOR, (0.0, 0.0, 0.0546))
+        b = sensed_frame(scene, WIDE_SENSOR, (0.0, 0.0, 0.0546))
         assert np.array_equal(a.image, b.image)
 
     def test_max_indent_clamp(self):
@@ -124,55 +124,3 @@ class TestDetectContact:
         b = np.zeros((61, 80))
         with pytest.raises(ResolutionMismatch):
             detect_contact(a, b)
-
-
-class TestAlign:
-    RIM_Z = 0.055
-
-    def contact_frame(self, vial_center, sensor_center_xy):
-        scene = scene_with(ring_vial(center=vial_center))
-        center = (sensor_center_xy[0], sensor_center_xy[1], self.RIM_Z - 0.0004)
-        return sensed_frame(scene, ALIGN_SENSOR, center), ALIGN_SENSOR
-
-    def test_zero_offset_correction_is_tiny(self):
-        frame, spec = self.contact_frame((0.0, 0.0), (0.0, 0.0))
-        rectified = tactile_align(frame, spec)
-        assert np.hypot(rectified[0], rectified[1]) < 0.0005
-
-    def test_unperturbed_within_one_sensel_pitch(self):
-        frame, spec = self.contact_frame((0.01, -0.004), (0.01, -0.004))
-        rectified = tactile_align(frame, spec)
-        err = np.hypot(rectified[0] - 0.01, rectified[1] + 0.004)
-        assert err < spec.pitch_x
-
-    def test_recovers_center_under_6mm_offset(self):
-        # sensor executed 6 mm off in x: the image shows the ring displaced,
-        # and mapping about the actual sensor centre recovers the true center
-        frame, spec = self.contact_frame((0.0, 0.0), (0.006, 0.0))
-        rectified = tactile_align(frame, spec)
-        assert np.hypot(rectified[0], rectified[1]) < 0.001
-
-    def test_recovers_center_under_y_offset(self):
-        # facing down mirrors the sensor's y axis: an image row below the
-        # centre lies at a smaller world y
-        frame, spec = self.contact_frame((0.0, 0.0), (0.003, -0.006))
-        rectified = tactile_align(frame, spec)
-        assert np.hypot(rectified[0], rectified[1]) < 0.001
-
-    def test_recovery_rate_over_seeded_offsets(self):
-        rng = np.random.default_rng(2024)
-        ok = 0
-        trials = 100
-        for _ in range(trials):
-            e = rng.uniform(-0.012, 0.012)
-            frame, spec = self.contact_frame((0.0, 0.0), (e, 0.0))
-            rectified = tactile_align(frame, spec)
-            if np.hypot(rectified[0], rectified[1]) < 0.001:
-                ok += 1
-        assert ok >= 95
-
-    def test_insufficient_contact(self):
-        frame = TactileFrame(image=np.zeros((32, 32)), center=np.array([0.0, 0.0, 1.0]))
-        spec = TactileSensorSpec(area_x=0.02, area_y=0.02, res_x=32, res_y=32)
-        with pytest.raises(InsufficientContact):
-            tactile_align(frame, spec)
