@@ -16,7 +16,7 @@ from .render import RenderBuffers, render
 from .regions import InstanceAnnotation, height_map, poking_region
 from .imgeo import Ellipse, find_external_contour, fit_ellipse, nearest_positive
 from .plan import GraspProposal, GripperSpec, PokePlan, heuristic_grasp, poking_point
-from .tactile import TactileFrame, TactileSensorSpec, detect_contact
+from .tactile import TactileSensorSpec, detect_contact
 from .losses import LossConfig, mask_loss, mask_loss_grad, pn_beta
 from .metrics import APReport, Detection, evaluate_ap, mask_iou
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig
+from .errors import InvalidConfig, check_count
 from .geometry import RigidTransform, rot_x, rot_z
 from .scene import Box, CameraModel, ObjectModel, RevolutionProfile, Scene
 from .seeding import rng_for
@@ -133,5 +133,6 @@ def benchmark_scene(name: str, attempt: int, master_seed: int) -> Scene:
 
 def benchmark_scene_set(names=OBJECT_NAMES, attempts: int = 12,
                         master_seed: int = 0) -> dict[str, list[Scene]]:
+    check_count(attempts, "attempts")
     return {n: [benchmark_scene(n, a, master_seed) for a in range(attempts)]
             for n in names}

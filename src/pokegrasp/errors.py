@@ -4,6 +4,7 @@ Every operational failure mode raises one of these; plain ValueError is
 reserved for programming errors (bad argument types, impossible shapes
 constructed in code rather than data).
 """
+import numbers
 
 
 class PokeGraspError(Exception):
@@ -12,6 +13,12 @@ class PokeGraspError(Exception):
 
 class InvalidConfig(PokeGraspError):
     """A configuration value violates its documented constraints."""
+
+
+def check_count(value, name: str) -> None:
+    """Raise InvalidConfig unless ``value`` is an integer >= 0; a bool is not."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
+        raise InvalidConfig(f"{name} must be an integer >= 0, not {value!r}")
 
 
 class InvalidGeometry(PokeGraspError):

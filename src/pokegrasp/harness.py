@@ -25,13 +25,15 @@ The robot setup is fixed and lives in module constants: the gripper
 thresholds), the protective stop (``H_STOP``, ``F_STOP``, ``CONTACT_DOT_MIN``),
 the descent strides, the depth model (``DEPTH_DROPOUT``, ``DEPTH_SIGMA``) and
 the poking-region thresholds `regions` defaults to. ``TrialConfig`` holds
-only what a run varies: the master seed.
+only what a run varies: the master seed, which ``run_benchmark`` mixes into
+the trial seeds. The trials and their preparations take it positionally
+and do not read it.
 
 Everything is reproducible from (scene, mode, master seed, trial index);
 per-trial seeds come from the splitmix64 mixer in `seeding`.
 
-The trials on one scene share its `PreparedScene`: one render and one
-poking-region pass, one plan per annotation region and one poke per
+The trials on one scene object share its `PreparedScene`: one render and
+one poking-region pass, one plan per annotation region and one poke per
 pixel. A poke does not depend on the trial seed, which is only stamped on
 its outcome, so the `pr` poke and the `tactile` grasp's poke, or a `bbox`
 and a `mask` poke on the same pixel, lower the sensor once.
@@ -66,16 +68,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateInput, EmptyMask, InvalidConfig, InvalidGeometry, \
-    WidthOverflow
+    WidthOverflow, check_count
 from .plan import RING, SIMPLY_CONNECTED, GraspProposal, GripperSpec, PokePlan, \
     heuristic_grasp, poking_point
 from .regions import InstanceAnnotation, pixel_ray_dz, poking_region, surface_heights
 from .render import RenderBuffers, _column_normal, contains, object_top_z, render, \
     rises_above, top_heights
 from .scene import Box, ObjectModel, Scene
-from .seeding import mix
-from .tactile import DEFAULT_VALUE_THRESHOLD, TactileFrame, \
-    TactileSensorSpec, detect_contact, frame_from_heights
+from .seeding import mix, rng_for
+from .tactile import DEFAULT_VALUE_THRESHOLD, TactileSensorSpec, detect_contact, \
+    frame_from_heights
 
 GRAVITY = 9.81
 
@@ -107,7 +109,8 @@ CONTACT_DOT_MIN = float(np.cos(np.deg2rad(30.0)))
 
 @dataclass(frozen=True)
 class TrialConfig:
-    """What a trial run varies: the master seed."""
+    """What a benchmark run varies: the master seed, which the benchmark
+    mixes into each trial's seed. A trial is passed its own seed."""
     master_seed: int = 0
 
 
@@ -118,7 +121,6 @@ class PokeOutcome:
     contact_point: Optional[np.ndarray] = None
     contact_object: int = 0
     stop_z: float = 0.0
-    frame: Optional[TactileFrame] = None
 
     @property
     def contact_height(self) -> float:
@@ -245,39 +247,37 @@ def poke_would_topple(scene: Scene, object_id: int, contact: np.ndarray,
 # depth corruption
 # ---------------------------------------------------------------------------
 
-def corrupt_depth(buffers: RenderBuffers, scene: Scene, rng: np.random.Generator,
+def corrupt_depth(buffers: RenderBuffers, scene: Scene, seed: int,
                   dropout: float, sigma: float) -> np.ndarray:
     """Transparent-surface depth model: object pixels read the background
     (table) depth with probability ``dropout``; survivors get Gaussian
-    noise of scale ``sigma``. Table pixels are returned unchanged. Raises
-    ShapeMismatch unless the buffers are (H, W) images of the camera, and
-    InvalidConfig unless ``rng`` runs on a PCG64 bit generator.
+    noise of scale ``sigma``. The draws come from ``rng_for(seed)``. Table
+    pixels are returned unchanged. Raises ShapeMismatch unless the buffers
+    are (H, W) images of the camera, and InvalidConfig unless ``seed`` is
+    an integer.
 
     The result is a copy of the depth frame with the object pixels'
     corrupted depths (``_corrupted_pixel_depths``) scattered into it."""
-    pixel_depth, _ = _corrupted_pixel_depths(buffers, scene, rng, dropout, sigma)
+    pixel_depth, _ = _corrupted_pixel_depths(buffers, scene, seed, dropout, sigma)
     depth = buffers.depth.copy()
     depth.reshape(-1)[buffers.pixels] = pixel_depth
     return depth
 
 
-def _corrupted_pixel_depths(buffers: RenderBuffers, scene: Scene, rng: np.random.Generator,
+def _corrupted_pixel_depths(buffers: RenderBuffers, scene: Scene, seed: int,
                             dropout: float, sigma: float):
     """``corrupt_depth`` at the object pixels alone: their corrupted depths
     and their rays' world z components, both in ``buffers.pixels`` order,
     with ``corrupt_depth``'s checks.
 
-    The generator's draws are those of one full-frame ``random`` array,
-    then one normal per survivor in row-major order, and nothing with no
-    object in view. PCG64 spends one 64-bit output per double, so the
-    uniforms from the first to the last object pixel are drawn and the
-    outputs before and after them are skipped with ``advance``: the draws
-    and the generator's final state equal the full-frame draw's. The
-    arithmetic runs on the object pixels only; it gives them the bytes that
-    doing it over the whole frame gives."""
-    bits = rng.bit_generator
-    if not isinstance(bits, np.random.PCG64):
-        raise InvalidConfig(f"corrupt_depth needs a PCG64 generator, not {type(bits).__name__}")
+    The draws are those of one full-frame ``random`` array, then one normal
+    per survivor in row-major order. ``rng_for`` gives a PCG64 generator,
+    which spends one 64-bit output per double, so the uniforms from the
+    first to the last object pixel are drawn and the outputs before and
+    after them are skipped with ``advance``. The arithmetic runs on the
+    object pixels only; it gives them the bytes that doing it over the
+    whole frame gives."""
+    rng = rng_for(seed)
     cam = scene.camera
     idx = buffers.pixels
     dz = pixel_ray_dz(buffers.depth, cam).reshape(-1)[idx]
@@ -285,15 +285,9 @@ def _corrupted_pixel_depths(buffers: RenderBuffers, scene: Scene, rng: np.random
     if len(idx) == 0:
         return depth, dz
     first, last = int(idx[0]), int(idx[-1])
-    # advance drops a buffered 32-bit half that drawing doubles would keep
-    kept = bits.state
-    bits.advance(first)
+    rng.bit_generator.advance(first)
     uniform = rng.random(last - first + 1)
-    bits.advance(buffers.depth.size - last - 1)
-    if kept["has_uint32"]:
-        state = bits.state
-        state["has_uint32"], state["uinteger"] = kept["has_uint32"], kept["uinteger"]
-        bits.state = state
+    rng.bit_generator.advance(buffers.depth.size - last - 1)
     drop = (uniform[idx - first] < dropout) & (dz < 0)
     depth[drop] = (0.0 - cam.pose.translation[2]) / dz[drop]
     survive = ~drop
@@ -426,12 +420,12 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan], *, seed: int = 0) -> P
                                center[2] + DEFAULT_VALUE_THRESHOLD)
 
     def probe(center: np.ndarray):
-        """The full frame at ``center``: (hit, count, (heights, ids, xy, frame))."""
+        """The full frame at ``center``: (hit, count, (heights, ids, xy, image))."""
         heights, ids, xy = _footprint_heights(scene, SENSOR, center, floor=center[2],
                                               z_start=top + 0.01)
-        frame = frame_from_heights(heights, SENSOR, center)
-        hit, count = detect_contact(reference, frame.image)
-        return hit, count, (heights, ids, xy, frame)
+        image = frame_from_heights(heights, SENSOR, center)
+        hit, count = detect_contact(reference, image)
+        return hit, count, (heights, ids, xy, image)
 
     def touches(z: float) -> bool:
         """Whether any sensel counts at ``z``: the lattice first, then,
@@ -442,7 +436,7 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan], *, seed: int = 0) -> P
         heights, _ = top_heights(scene.objects, _column_xy(_LATTICE_OFFSETS, center),
                                  z_start=top + 0.01, floor=z)
         # the image is >= 0: detect_contact against the zero reference counts these
-        image = frame_from_heights(heights, SENSOR, center).image
+        image = frame_from_heights(heights, SENSOR, center)
         if np.count_nonzero(image > DEFAULT_VALUE_THRESHOLD):
             return True
         return probe(center)[1] > 0
@@ -462,15 +456,14 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan], *, seed: int = 0) -> P
         center = center_at(z)
         hit, _, touched = (False, 0, None) if skipped(center) else probe(center)
         if hit:
-            heights, ids, xy, frame = touched
-            contact, cid = _contact(heights, ids, xy, frame.image)
+            contact, cid = _contact(*touched)
             if _contact_dot(scene, cid, contact) < CONTACT_DOT_MIN:
                 # pressing a steep surface (e.g. a wall through the opening)
                 # jams the arm: protective stop, no usable contact
                 return PokeOutcome(status=MISS, seed=seed, stop_z=z)
             status = TOPPLE if poke_would_topple(scene, cid, contact, F_STOP) else SUCCESS
             return PokeOutcome(status=status, seed=seed, contact_point=contact,
-                               contact_object=cid, stop_z=z, frame=frame)
+                               contact_object=cid, stop_z=z)
         z -= DESCENT_STEP
     return PokeOutcome(status=MISS, seed=seed, stop_z=H_STOP)
 
@@ -533,14 +526,13 @@ def simulate_grasp(scene: Scene, grasp: GraspProposal, seed: int = 0) -> GraspOu
 
 @dataclass(frozen=True, eq=False)
 class PreparedScene:
-    """What the trials on one (scene, cfg) share: the render, the poking-region
+    """What the trials on one scene share: the render, the poking-region
     annotations and two memos filled as the trials run.
 
     Unpacks as ``(buffers, anns)``. A trial reads the memos only when it
-    runs on this very ``scene`` and ``cfg`` object (see ``_owned``).
+    runs on this very ``scene`` object (see ``_owned``).
     """
     scene: Scene
-    cfg: TrialConfig
     buffers: RenderBuffers
     anns: list
     _plans: dict = field(default_factory=dict, init=False, repr=False)
@@ -560,8 +552,8 @@ class PreparedScene:
         """``simulate_poke`` of ``plan``, once per pixel.
 
         A poke reads only the plan's pixel, and the seed only stamps its
-        outcome, so a repeat is the first outcome restamped. Its arrays are
-        made read-only, since every repeat shares them.
+        outcome, so a repeat is the first outcome restamped. Its contact
+        point is made read-only, since every repeat shares it.
         """
         if plan is None:
             return simulate_poke(self.scene, plan, seed=seed)
@@ -569,30 +561,29 @@ class PreparedScene:
         if memo is not None:
             return dataclasses.replace(memo, seed=seed)
         out = simulate_poke(self.scene, plan, seed=seed)
-        if out.contact_point is not None:  # a contact outcome carries all three arrays
+        if out.contact_point is not None:
             out.contact_point.setflags(write=False)
-            out.frame.image.setflags(write=False)
-            out.frame.center.setflags(write=False)
         self._pokes[plan.point_px] = out
         return out
 
 
 def annotations_for(scene: Scene, cfg: TrialConfig) -> PreparedScene:
+    """The render and poking-region pass of ``scene``; ``cfg`` is not read."""
     buffers = render(scene)
     anns = poking_region(buffers, scene.camera)
-    return PreparedScene(scene, cfg, buffers, anns)
+    return PreparedScene(scene, buffers, anns)
 
 
-def _owned(scene: Scene, cfg: TrialConfig, prepared) -> PreparedScene:
-    """The preparation a trial on (scene, cfg) runs on. One made for another
-    scene or cfg object, or a plain ``(buffers, anns)`` pair, is wrapped
-    afresh, so its memos are never read."""
+def _owned(scene: Scene, prepared) -> PreparedScene:
+    """The preparation a trial on ``scene`` runs on. One made for another
+    scene object, or a plain ``(buffers, anns)`` pair, is wrapped afresh, so
+    its memos are never read."""
     if prepared is None:
-        return annotations_for(scene, cfg)
-    if isinstance(prepared, PreparedScene) and prepared.scene is scene and prepared.cfg is cfg:
+        return annotations_for(scene, None)
+    if isinstance(prepared, PreparedScene) and prepared.scene is scene:
         return prepared
     buffers, anns = prepared
-    return PreparedScene(scene, cfg, buffers, anns)
+    return PreparedScene(scene, buffers, anns)
 
 
 def _plan_or_none(region: np.ndarray) -> Optional[PokePlan]:
@@ -627,6 +618,7 @@ def _is_side_lying_cylinder(obj: ObjectModel) -> bool:
 def run_poke_trial(scene: Scene, cfg: TrialConfig, seed: int, guidance: str,
                    prepared=None) -> PokeOutcome:
     """One poke of ``scene`` guided by ``guidance`` ("bbox", "mask" or "pr").
+    ``cfg`` is not read, and ``prepared`` is as ``_owned`` takes it.
 
     The trial targets ``anns[0]``, the visible object with the lowest id.
     It ends as ``miss`` when, in order: nothing is in view; there is no plan
@@ -638,7 +630,7 @@ def run_poke_trial(scene: Scene, cfg: TrialConfig, seed: int, guidance: str,
     """
     if guidance not in POKE_GUIDANCE_MODES:
         raise InvalidConfig(f"unknown guidance {guidance!r}")
-    prepared = _owned(scene, cfg, prepared)
+    prepared = _owned(scene, prepared)
     if not prepared.anns:
         return PokeOutcome(status=MISS, seed=seed)
     if guidance == "pr":
@@ -651,6 +643,7 @@ def run_poke_trial(scene: Scene, cfg: TrialConfig, seed: int, guidance: str,
 def run_grasp_trial(scene: Scene, cfg: TrialConfig, seed: int, mode: str,
                     prepared=None) -> GraspOutcome:
     """One grasp of ``scene`` localized by ``mode`` (one of ``GRASP_MODES``).
+    ``cfg`` is not read, and ``prepared`` is as ``_owned`` takes it.
 
     The trial targets ``anns[0]``, the visible object with the lowest id,
     and plans on its instance mask ("camera-mask") or its poking region.
@@ -669,12 +662,12 @@ def run_grasp_trial(scene: Scene, cfg: TrialConfig, seed: int, mode: str,
     """
     if mode not in GRASP_MODES:
         raise InvalidConfig(f"unknown grasp mode {mode!r}")
-    prepared = _owned(scene, cfg, prepared)
+    prepared = _owned(scene, prepared)
     buffers, anns = prepared
     if not anns:
         return GraspOutcome(status=FAILURE, seed=seed, reason="no_annotation")
     cam = scene.camera
-    rng = np.random.default_rng(mix(seed, 0x9A59))
+    trial_seed = mix(seed, 0x9A59)  # seeds the adhesion coin or the depth model
     region_name = "mask" if mode == "camera-mask" else "poking_region"
     plan = prepared.plan(region_name)
     if plan is None:
@@ -685,12 +678,13 @@ def run_grasp_trial(scene: Scene, cfg: TrialConfig, seed: int, mode: str,
         if poke.status != SUCCESS:
             return GraspOutcome(status=FAILURE, seed=seed, reason=f"poke_{poke.status}")
         target = scene.object_by_id(poke.contact_object)
-        if _is_side_lying_cylinder(target) and rng.random() < ADHESION_PROB:
+        if _is_side_lying_cylinder(target) and rng_for(trial_seed).random() < ADHESION_PROB:
             return GraspOutcome(status=FAILURE, seed=seed, reason="adhesion_disturbance")
         height = poke.contact_height
     else:
         # the region's pixels are object pixels, read in the same row-major order
-        depth, dz = _corrupted_pixel_depths(buffers, scene, rng, DEPTH_DROPOUT, DEPTH_SIGMA)
+        depth, dz = _corrupted_pixel_depths(buffers, scene, trial_seed, DEPTH_DROPOUT,
+                                            DEPTH_SIGMA)
         in_region = getattr(anns[0], region_name).reshape(-1)[buffers.pixels]
         heights = surface_heights(depth[in_region], dz[in_region], cam.pose.translation[2])
         heights = heights[np.isfinite(heights)]
@@ -763,8 +757,7 @@ def run_benchmark(scenes_by_object: dict, modes: Sequence[str],
     """
     if task not in ("poke", "grasp"):
         raise InvalidConfig(f"unknown task {task!r}")
-    if attempts_per_object < 0:
-        raise InvalidConfig("attempts_per_object must be >= 0")
+    check_count(attempts_per_object, "attempts_per_object")
     valid = POKE_GUIDANCE_MODES if task == "poke" else GRASP_MODES
     for m in modes:
         if m not in valid:

@@ -41,10 +41,6 @@ class InstanceAnnotation:
     bbox: tuple[int, int, int, int]  # inclusive (u_min, v_min, u_max, v_max)
 
     @property
-    def area(self) -> int:
-        return int(np.count_nonzero(self.mask))
-
-    @property
     def poking_area(self) -> int:
         return int(np.count_nonzero(self.poking_region))
 

@@ -98,7 +98,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidGeometry
-from .geometry import RigidTransform
 from .scene import Box, CameraModel, ObjectModel, RevolutionProfile, Scene
 
 T_EPS = 1e-9

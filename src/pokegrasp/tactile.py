@@ -1,8 +1,8 @@
 """Flat optical tactile sensor simulation and analysis.
 
-The simulated "tactile image" is an indentation map: each sensel stores
-how deep the nearest object surface penetrates the sensing plane, clamped
-to [0, max_indent], with 0 meaning no contact. Contact detection by
+The simulated "tactile image" is an indentation map (``frame_from_heights``):
+each sensel stores how deep the nearest object surface penetrates the
+sensing plane, clamped to [0, max_indent], with 0 meaning no contact. Contact detection by
 image subtraction operates on such maps exactly as it would on
 thresholded photometric frames.
 
@@ -76,19 +76,13 @@ class TactileSensorSpec:
         return offsets
 
 
-@dataclass(frozen=True)
-class TactileFrame:
-    image: np.ndarray   # (res_y, res_x) indentation depth in meters
-    center: np.ndarray  # world sensor centre at capture; center[2] is the sensing plane
-
-
 def frame_from_heights(heights: np.ndarray, spec: TactileSensorSpec,
-                       center: np.ndarray) -> TactileFrame:
-    """The frame of the sensor centred at ``center`` over sensel-column
-    surface ``heights``: each indents by its height above ``center[2]``."""
+                       center: np.ndarray) -> np.ndarray:
+    """The indentation image, in meters, of the sensor centred at ``center``
+    over sensel-column surface ``heights``: each sensel indents by its
+    height above the sensing plane ``center[2]``."""
     pen = np.clip(heights - center[2], 0.0, spec.max_indent)
-    pen = np.where(np.isfinite(heights), pen, 0.0)
-    return TactileFrame(image=pen, center=center)
+    return np.where(np.isfinite(heights), pen, 0.0)
 
 
 def detect_contact(reference: np.ndarray, current: np.ndarray,

@@ -54,56 +54,54 @@ def inline_corrupt_depth(buffers, scene, rng, dropout, sigma):
     return depth
 
 
+def made_generators(monkeypatch) -> list:
+    """Replace ``harness.rng_for`` by a wrapper that logs each generator it makes."""
+    made = []
+
+    def recording(*seeds):
+        made.append(rng_for(*seeds))
+        return made[-1]
+
+    monkeypatch.setattr(harness, "rng_for", recording)
+    return made
+
+
 class TestCorruptDepth:
     @pytest.mark.parametrize("slot", (0, 4, 8))
     @pytest.mark.parametrize("name", OBJECT_NAMES)
-    def test_matches_inline_pixel_grid(self, name, slot):
+    def test_matches_inline_pixel_grid(self, name, slot, monkeypatch):
         scene = benchmark_scene(name, slot, master_seed=0)
         buf = render(scene)
-        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
-        got = corrupt_depth(buf, scene, rng, 0.7, 0.01)
+        made = made_generators(monkeypatch)
+        ref_rng = rng_for(7)
+        got = corrupt_depth(buf, scene, 7, 0.7, 0.01)
         expected = inline_corrupt_depth(buf, scene, ref_rng, 0.7, 0.01)
         assert got.tobytes() == expected.tobytes()
+        (rng,) = made
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         assert rng.random() == ref_rng.random()
 
-    def test_keeps_a_buffered_32_bit_half(self):
-        # a 32-bit draw leaves half a 64-bit output buffered; skipping past
-        # the pixels must keep it, as drawing their uniforms would
-        scene = benchmark_scene("mug", 0, master_seed=0)
-        buf = render(scene)
-        rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
-        for r in (rng, ref_rng):
-            r.integers(0, 1 << 30, dtype=np.int32)
-        assert rng.bit_generator.state["has_uint32"]
-        got = corrupt_depth(buf, scene, rng, 0.7, 0.01)
-        expected = inline_corrupt_depth(buf, scene, ref_rng, 0.7, 0.01)
-        assert got.tobytes() == expected.tobytes()
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
-        assert rng.integers(0, 1 << 30, dtype=np.int32) == ref_rng.integers(0, 1 << 30,
-                                                                           dtype=np.int32)
-
-    @pytest.mark.parametrize("bits", (np.random.MT19937, np.random.Philox, np.random.PCG64DXSM))
-    def test_rejects_a_generator_that_is_not_pcg64(self, bits):
+    @pytest.mark.parametrize("seed", (7.0, "7", None, np.random.default_rng(7)))
+    def test_rejects_a_seed_that_is_not_an_integer(self, seed):
         scene = benchmark_scene("vial", 0, master_seed=0)
-        with pytest.raises(InvalidConfig, match="PCG64"):
-            corrupt_depth(render(scene), scene, np.random.Generator(bits(7)), 0.7, 0.01)
+        with pytest.raises(InvalidConfig, match="integers"):
+            corrupt_depth(render(scene), scene, seed, 0.7, 0.01)
 
-    def test_nothing_in_view_draws_nothing(self):
+    def test_nothing_in_view_draws_nothing(self, monkeypatch):
         scene = Scene(camera=default_camera())
         buf = render(scene)
-        rng = np.random.default_rng(7)
-        state = rng.bit_generator.state
-        got = corrupt_depth(buf, scene, rng, 0.7, 0.01)
+        made = made_generators(monkeypatch)
+        got = corrupt_depth(buf, scene, 7, 0.7, 0.01)
         assert got.tobytes() == buf.depth.tobytes()
-        assert rng.bit_generator.state == state
+        (rng,) = made
+        assert rng.bit_generator.state == rng_for(7).bit_generator.state
 
     def test_shape_mismatch(self):
         scene = benchmark_scene("vial", 0, master_seed=0)
         buf = render(scene)
         cropped = dataclasses.replace(buf, depth=buf.depth[:-1], instance=buf.instance[:-1])
         with pytest.raises(ShapeMismatch):
-            corrupt_depth(cropped, scene, np.random.default_rng(0), 0.7, 0.01)
+            corrupt_depth(cropped, scene, 0, 0.7, 0.01)
 
 
 @pytest.mark.parametrize("slot", (0, 4, 8))
@@ -116,12 +114,12 @@ def test_camera_trial_heights_equal_the_full_frame_gather(name, slot, monkeypatc
     cfg = TrialConfig()
     prepared = annotations_for(scene, cfg)
     buf, anns = prepared
-    averaged, generators = [], []
+    averaged, seeds = [], []
     original = harness._corrupted_pixel_depths
 
-    def recording_depths(buffers, scene, rng, *args):
-        generators.append((rng, rng.bit_generator.state))
-        return original(buffers, scene, rng, *args)
+    def recording_depths(buffers, scene, seed, *args):
+        seeds.append(seed)
+        return original(buffers, scene, seed, *args)
 
     def recording_heights(*args):
         averaged.append(surface_heights(*args))
@@ -129,14 +127,14 @@ def test_camera_trial_heights_equal_the_full_frame_gather(name, slot, monkeypatc
 
     monkeypatch.setattr(harness, "_corrupted_pixel_depths", recording_depths)
     monkeypatch.setattr(harness, "surface_heights", recording_heights)
+    made = made_generators(monkeypatch)
     modes = {"camera-mask": anns[0].mask, "camera-pr": anns[0].poking_region}
     for mode, region in modes.items():
-        averaged.clear()
-        generators.clear()
+        for log in (averaged, seeds, made):
+            log.clear()
         run_grasp_trial(scene, cfg, 5 + slot, mode, prepared=prepared)
-        ((rng, start),), (got,) = generators, averaged
-        ref_rng = np.random.default_rng()
-        ref_rng.bit_generator.state = start
+        (seed,), (rng,), (got,) = seeds, made, averaged
+        ref_rng = rng_for(seed)
         corrupted = inline_corrupt_depth(buf, scene, ref_rng, harness.DEPTH_DROPOUT,
                                          harness.DEPTH_SIGMA)
         expected = surface_heights(corrupted[region], pixel_ray_dz(corrupted, cam)[region],
@@ -175,6 +173,23 @@ def test_run_benchmark_rejects_negative_attempts():
     with pytest.raises(InvalidConfig, match="attempts_per_object"):
         run_benchmark(scenes, ("bbox",), -1, TrialConfig())
     assert run_benchmark(scenes, ("bbox",), 0, TrialConfig()).trials == ()
+
+
+@pytest.mark.parametrize("attempts", (2.0, True, "2", None))
+def test_run_benchmark_rejects_attempts_that_are_not_an_integer(attempts):
+    # 2.0 raised a bare TypeError from range; True ran and wrote True into the rows
+    scenes = {"jar": [benchmark_scene("jar", 0, master_seed=0)]}
+    with pytest.raises(InvalidConfig, match="attempts_per_object"):
+        run_benchmark(scenes, ("bbox",), attempts, TrialConfig())
+
+
+@pytest.mark.parametrize("attempts", (-1, 2.0, True, "2", None))
+def test_benchmark_scene_set_rejects_attempts_that_are_not_a_count(attempts):
+    # -1 returned empty scene lists; 2.0 raised a bare TypeError from range
+    with pytest.raises(InvalidConfig, match="attempts"):
+        benchmark_scene_set(names=("jar",), attempts=attempts)
+    assert [len(v) for v in benchmark_scene_set(names=("jar",), attempts=np.int64(2)).values()] \
+        == [2]
 
 
 def test_an_unknown_guidance_raises_with_nothing_in_view():
@@ -539,16 +554,26 @@ def test_a_side_lying_floored_frame_skips_the_cavity(monkeypatch):
     scene = benchmark_scene("jar", 8, master_seed=0)
     assert abs(scene.objects[0].pose.rotation[2, 2]) < 1e-12
     _, anns = annotations_for(scene, TrialConfig())
-    outcome = simulate_poke(scene, poke_pixel_for_guidance(anns[0], "pr"))
+    plan = poke_pixel_for_guidance(anns[0], "pr")
+    outcome = simulate_poke(scene, plan)
     assert outcome.status in (SUCCESS, TOPPLE)
     tags = evaluated_primitives(monkeypatch)
-    heights, _, _ = _footprint_heights(scene, SENSOR, outcome.frame.center,
+    heights, _, _ = _footprint_heights(scene, SENSOR, ray_point(scene, plan, outcome.stop_z),
                                        floor=outcome.stop_z,
                                        z_start=scene_top_z(scene) + 0.01)
     assert np.isfinite(heights).any()
     assert tags == ["bottom", "rim", "outer:0"]
     assert {p[-1] for p in compile_primitives(scene.objects[0])} \
         == {"bottom", "rim", "outer:0", "inner:0", "cavity_floor"}
+
+
+def ray_point(scene, plan, z) -> np.ndarray:
+    """The sensor centre at probe height ``z`` on ``plan``'s pixel ray: the
+    ray's point at ``z``, with ``z`` itself as its height."""
+    origin, direction = scene.camera.pixel_ray(plan.point_px)
+    center = origin + (z - origin[2]) / direction[2] * direction
+    center[2] = z
+    return center
 
 
 @pytest.mark.parametrize("name, attempt", [("jar", 0), ("mug", 5), ("champagne_cup", 0),
@@ -574,8 +599,8 @@ def test_probes_the_skip_passes_over_count_no_sensel(name, attempt):
 
         def count_at(z):
             heights, _, _ = _footprint_heights(scene, spec, center_at(z))
-            frame = frame_from_heights(heights, spec, center_at(z))
-            return detect_contact(reference, frame.image, DEFAULT_VALUE_THRESHOLD,
+            image = frame_from_heights(heights, spec, center_at(z))
+            return detect_contact(reference, image, DEFAULT_VALUE_THRESHOLD,
                                   DEFAULT_COUNT_THRESHOLD)[1]
 
         def skips(z):
@@ -611,8 +636,8 @@ def lattice_count(scene, spec, center) -> int:
 def frame_count(scene, spec, center) -> int:
     heights, _, _ = _footprint_heights(scene, spec, center, floor=center[2],
                                        z_start=scene_top_z(scene) + 0.01)
-    frame = frame_from_heights(heights, spec, center)
-    return detect_contact(np.zeros_like(frame.image), frame.image, DEFAULT_VALUE_THRESHOLD,
+    image = frame_from_heights(heights, spec, center)
+    return detect_contact(np.zeros_like(image), image, DEFAULT_VALUE_THRESHOLD,
                           DEFAULT_COUNT_THRESHOLD)[1]
 
 
@@ -653,10 +678,10 @@ def full_frame_poke(scene, plan, seed=0):
                            z + DEFAULT_VALUE_THRESHOLD):
             return False, 0, None
         heights, ids, xy = _footprint_heights(scene, spec, center, floor=z, z_start=top + 0.01)
-        frame = frame_from_heights(heights, spec, center)
-        hit, count = detect_contact(np.zeros_like(frame.image), frame.image,
+        image = frame_from_heights(heights, spec, center)
+        hit, count = detect_contact(np.zeros_like(image), image,
                                     DEFAULT_VALUE_THRESHOLD, DEFAULT_COUNT_THRESHOLD)
-        return hit, count, (heights, ids, xy, frame)
+        return hit, count, (heights, ids, xy, image)
 
     z_top = top + COARSE_STEP
     first_touch = next((z for z in march(z_top, COARSE_STEP, H_STOP) if probe(z)[1] > 0), None)
@@ -665,24 +690,21 @@ def full_frame_poke(scene, plan, seed=0):
     for z in march(min(first_touch + COARSE_STEP, z_top), DESCENT_STEP, H_STOP):
         hit, _, touched = probe(z)
         if hit:
-            heights, ids, xy, frame = touched
-            contact, cid = _contact(heights, ids, xy, frame.image)
+            contact, cid = _contact(*touched)
             if cid == 0 or _contact_dot(scene, cid, contact) < CONTACT_DOT_MIN:
                 return PokeOutcome(status=MISS, seed=seed, stop_z=z)
             status = TOPPLE if poke_would_topple(scene, cid, contact, F_STOP) else SUCCESS
             return PokeOutcome(status=status, seed=seed, contact_point=contact,
-                               contact_object=cid, stop_z=z, frame=frame)
+                               contact_object=cid, stop_z=z)
     return PokeOutcome(status=MISS, seed=seed, stop_z=H_STOP)
 
 
 def assert_same_poke(got, expected):
     assert as_json([got]) == as_json([expected])
-    if expected.frame is None:
-        assert got.frame is None
+    if expected.contact_point is None:
+        assert got.contact_point is None
     else:
         assert got.contact_point.tobytes() == expected.contact_point.tobytes()
-        assert got.frame.image.tobytes() == expected.frame.image.tobytes()
-        assert got.frame.center.tobytes() == expected.frame.center.tobytes()
 
 
 @pytest.mark.parametrize("attempt", (0, 4, 8))
@@ -754,18 +776,14 @@ def test_a_touch_between_lattice_sensels_falls_back_to_the_full_frame(monkeypatc
 
 
 def test_contact_probe_carries_the_sensor_posed_at_the_contact():
-    # the contact frame carries the centre of the probe that fired: the view
-    # ray's point at the stop height, with the stop height itself as its z
+    # the contact lies on a sensel column of the probe that fired, centred at
+    # the view ray's point at the stop height
     scene = benchmark_scene("jar", 0, master_seed=0)
     _, anns = annotations_for(scene, TrialConfig())
     plan = poke_pixel_for_guidance(anns[0], "pr")
     outcome = simulate_poke(scene, plan)
     assert outcome.status in (SUCCESS, TOPPLE)
-    center = outcome.frame.center
-    assert center[2] == outcome.stop_z
-    origin, direction = scene.camera.pixel_ray(plan.point_px)
-    on_ray = origin + (outcome.stop_z - origin[2]) / direction[2] * direction
-    assert center[:2].tobytes() == on_ray[:2].tobytes()
+    center = ray_point(scene, plan, outcome.stop_z)
     grid = SENSOR.sensel_offsets + center[:2]
     assert np.any(np.all(grid == outcome.contact_point[:2], axis=1))
 
@@ -1057,35 +1075,36 @@ def test_each_shared_outcome_carries_its_own_seed(monkeypatch):
     assert first.status in (SUCCESS, TOPPLE)
     for out in (second, third):
         assert dataclasses.replace(out, seed=first.seed).to_json() == first.to_json()
-    # the shared arrays cannot be changed through any one outcome
+    # the shared contact point cannot be changed through any one outcome
     for out in (first, second, third):
         assert not out.contact_point.flags.writeable
-        assert not out.frame.image.flags.writeable
-        assert not out.frame.center.flags.writeable
 
 
-def test_a_preparation_for_another_scene_or_cfg_is_not_reused(monkeypatch):
+def test_a_preparation_is_reused_for_its_own_scene_alone(monkeypatch):
+    # the memos key on the scene object: a preparation made under another
+    # cfg shares them, one made for an equal scene or a plain pair does not
     scene = benchmark_scene("jar", 0, master_seed=0)
     cfg = TrialConfig()
     fresh = as_json([run_poke_trial(scene, cfg, 1, "pr"), run_grasp_trial(scene, cfg, 2, "tactile")])
     own = annotations_for(scene, cfg)
-    foreign = {"an equal cfg": annotations_for(scene, TrialConfig()),
-               "an equal scene": annotations_for(benchmark_scene("jar", 0, master_seed=0), cfg),
-               "a plain tuple": tuple(own)}
-    for label, prepared in foreign.items():
+    preparations = {"an equal cfg": (annotations_for(scene, TrialConfig()), (1, 1)),
+                    "an equal scene": (annotations_for(benchmark_scene("jar", 0, master_seed=0),
+                                                       cfg), (2, 2)),
+                    "a plain tuple": (tuple(own), (2, 2))}
+    for label, (prepared, work) in preparations.items():
         pokes = counted(monkeypatch, "simulate_poke")
         plans = counted(monkeypatch, "poking_point")
         got = [run_poke_trial(scene, cfg, 1, "pr", prepared=prepared),
                run_grasp_trial(scene, cfg, 2, "tactile", prepared=prepared)]
         assert as_json(got) == fresh, label
-        assert (len(pokes), len(plans)) == (2, 2), label
+        assert (len(pokes), len(plans)) == work, label
         monkeypatch.undo()
     buffers, anns = own
     assert buffers is own.buffers and anns is own.anns
 
 
 def test_run_benchmark_drops_an_objects_preparations_after_it(monkeypatch):
-    # the preparations, with their memoised frames, held for a whole table
+    # the preparations, with their memoised pokes, held for a whole table
     # took a full poke table from about 105 to 410 MB of peak memory
     scenes = {name: [benchmark_scene(name, a, master_seed=0) for a in (0, 4)]
               for name in ("jar", "mug")}

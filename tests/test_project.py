@@ -1,6 +1,8 @@
 """Project metadata and settings: every console script ``pyproject.toml``
 declares must resolve to a callable, or the installed command fails on start,
-and the pytest settings must let a failing test report."""
+the pytest settings must let a failing test report, and no package module
+keeps an import it never reads."""
+import ast
 import importlib
 import subprocess
 import sys
@@ -11,6 +13,7 @@ import pytest
 tomllib = pytest.importorskip("tomllib")
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+PACKAGE = PYPROJECT.parent / "src" / "pokegrasp"
 
 
 def test_console_scripts_resolve():
@@ -42,3 +45,21 @@ def test_a_failing_property_test_reports_its_example(tmp_path):
     assert run.returncode == 1, run.stdout + run.stderr
     assert "Falsifying example" in run.stdout
     assert "INTERNALERROR" not in run.stdout + run.stderr
+
+
+def test_no_module_keeps_an_unused_import():
+    # ``__init__`` imports to re-export; every other module must read each
+    # name it imports at module level
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (isinstance(node, ast.ImportFrom)
+                                                and node.module != "__future__"):
+                unused += [f"{path.name}:{node.lineno} {alias.asname or alias.name}"
+                           for alias in node.names
+                           if (alias.asname or alias.name).split(".")[0] not in read]
+    assert not unused

@@ -20,8 +20,8 @@ def ring_vial(r_out=0.009, wall=0.0025, height=0.055, center=(0.0, 0.0), oid=1):
                        pose=RigidTransform(np.eye(3), [center[0], center[1], 0.0]))
 
 
-def sensed_frame(scene, spec, center):
-    """The frame a probe reads with the sensor centred at ``center``: the
+def sensed_image(scene, spec, center):
+    """The indentation image a probe reads with the sensor centred at ``center``: the
     sensel columns cast with the sensing plane as floor."""
     center = np.asarray(center, dtype=np.float64)
     heights, _, _ = _footprint_heights(scene, spec, center, floor=center[2])
@@ -38,8 +38,8 @@ class TestSimulateFrame:
 
     def test_clear_sensor_is_all_zero(self):
         scene = scene_with(straight_cup())  # rim at 0.10
-        frame = sensed_frame(scene, TactileSensorSpec(), (0.0, 0.0, 0.101))
-        assert np.all(frame.image == 0.0)
+        image = sensed_image(scene, TactileSensorSpec(), (0.0, 0.0, 0.101))
+        assert np.all(image == 0.0)
 
     def test_half_sensor_on_flat_top(self):
         # box top covers exactly the sensels with world x < 0
@@ -47,32 +47,32 @@ class TestSimulateFrame:
                           pose=RigidTransform(np.eye(3), [-0.05, 0.0, 0.0]))
         scene = scene_with(box)
         spec = TactileSensorSpec()
-        frame = sensed_frame(scene, spec, (0.0, 0.0, 0.05 - 0.0005))
-        on = frame.image > 0
+        image = sensed_image(scene, spec, (0.0, 0.0, 0.05 - 0.0005))
+        on = image > 0
         assert on.sum() == spec.res_x * spec.res_y // 2
-        assert np.all(np.abs(frame.image[on] - 0.0005) < 1e-12)
+        assert np.all(np.abs(image[on] - 0.0005) < 1e-12)
 
     def test_ring_contact_matches_point_in_annulus_oracle(self):
         vial = ring_vial()
         scene = scene_with(vial)
         center = (0.003, -0.002, 0.055 - 0.0004)
-        frame = sensed_frame(scene, WIDE_SENSOR, center)
+        image = sensed_image(scene, WIDE_SENSOR, center)
         _, _, xy = _footprint_heights(scene, WIDE_SENSOR, center)
         rho = np.hypot(xy[..., 0], xy[..., 1])
         expected = (rho >= 0.009 - 0.0025 - 1e-12) & (rho <= 0.009 + 1e-12)
-        assert np.array_equal(frame.image > 0, expected)
+        assert np.array_equal(image > 0, expected)
 
     def test_deterministic(self):
         scene = scene_with(ring_vial())
-        a = sensed_frame(scene, WIDE_SENSOR, (0.0, 0.0, 0.0546))
-        b = sensed_frame(scene, WIDE_SENSOR, (0.0, 0.0, 0.0546))
-        assert np.array_equal(a.image, b.image)
+        a = sensed_image(scene, WIDE_SENSOR, (0.0, 0.0, 0.0546))
+        b = sensed_image(scene, WIDE_SENSOR, (0.0, 0.0, 0.0546))
+        assert np.array_equal(a, b)
 
     def test_max_indent_clamp(self):
         box = ObjectModel(id=1, shape=Box(size=(0.1, 0.1, 0.05)), mass=0.5)
         spec = TactileSensorSpec(max_indent=0.002)
-        frame = sensed_frame(scene_with(box), spec, (0.0, 0.0, 0.04))
-        assert frame.image.max() == 0.002
+        image = sensed_image(scene_with(box), spec, (0.0, 0.0, 0.04))
+        assert image.max() == 0.002
 
     @pytest.mark.parametrize("field", ["area_x", "area_y", "max_indent"])
     def test_rejects_non_finite(self, field):
