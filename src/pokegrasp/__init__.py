@@ -9,7 +9,7 @@ verified gradients, a mask-AP evaluator, and a seeded benchmark harness
 
 from .errors import (DegenerateInput, EmptyMask, InvalidConfig, InvalidGeometry,
                      PointBehindCamera, PokeGraspError, RayParallelToPlane,
-                     ResolutionMismatch, ShapeMismatch, WidthOverflow)
+                     ShapeMismatch, WidthOverflow)
 from .geometry import RigidTransform
 from .scene import Box, CameraModel, ObjectModel, RevolutionProfile, Scene
 from .render import RenderBuffers, render

@@ -120,7 +120,9 @@ def make_object(entry: CatalogEntry, orientation: str, x: float, y: float,
 
 
 def benchmark_scene(name: str, attempt: int, master_seed: int) -> Scene:
-    """Seeded single-object scene for one benchmark attempt."""
+    """Seeded single-object scene for one benchmark attempt. Raises
+    InvalidConfig unless ``attempt`` is an integer >= 0."""
+    check_count(attempt, "attempt")
     entry = catalog_entry(name)
     obj_index = OBJECT_NAMES.index(name)
     rng = rng_for(master_seed, 0xC0FFEE, obj_index, attempt)

@@ -50,9 +50,5 @@ class WidthOverflow(PokeGraspError):
         self.maximum = maximum
 
 
-class ResolutionMismatch(PokeGraspError):
-    """Two tactile frames being compared have different resolutions."""
-
-
 class ShapeMismatch(PokeGraspError):
     """Two per-pixel maps that must share a shape do not."""

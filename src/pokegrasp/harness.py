@@ -3,7 +3,7 @@
 A poke trial renders the scene, picks a guidance pixel (bounding-box
 center, instance-mask centroid, or the poking-region planner), then
 lowers the flat sensor along that pixel's view ray, parallel to the
-table, until image-subtraction contact fires or the protective-stop
+table, until the indentation frame shows contact or the protective-stop
 height is reached (miss). A contact on a light object whose static
 tipping bound falls below the arm's stop force is a topple. Every object
 rests on one kind of support: a convex footprint of points within a radius
@@ -47,9 +47,11 @@ probe height itself as its z.
 The descent is coarse, then fine. The coarse phase asks only whether any
 sensel indents, so it casts a sparse lattice of the sensel columns first,
 one sensel in every 8 x 8 block, and the full frame only where no lattice
-sensel counts. A column's height does not depend on the other columns cast
-with it, so a lattice touch is a touch of the full frame. The fine phase
-casts full frames, and the one that fires is the contact frame. Its
+sensel counts; ``detect_contact`` counts both. A column's height does not
+depend on the other columns cast with it, so a lattice touch is a touch of
+the full frame. The fine phase casts full frames, and the one that fires is
+the contact frame. Every column, the contact normal's too, is cast down
+from ``render.column_start``, 1 cm above the highest object point. The
 contact normal comes from the same downward ray at the contact column, cast
 only against the primitives that can rise above the contact height there;
 they hold the face that sets the column's top, so the normal is that of a
@@ -72,8 +74,8 @@ from .errors import DegenerateInput, EmptyMask, InvalidConfig, InvalidGeometry, 
 from .plan import RING, SIMPLY_CONNECTED, GraspProposal, GripperSpec, PokePlan, \
     heuristic_grasp, poking_point
 from .regions import InstanceAnnotation, pixel_ray_dz, poking_region, surface_heights
-from .render import RenderBuffers, _column_normal, contains, object_top_z, render, \
-    rises_above, top_heights
+from .render import RenderBuffers, _column_normal, column_start, contains, render, \
+    rises_above, scene_top_z, top_heights
 from .scene import Box, ObjectModel, Scene
 from .seeding import mix, rng_for
 from .tactile import DEFAULT_VALUE_THRESHOLD, TactileSensorSpec, detect_contact, \
@@ -299,21 +301,13 @@ def _corrupted_pixel_depths(buffers: RenderBuffers, scene: Scene, seed: int,
 # poke simulation
 # ---------------------------------------------------------------------------
 
-def scene_top_z(scene: Scene) -> float:
-    """Height of the highest object point, or of the table z = 0."""
-    return max([0.0] + [object_top_z(obj) for obj in scene.objects])
-
-
 def _footprint_heights(scene: Scene, spec: TactileSensorSpec, center: np.ndarray,
-                       floor: float = -np.inf, z_start: Optional[float] = None):
+                       floor: float = -np.inf):
     """Sensel-column heights, ids and (x, y) of the sensor centred at
     ``center`` (only its x and y are read); the columns whose surface does
-    not rise above ``floor`` read -inf / 0. The columns are cast down from
-    ``z_start``, by default 1 cm above ``scene_top_z``."""
-    if z_start is None:
-        z_start = scene_top_z(scene) + 0.01
+    not rise above ``floor`` read -inf / 0."""
     xy = _column_xy(spec.sensel_offsets, center)
-    heights, ids = top_heights(scene.objects, xy, z_start=z_start, floor=floor)
+    heights, ids = top_heights(scene.objects, xy, floor=floor)
     shape = (spec.res_y, spec.res_x)
     return heights.reshape(shape), ids.reshape(shape), xy.reshape(shape + (2,))
 
@@ -345,11 +339,11 @@ _LATTICE_OFFSETS = SENSOR.sensel_offsets[_lattice_rows(SENSOR)]
 
 def _contact_dot(scene: Scene, object_id: int, contact: np.ndarray) -> float:
     """Table-normal (+z) component of the contacted surface normal, from the
-    same downward ray at the contact column that the probe cast. The ray is
-    cast only against the primitives that can rise above the contact height
-    there (``render._column_normal``); the normal is that of a cast against
-    every primitive."""
-    origin = np.array([contact[0], contact[1], scene_top_z(scene) + 0.01])
+    same downward ray at the contact column that the probe cast, from
+    ``render.column_start``. The ray is cast only against the primitives
+    that can rise above the contact height there (``render._column_normal``);
+    the normal is that of a cast against every primitive."""
+    origin = np.array([contact[0], contact[1], column_start(scene.objects)])
     normal = _column_normal(scene.object_by_id(object_id), origin, float(contact[2]))
     return float(normal[2])
 
@@ -367,9 +361,9 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan], *, seed: int = 0) -> P
 
     The sensor centre at probe height z is the ray's point at z, with z
     itself as its height: the sensing plane the indentation is taken
-    against. Success requires image-subtraction contact above the
-    protective-stop height, and the contacted object must not tip at the
-    stop force.
+    against. Success requires contact (``detect_contact`` on the frame)
+    above the protective-stop height, and the contacted object must not tip
+    at the stop force.
 
     A sensel indents by more than ``DEFAULT_VALUE_THRESHOLD`` only where its
     column rises above the plane by more than that. The sensor has yaw 0,
@@ -388,14 +382,14 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan], *, seed: int = 0) -> P
     The coarse descent, in ``COARSE_STEP`` strides, looks for the first
     height at which any sensel counts. At each height it casts first the
     lattice of ``_lattice_rows``, 300 of the default 19,200 sensels, with
-    the same floor and start height. A lattice sensel that indents by more
-    than the threshold is a first touch. Only where none does is the full
-    frame cast, and its count decides. ``top_heights`` gives a column
+    the same floor. A lattice sensel that ``detect_contact`` counts, one
+    that indents by more than the threshold, is a first touch. Only where
+    none does is the full frame cast, and its count decides. ``top_heights`` gives a column
     the same bytes whichever other columns are cast with it, so the lattice
     counts a sensel only where the full frame counts it, and the first
     touch is the one a full-frame descent finds. The fine descent, in
     ``DESCENT_STEP`` strides from one coarse step above that height, casts
-    full frames until image-subtraction contact fires.
+    full frames until ``detect_contact`` fires.
     """
     if plan is None:
         return PokeOutcome(status=MISS, seed=seed)
@@ -410,9 +404,7 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan], *, seed: int = 0) -> P
         center[2] = z  # the ray's z at t can differ from z in the last bit
         return center
 
-    reference = np.zeros((SENSOR.res_y, SENSOR.res_x))
-
-    top = scene_top_z(scene)
+    top = scene_top_z(scene.objects)
     half = np.array([SENSOR.area_x, SENSOR.area_y]) / 2.0
 
     def skipped(center: np.ndarray) -> bool:
@@ -421,10 +413,9 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan], *, seed: int = 0) -> P
 
     def probe(center: np.ndarray):
         """The full frame at ``center``: (hit, count, (heights, ids, xy, image))."""
-        heights, ids, xy = _footprint_heights(scene, SENSOR, center, floor=center[2],
-                                              z_start=top + 0.01)
+        heights, ids, xy = _footprint_heights(scene, SENSOR, center, floor=center[2])
         image = frame_from_heights(heights, SENSOR, center)
-        hit, count = detect_contact(reference, image)
+        hit, count = detect_contact(image)
         return hit, count, (heights, ids, xy, image)
 
     def touches(z: float) -> bool:
@@ -433,11 +424,8 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan], *, seed: int = 0) -> P
         center = center_at(z)
         if skipped(center):
             return False
-        heights, _ = top_heights(scene.objects, _column_xy(_LATTICE_OFFSETS, center),
-                                 z_start=top + 0.01, floor=z)
-        # the image is >= 0: detect_contact against the zero reference counts these
-        image = frame_from_heights(heights, SENSOR, center)
-        if np.count_nonzero(image > DEFAULT_VALUE_THRESHOLD):
+        heights, _ = top_heights(scene.objects, _column_xy(_LATTICE_OFFSETS, center), floor=z)
+        if detect_contact(frame_from_heights(heights, SENSOR, center))[1] > 0:
             return True
         return probe(center)[1] > 0
 
@@ -495,8 +483,7 @@ def simulate_grasp(scene: Scene, grasp: GraspProposal, seed: int = 0) -> GraspOu
     tips = [center + sign * (grasp.w / 2.0) * u for sign in (-1.0, 1.0)]
     samples = np.concatenate([tip[None, :] + spans[:, None] * perp[None, :] for tip in tips])
     collision = z_exec + 1e-9
-    heights, _ = top_heights(scene.objects, samples, z_start=scene_top_z(scene) + 0.01,
-                             floor=collision)
+    heights, _ = top_heights(scene.objects, samples, floor=collision)
     if np.any(heights > collision):
         return GraspOutcome(status=FAILURE, seed=seed, reason="descent_collision", grasp=grasp)
     ts = np.linspace(-grasp.w / 2.0, grasp.w / 2.0, 801)

@@ -45,12 +45,14 @@ covers the rounding of the projection. A culled ray is therefore one that
 other rays are cast with it, so the buffers are byte-equal to those of
 intersecting every ray.
 
-``top_heights`` serves the tactile sensel columns. It needs only the hit
-distance: it takes the minimum over the same per-primitive distances as
-``intersect_object``, skips the nearest-face gather and the normals, and
-casts the shared downward direction as one row. A query may name a
-``floor``, such as a sensing plane: a column whose surface does not rise
-above it reads -inf. One cull rule, ``_rising_primitives``, names the
+``top_heights`` serves the tactile sensel columns. It casts each column
+down from ``column_start``, 1 cm above the highest object point
+(``scene_top_z``), so every column starts above every object. It needs
+only the hit distance: it takes the minimum over the same per-primitive
+distances as ``intersect_object``, skips the nearest-face gather and the
+normals, and casts the shared downward direction as one row. A query may
+name a ``floor``, such as a sensing plane: a column whose surface does not
+rise above it reads -inf. One cull rule, ``_rising_primitives``, names the
 primitives of an object that can rise above the floor, and an object that
 keeps none is skipped:
 
@@ -510,6 +512,17 @@ def object_top_z(obj: ObjectModel) -> float:
     return float(obj.pose.translation[2]) + axis_top + spread
 
 
+def scene_top_z(objects: Sequence[ObjectModel]) -> float:
+    """Height of the highest object point, or of the table z = 0."""
+    return max([0.0] + [object_top_z(obj) for obj in objects])
+
+
+def column_start(objects: Sequence[ObjectModel]) -> float:
+    """Height the downward column casts start from: 1 cm above
+    ``scene_top_z``, so above every object."""
+    return scene_top_z(objects) + 0.01
+
+
 def rises_above(objects: Sequence[ObjectModel], xy_lo, xy_hi, floor: float) -> bool:
     """Whether a column of the axis-aligned rectangle [xy_lo, xy_hi] can
     rise above ``floor``: some object keeps a ``_rising_primitives`` entry
@@ -631,9 +644,9 @@ def _column_normal(obj: ObjectModel, origin: np.ndarray, floor: float) -> np.nda
     return normal[0]
 
 
-def top_heights(objects: Sequence[ObjectModel], xy: np.ndarray, z_start: float = 10.0,
-                floor: float = -NO_HIT):
-    """Highest object surface under each (x, y) column.
+def top_heights(objects: Sequence[ObjectModel], xy: np.ndarray, floor: float = -NO_HIT):
+    """Highest object surface under each (x, y) column, cast down from
+    ``column_start(objects)``.
 
     Returns (height, instance_id); -inf / 0 where no object surface rises
     above ``floor`` (by default, where no object is below). A column above
@@ -643,6 +656,7 @@ def top_heights(objects: Sequence[ObjectModel], xy: np.ndarray, z_start: float =
     """
     xy = np.asarray(xy, dtype=np.float64)
     n = xy.shape[0]
+    z_start = column_start(objects)
     origins = np.empty((n, 3))
     origins[:, 0] = xy[:, 0]
     origins[:, 1] = xy[:, 1]

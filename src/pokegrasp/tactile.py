@@ -2,9 +2,11 @@
 
 The simulated "tactile image" is an indentation map (``frame_from_heights``):
 each sensel stores how deep the nearest object surface penetrates the
-sensing plane, clamped to [0, max_indent], with 0 meaning no contact. Contact detection by
-image subtraction operates on such maps exactly as it would on
-thresholded photometric frames.
+sensing plane, clamped to [0, max_indent], with 0 meaning no contact. The
+untouched sensor reads all zeros, so a frame is already its difference
+from the untouched image, and contact detection (``detect_contact``)
+counts the sensels of one frame that depart from zero by more than a
+threshold.
 
 The sensor is pressed straight down: its sensing surface is parallel to
 the table, faces it and has yaw 0, so it is placed by the world position
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidConfig, ResolutionMismatch
+from .errors import InvalidConfig
 
 DEFAULT_AREA_X = 0.014
 DEFAULT_AREA_Y = 0.0105
@@ -85,16 +87,13 @@ def frame_from_heights(heights: np.ndarray, spec: TactileSensorSpec,
     return np.where(np.isfinite(heights), pen, 0.0)
 
 
-def detect_contact(reference: np.ndarray, current: np.ndarray,
+def detect_contact(frame: np.ndarray,
                    value_threshold: float = DEFAULT_VALUE_THRESHOLD,
                    count_threshold: int = DEFAULT_COUNT_THRESHOLD) -> tuple[bool, int]:
-    """Image-subtraction contact test between two tactile images.
+    """Contact test on one indentation frame.
 
-    positive_count = #pixels whose absolute difference exceeds
-    value_threshold; contact iff positive_count > count_threshold.
+    positive_count = #sensels indented by more than value_threshold;
+    contact iff positive_count > count_threshold.
     """
-    if reference.shape != current.shape:
-        raise ResolutionMismatch(f"{reference.shape} vs {current.shape}")
-    diff = np.abs(current - reference)
-    count = int(np.count_nonzero(diff > value_threshold))
+    count = int(np.count_nonzero(frame > value_threshold))
     return count > count_threshold, count

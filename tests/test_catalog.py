@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from pokegrasp.catalog import CATALOG, SIDE, UPRIGHT, UPSIDE_DOWN, make_object
+from pokegrasp.catalog import CATALOG, SIDE, UPRIGHT, UPSIDE_DOWN, benchmark_scene, make_object
+from pokegrasp.errors import InvalidConfig
 from pokegrasp.render import object_top_z
 from pokegrasp.scene import Box
 from pokegrasp.seeding import rng_for
@@ -43,3 +44,11 @@ def test_every_pose_rests_on_the_table(entry):
 def test_object_top_z_is_the_highest_point(entry):
     for obj in seeded_poses(entry, 0x70B):
         assert abs(object_top_z(obj) - world_z_range(obj)[1]) <= 1e-12
+
+
+@pytest.mark.parametrize("attempt", (-1, True, 1.5))
+def test_benchmark_scene_rejects_an_attempt_that_is_not_a_count(attempt):
+    # -1 would mix in as 2**64 - 1 and take slot 11's orientation; True
+    # would build attempt 1's scene
+    with pytest.raises(InvalidConfig, match="attempt"):
+        benchmark_scene("jar", attempt, master_seed=0)

@@ -16,12 +16,12 @@ from pokegrasp.harness import COARSE_STEP, CONTACT_DOT_MIN, DESCEND_OFFSET, DESC
     F_STOP, FAILURE, GRIPPER, H_STOP, MISS, POKE_GUIDANCE_MODES, SENSOR, SIDE_INSIDE_TOL, \
     SUCCESS, TOPPLE, PokeOutcome, TrialConfig, _contact, _contact_dot, _footprint_heights, \
     _lattice_rows, annotations_for, corrupt_depth, poke_pixel_for_guidance, \
-    poke_would_topple, run_benchmark, run_grasp_trial, run_poke_trial, scene_top_z, \
-    simulate_grasp, simulate_poke, tipping_arms, tipping_max_force
+    poke_would_topple, run_benchmark, run_grasp_trial, run_poke_trial, simulate_grasp, \
+    simulate_poke, tipping_arms, tipping_max_force
 from pokegrasp.plan import SIMPLY_CONNECTED, GraspProposal, PokePlan, heuristic_grasp
 from pokegrasp.regions import pixel_ray_dz, poking_region, surface_heights
-from pokegrasp.render import _CORNER_HIGH, _local_box, compile_primitives, \
-    intersect_object, render, rises_above, top_heights
+from pokegrasp.render import _CORNER_HIGH, _local_box, column_start, compile_primitives, \
+    intersect_object, render, rises_above, scene_top_z, top_heights
 from pokegrasp.scene import Box, ObjectModel, RevolutionProfile, Scene
 from pokegrasp.seeding import rng_for
 from pokegrasp.tactile import DEFAULT_COUNT_THRESHOLD, DEFAULT_VALUE_THRESHOLD, \
@@ -239,7 +239,7 @@ def test_no_surface_rises_above_scene_top_z(entry):
         for yaw in rng.uniform(0.0, 2.0 * np.pi, size=3):
             obj = make_object(entry, orientation, 0.01, -0.02, float(yaw))
             scene = Scene(camera=default_camera(), objects=(obj,))
-            top = scene_top_z(scene)
+            top = scene_top_z(scene.objects)
             highest = max(float(_footprint_heights(scene, spec, c)[0].max())
                           for c in obj.pose.apply(local))
             assert highest <= top + 1e-9
@@ -283,7 +283,7 @@ def test_rises_above_covers_every_footprint(entry):
                 highest = float(_footprint_heights(scene, spec, c)[0].max())
                 if np.isfinite(highest):
                     assert rises_above(scene.objects, lo, hi, highest - 1e-12)
-                assert not rises_above(scene.objects, lo, hi, scene_top_z(scene) + 1e-8)
+                assert not rises_above(scene.objects, lo, hi, scene_top_z(scene.objects) + 1e-8)
                 reaches.append(rises_above(scene.objects, lo, hi, -1.0))
     if not isinstance(entry.shape, Box):
         # beside an upright or upside-down object nothing can be touched
@@ -334,7 +334,7 @@ def probe_columns(entry, obj, spec, rng) -> np.ndarray:
 def probe_floors(scene, obj) -> set:
     """-inf, two sensing planes below the top, and every primitive height
     and its neighbours 1e-12 away."""
-    top = scene_top_z(scene)
+    top = scene_top_z(scene.objects)
     floors = {-np.inf, top - DEFAULT_VALUE_THRESHOLD, top / 2.0}
     floors.update(z + e for z in primitive_world_zs(obj) for e in (-1e-12, 0.0, 1e-12))
     return floors
@@ -352,10 +352,9 @@ def test_floored_top_heights_equal_the_full_query(entry):
             obj = make_object(entry, orientation, 0.01, -0.02, float(yaw))
             scene = Scene(camera=default_camera(), objects=(obj,))
             xy = probe_columns(entry, obj, spec, rng)
-            z_start = scene_top_z(scene) + 0.01
-            full, ids = top_heights(scene.objects, xy, z_start=z_start)
+            full, ids = top_heights(scene.objects, xy)
             for f in sorted(probe_floors(scene, obj)):
-                got, got_ids = top_heights(scene.objects, xy, z_start=z_start, floor=f)
+                got, got_ids = top_heights(scene.objects, xy, floor=f)
                 above = full > f
                 assert got.tobytes() == np.where(above, full, -np.inf).tobytes(), f
                 assert got_ids.tobytes() == np.where(above, ids, 0).tobytes(), f
@@ -387,14 +386,12 @@ def test_a_subset_cast_equals_the_full_cast(entry):
         subsets = {"lattice": lattice,
                    "random": rng.choice(n, n // 7, replace=False),  # in seeded order
                    "range": np.arange(start, start + n // 3)}
-        top = scene_top_z(scene)
-        z_start = top + 0.01
         floors = probe_floors(scene, obj)
-        floors.update(march(top + COARSE_STEP, COARSE_STEP, H_STOP))
+        floors.update(march(scene_top_z(scene.objects) + COARSE_STEP, COARSE_STEP, H_STOP))
         for f in sorted(floors):
-            full, ids = top_heights(scene.objects, xy, z_start=z_start, floor=f)
+            full, ids = top_heights(scene.objects, xy, floor=f)
             for name, sub in subsets.items():
-                got, got_ids = top_heights(scene.objects, xy[sub], z_start=z_start, floor=f)
+                got, got_ids = top_heights(scene.objects, xy[sub], floor=f)
                 assert got.tobytes() == full[sub].tobytes(), (name, f)
                 assert got_ids.tobytes() == ids[sub].tobytes(), (name, f)
 
@@ -455,8 +452,7 @@ def test_floored_top_heights_equal_the_full_query_on_tilted_poses(entry):
     for _ in range(3):
         scene = tilted_scene(entry, rng)
         xy = columns_over(scene)
-        z_start = scene_top_z(scene) + 0.01
-        full, ids = top_heights(scene.objects, xy, z_start=z_start)
+        full, ids = top_heights(scene.objects, xy)
         assert set(np.unique(ids)) == {0, 1, 2}
         floors = {-np.inf}
         for obj in scene.objects:
@@ -464,7 +460,7 @@ def test_floored_top_heights_equal_the_full_query_on_tilted_poses(entry):
             heights += [z - 1e-9 for z in primitive_world_tops(obj)]
             floors.update(z + e for z in heights for e in (-1e-12, 0.0, 1e-12))
         for f in sorted(floors):
-            got, got_ids = top_heights(scene.objects, xy, z_start=z_start, floor=f)
+            got, got_ids = top_heights(scene.objects, xy, floor=f)
             above = full > f
             assert got.tobytes() == np.where(above, full, -np.inf).tobytes(), f
             assert got_ids.tobytes() == np.where(above, ids, 0).tobytes(), f
@@ -473,7 +469,7 @@ def test_floored_top_heights_equal_the_full_query_on_tilted_poses(entry):
 def full_contact_dot(scene, object_id, contact) -> float:
     """``_contact_dot`` with the contact ray cast against every primitive of
     the object, as it was before the cast was culled."""
-    origin = np.array([[contact[0], contact[1], scene_top_z(scene) + 0.01]])
+    origin = np.array([[contact[0], contact[1], column_start(scene.objects)]])
     _, normal, _ = intersect_object(scene.object_by_id(object_id), origin,
                                     np.array([[0.0, 0.0, -1.0]]))
     return float(normal[0, 2])
@@ -491,7 +487,7 @@ def test_contact_dot_equals_the_full_cast_on_tilted_poses(entry):
     for _ in range(2):
         scene = tilted_scene(entry, rng)
         xy = columns_over(scene)
-        heights, ids = top_heights(scene.objects, xy, z_start=scene_top_z(scene) + 0.01)
+        heights, ids = top_heights(scene.objects, xy)
         hit = np.flatnonzero(ids)
         for k in rng.choice(hit, size=min(150, hit.size), replace=False):
             contact = np.array([xy[k, 0], xy[k, 1], heights[k]])
@@ -559,8 +555,7 @@ def test_a_side_lying_floored_frame_skips_the_cavity(monkeypatch):
     assert outcome.status in (SUCCESS, TOPPLE)
     tags = evaluated_primitives(monkeypatch)
     heights, _, _ = _footprint_heights(scene, SENSOR, ray_point(scene, plan, outcome.stop_z),
-                                       floor=outcome.stop_z,
-                                       z_start=scene_top_z(scene) + 0.01)
+                                       floor=outcome.stop_z)
     assert np.isfinite(heights).any()
     assert tags == ["bottom", "rim", "outer:0"]
     assert {p[-1] for p in compile_primitives(scene.objects[0])} \
@@ -584,10 +579,9 @@ def test_probes_the_skip_passes_over_count_no_sensel(name, attempt):
     scene = benchmark_scene(name, attempt, master_seed=0)
     spec = SENSOR
     half = np.array([spec.area_x, spec.area_y]) / 2.0
-    reference = np.zeros((spec.res_y, spec.res_x))
     _, anns = annotations_for(scene, TrialConfig())
     plans = [poke_pixel_for_guidance(anns[0], g) for g in POKE_GUIDANCE_MODES]
-    z_top = scene_top_z(scene) + COARSE_STEP
+    z_top = scene_top_z(scene.objects) + COARSE_STEP
     skipped = 0
     for px in sorted({plan.point_px for plan in plans if plan is not None}):
         origin, direction = scene.camera.pixel_ray(px)
@@ -600,8 +594,7 @@ def test_probes_the_skip_passes_over_count_no_sensel(name, attempt):
         def count_at(z):
             heights, _, _ = _footprint_heights(scene, spec, center_at(z))
             image = frame_from_heights(heights, spec, center_at(z))
-            return detect_contact(reference, image, DEFAULT_VALUE_THRESHOLD,
-                                  DEFAULT_COUNT_THRESHOLD)[1]
+            return detect_contact(image, DEFAULT_VALUE_THRESHOLD, DEFAULT_COUNT_THRESHOLD)[1]
 
         def skips(z):
             c = center_at(z)[:2]
@@ -624,21 +617,18 @@ def test_probes_the_skip_passes_over_count_no_sensel(name, attempt):
 
 def lattice_count(scene, spec, center) -> int:
     """Sensels of the coarse lattice that count at ``center``, each indented as
-    frame_from_heights does and counted as detect_contact counts against the
-    zero reference."""
+    frame_from_heights does and counted as detect_contact counts: indented by
+    more than the value threshold."""
     xy = spec.sensel_offsets[_lattice_rows(spec)] + center[:2]
-    heights, _ = top_heights(scene.objects, xy, z_start=scene_top_z(scene) + 0.01,
-                             floor=center[2])
+    heights, _ = top_heights(scene.objects, xy, floor=center[2])
     pen = np.where(np.isfinite(heights), np.clip(heights - center[2], 0.0, spec.max_indent), 0.0)
-    return int(np.count_nonzero(np.abs(pen - 0.0) > DEFAULT_VALUE_THRESHOLD))
+    return int(np.count_nonzero(pen > DEFAULT_VALUE_THRESHOLD))
 
 
 def frame_count(scene, spec, center) -> int:
-    heights, _, _ = _footprint_heights(scene, spec, center, floor=center[2],
-                                       z_start=scene_top_z(scene) + 0.01)
+    heights, _, _ = _footprint_heights(scene, spec, center, floor=center[2])
     image = frame_from_heights(heights, spec, center)
-    return detect_contact(np.zeros_like(image), image, DEFAULT_VALUE_THRESHOLD,
-                          DEFAULT_COUNT_THRESHOLD)[1]
+    return detect_contact(image, DEFAULT_VALUE_THRESHOLD, DEFAULT_COUNT_THRESHOLD)[1]
 
 
 @pytest.mark.parametrize("name, attempt", [("jar", 0), ("mug", 5), ("champagne_cup", 0),
@@ -654,7 +644,7 @@ def test_the_lattice_decides_as_the_full_frame(name, attempt):
     touches = 0
     for px in sorted({plan.point_px for plan in plans if plan is not None}):
         origin, direction = scene.camera.pixel_ray(px)
-        for z in march(scene_top_z(scene) + COARSE_STEP, COARSE_STEP, H_STOP):
+        for z in march(scene_top_z(scene.objects) + COARSE_STEP, COARSE_STEP, H_STOP):
             center = origin + (z - origin[2]) / direction[2] * direction
             center[2] = z
             if lattice_count(scene, spec, center) > 0:
@@ -668,7 +658,7 @@ def full_frame_poke(scene, plan, seed=0):
     height the skip does not pass over, as it did before the lattice."""
     origin, direction = scene.camera.pixel_ray(plan.point_px)
     spec = SENSOR
-    top = scene_top_z(scene)
+    top = scene_top_z(scene.objects)
     half = np.array([spec.area_x, spec.area_y]) / 2.0
 
     def probe(z):
@@ -677,10 +667,9 @@ def full_frame_poke(scene, plan, seed=0):
         if not rises_above(scene.objects, center[:2] - half, center[:2] + half,
                            z + DEFAULT_VALUE_THRESHOLD):
             return False, 0, None
-        heights, ids, xy = _footprint_heights(scene, spec, center, floor=z, z_start=top + 0.01)
+        heights, ids, xy = _footprint_heights(scene, spec, center, floor=z)
         image = frame_from_heights(heights, spec, center)
-        hit, count = detect_contact(np.zeros_like(image), image,
-                                    DEFAULT_VALUE_THRESHOLD, DEFAULT_COUNT_THRESHOLD)
+        hit, count = detect_contact(image, DEFAULT_VALUE_THRESHOLD, DEFAULT_COUNT_THRESHOLD)
         return hit, count, (heights, ids, xy, image)
 
     z_top = top + COARSE_STEP

@@ -11,7 +11,8 @@ from pokegrasp.catalog import OBJECT_NAMES, benchmark_scene, catalog_entry, defa
 from pokegrasp.geometry import RigidTransform, rot_x, rot_y, rot_z
 from pokegrasp.render import _compiled, _frustum_normal, _intersect_box, _intersect_disk, \
     _intersect_frustum, _local_box, _pixel_window, _rising_primitives, _table_depth, \
-    compile_primitives, contains, intersect_object, render, rises_above, top_heights
+    compile_primitives, contains, intersect_object, object_top_z, render, rises_above, \
+    top_heights
 from pokegrasp.scene import Box, ObjectModel, RevolutionProfile, Scene
 
 from conftest import overhead_camera, straight_cup, unculled_render
@@ -321,10 +322,13 @@ def columns_around(obj, half=0.16, n=64):
     return np.stack([xx.ravel(), yy.ravel()], axis=-1) + obj.pose.translation[:2]
 
 
-def assert_heights_from_intersect(obj, z_start=0.5, xy=None):
+def assert_heights_from_intersect(obj, xy=None):
+    """``top_heights`` reads, on each column, the height where a downward ray
+    from 1 cm above the object's top first meets it."""
     if xy is None:
         xy = columns_around(obj)
-    heights, ids = top_heights([obj], xy, z_start=z_start)
+    heights, ids = top_heights([obj], xy)
+    z_start = max(0.0, object_top_z(obj)) + 0.01
     origins = np.concatenate([xy, np.full((xy.shape[0], 1), z_start)], axis=1)
     t, _, _ = intersect_object(obj, origins, np.broadcast_to([0.0, 0.0, -1.0], origins.shape))
     assert np.isfinite(heights).any()
@@ -370,6 +374,13 @@ class TestSolidQueries:
         assert abs(h[1] - 0.003) < 1e-12
         assert np.isneginf(h[2]) and ids[2] == 0
         assert ids[0] == 1 and ids[1] == 1
+
+    def test_top_heights_start_above_a_high_object(self):
+        # the box reaches above 10 m: the columns start above its top
+        box = ObjectModel(id=1, shape=Box(size=(0.1, 0.1, 0.05)), mass=0.5,
+                          pose=RigidTransform(np.eye(3), [0.0, 0.0, 9.99]))
+        heights, ids = top_heights([box], [[0.0, 0.0]])
+        assert abs(heights[0] - 10.04) < 1e-9 and ids[0] == 1
 
     def test_side_lying_cylinder_rotated_pose(self):
         # barrel axis along y at height r: top line z = 2r
@@ -781,8 +792,8 @@ class TestDrawnSolids:
         xy = np.concatenate([columns_around(obj), interior_point(obj)[None, :2]])
         assert_heights_from_intersect(obj, xy=xy)
         # a floored query reads the full height wherever that is above the floor
-        full, ids = top_heights([obj], xy, z_start=0.5)
-        got, got_ids = top_heights([obj], xy, z_start=0.5, floor=floor)
+        full, ids = top_heights([obj], xy)
+        got, got_ids = top_heights([obj], xy, floor=floor)
         above = full > floor
         assert got.tobytes() == np.where(above, full, -np.inf).tobytes()
         assert got_ids.tobytes() == np.where(above, ids, 0).tobytes()
