@@ -32,11 +32,12 @@ and do not read it.
 Everything is reproducible from (scene, mode, master seed, trial index);
 per-trial seeds come from the splitmix64 mixer in `seeding`.
 
-The trials on one scene object share its `PreparedScene`: one render and
-one poking-region pass, one plan per annotation region and one poke per
-pixel. A poke does not depend on the trial seed, which is only stamped on
-its outcome, so the `pr` poke and the `tactile` grasp's poke, or a `bbox`
-and a `mask` poke on the same pixel, lower the sensor once.
+The trials on one scene object share its `PreparedScene`, and a trial
+takes no other: one render and one poking-region pass, one plan per kind
+(``PreparedScene.plan``, the one place a mode's plan is made) and one poke
+per pixel. A poke does not depend on the trial seed, which is only stamped
+on its outcome, so the `pr` poke and the `tactile` grasp's poke, or a
+`bbox` and a `mask` poke on the same pixel, lower the sensor once.
 
 The table is the world plane z = 0 with +z up (`scene`): the protective
 stop, the grasp floors and the depth model's background read heights from
@@ -205,8 +206,11 @@ def tipping_arms(obj: ObjectModel, contact_xy: np.ndarray):
     """
     hull, radius, tol = _support(obj)
     c = np.asarray(contact_xy, dtype=np.float64)
-    if len(hull) >= 3 and _point_in_polygon(c, hull):
-        return True, 0.0, 0.0
+    if len(hull) >= 3:
+        # inside a convex counter-clockwise hull: left of every edge
+        edge, rel = np.roll(hull, -1, axis=0) - hull, c - hull
+        if np.all(edge[:, 0] * rel[:, 1] - edge[:, 1] * rel[:, 0] > 0):
+            return True, 0.0, 0.0
     edges = zip(hull, np.roll(hull, -1, axis=0))
     nearest = min((_closest_on_segment(p, q, c) for p, q in edges),
                   key=lambda p: float(np.hypot(*(c - p))))
@@ -221,19 +225,6 @@ def tipping_arms(obj: ObjectModel, contact_xy: np.ndarray):
 
 def _local_com(obj: ObjectModel) -> np.ndarray:
     return np.array([0.0, 0.0, (obj.shape.z_min + obj.shape.z_max) / 2.0])
-
-
-def _point_in_polygon(p, poly) -> bool:
-    inside = False
-    x, y = p
-    for i in range(len(poly)):
-        x0, y0 = poly[i]
-        x1, y1 = poly[(i + 1) % len(poly)]
-        if (y0 > y) != (y1 > y):
-            xi = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
-            if x < xi:
-                inside = not inside
-    return inside
 
 
 def poke_would_topple(scene: Scene, object_id: int, contact: np.ndarray,
@@ -513,11 +504,11 @@ def simulate_grasp(scene: Scene, grasp: GraspProposal, seed: int = 0) -> GraspOu
 
 @dataclass(frozen=True, eq=False)
 class PreparedScene:
-    """What the trials on one scene share: the render, the poking-region
-    annotations and two memos filled as the trials run.
+    """What the trials on one scene object share: the render, the
+    poking-region annotations and two memos filled as the trials run.
 
-    Unpacks as ``(buffers, anns)``. A trial reads the memos only when it
-    runs on this very ``scene`` object (see ``_owned``).
+    Unpacks as ``(buffers, anns)``. A trial takes it only for this very
+    ``scene`` object (see ``_owned``).
     """
     scene: Scene
     buffers: RenderBuffers
@@ -528,12 +519,20 @@ class PreparedScene:
     def __iter__(self):
         return iter((self.buffers, self.anns))
 
-    def plan(self, region: str) -> Optional[PokePlan]:
-        """``poking_point`` of the first annotation's ``region`` ("poking_region"
-        or "mask"); None where it raises EmptyMask or DegenerateInput."""
-        if region not in self._plans:
-            self._plans[region] = _plan_or_none(getattr(self.anns[0], region))
-        return self._plans[region]
+    def plan(self, mode: str) -> Optional[PokePlan]:
+        """The plan of a mode in ``POKE_GUIDANCE_MODES + GRASP_MODES`` on the
+        first annotation, once per kind: the centre pixel of the bounding box
+        ("bbox") or of the mask ("mask"), ``poking_point`` of the mask
+        ("camera-mask"), or ``poking_point`` of the poking region ("pr",
+        "tactile" and "camera-pr" share it). None where ``poking_point``
+        raises EmptyMask or DegenerateInput. Raises InvalidConfig for an
+        unknown mode."""
+        if mode not in POKE_GUIDANCE_MODES + GRASP_MODES:
+            raise InvalidConfig(f"unknown mode {mode!r}")
+        kind = "pr" if mode in ("tactile", "camera-pr") else mode
+        if kind not in self._plans:
+            self._plans[kind] = _plan(self.anns[0], kind)
+        return self._plans[kind]
 
     def poke(self, plan: Optional[PokePlan], seed: int) -> PokeOutcome:
         """``simulate_poke`` of ``plan``, once per pixel.
@@ -561,37 +560,30 @@ def annotations_for(scene: Scene, cfg: TrialConfig) -> PreparedScene:
     return PreparedScene(scene, buffers, anns)
 
 
-def _owned(scene: Scene, prepared) -> PreparedScene:
-    """The preparation a trial on ``scene`` runs on. One made for another
-    scene object, or a plain ``(buffers, anns)`` pair, is wrapped afresh, so
-    its memos are never read."""
+def _owned(scene: Scene, prepared: Optional[PreparedScene]) -> PreparedScene:
+    """The preparation a trial on ``scene`` runs on: ``prepared``, or a fresh
+    one where it is None. Raises InvalidConfig for anything but a
+    ``PreparedScene`` of this very scene object."""
     if prepared is None:
         return annotations_for(scene, None)
-    if isinstance(prepared, PreparedScene) and prepared.scene is scene:
-        return prepared
-    buffers, anns = prepared
-    return PreparedScene(scene, buffers, anns)
+    if not (isinstance(prepared, PreparedScene) and prepared.scene is scene):
+        raise InvalidConfig("prepared must be annotations_for(scene, ...) of the trial's scene")
+    return prepared
 
 
-def _plan_or_none(region: np.ndarray) -> Optional[PokePlan]:
-    try:
-        return poking_point(region)
-    except (EmptyMask, DegenerateInput):
-        return None
-
-
-def poke_pixel_for_guidance(ann: InstanceAnnotation, guidance: str) -> Optional[PokePlan]:
-    """Plan for one guidance mode; None when planning is impossible."""
-    if guidance == "pr":
-        return _plan_or_none(ann.poking_region)
-    if guidance == "mask":
+def _plan(ann: InstanceAnnotation, kind: str) -> Optional[PokePlan]:
+    """``PreparedScene.plan``'s plan of ``kind`` on ``ann``."""
+    if kind in ("pr", "camera-mask"):
+        try:
+            return poking_point(ann.poking_region if kind == "pr" else ann.mask)
+        except (EmptyMask, DegenerateInput):
+            return None
+    if kind == "mask":
         vs, us = np.divmod(np.flatnonzero(ann.mask), ann.mask.shape[1])
         px = (int(round(us.mean())), int(round(vs.mean())))
-    elif guidance == "bbox":
+    else:
         u0, v0, u1, v1 = ann.bbox
         px = (int(round((u0 + u1) / 2.0)), int(round((v0 + v1) / 2.0)))
-    else:
-        raise InvalidConfig(f"unknown guidance {guidance!r}")
     topo = SIMPLY_CONNECTED if ann.mask[px[1], px[0]] else RING
     return PokePlan(point_px=px, ellipse=None, region_topology=topo)
 
@@ -603,11 +595,14 @@ def _is_side_lying_cylinder(obj: ObjectModel) -> bool:
 
 
 def run_poke_trial(scene: Scene, cfg: TrialConfig, seed: int, guidance: str,
-                   prepared=None) -> PokeOutcome:
+                   prepared: Optional[PreparedScene] = None) -> PokeOutcome:
     """One poke of ``scene`` guided by ``guidance`` ("bbox", "mask" or "pr").
-    ``cfg`` is not read, and ``prepared`` is as ``_owned`` takes it.
+    ``cfg`` is not read. ``prepared`` is ``annotations_for`` of this very
+    ``scene`` object, or None for a fresh one; anything else raises
+    InvalidConfig.
 
-    The trial targets ``anns[0]``, the visible object with the lowest id.
+    The trial targets ``anns[0]``, the visible object with the lowest id, at
+    the pixel of ``PreparedScene.plan(guidance)``.
     It ends as ``miss`` when, in order: nothing is in view; there is no plan
     (an empty or degenerate region); the plan pixel's ray does not point
     down; no sensel counts before ``H_STOP``; the contact is on a surface
@@ -620,20 +615,17 @@ def run_poke_trial(scene: Scene, cfg: TrialConfig, seed: int, guidance: str,
     prepared = _owned(scene, prepared)
     if not prepared.anns:
         return PokeOutcome(status=MISS, seed=seed)
-    if guidance == "pr":
-        plan = prepared.plan("poking_region")
-    else:
-        plan = poke_pixel_for_guidance(prepared.anns[0], guidance)
-    return prepared.poke(plan, seed)
+    return prepared.poke(prepared.plan(guidance), seed)
 
 
 def run_grasp_trial(scene: Scene, cfg: TrialConfig, seed: int, mode: str,
-                    prepared=None) -> GraspOutcome:
+                    prepared: Optional[PreparedScene] = None) -> GraspOutcome:
     """One grasp of ``scene`` localized by ``mode`` (one of ``GRASP_MODES``).
-    ``cfg`` is not read, and ``prepared`` is as ``_owned`` takes it.
+    ``cfg`` is not read, and ``prepared`` is as ``run_poke_trial`` takes it.
 
     The trial targets ``anns[0]``, the visible object with the lowest id,
-    and plans on its instance mask ("camera-mask") or its poking region.
+    and plans with ``PreparedScene.plan(mode)``: on its instance mask
+    ("camera-mask") or its poking region.
     The grasp height comes from the corrupted depths of the region (the
     camera modes) or from a poke's contact (``tactile``). One proposal at
     the plan pixel back-projected to that height is executed as proposed,
@@ -655,8 +647,7 @@ def run_grasp_trial(scene: Scene, cfg: TrialConfig, seed: int, mode: str,
         return GraspOutcome(status=FAILURE, seed=seed, reason="no_annotation")
     cam = scene.camera
     trial_seed = mix(seed, 0x9A59)  # seeds the adhesion coin or the depth model
-    region_name = "mask" if mode == "camera-mask" else "poking_region"
-    plan = prepared.plan(region_name)
+    plan = prepared.plan(mode)
     if plan is None:
         return GraspOutcome(status=FAILURE, seed=seed, reason="planning_failed")
 
@@ -672,7 +663,8 @@ def run_grasp_trial(scene: Scene, cfg: TrialConfig, seed: int, mode: str,
         # the region's pixels are object pixels, read in the same row-major order
         depth, dz = _corrupted_pixel_depths(buffers, scene, trial_seed, DEPTH_DROPOUT,
                                             DEPTH_SIGMA)
-        in_region = getattr(anns[0], region_name).reshape(-1)[buffers.pixels]
+        region = anns[0].mask if mode == "camera-mask" else anns[0].poking_region
+        in_region = region.reshape(-1)[buffers.pixels]
         heights = surface_heights(depth[in_region], dz[in_region], cam.pose.translation[2])
         heights = heights[np.isfinite(heights)]
         if not heights.size:
@@ -688,8 +680,8 @@ def run_grasp_trial(scene: Scene, cfg: TrialConfig, seed: int, mode: str,
     if mode == "tactile":
         x, y = proposal.x, proposal.y
         if proposal.kind == "edge" or plan.region_topology == SIMPLY_CONNECTED:
-            # anchored to the physically sensed contact point
-            x, y = poke.contact_point[:2] + (np.array([x, y]) - poke_v[:2])
+            # proposed at poke_v's x, y: anchored to the sensed contact point
+            x, y = poke.contact_point[:2]
         proposal = dataclasses.replace(proposal, x=float(x), y=float(y), z=height)
     return simulate_grasp(scene, proposal, seed=seed)
 
@@ -706,23 +698,6 @@ class BenchmarkResult:
 
     def successes(self, mode: str) -> int:
         return sum(r[2] for r in self.rows if r[1] == mode)
-
-    def attempts(self, mode: str) -> int:
-        return sum(r[3] for r in self.rows if r[1] == mode)
-
-    def aggregate_rate(self, mode: str) -> float:
-        att = self.attempts(mode)
-        return self.successes(mode) / att if att else 0.0
-
-    def to_csv(self) -> str:
-        lines = ["object,mode,successes,attempts,rate"]
-        for obj, mode, succ, att in self.rows:
-            rate = succ / att if att else 0.0
-            lines.append(f"{obj},{mode},{succ},{att},{rate:.4f}")
-        for mode in dict.fromkeys(r[1] for r in self.rows):
-            lines.append(f"average,{mode},{self.successes(mode)},{self.attempts(mode)},"
-                         f"{self.aggregate_rate(mode):.4f}")
-        return "\n".join(lines) + "\n"
 
     def to_json(self) -> dict:
         return {"task": self.task,

@@ -70,11 +70,6 @@ class APReport:
                 "AP_S": enc(self.ap_small), "AP_M": enc(self.ap_medium),
                 "AP_L": enc(self.ap_large)}
 
-    def to_csv(self) -> str:
-        head = "metric,value"
-        rows = [f"{k},{v}" for k, v in self.to_json().items()]
-        return "\n".join([head] + rows) + "\n"
-
 
 def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
     """Intersection over union of two equally shaped binary masks."""

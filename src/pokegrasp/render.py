@@ -613,7 +613,7 @@ def _column_ts(obj: ObjectModel, origins: np.ndarray, floor: float) -> Optional[
         if span is not None:
             if rho2 is None:
                 rho2 = o[:, 0] * o[:, 0] + o[:, 1] * o[:, 1]
-                rho2_lo, rho2_hi = rho2.min(), rho2.max()
+                rho2_lo, rho2_hi = rho2.min(initial=np.inf), rho2.max(initial=-np.inf)
             lo2, hi2 = span[0] * span[0], span[1] * span[1]
             if not (lo2 <= rho2_lo and rho2_hi <= hi2):
                 idx = np.flatnonzero((rho2 >= lo2) & (rho2 <= hi2))

@@ -13,9 +13,9 @@ from pokegrasp.errors import InvalidConfig, InvalidGeometry, ShapeMismatch
 from pokegrasp.geometry import RigidTransform, rot_x, rot_y, rot_z
 from pokegrasp import harness
 from pokegrasp.harness import COARSE_STEP, CONTACT_DOT_MIN, DESCEND_OFFSET, DESCENT_STEP, \
-    F_STOP, FAILURE, GRIPPER, H_STOP, MISS, POKE_GUIDANCE_MODES, SENSOR, SIDE_INSIDE_TOL, \
-    SUCCESS, TOPPLE, PokeOutcome, TrialConfig, _contact, _contact_dot, _footprint_heights, \
-    _lattice_rows, annotations_for, corrupt_depth, poke_pixel_for_guidance, \
+    F_STOP, FAILURE, GRASP_MODES, GRIPPER, H_STOP, MISS, POKE_GUIDANCE_MODES, SENSOR, \
+    SIDE_INSIDE_TOL, SUCCESS, TOPPLE, PokeOutcome, PreparedScene, TrialConfig, _contact, \
+    _contact_dot, _footprint_heights, _lattice_rows, annotations_for, corrupt_depth, \
     poke_would_topple, run_benchmark, run_grasp_trial, run_poke_trial, simulate_grasp, \
     simulate_poke, tipping_arms, tipping_max_force
 from pokegrasp.plan import SIMPLY_CONNECTED, GraspProposal, PokePlan, heuristic_grasp
@@ -203,7 +203,7 @@ def test_an_unknown_guidance_raises_with_nothing_in_view():
 @pytest.mark.parametrize("guidance", ["bbox", "mask"])
 def test_a_guidance_plan_without_an_ellipse_gets_no_grasp(guidance):
     scene = benchmark_scene("jar", 0, master_seed=0)
-    plan = poke_pixel_for_guidance(annotations_for(scene, TrialConfig()).anns[0], guidance)
+    plan = annotations_for(scene, TrialConfig()).plan(guidance)
     assert plan.ellipse is None
     with pytest.raises(InvalidConfig, match="ellipse"):
         heuristic_grasp(np.array([0.0, 0.0, 0.05]), plan, scene.camera, GRIPPER)
@@ -508,8 +508,8 @@ def test_contact_dot_equals_the_full_cast_on_the_catalog_slots(monkeypatch):
     for name in OBJECT_NAMES:
         for attempt in range(0, 12, 2):
             scene = benchmark_scene(name, attempt, master_seed=0)
-            _, anns = annotations_for(scene, TrialConfig())
-            plans = [poke_pixel_for_guidance(anns[0], g) for g in POKE_GUIDANCE_MODES]
+            prepared = annotations_for(scene, TrialConfig())
+            plans = [prepared.plan(g) for g in POKE_GUIDANCE_MODES]
             for plan in {p.point_px: p for p in plans if p is not None}.values():
                 simulate_poke(scene, plan)
     assert len(contacts) > 100
@@ -535,8 +535,7 @@ def test_the_jar_contact_cast_evaluates_one_primitive(monkeypatch):
     # the pr poke of the upright jar fires on the rim: of the five
     # primitives only the rim rises above the contact height at its radius
     scene = benchmark_scene("jar", 0, master_seed=0)
-    _, anns = annotations_for(scene, TrialConfig())
-    plan = poke_pixel_for_guidance(anns[0], "pr")
+    plan = annotations_for(scene, TrialConfig()).plan("pr")
     outcome = simulate_poke(scene, plan)
     assert outcome.status in (SUCCESS, TOPPLE)
     tags = evaluated_primitives(monkeypatch)
@@ -549,8 +548,7 @@ def test_a_side_lying_floored_frame_skips_the_cavity(monkeypatch):
     # and the cavity floor lie below the sensing plane, so neither is cast
     scene = benchmark_scene("jar", 8, master_seed=0)
     assert abs(scene.objects[0].pose.rotation[2, 2]) < 1e-12
-    _, anns = annotations_for(scene, TrialConfig())
-    plan = poke_pixel_for_guidance(anns[0], "pr")
+    plan = annotations_for(scene, TrialConfig()).plan("pr")
     outcome = simulate_poke(scene, plan)
     assert outcome.status in (SUCCESS, TOPPLE)
     tags = evaluated_primitives(monkeypatch)
@@ -579,8 +577,8 @@ def test_probes_the_skip_passes_over_count_no_sensel(name, attempt):
     scene = benchmark_scene(name, attempt, master_seed=0)
     spec = SENSOR
     half = np.array([spec.area_x, spec.area_y]) / 2.0
-    _, anns = annotations_for(scene, TrialConfig())
-    plans = [poke_pixel_for_guidance(anns[0], g) for g in POKE_GUIDANCE_MODES]
+    prepared = annotations_for(scene, TrialConfig())
+    plans = [prepared.plan(g) for g in POKE_GUIDANCE_MODES]
     z_top = scene_top_z(scene.objects) + COARSE_STEP
     skipped = 0
     for px in sorted({plan.point_px for plan in plans if plan is not None}):
@@ -639,8 +637,8 @@ def test_the_lattice_decides_as_the_full_frame(name, attempt):
     the frame where no lattice sensel counts, so it decides as the frame."""
     scene = benchmark_scene(name, attempt, master_seed=0)
     spec = SENSOR
-    _, anns = annotations_for(scene, TrialConfig())
-    plans = [poke_pixel_for_guidance(anns[0], g) for g in POKE_GUIDANCE_MODES]
+    prepared = annotations_for(scene, TrialConfig())
+    plans = [prepared.plan(g) for g in POKE_GUIDANCE_MODES]
     touches = 0
     for px in sorted({plan.point_px for plan in plans if plan is not None}):
         origin, direction = scene.camera.pixel_ray(px)
@@ -700,8 +698,8 @@ def assert_same_poke(got, expected):
 @pytest.mark.parametrize("name", OBJECT_NAMES)
 def test_lattice_pokes_equal_full_frame_pokes(name, attempt):
     scene = benchmark_scene(name, attempt, master_seed=0)
-    _, anns = annotations_for(scene, TrialConfig())
-    plans = [poke_pixel_for_guidance(anns[0], g) for g in POKE_GUIDANCE_MODES]
+    prepared = annotations_for(scene, TrialConfig())
+    plans = [prepared.plan(g) for g in POKE_GUIDANCE_MODES]
     for plan in {plan.point_px: plan for plan in plans if plan is not None}.values():
         assert_same_poke(simulate_poke(scene, plan, seed=3), full_frame_poke(scene, plan, seed=3))
 
@@ -709,7 +707,7 @@ def test_lattice_pokes_equal_full_frame_pokes(name, attempt):
 def test_poke_seed_is_keyword_only():
     # a stale positional shift raises instead of being read as the seed
     scene = benchmark_scene("jar", 0, master_seed=0)
-    plan = annotations_for(scene, TrialConfig()).plan("poking_region")
+    plan = annotations_for(scene, TrialConfig()).plan("pr")
     with pytest.raises(TypeError):
         simulate_poke(scene, plan, 0.004)
 
@@ -732,8 +730,7 @@ def test_a_lattice_touch_casts_one_full_frame(monkeypatch):
     # the coarse lattice finds the first touch; only the contact probe of the
     # fine descent casts all 19,200 sensel columns
     scene = benchmark_scene("jar", 0, master_seed=0)
-    _, anns = annotations_for(scene, TrialConfig())
-    plan = poke_pixel_for_guidance(anns[0], "pr")
+    plan = annotations_for(scene, TrialConfig()).plan("pr")
     sizes = cast_sizes(monkeypatch)
     outcome = simulate_poke(scene, plan)
     assert outcome.status in (SUCCESS, TOPPLE)
@@ -768,8 +765,7 @@ def test_contact_probe_carries_the_sensor_posed_at_the_contact():
     # the contact lies on a sensel column of the probe that fired, centred at
     # the view ray's point at the stop height
     scene = benchmark_scene("jar", 0, master_seed=0)
-    _, anns = annotations_for(scene, TrialConfig())
-    plan = poke_pixel_for_guidance(anns[0], "pr")
+    plan = annotations_for(scene, TrialConfig()).plan("pr")
     outcome = simulate_poke(scene, plan)
     assert outcome.status in (SUCCESS, TOPPLE)
     center = ray_point(scene, plan, outcome.stop_z)
@@ -1024,8 +1020,8 @@ def test_shared_trials_equal_fresh_ones(name, attempt, monkeypatch):
     scene = benchmark_scene(name, attempt, master_seed=0)
     cfg = TrialConfig()
     fresh = [trial(scene, cfg, seed, mode) for trial, mode, seed in ALL_TRIALS]
-    _, anns = annotations_for(scene, cfg)
-    pixels = {poke_pixel_for_guidance(anns[0], g).point_px for g in POKE_GUIDANCE_MODES}
+    reference = annotations_for(scene, cfg)
+    pixels = {reference.plan(g).point_px for g in POKE_GUIDANCE_MODES}
     pokes = counted(monkeypatch, "simulate_poke")
     plans = counted(monkeypatch, "poking_point")
     prepared = annotations_for(scene, cfg)
@@ -1043,9 +1039,7 @@ def test_bbox_and_mask_pokes_on_one_pixel_share_the_poke(monkeypatch):
     fresh = [run_poke_trial(scene, cfg, seed, mode) for mode, seed in (("bbox", 3), ("mask", 4))]
     pokes = counted(monkeypatch, "simulate_poke")
     prepared = annotations_for(scene, cfg)
-    ann = prepared.anns[0]
-    assert poke_pixel_for_guidance(ann, "bbox").point_px == \
-        poke_pixel_for_guidance(ann, "mask").point_px
+    assert prepared.plan("bbox").point_px == prepared.plan("mask").point_px
     shared = [run_poke_trial(scene, cfg, seed, mode, prepared=prepared)
               for mode, seed in (("bbox", 3), ("mask", 4))]
     assert as_json(shared) == as_json(fresh)
@@ -1070,26 +1064,45 @@ def test_each_shared_outcome_carries_its_own_seed(monkeypatch):
 
 
 def test_a_preparation_is_reused_for_its_own_scene_alone(monkeypatch):
-    # the memos key on the scene object: a preparation made under another
-    # cfg shares them, one made for an equal scene or a plain pair does not
+    # a preparation belongs to its scene object: one made under another cfg
+    # shares its memos, one made for an equal scene or a plain pair raises
     scene = benchmark_scene("jar", 0, master_seed=0)
     cfg = TrialConfig()
     fresh = as_json([run_poke_trial(scene, cfg, 1, "pr"), run_grasp_trial(scene, cfg, 2, "tactile")])
-    own = annotations_for(scene, cfg)
-    preparations = {"an equal cfg": (annotations_for(scene, TrialConfig()), (1, 1)),
-                    "an equal scene": (annotations_for(benchmark_scene("jar", 0, master_seed=0),
-                                                       cfg), (2, 2)),
-                    "a plain tuple": (tuple(own), (2, 2))}
-    for label, (prepared, work) in preparations.items():
-        pokes = counted(monkeypatch, "simulate_poke")
-        plans = counted(monkeypatch, "poking_point")
-        got = [run_poke_trial(scene, cfg, 1, "pr", prepared=prepared),
-               run_grasp_trial(scene, cfg, 2, "tactile", prepared=prepared)]
-        assert as_json(got) == fresh, label
-        assert (len(pokes), len(plans)) == work, label
-        monkeypatch.undo()
+    own = annotations_for(scene, TrialConfig())
+    pokes = counted(monkeypatch, "simulate_poke")
+    plans = counted(monkeypatch, "poking_point")
+    got = [run_poke_trial(scene, cfg, 1, "pr", prepared=own),
+           run_grasp_trial(scene, cfg, 2, "tactile", prepared=own)]
+    assert as_json(got) == fresh
+    assert (len(pokes), len(plans)) == (1, 1)
+    equal_scene = annotations_for(benchmark_scene("jar", 0, master_seed=0), cfg)
+    for prepared in (equal_scene, tuple(own)):
+        for trial, mode in ((run_poke_trial, "pr"), (run_grasp_trial, "tactile")):
+            with pytest.raises(InvalidConfig, match="prepared"):
+                trial(scene, cfg, 1, mode, prepared=prepared)
     buffers, anns = own
     assert buffers is own.buffers and anns is own.anns
+
+
+@pytest.mark.parametrize("trial, mode", [(run_poke_trial, "pr"), (run_grasp_trial, "tactile")])
+def test_a_trial_rejects_the_preparation_of_another_scene(trial, mode):
+    # the jar's render would send the mug's pr poke to the jar's pixel
+    jar, mug = (benchmark_scene(name, attempt, master_seed=0)
+                for name, attempt in (("jar", 0), ("mug", 4)))
+    with pytest.raises(InvalidConfig, match="prepared"):
+        trial(mug, TrialConfig(), 0, mode, prepared=annotations_for(jar, TrialConfig()))
+
+
+def test_a_preparation_plans_once_per_kind(monkeypatch):
+    prepared = annotations_for(benchmark_scene("mug", 4, master_seed=0), TrialConfig())
+    plans = counted(monkeypatch, "poking_point")
+    got = {mode: prepared.plan(mode) for mode in POKE_GUIDANCE_MODES + GRASP_MODES}
+    assert got["pr"] is got["tactile"] is got["camera-pr"]
+    assert got["camera-mask"].ellipse is not None and got["bbox"].ellipse is None
+    assert plans == ["poking_point"] * 2
+    with pytest.raises(InvalidConfig, match="centre"):
+        prepared.plan("centre")
 
 
 def test_run_benchmark_drops_an_objects_preparations_after_it(monkeypatch):
@@ -1151,8 +1164,8 @@ def test_tactile_columns_are_pinned(monkeypatch):
 
 
 def test_camera_grasp_without_finite_depth_reports_no_depth(monkeypatch):
-    # buffers handed in as a plain pair: the mask reads no depth, and no
-    # pixel drops to the table depth
+    # buffers with no finite depth on the mask, and no pixel drops to the
+    # table depth
     scene = benchmark_scene("mug", 0, master_seed=0)
     buf = render(scene)
     ann = poking_region(buf, scene.camera)[0]
@@ -1161,6 +1174,6 @@ def test_camera_grasp_without_finite_depth_reports_no_depth(monkeypatch):
     blind = dataclasses.replace(buf, depth=depth)
     monkeypatch.setattr(harness, "DEPTH_DROPOUT", 0.0)
     cfg = TrialConfig()
-    out = run_grasp_trial(scene, cfg, 0, "camera-mask", prepared=(blind, [ann]))
+    out = run_grasp_trial(scene, cfg, 0, "camera-mask", prepared=PreparedScene(scene, blind, [ann]))
     assert (out.status, out.reason) == (FAILURE, "no_depth")
     assert run_grasp_trial(scene, cfg, 0, "camera-mask").reason != "no_depth"

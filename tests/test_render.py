@@ -382,6 +382,13 @@ class TestSolidQueries:
         heights, ids = top_heights([box], [[0.0, 0.0]])
         assert abs(heights[0] - 10.04) < 1e-9 and ids[0] == 1
 
+    @pytest.mark.parametrize("floor", [-np.inf, 0.05])
+    def test_top_heights_of_no_columns(self, floor):
+        cup = straight_cup(radius=0.03, height=0.10, wall=0.003)
+        heights, ids = top_heights([cup], np.empty((0, 2)), floor=floor)
+        assert heights.shape == ids.shape == (0,)
+        assert (heights.dtype, ids.dtype) == (np.float64, np.int32)
+
     def test_side_lying_cylinder_rotated_pose(self):
         # barrel axis along y at height r: top line z = 2r
         r, h = 0.035, 0.09
