@@ -341,9 +341,19 @@ def _contact_dot(scene: Scene, object_id: int, contact: np.ndarray) -> float:
 
 def _contact(heights: np.ndarray, ids: np.ndarray, xy: np.ndarray, image: np.ndarray):
     """Contact point and object id of a probe whose frame fired: those of
-    the first sensel, in row-major order, of the largest indentation in its
-    ``image``."""
-    idx = np.unravel_index(int(np.argmax(image)), image.shape)
+    the sensel of the peak plateau, the largest indentation in its
+    ``image``, nearest the plateau's mean position, ties going to the first
+    in row-major order. Like a GelSight contact (Yuan, Dong & Adelson, 2017),
+    it is the pressed patch's centre: a flat top's is the footprint centre,
+    and a rim's stays on the rim. The distances are taken in sensel indices
+    scaled by ``SENSOR``'s pitches, so a symmetric plateau ties exactly."""
+    plateau = image == image.max()
+    count = np.count_nonzero(plateau)
+    rows, cols = np.arange(image.shape[0]), np.arange(image.shape[1])
+    dy = SENSOR.pitch_y * (rows - rows @ plateau.sum(axis=1) / count)
+    dx = SENSOR.pitch_x * (cols - cols @ plateau.sum(axis=0) / count)
+    idx = np.unravel_index(int(np.argmin(np.where(plateau, dy[:, None] ** 2 + dx ** 2, np.inf))),
+                           image.shape)
     return np.array([xy[idx][0], xy[idx][1], heights[idx]]), int(ids[idx])
 
 

@@ -10,7 +10,7 @@ The grasp proposal is a top-down parallel-jaw grasp [x, y, z, w, theta],
 planned from the poking point's plan, whose topology is decided once:
 
 * simply-connected plan -> centroid grasp at the poked point, maximum
-  width, oriented by the fitted ellipse angle;
+  width, oriented by the world bearing of the fitted ellipse's major axis;
 * ring plan -> compare the horizontal distance D between the poked rim
   point and the ellipse center (both taken at the contact height). If D
   exceeds half a finger width there is room to slot one finger inside the
@@ -18,8 +18,12 @@ planned from the poking point's plan, whose topology is decided once:
   center-to-rim bearing. Otherwise the object is small enough to span:
   centroid grasp at the center.
 
-Angles are radians in [0, pi) measured from the x axis (image u axis for
-ellipse angles, world x for bearings).
+A proposal's theta is a world bearing in both branches: radians in
+[0, pi) from world +x. The ellipse's angle is measured in the image, from
++u with v pointing down, and the camera maps it to the world with a
+mirror and a tilt, so a centroid grasp back-projects the ellipse centre
+and the pixel one unit from it along the major axis, both at the grasp
+height, and takes the bearing between the two points.
 """
 from __future__ import annotations
 
@@ -106,7 +110,8 @@ def heuristic_grasp(poke_world: np.ndarray, plan: PokePlan, camera: CameraModel,
     ``poke_world`` is the contact position; its z is the contact height at
     which the ellipse center is back-projected. ``plan`` is the
     ``poking_point`` of the poked region: its ``region_topology`` picks the
-    branch and its ``ellipse`` gives the center and the centroid angle.
+    branch and its ``ellipse`` gives the center and the major axis, whose
+    world bearing at height z orients a centroid grasp.
     Raises InvalidConfig for a plan with no ellipse (a bbox or mask guidance
     plan) and WidthOverflow when an edge grasp would open wider than the
     gripper.
@@ -127,5 +132,9 @@ def heuristic_grasp(poke_world: np.ndarray, plan: PokePlan, camera: CameraModel,
             bearing = float(np.arctan2(delta[1], delta[0])) % np.pi
             return GraspProposal(x=x, y=y, z=z, w=width, theta=bearing, kind="edge")
         x, y = float(center_world[0]), float(center_world[1])
+    cu, cv = ellipse.centroid
+    a = ellipse.rotation_angle
+    axis = (camera.backproject_at_height((cu + np.cos(a), cv + np.sin(a)), z)
+            - camera.backproject_at_height(ellipse.centroid, z))
     return GraspProposal(x=x, y=y, z=z, w=gripper.maximum_gripper_width,
-                         theta=ellipse.rotation_angle, kind="centroid")
+                         theta=float(np.arctan2(axis[1], axis[0])) % np.pi, kind="centroid")

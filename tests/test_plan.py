@@ -64,6 +64,13 @@ def make_ring_setup(dist, z=0.10):
     return cam, ring_plan(ellipse), ellipse, poke_world, center_world
 
 
+def overhead_bearing(angle):
+    """World bearing of the image direction at ``angle`` under the untilted
+    ``overhead_camera``: it maps +u to +x and +v to -y with fx == fy, so the
+    direction (cos a, sin a) lands on (cos a, -sin a), bearing -a mod pi."""
+    return (-angle) % np.pi
+
+
 class TestHeuristicGrasp:
     def test_simply_connected_centroid_grasp(self):
         cam = overhead_camera()
@@ -76,7 +83,7 @@ class TestHeuristicGrasp:
         assert g.kind == "centroid"
         assert (g.x, g.y, g.z) == (0.0, 0.0, 0.08)
         assert g.w == GRIPPER.maximum_gripper_width
-        assert g.theta == ellipse.rotation_angle
+        assert g.theta == pytest.approx(overhead_bearing(ellipse.rotation_angle), abs=1e-9)
 
     def test_ring_edge_grasp_width_is_twice_distance(self):
         cam, plan, ellipse, poke_world, _ = make_ring_setup(0.020)
@@ -94,7 +101,7 @@ class TestHeuristicGrasp:
         assert np.allclose([g.x, g.y], center_world[:2], atol=1e-12)
         assert g.z == poke_world[2]
         assert g.w == GRIPPER.maximum_gripper_width
-        assert g.theta == ellipse.rotation_angle
+        assert g.theta == pytest.approx(overhead_bearing(ellipse.rotation_angle), abs=1e-9)
 
     def test_boundary_distance_takes_centroid_branch(self):
         half_fw = 0.5 * GRIPPER.finger_width
