@@ -14,7 +14,7 @@ from .geometry import RigidTransform
 from .scene import Box, CameraModel, ObjectModel, RevolutionProfile, Scene
 from .render import RenderBuffers, render
 from .regions import InstanceAnnotation, height_map, poking_region
-from .imgeo import Ellipse, find_external_contour, fit_ellipse, nearest_positive
+from .imgeo import Ellipse, fit_ellipse, nearest_positive
 from .plan import GraspProposal, GripperSpec, PokePlan, heuristic_grasp, poking_point
 from .tactile import TactileSensorSpec, detect_contact
 from .losses import LossConfig, mask_loss, mask_loss_grad, pn_beta

@@ -341,19 +341,18 @@ def _contact_dot(scene: Scene, object_id: int, contact: np.ndarray) -> float:
 
 def _contact(heights: np.ndarray, ids: np.ndarray, xy: np.ndarray, image: np.ndarray):
     """Contact point and object id of a probe whose frame fired: those of
-    the sensel of the peak plateau, the largest indentation in its
-    ``image``, nearest the plateau's mean position, ties going to the first
-    in row-major order. Like a GelSight contact (Yuan, Dong & Adelson, 2017),
-    it is the pressed patch's centre: a flat top's is the footprint centre,
-    and a rim's stays on the rim. The distances are taken in sensel indices
-    scaled by ``SENSOR``'s pitches, so a symmetric plateau ties exactly."""
+    the peak plateau's sensel nearest the plateau's mean, ties going to the
+    first in row-major order, so a flat top is touched at the footprint
+    centre and a rim contact stays on the rim (the pressed patch's centre,
+    as GelSight locates it: Yuan, Dong & Adelson, 2017). Distances are
+    sensel offsets times ``SENSOR``'s pitches: a symmetric plateau ties."""
     plateau = image == image.max()
     count = np.count_nonzero(plateau)
     rows, cols = np.arange(image.shape[0]), np.arange(image.shape[1])
     dy = SENSOR.pitch_y * (rows - rows @ plateau.sum(axis=1) / count)
     dx = SENSOR.pitch_x * (cols - cols @ plateau.sum(axis=0) / count)
-    idx = np.unravel_index(int(np.argmin(np.where(plateau, dy[:, None] ** 2 + dx ** 2, np.inf))),
-                           image.shape)
+    d2 = np.where(plateau, dy[:, None] ** 2 + dx ** 2, np.inf)
+    idx = np.unravel_index(int(np.argmin(d2)), image.shape)
     return np.array([xy[idx][0], xy[idx][1], heights[idx]]), int(ids[idx])
 
 
@@ -534,14 +533,14 @@ class PreparedScene:
         first annotation, once per kind: the centre pixel of the bounding box
         ("bbox") or of the mask ("mask"), ``poking_point`` of the mask
         ("camera-mask"), or ``poking_point`` of the poking region ("pr",
-        "tactile" and "camera-pr" share it). None where ``poking_point``
-        raises EmptyMask or DegenerateInput. Raises InvalidConfig for an
-        unknown mode."""
+        "tactile" and "camera-pr" share it). None where nothing is in view
+        or ``poking_point`` raises EmptyMask or DegenerateInput. Raises
+        InvalidConfig for an unknown mode."""
         if mode not in POKE_GUIDANCE_MODES + GRASP_MODES:
             raise InvalidConfig(f"unknown mode {mode!r}")
         kind = "pr" if mode in ("tactile", "camera-pr") else mode
         if kind not in self._plans:
-            self._plans[kind] = _plan(self.anns[0], kind)
+            self._plans[kind] = _plan(self.anns[0], kind) if self.anns else None
         return self._plans[kind]
 
     def poke(self, plan: Optional[PokePlan], seed: int) -> PokeOutcome:

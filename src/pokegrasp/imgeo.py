@@ -1,36 +1,25 @@
 """2-D binary-image geometry kernels used by the planners.
 
 Pixel coordinates are (u, v) = (column, row) throughout; masks are indexed
-``mask[v, u]``. Contours are traced with Moore boundary following on the
-largest 8-connected component and returned counter-clockwise in the (u, v)
-plane (positive shoelace area), each boundary pixel exactly once, starting
-at the component's first row-major pixel. The labelling and the trace run
-on the mask's bounding window, not the whole frame; the contour is
-byte-equal to the whole-frame one.
+``mask[v, u]``. A mask's boundary pixels are its positive pixels with a
+4-neighbour outside it: the mask minus its 4-connected erosion, taken on
+the mask's bounding window padded by one background pixel, in row-major
+order. Every component and every hole contributes its boundary.
 
 The ellipse fit is the direct least-squares conic fit constrained to
-ellipses, in the numerically stabilized form that splits the 6x6
-generalized eigenproblem into a 3x3 one (quadratic vs. linear monomials).
-It is non-iterative and recovers exact-ellipse inputs to round-off.
+ellipses (Fitzgibbon, Pilu & Fisher, 1999), in the numerically stabilized
+form that splits the 6x6 generalized eigenproblem into a 3x3 one
+(quadratic vs. linear monomials). It is algebraic, so the order of its
+points does not matter; it is non-iterative and recovers exact-ellipse
+inputs to round-off.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import DegenerateInput, EmptyMask
-
-# Moore neighborhood in clockwise screen order, offsets as (dv, du)
-_OFFS = [(0, -1), (-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1)]
-# the directions tried after a backtrack in direction b, clockwise from it
-_SCAN = [[(b + i) % 8 for i in range(1, 9)] for b in range(8)]
-# the direction from a pixel stepped to in direction d back to the new
-# backtrack, the neighbour tried just before it
-_BACK = [_OFFS.index((_OFFS[d - 1][0] - _OFFS[d][0], _OFFS[d - 1][1] - _OFFS[d][1]))
-         for d in range(8)]
-_EIGHT = np.ones((3, 3), dtype=int)
 
 
 @dataclass(frozen=True)
@@ -49,58 +38,6 @@ class Ellipse:
         object.__setattr__(self, "rotation_angle", angle)
 
 
-def largest_component(mask: np.ndarray) -> np.ndarray:
-    """Largest 8-connected component; ties broken by first label (row-major)."""
-    labels, n = ndimage.label(mask, structure=_EIGHT)
-    if n == 0:
-        raise EmptyMask("mask has no positive pixels")
-    if n == 1:
-        return labels == 1
-    counts = np.bincount(labels.ravel())[1:]
-    return labels == (int(np.argmax(counts)) + 1)
-
-
-def _trace_boundary(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Moore boundary following with Jacob's stopping criterion.
-
-    ``mask`` must be a single 8-connected component. Returns (v, u) pixels
-    in trace order, first occurrence only.
-
-    The walk runs on the mask padded by one background pixel, read as bytes
-    and stepped by flat offsets, so no neighbour needs a bounds check. The
-    backtrack is kept as the direction from the current pixel to it.
-    """
-    h, w = mask.shape
-    stride = w + 2
-    padded = np.zeros((h + 2, stride), dtype=bool)
-    padded[1:-1, 1:-1] = mask
-    fg = padded.tobytes()
-    steps = [dv * stride + du for dv, du in _OFFS]
-    s = fg.index(1)  # the row-major first pixel; west of it is background
-    p, back = s, 0
-    ordered = [s]
-    seen = {s}
-    for _ in range(4 * (fg.count(1) + 8)):
-        for d in _SCAN[back]:
-            if fg[p + steps[d]]:
-                break
-        else:
-            break  # isolated pixel
-        p, back = p + steps[d], _BACK[d]
-        if p == s and back == 0:
-            break
-        if p not in seen:
-            seen.add(p)
-            ordered.append(p)
-    return [(q // stride - 1, q % stride - 1) for q in ordered]
-
-
-def _shoelace(points_uv: np.ndarray) -> float:
-    u = points_uv[:, 0]
-    v = points_uv[:, 1]
-    return 0.5 * float(np.sum(u * np.roll(v, -1) - np.roll(u, -1) * v))
-
-
 def bbox_of(mask: np.ndarray) -> tuple[int, int, int, int]:
     """Inclusive (u_min, v_min, u_max, v_max) of the positive pixels, read
     from ``any`` over the rows and the columns. Raises EmptyMask when the
@@ -112,22 +49,17 @@ def bbox_of(mask: np.ndarray) -> tuple[int, int, int, int]:
     return int(cols[0]), int(rows[0]), int(cols[-1]), int(rows[-1])
 
 
-def find_external_contour(mask: np.ndarray) -> np.ndarray:
-    """Outer boundary of the largest component as (N, 2) integer (u, v).
-
-    Labels and traces only the mask's bounding window: it holds every
-    positive pixel in the same row-major order, so the labels, the largest
-    component and the trace are those of the whole frame, shifted by the
-    window's corner. Raises EmptyMask when the mask has no positive pixel.
-    """
+def boundary_pixels(mask: np.ndarray) -> np.ndarray:
+    """(N, 2) integer (u, v) of the mask's boundary pixels, in row-major
+    order: the positive pixels with a 4-neighbour outside the mask. Raises
+    EmptyMask when the mask has no positive pixel."""
     mask = np.asarray(mask, dtype=bool)
     u0, v0, u1, v1 = bbox_of(mask)
-    comp = largest_component(mask[v0:v1 + 1, u0:u1 + 1])
-    pts = _trace_boundary(comp)
-    uv = np.array([[u + u0, v + v0] for v, u in pts], dtype=np.int64)
-    if len(uv) >= 3 and _shoelace(uv.astype(np.float64)) < 0.0:
-        uv = np.concatenate([uv[:1], uv[1:][::-1]], axis=0)
-    return uv
+    pad = np.pad(mask[v0:v1 + 1, u0:u1 + 1], 1)
+    inner = pad[1:-1, 1:-1]
+    eroded = inner & pad[:-2, 1:-1] & pad[2:, 1:-1] & pad[1:-1, :-2] & pad[1:-1, 2:]
+    vs, us = np.nonzero(inner & ~eroded)
+    return np.column_stack([us + u0, vs + v0])
 
 
 def nearest_positive(mask: np.ndarray, q) -> tuple[int, int]:
@@ -160,14 +92,10 @@ def fit_ellipse(points) -> Ellipse:
     s3 = d2.T @ d2
     try:
         t = -np.linalg.solve(s3, s2.T)
+        m = s1 + s2 @ t
+        evals, evecs = np.linalg.eig(np.array([m[2] / 2.0, -m[1], m[0] / 2.0]))
     except np.linalg.LinAlgError as e:
         raise DegenerateInput("collinear or degenerate points") from e
-    m = s1 + s2 @ t
-    m = np.array([m[2] / 2.0, -m[1], m[0] / 2.0])
-    try:
-        evals, evecs = np.linalg.eig(m)
-    except np.linalg.LinAlgError as e:
-        raise DegenerateInput("eigen decomposition failed") from e
     best = None
     for k in range(3):
         if abs(evals[k].imag) > 1e-8 * (abs(evals[k].real) + 1.0):

@@ -1,7 +1,7 @@
 """Poking-point and heuristic-grasp planning.
 
 The poking point is derived from the poking-region mask alone: fit an
-ellipse to the region's external contour; poke at the ellipse center when
+ellipse to the region's boundary pixels; poke at the ellipse center when
 it falls on the region (simply-connected case, e.g. a closed top face),
 else at the region pixel nearest the center (ring case, e.g. a vessel
 rim) so the sensor lands on material instead of the opening.
@@ -18,12 +18,10 @@ planned from the poking point's plan, whose topology is decided once:
   center-to-rim bearing. Otherwise the object is small enough to span:
   centroid grasp at the center.
 
-A proposal's theta is a world bearing in both branches: radians in
-[0, pi) from world +x. The ellipse's angle is measured in the image, from
-+u with v pointing down, and the camera maps it to the world with a
-mirror and a tilt, so a centroid grasp back-projects the ellipse centre
-and the pixel one unit from it along the major axis, both at the grasp
-height, and takes the bearing between the two points.
+A proposal's theta is a world bearing in [0, pi) from +x in both branches.
+The camera mirrors and tilts image angles, so a centroid grasp takes the
+bearing from the ellipse centre to the pixel one unit along its major
+axis, both back-projected at the grasp height.
 """
 from __future__ import annotations
 
@@ -33,8 +31,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import EmptyMask, InvalidConfig, WidthOverflow
-from .imgeo import Ellipse, find_external_contour, fit_ellipse, nearest_positive
+from .errors import InvalidConfig, WidthOverflow
+from .imgeo import Ellipse, boundary_pixels, fit_ellipse, nearest_positive
 from .scene import CameraModel
 
 SIMPLY_CONNECTED = "simply-connected"
@@ -78,29 +76,26 @@ class PokePlan:
     region_topology: str                 # SIMPLY_CONNECTED | RING
 
 
-def _centroid_pixel(ellipse: Ellipse) -> tuple[int, int]:
-    return int(round(ellipse.centroid[0])), int(round(ellipse.centroid[1]))
-
-
-def _in_region(region: np.ndarray, px: tuple[int, int]) -> bool:
-    u, v = px
-    h, w = region.shape
-    return 0 <= u < w and 0 <= v < h and bool(region[v, u])
-
-
 def poking_point(region: np.ndarray) -> PokePlan:
-    """Pixel-frame poking point for one poking-region mask."""
+    """Pixel-frame poking point for one poking-region mask.
+
+    The ellipse is fitted to every boundary pixel of the region
+    (``boundary_pixels``). Where its rounded centre lies on the region (a
+    closed top face), that pixel is the poke: simply connected. Otherwise
+    the region is a ring (a vessel rim), and the poke is the region pixel
+    nearest the ellipse centre, ties going to the first in row-major order.
+    Rounding sets that pick, since many inner-edge pixels are nearly as
+    near: a sub-pixel move of the centre can flip it across the rim. Raises
+    EmptyMask for an empty region, DegenerateInput where the fit fails.
+    """
     region = np.asarray(region, dtype=bool)
-    if not region.any():
-        raise EmptyMask("poking region is empty")
-    contour = find_external_contour(region)
-    ellipse = fit_ellipse(contour)
-    center_px = _centroid_pixel(ellipse)
-    if _in_region(region, center_px):
-        return PokePlan(point_px=center_px, ellipse=ellipse,
-                        region_topology=SIMPLY_CONNECTED)
-    point = nearest_positive(region, ellipse.centroid)
-    return PokePlan(point_px=point, ellipse=ellipse, region_topology=RING)
+    ellipse = fit_ellipse(boundary_pixels(region))
+    u, v = (int(round(c)) for c in ellipse.centroid)
+    h, w = region.shape
+    if 0 <= u < w and 0 <= v < h and region[v, u]:
+        return PokePlan(point_px=(u, v), ellipse=ellipse, region_topology=SIMPLY_CONNECTED)
+    return PokePlan(point_px=nearest_positive(region, ellipse.centroid), ellipse=ellipse,
+                    region_topology=RING)
 
 
 def heuristic_grasp(poke_world: np.ndarray, plan: PokePlan, camera: CameraModel,
@@ -110,8 +105,7 @@ def heuristic_grasp(poke_world: np.ndarray, plan: PokePlan, camera: CameraModel,
     ``poke_world`` is the contact position; its z is the contact height at
     which the ellipse center is back-projected. ``plan`` is the
     ``poking_point`` of the poked region: its ``region_topology`` picks the
-    branch and its ``ellipse`` gives the center and the major axis, whose
-    world bearing at height z orients a centroid grasp.
+    branch and its ``ellipse`` gives the center and the major axis.
     Raises InvalidConfig for a plan with no ellipse (a bbox or mask guidance
     plan) and WidthOverflow when an edge grasp would open wider than the
     gripper.
@@ -121,9 +115,9 @@ def heuristic_grasp(poke_world: np.ndarray, plan: PokePlan, camera: CameraModel,
         raise InvalidConfig("heuristic_grasp needs a plan with a fitted ellipse")
     poke_world = np.asarray(poke_world, dtype=np.float64)
     x, y, z = (float(v) for v in poke_world)
+    center = camera.backproject_at_height(ellipse.centroid, z)[:2]
     if plan.region_topology == RING:
-        center_world = camera.backproject_at_height(ellipse.centroid, z)
-        delta = poke_world[:2] - center_world[:2]
+        delta = poke_world[:2] - center
         dist = float(np.hypot(delta[0], delta[1]))
         if dist > 0.5 * gripper.finger_width:
             width = 2.0 * dist
@@ -131,10 +125,9 @@ def heuristic_grasp(poke_world: np.ndarray, plan: PokePlan, camera: CameraModel,
                 raise WidthOverflow(width, gripper.maximum_gripper_width)
             bearing = float(np.arctan2(delta[1], delta[0])) % np.pi
             return GraspProposal(x=x, y=y, z=z, w=width, theta=bearing, kind="edge")
-        x, y = float(center_world[0]), float(center_world[1])
-    cu, cv = ellipse.centroid
+        x, y = float(center[0]), float(center[1])
     a = ellipse.rotation_angle
-    axis = (camera.backproject_at_height((cu + np.cos(a), cv + np.sin(a)), z)
-            - camera.backproject_at_height(ellipse.centroid, z))
-    return GraspProposal(x=x, y=y, z=z, w=gripper.maximum_gripper_width,
-                         theta=float(np.arctan2(axis[1], axis[0])) % np.pi, kind="centroid")
+    tip = camera.backproject_at_height(np.add(ellipse.centroid, (np.cos(a), np.sin(a))), z)
+    bearing = float(np.arctan2(tip[1] - center[1], tip[0] - center[0])) % np.pi
+    return GraspProposal(x=x, y=y, z=z, w=gripper.maximum_gripper_width, theta=bearing,
+                         kind="centroid")

@@ -1151,6 +1151,12 @@ def test_a_preparation_plans_once_per_kind(monkeypatch):
         prepared.plan("centre")
 
 
+def test_a_preparation_with_nothing_in_view_plans_none():
+    prepared = annotations_for(Scene(camera=default_camera()), TrialConfig())
+    assert prepared.anns == []
+    assert [prepared.plan(mode) for mode in POKE_GUIDANCE_MODES + GRASP_MODES] == [None] * 6
+
+
 def test_run_benchmark_drops_an_objects_preparations_after_it(monkeypatch):
     # the preparations, with their memoised pokes, held for a whole table
     # took a full poke table from about 105 to 410 MB of peak memory
@@ -1172,7 +1178,7 @@ def test_run_benchmark_drops_an_objects_preparations_after_it(monkeypatch):
 
 # SHA-256 of the sorted-key JSON of the camera-mask and camera-pr grasp table
 # over every catalog object at attempt slots 0, 4 and 8, master seed 0
-CAMERA_GRASP_SHA256 = "403a4dea92aeb0782b19eefded5c29185aa6b904bc50d12cedb3d085f7ba20d4"
+CAMERA_GRASP_SHA256 = "4a55e77d95a7456abf4cbabd70342b38d0a1bceb4b005fa243394920eb0475cd"
 
 
 def test_camera_grasp_table_is_pinned():
@@ -1186,7 +1192,7 @@ def test_camera_grasp_table_is_pinned():
 # SHA-256 of the sorted-key JSON of the bbox, mask and pr poke table, then the
 # tactile grasp table, over every catalog object at attempt slots 0, 4 and 8,
 # master seed 0
-TACTILE_COLUMNS_SHA256 = "dda50482c4d04c98b0831e86bd7030400c0e034703fa7e20bb198049e1777a2f"
+TACTILE_COLUMNS_SHA256 = "84c8761db73ee4cb43918390623c17dda83e64ee9f407159f440c36e2824db11"
 
 
 def test_tactile_columns_are_pinned(monkeypatch):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from pokegrasp.catalog import benchmark_scene
 from pokegrasp.errors import EmptyMask, InvalidConfig, WidthOverflow
+from pokegrasp.harness import TrialConfig, annotations_for
 from pokegrasp.imgeo import Ellipse
 from pokegrasp.plan import (RING, SIMPLY_CONNECTED, GripperSpec, PokePlan, heuristic_grasp,
                             poking_point)
@@ -44,6 +46,19 @@ class TestPokingPoint:
         p0 = poking_point(base).point_px
         p1 = poking_point(moved).point_px
         assert (p0[0] + du, p0[1] + dv) == p1
+
+
+@pytest.mark.parametrize("attempt", [0, 1, 2, 3, 8, 10])
+def test_small_cup_ellipse_is_centred_on_the_rim(attempt):
+    # the thin rim of an upright small disposable cup breaks into several
+    # components; a fit to every boundary pixel still centres on the rim,
+    # where a fit to the largest fragment alone lands 5-15 px off
+    scene = benchmark_scene("small_disposable_cup", attempt, master_seed=0)
+    cup = scene.objects[0]
+    assert cup.pose.rotation[2, 2] == 1.0  # upright
+    rim = cup.pose.translation + [0.0, 0.0, cup.shape.z_max]
+    ellipse = annotations_for(scene, TrialConfig()).plan("pr").ellipse
+    assert np.hypot(*np.subtract(ellipse.centroid, scene.camera.project(rim))) < 1.0
 
 
 def ring_plan(ellipse):

@@ -1,7 +1,8 @@
 """Project metadata and settings: every console script ``pyproject.toml``
 declares must resolve to a callable, or the installed command fails on start,
-the pytest settings must let a failing test report, and no package module
-keeps an import it never reads."""
+the pytest settings must let a failing test report, no package module
+keeps an import it never reads, and importing the package loads no scipy,
+which only the benchmark scripts use."""
 import ast
 import importlib
 import subprocess
@@ -63,3 +64,12 @@ def test_no_module_keeps_an_unused_import():
                            for alias in node.names
                            if (alias.asname or alias.name).split(".")[0] not in read]
     assert not unused
+
+
+def test_importing_the_package_loads_no_scipy():
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, pokegrasp; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env={"PYTHONPATH": str(PACKAGE.parent)}, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
