@@ -30,14 +30,16 @@ the trial seeds. The trials and their preparations take it positionally
 and do not read it.
 
 Everything is reproducible from (scene, mode, master seed, trial index);
-per-trial seeds come from the splitmix64 mixer in `seeding`.
+per-trial seeds come from the splitmix64 mixer in `seeding`. Only a grasp
+reads its seed, for the depth model or the adhesion coin; no outcome
+carries one, since the benchmark record holds it. Every outcome names why
+its trial ended in ``reason``: "" on a success or a topple.
 
 The trials on one scene object share its `PreparedScene`, and a trial
 takes no other: one render and one poking-region pass, one plan per kind
 (``PreparedScene.plan``, the one place a mode's plan is made) and one poke
-per pixel. A poke does not depend on the trial seed, which is only stamped
-on its outcome, so the `pr` poke and the `tactile` grasp's poke, or a
-`bbox` and a `mask` poke on the same pixel, lower the sensor once.
+per pixel. A poke reads no seed, so the `pr` poke and the `tactile` grasp's
+poke, or a `bbox` and a `mask` poke on the same pixel, share one outcome.
 
 The table is the world plane z = 0 with +z up (`scene`): the protective
 stop, the grasp floors and the depth model's background read heights from
@@ -120,7 +122,7 @@ class TrialConfig:
 @dataclass(frozen=True)
 class PokeOutcome:
     status: str  # success | miss | topple
-    seed: int
+    reason: str = ""  # why a miss ended; "" otherwise
     contact_point: Optional[np.ndarray] = None
     contact_object: int = 0
     stop_z: float = 0.0
@@ -130,7 +132,7 @@ class PokeOutcome:
         return float(self.contact_point[2])
 
     def to_json(self) -> dict:
-        return {"status": self.status, "seed": self.seed,
+        return {"status": self.status, "reason": self.reason,
                 "contact_point": None if self.contact_point is None else self.contact_point.tolist(),
                 "contact_object": self.contact_object, "stop_z": self.stop_z}
 
@@ -138,13 +140,12 @@ class PokeOutcome:
 @dataclass(frozen=True)
 class GraspOutcome:
     status: str  # success | failure
-    seed: int
     reason: str = ""
     grasp: Optional[GraspProposal] = None
     localization_error: Optional[float] = None
 
     def to_json(self) -> dict:
-        return {"status": self.status, "seed": self.seed, "reason": self.reason,
+        return {"status": self.status, "reason": self.reason,
                 "grasp": None if self.grasp is None else self.grasp.to_json(),
                 "localization_error": self.localization_error}
 
@@ -356,7 +357,7 @@ def _contact(heights: np.ndarray, ids: np.ndarray, xy: np.ndarray, image: np.nda
     return np.array([xy[idx][0], xy[idx][1], heights[idx]]), int(ids[idx])
 
 
-def simulate_poke(scene: Scene, plan: Optional[PokePlan], *, seed: int = 0) -> PokeOutcome:
+def simulate_poke(scene: Scene, plan: Optional[PokePlan]) -> PokeOutcome:
     """Lower the sensor along the plan pixel's view ray until contact.
 
     The sensor centre at probe height z is the ray's point at z, with z
@@ -392,11 +393,11 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan], *, seed: int = 0) -> P
     full frames until ``detect_contact`` fires.
     """
     if plan is None:
-        return PokeOutcome(status=MISS, seed=seed)
+        return PokeOutcome(status=MISS, reason="planning_failed")
     cam = scene.camera
     origin, direction = cam.pixel_ray(plan.point_px)
     if direction[2] >= -1e-9:
-        return PokeOutcome(status=MISS, seed=seed)
+        return PokeOutcome(status=MISS, reason="ray_not_down")
 
     def center_at(z: float) -> np.ndarray:
         t = (z - origin[2]) / direction[2]
@@ -438,7 +439,7 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan], *, seed: int = 0) -> P
             break
         z -= COARSE_STEP
     if first_touch is None:
-        return PokeOutcome(status=MISS, seed=seed, stop_z=H_STOP)
+        return PokeOutcome(status=MISS, reason="no_touch", stop_z=H_STOP)
     z = min(first_touch + COARSE_STEP, z_top)
     while z >= H_STOP - 1e-12:
         center = center_at(z)
@@ -448,19 +449,18 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan], *, seed: int = 0) -> P
             if _contact_dot(scene, cid, contact) < CONTACT_DOT_MIN:
                 # pressing a steep surface (e.g. a wall through the opening)
                 # jams the arm: protective stop, no usable contact
-                return PokeOutcome(status=MISS, seed=seed, stop_z=z)
+                return PokeOutcome(status=MISS, reason="steep_contact", stop_z=z)
             status = TOPPLE if poke_would_topple(scene, cid, contact, F_STOP) else SUCCESS
-            return PokeOutcome(status=status, seed=seed, contact_point=contact,
-                               contact_object=cid, stop_z=z)
+            return PokeOutcome(status=status, contact_point=contact, contact_object=cid, stop_z=z)
         z -= DESCENT_STEP
-    return PokeOutcome(status=MISS, seed=seed, stop_z=H_STOP)
+    return PokeOutcome(status=MISS, reason="no_fire", stop_z=H_STOP)
 
 
 # ---------------------------------------------------------------------------
 # grasp simulation
 # ---------------------------------------------------------------------------
 
-def simulate_grasp(scene: Scene, grasp: GraspProposal, seed: int = 0) -> GraspOutcome:
+def simulate_grasp(scene: Scene, grasp: GraspProposal) -> GraspOutcome:
     """Execute a proposal against true geometry.
 
     Success needs (i) both finger sweep prisms clear of the solid above
@@ -485,7 +485,7 @@ def simulate_grasp(scene: Scene, grasp: GraspProposal, seed: int = 0) -> GraspOu
     collision = z_exec + 1e-9
     heights, _ = top_heights(scene.objects, samples, floor=collision)
     if np.any(heights > collision):
-        return GraspOutcome(status=FAILURE, seed=seed, reason="descent_collision", grasp=grasp)
+        return GraspOutcome(status=FAILURE, reason="descent_collision", grasp=grasp)
     ts = np.linspace(-grasp.w / 2.0, grasp.w / 2.0, 801)
     pts = np.concatenate([center[None, :] + ts[:, None] * u[None, :],
                           np.full((ts.size, 1), z_exec)], axis=1)
@@ -493,18 +493,17 @@ def simulate_grasp(scene: Scene, grasp: GraspProposal, seed: int = 0) -> GraspOu
     for obj in scene.objects:
         inside |= contains(obj, pts)
     if not inside.any():
-        return GraspOutcome(status=FAILURE, seed=seed, reason="no_contact", grasp=grasp)
+        return GraspOutcome(status=FAILURE, reason="no_contact", grasp=grasp)
     if inside[0] or inside[-1]:
-        return GraspOutcome(status=FAILURE, seed=seed, reason="finger_inside_object",
-                            grasp=grasp)
+        return GraspOutcome(status=FAILURE, reason="finger_inside_object", grasp=grasp)
     first = int(np.argmax(inside))
     last = int(ts.size - 1 - np.argmax(inside[::-1]))
     midpoint = center + 0.5 * (ts[first] + ts[last]) * u
     err = float(np.hypot(*(center - midpoint)))
     if err >= 0.5 * fw:
-        return GraspOutcome(status=FAILURE, seed=seed, reason="localization_error",
+        return GraspOutcome(status=FAILURE, reason="localization_error",
                             grasp=grasp, localization_error=err)
-    return GraspOutcome(status=SUCCESS, seed=seed, grasp=grasp, localization_error=err)
+    return GraspOutcome(status=SUCCESS, grasp=grasp, localization_error=err)
 
 
 # ---------------------------------------------------------------------------
@@ -543,22 +542,21 @@ class PreparedScene:
             self._plans[kind] = _plan(self.anns[0], kind) if self.anns else None
         return self._plans[kind]
 
-    def poke(self, plan: Optional[PokePlan], seed: int) -> PokeOutcome:
+    def poke(self, plan: Optional[PokePlan]) -> PokeOutcome:
         """``simulate_poke`` of ``plan``, once per pixel.
 
-        A poke reads only the plan's pixel, and the seed only stamps its
-        outcome, so a repeat is the first outcome restamped. Its contact
-        point is made read-only, since every repeat shares it.
+        A poke reads only the plan's pixel and no seed, so a repeat returns
+        the first outcome itself. Its contact point is made read-only, since
+        every trial on the pixel shares it.
         """
         if plan is None:
-            return simulate_poke(self.scene, plan, seed=seed)
-        memo = self._pokes.get(plan.point_px)
-        if memo is not None:
-            return dataclasses.replace(memo, seed=seed)
-        out = simulate_poke(self.scene, plan, seed=seed)
-        if out.contact_point is not None:
-            out.contact_point.setflags(write=False)
-        self._pokes[plan.point_px] = out
+            return simulate_poke(self.scene, plan)
+        out = self._pokes.get(plan.point_px)
+        if out is None:
+            out = simulate_poke(self.scene, plan)
+            if out.contact_point is not None:
+                out.contact_point.setflags(write=False)
+            self._pokes[plan.point_px] = out
         return out
 
 
@@ -606,25 +604,27 @@ def _is_side_lying_cylinder(obj: ObjectModel) -> bool:
 def run_poke_trial(scene: Scene, cfg: TrialConfig, seed: int, guidance: str,
                    prepared: Optional[PreparedScene] = None) -> PokeOutcome:
     """One poke of ``scene`` guided by ``guidance`` ("bbox", "mask" or "pr").
-    ``cfg`` is not read. ``prepared`` is ``annotations_for`` of this very
-    ``scene`` object, or None for a fresh one; anything else raises
-    InvalidConfig.
+    Neither ``cfg`` nor ``seed`` is read. ``prepared`` is ``annotations_for``
+    of this very ``scene`` object, or None for a fresh one; anything else
+    raises InvalidConfig.
 
     The trial targets ``anns[0]``, the visible object with the lowest id, at
     the pixel of ``PreparedScene.plan(guidance)``.
-    It ends as ``miss`` when, in order: nothing is in view; there is no plan
-    (an empty or degenerate region); the plan pixel's ray does not point
-    down; no sensel counts before ``H_STOP``; the contact is on a surface
-    steeper than ``CONTACT_DOT_MIN``; or the fine descent never fires. A
-    contact ends as ``topple`` when the object tips below ``F_STOP``, and
-    as ``success`` otherwise. Raises InvalidConfig for an unknown guidance.
+    It ends as ``miss``, with the first reason that holds: ``no_annotation``
+    (nothing in view), ``planning_failed`` (no plan: an empty or degenerate
+    region), ``ray_not_down`` (the plan pixel's ray), ``no_touch`` (no
+    sensel counts before ``H_STOP``), ``steep_contact`` (a surface steeper
+    than ``CONTACT_DOT_MIN``) or ``no_fire`` (the fine descent never fires).
+    A contact ends as ``topple`` when the object tips below ``F_STOP``, and
+    as ``success`` otherwise, both with the reason "". Raises InvalidConfig
+    for an unknown guidance.
     """
     if guidance not in POKE_GUIDANCE_MODES:
         raise InvalidConfig(f"unknown guidance {guidance!r}")
     prepared = _owned(scene, prepared)
     if not prepared.anns:
-        return PokeOutcome(status=MISS, seed=seed)
-    return prepared.poke(prepared.plan(guidance), seed)
+        return PokeOutcome(status=MISS, reason="no_annotation")
+    return prepared.poke(prepared.plan(guidance))
 
 
 def run_grasp_trial(scene: Scene, cfg: TrialConfig, seed: int, mode: str,
@@ -653,20 +653,20 @@ def run_grasp_trial(scene: Scene, cfg: TrialConfig, seed: int, mode: str,
     prepared = _owned(scene, prepared)
     buffers, anns = prepared
     if not anns:
-        return GraspOutcome(status=FAILURE, seed=seed, reason="no_annotation")
+        return GraspOutcome(status=FAILURE, reason="no_annotation")
     cam = scene.camera
     trial_seed = mix(seed, 0x9A59)  # seeds the adhesion coin or the depth model
     plan = prepared.plan(mode)
     if plan is None:
-        return GraspOutcome(status=FAILURE, seed=seed, reason="planning_failed")
+        return GraspOutcome(status=FAILURE, reason="planning_failed")
 
     if mode == "tactile":
-        poke = prepared.poke(plan, seed)
+        poke = prepared.poke(plan)
         if poke.status != SUCCESS:
-            return GraspOutcome(status=FAILURE, seed=seed, reason=f"poke_{poke.status}")
+            return GraspOutcome(status=FAILURE, reason=f"poke_{poke.status}")
         target = scene.object_by_id(poke.contact_object)
         if _is_side_lying_cylinder(target) and rng_for(trial_seed).random() < ADHESION_PROB:
-            return GraspOutcome(status=FAILURE, seed=seed, reason="adhesion_disturbance")
+            return GraspOutcome(status=FAILURE, reason="adhesion_disturbance")
         height = poke.contact_height
     else:
         # the region's pixels are object pixels, read in the same row-major order
@@ -677,13 +677,13 @@ def run_grasp_trial(scene: Scene, cfg: TrialConfig, seed: int, mode: str,
         heights = surface_heights(depth[in_region], dz[in_region], cam.pose.translation[2])
         heights = heights[np.isfinite(heights)]
         if not heights.size:
-            return GraspOutcome(status=FAILURE, seed=seed, reason="no_depth")
+            return GraspOutcome(status=FAILURE, reason="no_depth")
         height = max(float(heights.mean()), 0.001)
     poke_v = cam.backproject_at_height(plan.point_px, height)
     try:
         proposal = heuristic_grasp(poke_v, plan, cam, GRIPPER)
     except WidthOverflow:
-        return GraspOutcome(status=FAILURE, seed=seed, reason="width_overflow")
+        return GraspOutcome(status=FAILURE, reason="width_overflow")
     # the camera modes execute the proposal as it is: its back-projected z
     # can differ from the height in the last bit
     if mode == "tactile":
@@ -692,7 +692,7 @@ def run_grasp_trial(scene: Scene, cfg: TrialConfig, seed: int, mode: str,
             # proposed at poke_v's x, y: anchored to the sensed contact point
             x, y = poke.contact_point[:2]
         proposal = dataclasses.replace(proposal, x=float(x), y=float(y), z=height)
-    return simulate_grasp(scene, proposal, seed=seed)
+    return simulate_grasp(scene, proposal)
 
 
 # ---------------------------------------------------------------------------

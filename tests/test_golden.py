@@ -10,8 +10,13 @@ record byte-equal. ``run_benchmark`` runs one task per call, so a further
 test runs the poke modes and the ``tactile`` grasp over one preparation
 per scene and checks each record against the same digests.
 
-The table in ``golden_trials.json`` changes only with a deliberate,
-documented behaviour change. Regenerate it with
+``golden_trials.json`` also holds the two wider pins that
+``test_harness.py`` checks: the digests of the camera grasp table and of
+the tactile columns (``PINNED``) over every catalog object at three
+attempt slots.
+
+The file changes only with a deliberate, documented behaviour change.
+Regenerate the table and both pins with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -21,13 +26,17 @@ from pathlib import Path
 
 import pytest
 
-from pokegrasp.catalog import benchmark_scene
+from pokegrasp.catalog import OBJECT_NAMES, benchmark_scene
 from pokegrasp.harness import GRASP_MODES, POKE_GUIDANCE_MODES, TrialConfig, \
     annotations_for, run_benchmark, run_grasp_trial, run_poke_trial
 from pokegrasp.seeding import mix
 
 GOLDEN_PATH = Path(__file__).with_name("golden_trials.json")
 SCENE_ATTEMPTS = {"big_disposable_cup": (0, 4), "rectangular_cup": (4, 8), "jar": (0, 8)}
+PIN_SLOTS = (0, 4, 8)
+# the (task, modes) tables that each pin digests, in order
+PINNED = {"camera_grasp": (("grasp", ("camera-mask", "camera-pr")),),
+          "tactile_columns": (("poke", POKE_GUIDANCE_MODES), ("grasp", ("tactile",)))}
 
 
 def _digest(obj) -> str:
@@ -51,6 +60,19 @@ def golden_table(tables: dict) -> dict:
               for task, table in tables.items() for t in table["trials"]]
     return {"tables": {task: _digest(table) for task, table in tables.items()},
             "trials": trials}
+
+
+def pinned_tables(name: str):
+    """Yield the ``to_json`` of each table of the pin ``name``, in order, over
+    every catalog object at the attempt slots ``PIN_SLOTS``, master seed 0."""
+    scenes = {n: [benchmark_scene(n, s, master_seed=0) for s in PIN_SLOTS] for n in OBJECT_NAMES}
+    for task, modes in PINNED[name]:
+        yield run_benchmark(scenes, modes, len(PIN_SLOTS), TrialConfig(), task=task).to_json()
+
+
+def golden_pins() -> dict:
+    """The committed digest of each pin in ``PINNED``."""
+    return json.loads(GOLDEN_PATH.read_text())["pins"]
 
 
 @pytest.fixture(scope="module")
@@ -98,4 +120,6 @@ def test_same_seed_gives_identical_json(tables):
 
 
 if __name__ == "__main__":
-    GOLDEN_PATH.write_text(json.dumps(golden_table(golden_tables()), indent=1) + "\n")
+    golden = golden_table(golden_tables())
+    golden["pins"] = {name: _digest(list(pinned_tables(name))) for name in PINNED}
+    GOLDEN_PATH.write_text(json.dumps(golden, indent=1) + "\n")

@@ -1,8 +1,8 @@
 import dataclasses
-import hashlib
 import importlib
 import json
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -28,6 +28,7 @@ from pokegrasp.tactile import DEFAULT_COUNT_THRESHOLD, DEFAULT_VALUE_THRESHOLD, 
     TactileSensorSpec, detect_contact, frame_from_heights
 
 from conftest import overhead_camera
+from test_golden import _digest, golden_pins, pinned_tables
 
 # the module, which the package's ``render`` function shadows as an attribute
 render_module = importlib.import_module("pokegrasp.render")
@@ -651,7 +652,7 @@ def test_the_lattice_decides_as_the_full_frame(name, attempt):
     assert touches > 0
 
 
-def full_frame_poke(scene, plan, seed=0):
+def full_frame_poke(scene, plan):
     """simulate_poke with a coarse descent that casts the full frame at every
     height the skip does not pass over, as it did before the lattice."""
     origin, direction = scene.camera.pixel_ray(plan.point_px)
@@ -673,17 +674,16 @@ def full_frame_poke(scene, plan, seed=0):
     z_top = top + COARSE_STEP
     first_touch = next((z for z in march(z_top, COARSE_STEP, H_STOP) if probe(z)[1] > 0), None)
     if first_touch is None:
-        return PokeOutcome(status=MISS, seed=seed, stop_z=H_STOP)
+        return PokeOutcome(status=MISS, reason="no_touch", stop_z=H_STOP)
     for z in march(min(first_touch + COARSE_STEP, z_top), DESCENT_STEP, H_STOP):
         hit, _, touched = probe(z)
         if hit:
             contact, cid = _contact(*touched)
             if cid == 0 or _contact_dot(scene, cid, contact) < CONTACT_DOT_MIN:
-                return PokeOutcome(status=MISS, seed=seed, stop_z=z)
+                return PokeOutcome(status=MISS, reason="steep_contact", stop_z=z)
             status = TOPPLE if poke_would_topple(scene, cid, contact, F_STOP) else SUCCESS
-            return PokeOutcome(status=status, seed=seed, contact_point=contact,
-                               contact_object=cid, stop_z=z)
-    return PokeOutcome(status=MISS, seed=seed, stop_z=H_STOP)
+            return PokeOutcome(status=status, contact_point=contact, contact_object=cid, stop_z=z)
+    return PokeOutcome(status=MISS, reason="no_fire", stop_z=H_STOP)
 
 
 def assert_same_poke(got, expected):
@@ -701,15 +701,23 @@ def test_lattice_pokes_equal_full_frame_pokes(name, attempt):
     prepared = annotations_for(scene, TrialConfig())
     plans = [prepared.plan(g) for g in POKE_GUIDANCE_MODES]
     for plan in {plan.point_px: plan for plan in plans if plan is not None}.values():
-        assert_same_poke(simulate_poke(scene, plan, seed=3), full_frame_poke(scene, plan, seed=3))
+        assert_same_poke(simulate_poke(scene, plan), full_frame_poke(scene, plan))
 
 
-def test_poke_seed_is_keyword_only():
-    # a stale positional shift raises instead of being read as the seed
+def test_a_poke_and_a_grasp_take_no_seed():
+    # a stale seed argument raises instead of being dropped unread
     scene = benchmark_scene("jar", 0, master_seed=0)
-    plan = annotations_for(scene, TrialConfig()).plan("pr")
+    prepared = annotations_for(scene, TrialConfig())
+    plan = prepared.plan("pr")
+    grasp = run_grasp_trial(scene, TrialConfig(), 0, "tactile", prepared).grasp
     with pytest.raises(TypeError):
         simulate_poke(scene, plan, 0.004)
+    with pytest.raises(TypeError):
+        simulate_poke(scene, plan, seed=3)
+    with pytest.raises(TypeError):
+        prepared.poke(plan, 3)
+    with pytest.raises(TypeError):
+        simulate_grasp(scene, grasp, seed=3)
 
 
 def cast_sizes(monkeypatch) -> list:
@@ -1092,7 +1100,7 @@ def test_bbox_and_mask_pokes_on_one_pixel_share_the_poke(monkeypatch):
     assert len(pokes) == 1
 
 
-def test_each_shared_outcome_carries_its_own_seed(monkeypatch):
+def test_a_repeated_pixel_returns_the_memoized_outcome(monkeypatch):
     scene = benchmark_scene("jar", 0, master_seed=0)
     cfg = TrialConfig()
     pokes = counted(monkeypatch, "simulate_poke")
@@ -1100,13 +1108,11 @@ def test_each_shared_outcome_carries_its_own_seed(monkeypatch):
     first, second, third = (run_poke_trial(scene, cfg, seed, "pr", prepared=prepared)
                             for seed in (5, 6, 7))
     assert len(pokes) == 1
-    assert (first.seed, second.seed, third.seed) == (5, 6, 7)
     assert first.status in (SUCCESS, TOPPLE)
-    for out in (second, third):
-        assert dataclasses.replace(out, seed=first.seed).to_json() == first.to_json()
-    # the shared contact point cannot be changed through any one outcome
-    for out in (first, second, third):
-        assert not out.contact_point.flags.writeable
+    assert second is first and third is first
+    assert "seed" not in first.to_json()
+    # the shared contact point cannot be changed through any one trial
+    assert not first.contact_point.flags.writeable
 
 
 def test_a_preparation_is_reused_for_its_own_scene_alone(monkeypatch):
@@ -1176,23 +1182,10 @@ def test_run_benchmark_drops_an_objects_preparations_after_it(monkeypatch):
     assert alive_at_call == [0, 1, 0, 1]
 
 
-# SHA-256 of the sorted-key JSON of the camera-mask and camera-pr grasp table
-# over every catalog object at attempt slots 0, 4 and 8, master seed 0
-CAMERA_GRASP_SHA256 = "4a55e77d95a7456abf4cbabd70342b38d0a1bceb4b005fa243394920eb0475cd"
-
-
 def test_camera_grasp_table_is_pinned():
-    scenes = {n: [benchmark_scene(n, s, master_seed=0) for s in (0, 4, 8)] for n in OBJECT_NAMES}
-    table = run_benchmark(scenes, ("camera-mask", "camera-pr"), 3, TrialConfig(), task="grasp")
-    assert len(table.trials) == 2 * 27
-    digest = hashlib.sha256(json.dumps(table.to_json(), sort_keys=True).encode()).hexdigest()
-    assert digest == CAMERA_GRASP_SHA256
-
-
-# SHA-256 of the sorted-key JSON of the bbox, mask and pr poke table, then the
-# tactile grasp table, over every catalog object at attempt slots 0, 4 and 8,
-# master seed 0
-TACTILE_COLUMNS_SHA256 = "84c8761db73ee4cb43918390623c17dda83e64ee9f407159f440c36e2824db11"
+    (table,) = pinned_tables("camera_grasp")
+    assert len(table["trials"]) == 2 * 27
+    assert _digest([table]) == golden_pins()["camera_grasp"]
 
 
 def test_tactile_columns_are_pinned(monkeypatch):
@@ -1205,14 +1198,29 @@ def test_tactile_columns_are_pinned(monkeypatch):
         return top_heights(*args, **kwargs)
 
     monkeypatch.setattr(harness, "top_heights", counted)
-    scenes = {n: [benchmark_scene(n, s, master_seed=0) for s in (0, 4, 8)] for n in OBJECT_NAMES}
-    tables = [run_benchmark(scenes, POKE_GUIDANCE_MODES, 3, TrialConfig(), task="poke").to_json()]
+    tables = pinned_tables("tactile_columns")
+    pokes = next(tables)
     assert len(calls) == 152
-    tables.append(run_benchmark(scenes, ("tactile",), 3, TrialConfig(), task="grasp").to_json())
+    grasps = next(tables)
     assert len(calls) == 228
-    assert [len(t["trials"]) for t in tables] == [3 * 27, 27]
-    digest = hashlib.sha256(json.dumps(tables, sort_keys=True).encode()).hexdigest()
-    assert digest == TACTILE_COLUMNS_SHA256
+    assert [len(t["trials"]) for t in (pokes, grasps)] == [3 * 27, 27]
+    assert _digest([pokes, grasps]) == golden_pins()["tactile_columns"]
+
+
+def test_seed_0_poke_misses_name_their_reasons():
+    # the pokes with no first touch are bbox-centre and mask-centroid pokes
+    # of upright open objects, whose pad enters the mouth; pr's steep stops
+    # are the six upright champagne-cup slots
+    table = run_benchmark(benchmark_scene_set(master_seed=0), POKE_GUIDANCE_MODES, 12,
+                          TrialConfig(), task="poke")
+    counts = Counter((t["mode"], t["outcome"]["status"], t["outcome"]["reason"])
+                     for t in table.trials)
+    assert counts == {("bbox", SUCCESS, ""): 79, ("bbox", MISS, "no_touch"): 16,
+                      ("bbox", MISS, "steep_contact"): 13,
+                      ("mask", SUCCESS, ""): 82, ("mask", MISS, "no_touch"): 16,
+                      ("mask", MISS, "steep_contact"): 10,
+                      ("pr", SUCCESS, ""): 90, ("pr", TOPPLE, ""): 12,
+                      ("pr", MISS, "steep_contact"): 6}
 
 
 def test_camera_grasp_without_finite_depth_reports_no_depth(monkeypatch):

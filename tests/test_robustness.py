@@ -26,6 +26,8 @@ MAX_DRAWS = 50
 GRASP_REASONS = {"no_annotation", "planning_failed", "no_depth", "poke_miss", "poke_topple",
                  "adhesion_disturbance", "width_overflow", "descent_collision", "no_contact",
                  "finger_inside_object", "localization_error"}
+POKE_REASONS = {"no_annotation", "planning_failed", "ray_not_down", "no_touch", "steep_contact",
+                "no_fire"}
 
 
 def footprint_radius(entry, orientation: str) -> float:
@@ -58,27 +60,35 @@ def drawn_scene(kind: str, index: int) -> Scene:
 
 def run_every_mode(scene: Scene, cfg: TrialConfig):
     """Run every poke guidance and every grasp mode on the scene and check
-    that each ends in a success or a known reason; return the preparation."""
+    that each ends in a success (or a topple) or a known reason; return the
+    preparation and the poke reasons seen."""
     prepared = annotations_for(scene, cfg)
+    poke_reasons = set()
     for seed, guidance in enumerate(POKE_GUIDANCE_MODES):
-        assert run_poke_trial(scene, cfg, seed, guidance, prepared).status in (SUCCESS, MISS, TOPPLE)
+        outcome = run_poke_trial(scene, cfg, seed, guidance, prepared)
+        assert (outcome.status in (SUCCESS, TOPPLE) and outcome.reason == "") or \
+            (outcome.status == MISS and outcome.reason in POKE_REASONS)
+        poke_reasons.add(outcome.reason)
     for seed, mode in enumerate(GRASP_MODES):
         outcome = run_grasp_trial(scene, cfg, seed, mode, prepared)
         assert (outcome.status, outcome.reason) == (SUCCESS, "") or \
             (outcome.status == FAILURE and outcome.reason in GRASP_REASONS)
-    return prepared
+    return prepared, poke_reasons
 
 
 @pytest.mark.parametrize("kind", list(KINDS))
 def test_every_trial_ends_in_a_known_outcome(kind):
     cfg = TrialConfig()
-    empty_views = 0
+    empty_views, poke_reasons = 0, set()
     for index in range(SCENES_PER_KIND):
         scene = drawn_scene(kind, index)
         assert len(scene.objects) == KINDS[kind][0]
-        empty_views += not run_every_mode(scene, cfg).anns
+        prepared, reasons = run_every_mode(scene, cfg)
+        empty_views += not prepared.anns
+        poke_reasons |= reasons
     # the widest draw must reach the nothing-in-view path, the others never do
     assert (empty_views > 0) == (kind == "single_35cm")
+    assert ("no_annotation" in poke_reasons) == (kind == "single_35cm")
 
 
 @st.composite
