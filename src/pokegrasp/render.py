@@ -100,7 +100,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import InvalidGeometry
-from .scene import Box, CameraModel, ObjectModel, RevolutionProfile, Scene
+from .scene import Box, CameraModel, ObjectModel, Scene, _inner_polyline
 
 T_EPS = 1e-9
 NO_HIT = np.inf
@@ -150,22 +150,6 @@ class RenderBuffers:
 # ---------------------------------------------------------------------------
 # primitive compilation (object local frame)
 # ---------------------------------------------------------------------------
-
-def _inner_polyline(profile: RevolutionProfile, wall: float) -> list[tuple[float, float]]:
-    """Inner cavity silhouette: outer profile offset inward by the wall."""
-    if profile.cavity_depth is not None:
-        cavity_z = profile.z_max - profile.cavity_depth
-    else:
-        cavity_z = profile.z_min + wall
-    if cavity_z >= profile.z_max:
-        raise InvalidGeometry("cavity floor at or above the rim")
-    pts = [(float(profile.radius_at(cavity_z)) - wall, cavity_z)]
-    pts += [(r - wall, z) for r, z in profile.points if cavity_z < z < profile.z_max]
-    pts.append((profile.top_radius - wall, profile.z_max))
-    if any(r <= 0 for r, _ in pts):
-        raise InvalidGeometry("cavity wall offset exceeds profile radius")
-    return pts
-
 
 def compile_primitives(obj: ObjectModel) -> tuple[tuple, ...]:
     """Local-frame primitives: ('frustum', r0, z0, r1, z1, tag),

@@ -15,7 +15,9 @@ Objects come in two shapes:
   the outer profile offset inward by ``wall_thickness`` and the cavity
   floor sits ``wall_thickness`` above the lowest profile point (or at
   ``height_of_rim - cavity_depth`` when ``cavity_depth`` is given). This
-  is what produces ring-shaped rims on upright vessels.
+  is what produces ring-shaped rims on upright vessels. An object is built
+  only where its floor lies strictly between the base and the rim and the
+  offset wall stays off the axis (``_inner_polyline``).
 * ``Box`` -- a solid cuboid spanning x in [-w/2, w/2], y in [-d/2, d/2],
   z in [0, h] in its local frame.
 
@@ -164,6 +166,25 @@ class RevolutionProfile:
         return np.interp(z, zs, rs)
 
 
+def _inner_polyline(profile: RevolutionProfile, wall: float) -> list[tuple[float, float]]:
+    """Inner cavity silhouette: outer profile offset inward by the wall, from
+    the cavity floor to the rim. Raises InvalidGeometry unless the floor lies
+    strictly between the base and the rim (a ``cavity_depth`` in
+    (0, z_max - z_min)) and every offset radius is positive."""
+    if profile.cavity_depth is not None:
+        cavity_z = profile.z_max - profile.cavity_depth
+    else:
+        cavity_z = profile.z_min + wall
+    if not profile.z_min < cavity_z < profile.z_max:
+        raise InvalidGeometry("cavity floor must lie between the base and the rim")
+    pts = [(float(profile.radius_at(cavity_z)) - wall, cavity_z)]
+    pts += [(r - wall, z) for r, z in profile.points if cavity_z < z < profile.z_max]
+    pts.append((profile.top_radius - wall, profile.z_max))
+    if any(r <= 0 for r, _ in pts):
+        raise InvalidGeometry("cavity wall offset exceeds profile radius")
+    return pts
+
+
 @dataclass(frozen=True)
 class Box:
     """Solid cuboid: local x in [-w/2, w/2], y in [-d/2, d/2], z in [0, h]."""
@@ -217,8 +238,7 @@ class ObjectModel:
         if self.wall_thickness <= 0:
             raise InvalidConfig("wall_thickness must be positive")
         if isinstance(self.shape, RevolutionProfile) and self.shape.open_top:
-            if self.wall_thickness >= min(r for r, _ in self.shape.points if r > 0):
-                raise InvalidGeometry("wall_thickness must be thinner than the narrowest radius")
+            _inner_polyline(self.shape, self.wall_thickness)
 
 
 @dataclass(frozen=True)

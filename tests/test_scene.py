@@ -179,6 +179,28 @@ class TestValidation:
         with pytest.raises(InvalidGeometry):
             ObjectModel(id=1, shape=shape, mass=0.1, wall_thickness=0.02)
 
+    def test_a_cone_cup_is_rejected_when_built(self):
+        # its offset wall crosses the axis above the cavity floor: the object
+        # was built, and its first render raised inside a trial
+        shape = RevolutionProfile(points=((0.0, 0.0), (0.04, 0.1)), open_top=True)
+        with pytest.raises(InvalidGeometry, match="offset"):
+            ObjectModel(id=1, shape=shape, mass=0.1)
+
+    def test_an_open_profile_of_zero_radii_is_rejected(self):
+        # the narrowest-radius rule raised a bare ValueError from min()
+        shape = RevolutionProfile(points=((0.0, 0.0), (0.0, 0.1)), open_top=True)
+        with pytest.raises(InvalidGeometry):
+            ObjectModel(id=1, shape=shape, mass=0.1)
+
+    @pytest.mark.parametrize("depth", (0.15, 0.1, 0.0, -0.01))
+    def test_cavity_depth_must_lie_within_the_height(self, depth):
+        # a 0.15 m cavity in a 0.1 m cup put the floor below the base: the axis
+        # column read the bottom disk, while contains put the base outside
+        shape = RevolutionProfile(points=((0.03, 0.0), (0.03, 0.1)), open_top=True,
+                                  cavity_depth=depth)
+        with pytest.raises(InvalidGeometry, match="between the base and the rim"):
+            ObjectModel(id=1, shape=shape, mass=0.1)
+
     def test_unique_ids(self):
         cam = identity_camera()
         a = straight_cup(oid=1)
