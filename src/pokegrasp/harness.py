@@ -48,17 +48,17 @@ it by its centre alone: the view-ray point at the probe height, with the
 probe height itself as its z.
 
 The descent is coarse, then fine. The coarse phase asks only whether any
-sensel indents, so it casts a sparse lattice of the sensel columns first,
-one sensel in every 8 x 8 block, and the full frame only where no lattice
-sensel counts; ``detect_contact`` counts both. A column's height does not
-depend on the other columns cast with it, so a lattice touch is a touch of
-the full frame. The fine phase casts full frames, and the one that fires is
-the contact frame. Every column, the contact normal's too, is cast down
-from ``render.column_start``, 1 cm above the highest object point. The
-contact normal comes from the same downward ray at the contact column, cast
-only against the primitives that can rise above the contact height there;
-they hold the face that sets the column's top, so the normal is that of a
-cast against every primitive.
+sensel indents, so it casts ``SENSOR.lattice_offsets`` first, one sensel
+column in every 8 x 8 block, and the full frame only where no lattice
+sensel counts; ``detect_contact`` counts both. Each probe reads both from
+``SENSOR``. A column's height does not depend on the other columns cast
+with it, so a lattice touch is a touch of the full frame. The fine phase
+casts full frames, and the one that fires is the contact frame. Every
+column, the contact normal's too, is cast down from ``render.column_start``,
+1 cm above the highest object point. The contact normal comes from the same
+downward ray at the contact column, cast only against the primitives that
+can rise above the contact height there; they hold the face that sets the
+column's top, so the normal is that of a cast against every primitive.
 
 A grasp's two finger sweeps, 25 columns each, are one ``top_heights``
 query floored at the collision height: only a surface above it can collide,
@@ -101,7 +101,7 @@ H_STOP = 0.01  # protective-stop height: the descent ends here, meters
 F_STOP = 0.5  # the arm's stop force, newtons
 GRIPPER = GripperSpec()
 SENSOR = TactileSensorSpec()
-ADHESION_PROB = 0.1  # a poked side-lying cylinder is disturbed with this probability
+ADHESION_PROB = 0.1  # chance that a poke disturbs a solid of revolution resting on a line
 COARSE_STEP = 0.008  # descent strides, meters
 DESCENT_STEP = 0.001
 DESCEND_OFFSET = 0.02  # the fingers close this far below the grasp height, meters
@@ -168,11 +168,11 @@ def _support(obj: ObjectModel):
     ``radius + tol`` of the convex polygon, segment or point ``hull``, an
     (n, 2) array of world (x, y) vertices in counter-clockwise order.
 
-    An upright or upside-down solid is its axis point grown by the base
-    radius; a side-lying solid is its axis segment; a box is its base
-    corners. A line or point support (a side-lying solid, a box on an edge
-    or a corner) gets the contact-patch allowance ``SIDE_INSIDE_TOL``; a
-    face or a disk gets 1e-12, so a contact on its edge is inside."""
+    A solid with |axis z| > 0.99 is its axis point grown by the base
+    radius; any other solid is its axis segment; a box is its base corners.
+    A line or point support (a solid's axis, a box on an edge or a corner)
+    gets the contact-patch allowance ``SIDE_INSIDE_TOL``; a face or a disk
+    gets 1e-12, so a contact on its edge is inside."""
     if isinstance(obj.shape, Box):
         world = obj.pose.apply(obj.shape.corners())
         base = world[world[:, 2] < world[:, 2].min() + 1e-6][:, :2]
@@ -283,7 +283,7 @@ def _corrupted_pixel_depths(buffers: RenderBuffers, scene: Scene, seed: int,
     uniform = rng.random(last - first + 1)
     rng.bit_generator.advance(buffers.depth.size - last - 1)
     drop = (uniform[idx - first] < dropout) & (dz < 0)
-    depth[drop] = (0.0 - cam.pose.translation[2]) / dz[drop]
+    depth[drop] = cam.table_depth()[idx[drop]]
     survive = ~drop
     depth[survive] += rng.normal(0.0, sigma, size=int(survive.sum()))
     return depth, dz
@@ -310,23 +310,6 @@ def _column_xy(offsets: np.ndarray, center: np.ndarray) -> np.ndarray:
     xy[:, 0] = offsets[:, 0] + center[0]
     xy[:, 1] = offsets[:, 1] + center[1]
     return xy
-
-
-# the coarse descent first casts one sensel in every 8 x 8 block: 15 x 20 of
-# the default 120 x 160 sensels, 0.7 mm apart
-_LATTICE_STRIDE = 8
-
-
-def _lattice_rows(spec: TactileSensorSpec) -> np.ndarray:
-    """Row-major frame indices of the sensels the coarse descent casts first:
-    sensel (4, 4) of every 8 x 8 block, counted from sensel (0, 0)."""
-    start = _LATTICE_STRIDE // 2
-    frame = np.arange(spec.res_y * spec.res_x).reshape(spec.res_y, spec.res_x)
-    return frame[start::_LATTICE_STRIDE, start::_LATTICE_STRIDE].ravel()
-
-
-# the sensor-centre offsets of the default sensor's lattice columns
-_LATTICE_OFFSETS = SENSOR.sensel_offsets[_lattice_rows(SENSOR)]
 
 
 def _contact_dot(scene: Scene, object_id: int, contact: np.ndarray) -> float:
@@ -382,13 +365,14 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan]) -> PokeOutcome:
 
     The coarse descent, in ``COARSE_STEP`` strides, looks for the first
     height at which any sensel counts. At each height it casts first the
-    lattice of ``_lattice_rows``, 300 of the default 19,200 sensels, with
-    the same floor. A lattice sensel that ``detect_contact`` counts, one
-    that indents by more than the threshold, is a first touch. Only where
-    none does is the full frame cast, and its count decides. ``top_heights`` gives a column
-    the same bytes whichever other columns are cast with it, so the lattice
-    counts a sensel only where the full frame counts it, and the first
-    touch is the one a full-frame descent finds. The fine descent, in
+    lattice of ``SENSOR.lattice_offsets``, 300 of the default 19,200
+    sensels, with the same floor. A lattice sensel that ``detect_contact``
+    counts, one that indents by more than the threshold, is a first touch.
+    Only where none does is the full frame cast, and its count decides.
+    ``top_heights`` gives a column the same bytes whichever other columns
+    are cast with it, so the lattice counts a sensel only where the full
+    frame counts it, and the first touch is the one a full-frame descent
+    finds. The fine descent, in
     ``DESCENT_STEP`` strides from one coarse step above that height, casts
     full frames until ``detect_contact`` fires.
     """
@@ -425,7 +409,8 @@ def simulate_poke(scene: Scene, plan: Optional[PokePlan]) -> PokeOutcome:
         center = center_at(z)
         if skipped(center):
             return False
-        heights, _ = top_heights(scene.objects, _column_xy(_LATTICE_OFFSETS, center), floor=z)
+        lattice = _column_xy(SENSOR.lattice_offsets, center)
+        heights, _ = top_heights(scene.objects, lattice, floor=z)
         if detect_contact(frame_from_heights(heights, SENSOR, center))[1] > 0:
             return True
         return probe(center)[1] > 0
@@ -595,12 +580,6 @@ def _plan(ann: InstanceAnnotation, kind: str) -> Optional[PokePlan]:
     return PokePlan(point_px=px, ellipse=None, region_topology=topo)
 
 
-def _is_side_lying_cylinder(obj: ObjectModel) -> bool:
-    if isinstance(obj.shape, Box):
-        return False
-    return abs(float(obj.pose.rotation[2, 2])) < 0.01
-
-
 def run_poke_trial(scene: Scene, cfg: TrialConfig, seed: int, guidance: str,
                    prepared: Optional[PreparedScene] = None) -> PokeOutcome:
     """One poke of ``scene`` guided by ``guidance`` ("bbox", "mask" or "pr").
@@ -665,7 +644,9 @@ def run_grasp_trial(scene: Scene, cfg: TrialConfig, seed: int, mode: str,
         if poke.status != SUCCESS:
             return GraspOutcome(status=FAILURE, reason=f"poke_{poke.status}")
         target = scene.object_by_id(poke.contact_object)
-        if _is_side_lying_cylinder(target) and rng_for(trial_seed).random() < ADHESION_PROB:
+        # a solid of revolution on a line support (its axis segment) can roll
+        on_line = not isinstance(target.shape, Box) and len(_support(target)[0]) == 2
+        if on_line and rng_for(trial_seed).random() < ADHESION_PROB:
             return GraspOutcome(status=FAILURE, reason="adhesion_disturbance")
         height = poke.contact_height
     else:
@@ -733,6 +714,8 @@ def run_benchmark(scenes_by_object: dict, modes: Sequence[str],
     for m in modes:
         if m not in valid:
             raise InvalidConfig(f"unknown {task} mode {m!r}; expected one of {valid}")
+    if len(set(modes)) != len(modes):
+        raise InvalidConfig(f"modes repeat: {tuple(modes)}")
     rows = []
     trials = []
     for oi, (name, scenes) in enumerate(scenes_by_object.items()):

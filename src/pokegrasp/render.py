@@ -23,20 +23,20 @@ An object covers a small part of the frame, so a camera render pays for
 the object, not the frame:
 
 * The table is the world plane z = 0 with normal +z (``scene``), so its
-  depth depends only on the camera. It is computed once per camera and
-  kept read-only in a small cache like the pixel-ray grid. A render's
-  depth starts from a copy of it and its instance ids from zeros. Normals
+  depth depends only on the camera. ``CameraModel.table_depth`` caches it
+  read-only with the pixel-ray grid, once per camera. A render's depth
+  starts from a copy of it and its instance ids from zeros. Normals
   are kept only at the object pixels: each one's normal is that of the
   closest object there.
 * Each object has one bounding volume, its local box (``[-R, R]^2 x
   [z_min, z_max]`` for a solid of revolution, the box itself for a
   ``Box``), padded by 1e-7 m past the tolerances of the primitive tests.
   Only the pixels of the box's window are considered: the columns and rows
-  spanned by its eight projected corners, padded by 1 px and clipped to
-  the image. When a corner is not in front of the camera, the window is
-  the whole frame. The window's rays are tested against the box with a
-  slab test in the object frame, where all rays share one origin, and only
-  the rays that meet it reach ``intersect_object``.
+  spanned by its eight corners' ``CameraModel.project``, padded by 1 px
+  and clipped to the image. When a corner is not in front of the camera,
+  the window is the whole frame. The window's rays are tested against the
+  box with a slab test in the object frame, where all rays share one
+  origin, and only the rays that meet it reach ``intersect_object``.
 
 The solid lies inside the padded box, and a convex box wholly in front of
 the camera projects inside its corners' bounding rectangle; the pixel pad
@@ -87,8 +87,9 @@ length 3. The box slab test folds its axes with ``np.maximum`` /
 maximum that ``argmax`` returns. A dot product or squared norm is written
 out left to right, the order in which numpy reduces the axis. The results
 are therefore those of the (n, 3) forms, byte for byte. Primitives and
-their profile segments are compiled once per (shape, wall thickness) and a
-pose's inverse once per pose.
+their profile segments are compiled once per (shape, wall thickness), from
+the cavity the object keeps (``ObjectModel.cavity``), and a pose's inverse
+once per pose.
 """
 from __future__ import annotations
 
@@ -99,20 +100,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import InvalidGeometry
-from .scene import Box, CameraModel, ObjectModel, Scene, _inner_polyline
+from .errors import InvalidGeometry, PointBehindCamera
+from .scene import T_EPS, Box, CameraModel, ObjectModel, Scene
 
-T_EPS = 1e-9
 NO_HIT = np.inf
 
 # compiled primitives, with their profile segments, of up to this many
 # distinct (shape, wall thickness) pairs
 _PRIMITIVES_KEPT = 64
 _PRIMITIVES: dict[tuple, tuple] = {}
-
-# table depths of up to a few distinct cameras
-_TABLE_DEPTHS_KEPT = 4
-_TABLE_DEPTHS: dict[tuple, np.ndarray] = {}
 
 # pad of the local-box cull, past the height and squared-radius tolerances
 # of the primitive tests
@@ -168,7 +164,7 @@ def _compiled(obj: ObjectModel) -> tuple[tuple, tuple]:
     key = (obj.shape, obj.wall_thickness)
     entry = _PRIMITIVES.get(key)
     if entry is None:
-        prims = tuple(_compile_shape(obj.shape, obj.wall_thickness))
+        prims = tuple(_compile_shape(obj))
         segments = tuple((p[2], p[1], p[3], p[1]) if p[0] == "disk" else p[1:5]
                          for p in prims if p[0] != "box")
         entry = (prims, segments)
@@ -178,7 +174,8 @@ def _compiled(obj: ObjectModel) -> tuple[tuple, tuple]:
     return entry
 
 
-def _compile_shape(shape, wall: float) -> list[tuple]:
+def _compile_shape(obj: ObjectModel) -> list[tuple]:
+    shape, inner = obj.shape, obj.cavity
     prims: list[tuple] = []
     if isinstance(shape, Box):
         w, d, h = shape.size
@@ -195,8 +192,7 @@ def _compile_shape(shape, wall: float) -> list[tuple]:
         for i, ((r0, z0), (r1, z1)) in enumerate(zip(pts, pts[1:])):
             prims.append(("frustum", r0, z0, r1, z1, f"outer:{i}"))
         return prims
-    inner = _inner_polyline(shape, wall)
-    prims.append(("disk", shape.z_max, shape.top_radius - wall, shape.top_radius, "rim"))
+    prims.append(("disk", shape.z_max, inner[-1][0], shape.top_radius, "rim"))
     prims.append(("disk", inner[0][1], 0.0, inner[0][0], "cavity_floor"))
     for i, ((r0, z0), (r1, z1)) in enumerate(zip(pts, pts[1:])):
         prims.append(("frustum", r0, z0, r1, z1, f"outer:{i}"))
@@ -377,39 +373,20 @@ def _local_box(obj: ObjectModel) -> tuple[np.ndarray, np.ndarray]:
     return lo - _BOX_PAD, hi + _BOX_PAD
 
 
-def _table_depth(cam: CameraModel) -> np.ndarray:
-    """Read-only depth of the pixel rays against the table plane z = 0
-    alone, flat over the pixels; cached per camera like
-    ``CameraModel.pixel_directions``."""
-    origin = cam.pose.translation
-    key = (cam.fx, cam.fy, cam.cx, cam.cy, cam.width, cam.height,
-           cam.pose.rotation.tobytes(), origin.tobytes())
-    depth = _TABLE_DEPTHS.get(key)
-    if depth is None:
-        dz = cam.pixel_directions()[:, 2]
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            t_table = (0.0 - origin[2]) / dz
-        depth = np.where((np.abs(dz) > 1e-14) & (t_table > T_EPS), t_table, NO_HIT)
-        depth.setflags(write=False)
-        if len(_TABLE_DEPTHS) >= _TABLE_DEPTHS_KEPT:
-            _TABLE_DEPTHS.clear()  # one atomic step, unlike evicting a chosen key
-        _TABLE_DEPTHS[key] = depth
-    return depth
-
-
 def _pixel_window(cam: CameraModel, obj: ObjectModel) -> np.ndarray:
     """Flat row-major indices of the pixels the object's padded local box
     can project into: the window over its eight corners' columns and rows,
     padded by 1 px and clipped to the image; every pixel when a corner is
     not in front of the camera."""
     lo, hi = _local_box(obj)
-    pc = cam.pose.inverse().apply(obj.pose.apply(np.where(_CORNER_HIGH, hi, lo)))
-    if not np.all(pc[:, 2] > 0.0):
+    try:
+        u, v = cam.project(obj.pose.apply(np.where(_CORNER_HIGH, hi, lo)))
+    except PointBehindCamera:
         return np.arange(cam.height * cam.width)
     # a corner barely in front of the camera projects to a huge (even
     # infinite) pixel; clipping first keeps floor and ceil finite
-    u = np.clip(cam.fx * pc[:, 0] / pc[:, 2] + cam.cx, -2.0, cam.width + 1.0)
-    v = np.clip(cam.fy * pc[:, 1] / pc[:, 2] + cam.cy, -2.0, cam.height + 1.0)
+    u = np.clip(u, -2.0, cam.width + 1.0)
+    v = np.clip(v, -2.0, cam.height + 1.0)
     cols = np.arange(max(math.floor(u.min()) - 1, 0), min(math.ceil(u.max()) + 2, cam.width))
     rows = np.arange(max(math.floor(v.min()) - 1, 0), min(math.ceil(v.max()) + 2, cam.height))
     return (rows[:, None] * cam.width + cols).ravel()
@@ -445,7 +422,7 @@ def render(scene: Scene) -> RenderBuffers:
     cam = scene.camera
     origin = cam.pose.translation
     dirs = cam.pixel_directions()
-    depth = _table_depth(cam).copy()
+    depth = cam.table_depth().copy()
     inst = np.zeros(depth.size, dtype=np.int32)
     hits, normals = [], []
     for obj in scene.objects:
@@ -676,11 +653,7 @@ def contains(obj: ObjectModel, points: np.ndarray) -> np.ndarray:
     rho = np.hypot(p[:, 0], p[:, 1])
     r_out = shape.radius_at(z)
     inside = (z >= shape.z_min) & (z <= shape.z_max) & (rho <= r_out)
-    if shape.open_top:
-        inner = _inner_polyline(shape, obj.wall_thickness)
-        zi = np.array([q[1] for q in inner])
-        ri = np.array([q[0] for q in inner])
-        r_in = np.interp(z, zi, ri)
-        in_cavity = (z > inner[0][1]) & (rho < r_in)
-        inside &= ~in_cavity
+    if obj.cavity is not None:
+        ri, zi = np.array(obj.cavity).T
+        inside &= ~((z > zi[0]) & (rho < np.interp(z, zi, ri)))
     return inside

@@ -17,7 +17,8 @@ Objects come in two shapes:
   ``height_of_rim - cavity_depth`` when ``cavity_depth`` is given). This
   is what produces ring-shaped rims on upright vessels. An object is built
   only where its floor lies strictly between the base and the rim and the
-  offset wall stays off the axis (``_inner_polyline``).
+  offset wall stays off the axis (``_inner_polyline``), and it keeps that
+  silhouette as ``ObjectModel.cavity``. A closed top takes no cavity depth.
 * ``Box`` -- a solid cuboid spanning x in [-w/2, w/2], y in [-d/2, d/2],
   z in [0, h] in its local frame.
 
@@ -35,10 +36,12 @@ from .errors import InvalidConfig, InvalidGeometry, PointBehindCamera, RayParall
 from .geometry import RigidTransform
 
 RAY_PARALLEL_TOL = 1e-12
+T_EPS = 1e-9  # a ray's hits lie beyond this distance from its origin
 
-# pixel-ray grids of up to a few distinct cameras, keyed by camera values
-_PIXEL_DIRECTIONS_KEPT = 4
-_PIXEL_DIRECTIONS: dict[tuple, np.ndarray] = {}
+# the pixel-ray grids and table depths of up to a few distinct cameras,
+# keyed by camera values
+_CAMERA_GRIDS_KEPT = 4
+_CAMERA_GRIDS: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
 
 @dataclass(frozen=True)
@@ -66,15 +69,17 @@ class CameraModel:
         if not (0 <= self.cx < self.width) or not (0 <= self.cy < self.height):
             raise InvalidConfig("principal point outside the image")
 
-    def project(self, p_world: np.ndarray) -> tuple[float, float]:
-        """World point -> continuous pixel (u, v).
+    def project(self, p_world: np.ndarray) -> tuple:
+        """World point(s) -> continuous pixel (u, v): floats for a (3,)
+        point, (N,) arrays for (N, 3) points.
 
-        Raises PointBehindCamera when the camera-frame depth is <= 0.
+        Raises PointBehindCamera when a camera-frame depth is <= 0.
         """
         pc = self.pose.inverse().apply(np.asarray(p_world, dtype=np.float64))
-        if pc[2] <= 0.0:
-            raise PointBehindCamera(f"camera-frame depth {pc[2]:.6g} <= 0")
-        return (self.fx * pc[0] / pc[2] + self.cx, self.fy * pc[1] / pc[2] + self.cy)
+        z = pc[..., 2]
+        if np.any(z <= 0.0):
+            raise PointBehindCamera(f"camera-frame depth {np.min(z):.6g} <= 0")
+        return (self.fx * pc[..., 0] / z + self.cx, self.fy * pc[..., 1] / z + self.cy)
 
     def pixel_ray(self, pixel: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
         """World-frame (origin, unit direction) of the ray through a pixel."""
@@ -86,26 +91,40 @@ class CameraModel:
 
     def pixel_directions(self) -> np.ndarray:
         """Read-only (height*width, 3) unit world directions of the rays
-        through the integer pixels, row-major over (v, u).
+        through the integer pixels, row-major over (v, u)."""
+        return self._grids()[0]
 
-        Equal cameras share one cached array, so scenes that each build
-        their own copy of the same camera do not each hold a grid.
-        """
-        rot = self.pose.rotation
-        key = (self.fx, self.fy, self.cx, self.cy, self.width, self.height, rot.tobytes())
-        d = _PIXEL_DIRECTIONS.get(key)
-        if d is None:
+    def table_depth(self) -> np.ndarray:
+        """Read-only (height*width,) distance along each pixel ray to the
+        table plane z = 0, in ``pixel_directions`` order; +inf where the ray
+        runs parallel to the table or meets it no further than ``T_EPS``."""
+        return self._grids()[1]
+
+    def _grids(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pixel-ray grid and the table depth, computed once per camera:
+        equal cameras, such as each scene's own copy of one, share them."""
+        rot, origin = self.pose.rotation, self.pose.translation
+        key = (self.fx, self.fy, self.cx, self.cy, self.width, self.height,
+               rot.tobytes(), origin.tobytes())
+        grids = _CAMERA_GRIDS.get(key)
+        if grids is None:
             uu, vv = np.meshgrid(np.arange(self.width, dtype=np.float64),
                                  np.arange(self.height, dtype=np.float64))
             d_cam = np.stack([(uu - self.cx) / self.fx, (vv - self.cy) / self.fy,
                               np.ones_like(uu)], axis=-1)
             d = d_cam.reshape(-1, 3) @ rot.T
             d /= np.linalg.norm(d, axis=-1, keepdims=True)
+            dz = d[:, 2]
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                t_table = (0.0 - origin[2]) / dz
+            depth = np.where((np.abs(dz) > 1e-14) & (t_table > T_EPS), t_table, np.inf)
+            grids = (d, depth)
             d.setflags(write=False)
-            if len(_PIXEL_DIRECTIONS) >= _PIXEL_DIRECTIONS_KEPT:
-                _PIXEL_DIRECTIONS.clear()  # one atomic step, unlike evicting a chosen key
-            _PIXEL_DIRECTIONS[key] = d
-        return d
+            depth.setflags(write=False)
+            if len(_CAMERA_GRIDS) >= _CAMERA_GRIDS_KEPT:
+                _CAMERA_GRIDS.clear()  # one atomic step, unlike evicting a chosen key
+            _CAMERA_GRIDS[key] = grids
+        return grids
 
     def backproject_at_height(self, pixel: Sequence[float], height: float) -> np.ndarray:
         """Intersect the pixel ray with the horizontal plane z = ``height``."""
@@ -130,6 +149,8 @@ class RevolutionProfile:
             raise InvalidGeometry("profile needs at least two points")
         if not all(math.isfinite(v) for p in pts for v in p):
             raise InvalidGeometry("profile points must be finite")
+        if self.cavity_depth is not None and not self.open_top:
+            raise InvalidGeometry("a closed top has no cavity_depth")
         if self.cavity_depth is not None and not math.isfinite(self.cavity_depth):
             raise InvalidGeometry("cavity_depth must be finite")
         if any(r < 0 for r, _ in pts):
@@ -166,7 +187,7 @@ class RevolutionProfile:
         return np.interp(z, zs, rs)
 
 
-def _inner_polyline(profile: RevolutionProfile, wall: float) -> list[tuple[float, float]]:
+def _inner_polyline(profile: RevolutionProfile, wall: float) -> tuple[tuple[float, float], ...]:
     """Inner cavity silhouette: outer profile offset inward by the wall, from
     the cavity floor to the rim. Raises InvalidGeometry unless the floor lies
     strictly between the base and the rim (a ``cavity_depth`` in
@@ -182,7 +203,7 @@ def _inner_polyline(profile: RevolutionProfile, wall: float) -> list[tuple[float
     pts.append((profile.top_radius - wall, profile.z_max))
     if any(r <= 0 for r, _ in pts):
         raise InvalidGeometry("cavity wall offset exceeds profile radius")
-    return pts
+    return tuple(pts)
 
 
 @dataclass(frozen=True)
@@ -219,17 +240,22 @@ Shape = Union[RevolutionProfile, Box]
 
 @dataclass(frozen=True)
 class ObjectModel:
-    """A posed rigid object with mass, for rendering and contact simulation."""
+    """A posed rigid object with mass, for rendering and contact simulation.
+    An open-top solid of revolution keeps its ``_inner_polyline`` as
+    ``cavity``, derived and not passed; any other shape has None."""
 
     id: int
     shape: Shape
     mass: float
     pose: RigidTransform = field(default_factory=RigidTransform.identity)
     wall_thickness: float = 0.002
+    cavity: Optional[tuple[tuple[float, float], ...]] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.id < 1:
-            raise InvalidConfig("object ids start at 1")
+        # a fractional id renders as its integer part and is never found again
+        if not isinstance(self.id, (int, np.integer)) or isinstance(self.id, bool) \
+                or self.id < 1:
+            raise InvalidConfig("object ids are integers that start at 1")
         # a NaN mass fails every tipping comparison: a light cup would never topple
         if not (math.isfinite(self.mass) and math.isfinite(self.wall_thickness)):
             raise InvalidConfig("mass and wall_thickness must be finite")
@@ -237,8 +263,9 @@ class ObjectModel:
             raise InvalidConfig("mass must be positive")
         if self.wall_thickness <= 0:
             raise InvalidConfig("wall_thickness must be positive")
-        if isinstance(self.shape, RevolutionProfile) and self.shape.open_top:
-            _inner_polyline(self.shape, self.wall_thickness)
+        open_top = isinstance(self.shape, RevolutionProfile) and self.shape.open_top
+        object.__setattr__(self, "cavity", _inner_polyline(self.shape, self.wall_thickness)
+                           if open_top else None)
 
 
 @dataclass(frozen=True)

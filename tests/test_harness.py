@@ -15,7 +15,7 @@ from pokegrasp import harness
 from pokegrasp.harness import COARSE_STEP, CONTACT_DOT_MIN, DESCEND_OFFSET, DESCENT_STEP, \
     F_STOP, FAILURE, GRASP_MODES, GRIPPER, H_STOP, MISS, POKE_GUIDANCE_MODES, SENSOR, \
     SIDE_INSIDE_TOL, SUCCESS, TOPPLE, PokeOutcome, PreparedScene, TrialConfig, _contact, \
-    _contact_dot, _footprint_heights, _lattice_rows, annotations_for, corrupt_depth, \
+    _contact_dot, _footprint_heights, annotations_for, corrupt_depth, \
     poke_would_topple, run_benchmark, run_grasp_trial, run_poke_trial, simulate_grasp, \
     simulate_poke, tipping_arms, tipping_max_force
 from pokegrasp.plan import SIMPLY_CONNECTED, GraspProposal, PokePlan, heuristic_grasp
@@ -174,6 +174,13 @@ def test_run_benchmark_rejects_negative_attempts():
     with pytest.raises(InvalidConfig, match="attempts_per_object"):
         run_benchmark(scenes, ("bbox",), -1, TrialConfig())
     assert run_benchmark(scenes, ("bbox",), 0, TrialConfig()).trials == ()
+
+
+def test_run_benchmark_rejects_a_repeated_mode():
+    # ("bbox", "bbox") returned two identical rows and every trial twice
+    scenes = {"jar": [benchmark_scene("jar", 0, master_seed=0)]}
+    with pytest.raises(InvalidConfig, match="repeat"):
+        run_benchmark(scenes, ("bbox", "mask", "bbox"), 1, TrialConfig())
 
 
 @pytest.mark.parametrize("attempts", (2.0, True, "2", None))
@@ -376,7 +383,9 @@ def test_a_subset_cast_equals_the_full_cast(entry):
     spec = TactileSensorSpec(res_x=40, res_y=30)
     rng = rng_for(0, 0x5B5, CATALOG.index(entry))
     n_sensels = spec.res_y * spec.res_x
-    lattice = np.concatenate([_lattice_rows(spec) + k * n_sensels
+    rows = np.flatnonzero((spec.sensel_offsets[:, None] == spec.lattice_offsets).all(-1).any(-1))
+    assert len(rows) == len(spec.lattice_offsets)
+    lattice = np.concatenate([rows + k * n_sensels
                               for k in range(len(footprint_radii(entry)) * 3)])
     for orientation in (UPRIGHT, UPSIDE_DOWN, SIDE):
         obj = make_object(entry, orientation, 0.01, -0.02, float(rng.uniform(0.0, 2.0 * np.pi)))
@@ -618,7 +627,7 @@ def lattice_count(scene, spec, center) -> int:
     """Sensels of the coarse lattice that count at ``center``, each indented as
     frame_from_heights does and counted as detect_contact counts: indented by
     more than the value threshold."""
-    xy = spec.sensel_offsets[_lattice_rows(spec)] + center[:2]
+    xy = spec.lattice_offsets + center[:2]
     heights, _ = top_heights(scene.objects, xy, floor=center[2])
     pen = np.where(np.isfinite(heights), np.clip(heights - center[2], 0.0, spec.max_indent), 0.0)
     return int(np.count_nonzero(pen > DEFAULT_VALUE_THRESHOLD))
@@ -656,7 +665,7 @@ def full_frame_poke(scene, plan):
     """simulate_poke with a coarse descent that casts the full frame at every
     height the skip does not pass over, as it did before the lattice."""
     origin, direction = scene.camera.pixel_ray(plan.point_px)
-    spec = SENSOR
+    spec = harness.SENSOR
     top = scene_top_z(scene.objects)
     half = np.array([spec.area_x, spec.area_y]) / 2.0
 
@@ -704,6 +713,32 @@ def test_lattice_pokes_equal_full_frame_pokes(name, attempt):
         assert_same_poke(simulate_poke(scene, plan), full_frame_poke(scene, plan))
 
 
+@pytest.mark.parametrize("attempt", (0, 4, 8))
+@pytest.mark.parametrize("name", ("jar", "mug"))
+def test_a_rebound_sensor_sets_every_probe(name, attempt, monkeypatch):
+    # the lattice is the pad's own: every column a probe casts, the coarse
+    # lattice's too, is a sensel column of the rebound pad at that height
+    spec = TactileSensorSpec(res_x=40, res_y=30)
+    monkeypatch.setattr(harness, "SENSOR", spec)
+    scene = benchmark_scene(name, attempt, master_seed=0)
+    plan = annotations_for(scene, TrialConfig()).plan("pr")
+    casts = []
+    original = harness.top_heights
+
+    def wrapper(objects, xy, floor):
+        casts.append((xy, floor))
+        return original(objects, xy, floor=floor)
+
+    monkeypatch.setattr(harness, "top_heights", wrapper)
+    outcome = simulate_poke(scene, plan)
+    monkeypatch.setattr(harness, "top_heights", original)
+    assert {len(xy) for xy, _ in casts} == {len(spec.lattice_offsets), 30 * 40}
+    for xy, floor in casts:
+        grid = {tuple(c) for c in spec.sensel_offsets + ray_point(scene, plan, floor)[:2]}
+        assert all(tuple(c) in grid for c in xy), floor
+    assert_same_poke(outcome, full_frame_poke(scene, plan))
+
+
 def test_a_poke_and_a_grasp_take_no_seed():
     # a stale seed argument raises instead of being dropped unread
     scene = benchmark_scene("jar", 0, master_seed=0)
@@ -744,7 +779,7 @@ def test_a_lattice_touch_casts_one_full_frame(monkeypatch):
     assert outcome.status in (SUCCESS, TOPPLE)
     frame = SENSOR.res_x * SENSOR.res_y
     assert sizes.count(frame) == 1
-    assert set(sizes) == {len(_lattice_rows(SENSOR)), frame}
+    assert set(sizes) == {len(SENSOR.lattice_offsets), frame}
 
 
 def test_a_touch_between_lattice_sensels_falls_back_to_the_full_frame(monkeypatch):
@@ -764,7 +799,7 @@ def test_a_touch_between_lattice_sensels_falls_back_to_the_full_frame(monkeypatc
     assert outcome.status != MISS
     assert outcome.stop_z == pytest.approx(0.049)
     # the lattice and the full frame at the first touch, then the contact frame
-    assert sizes == [len(_lattice_rows(spec)), spec.res_x * spec.res_y,
+    assert sizes == [len(spec.lattice_offsets), spec.res_x * spec.res_y,
                      spec.res_x * spec.res_y]
     assert_same_poke(outcome, full_frame_poke(scene, plan))
 
@@ -849,6 +884,29 @@ def test_footprint_sensels_match_the_posed_grid():
             _, _, xy = _footprint_heights(scene, spec, np.array(center))
             assert xy.tobytes() == face_down_sensel_xy(spec, center).reshape(shape).tobytes()
         assert spec.sensel_offsets.tobytes() == face_down_sensel_xy(spec, (0.0, 0.0)).tobytes()
+
+
+@pytest.mark.parametrize("tilt, on_line", [(0.0, False), (0.1, False), (0.5, True),
+                                           (np.pi / 2, True), (np.pi, False)])
+def test_the_adhesion_coin_is_drawn_on_a_line_support(tilt, on_line, monkeypatch):
+    # a solid of revolution resting on its axis segment draws the coin, one on
+    # its base or top disk does not; a tilt of 0.5 rad drew none before, when
+    # the coin asked for a side-lying axis (|axis z| < 0.01) instead
+    entry = catalog_entry("jar")
+    target = ObjectModel(id=2, shape=entry.shape, mass=entry.mass,
+                         wall_thickness=entry.wall_thickness,
+                         pose=RigidTransform(rot_x(tilt), [1.0, 0.0, 0.05]))  # out of view
+    scene = Scene(camera=default_camera(),
+                  objects=(make_object(entry, UPRIGHT, 0.0, 0.0, 0.0, oid=1), target))
+    assert len(harness._support(target)[0]) == (2 if on_line else 1)
+    prepared = annotations_for(scene, TrialConfig())
+    assert [ann.id for ann in prepared.anns] == [1]
+    # a clean contact on the target, put in the poke memo
+    prepared._pokes[prepared.plan("tactile").point_px] = PokeOutcome(
+        status=SUCCESS, contact_point=np.array([1.0, 0.0, 0.1]), contact_object=2)
+    monkeypatch.setattr(harness, "ADHESION_PROB", 1.0)
+    out = run_grasp_trial(scene, TrialConfig(), 0, "tactile", prepared=prepared)
+    assert (out.reason == "adhesion_disturbance") == on_line
 
 
 class TestTippingStatics:

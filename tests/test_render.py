@@ -10,7 +10,7 @@ from pokegrasp.catalog import OBJECT_NAMES, benchmark_scene, catalog_entry, defa
     make_object
 from pokegrasp.geometry import RigidTransform, rot_x, rot_y, rot_z
 from pokegrasp.render import _compiled, _frustum_normal, _intersect_box, _intersect_disk, \
-    _intersect_frustum, _local_box, _pixel_window, _rising_primitives, _table_depth, \
+    _intersect_frustum, _local_box, _pixel_window, _rising_primitives, \
     compile_primitives, contains, intersect_object, object_top_z, render, rises_above, \
     top_heights
 from pokegrasp.scene import Box, ObjectModel, RevolutionProfile, Scene
@@ -305,7 +305,7 @@ class TestCulledRenderMatchesUnculled:
         buf.pixels[:] = 0
         buf.pixel_normals[:] = 0.5
         assert_buffers_identical(render(scene), *unculled_render(scene))
-        assert not _table_depth(scene.camera).flags.writeable
+        assert not scene.camera.table_depth().flags.writeable
 
     def test_a_field_cannot_be_rebound(self):
         buf = render(benchmark_scene("mug", 0, master_seed=0))

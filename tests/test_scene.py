@@ -5,7 +5,8 @@ from pokegrasp.catalog import default_camera
 from pokegrasp.errors import (InvalidConfig, InvalidGeometry, PointBehindCamera,
                               RayParallelToPlane)
 from pokegrasp.geometry import RigidTransform, rot_x, rot_z
-from pokegrasp.scene import Box, CameraModel, ObjectModel, RevolutionProfile, Scene
+from pokegrasp.scene import Box, CameraModel, ObjectModel, RevolutionProfile, Scene, \
+    _inner_polyline
 
 from conftest import overhead_camera, straight_cup
 
@@ -34,6 +35,21 @@ class TestProject:
         cam = identity_camera()
         with pytest.raises(PointBehindCamera):
             cam.project([0.0, 0.0, -0.5])
+
+    def test_points_project_as_each_point(self):
+        cam = overhead_camera(tilt=0.2)
+        points = np.random.default_rng(5).uniform([-0.2, -0.2, 0.0], [0.2, 0.2, 0.3], (40, 3))
+        u, v = cam.project(points)
+        assert u.shape == v.shape == (40,)
+        for p, got in zip(points, zip(u, v)):
+            assert got == cam.project(p)
+
+    @pytest.mark.parametrize("z", (0.0, -0.5))
+    def test_one_point_behind_the_camera_raises_for_all(self, z):
+        cam = identity_camera()
+        points = np.array([[0.0, 0.0, 1.0], [0.1, 0.0, z], [0.0, 0.1, 2.0]])
+        with pytest.raises(PointBehindCamera):
+            cam.project(points)
 
 
 class TestBackproject:
@@ -104,6 +120,27 @@ class TestPixelDirections:
         assert a is not b
         assert a.pixel_directions() is b.pixel_directions()
         assert default_camera(width=160, height=120).pixel_directions() is not a.pixel_directions()
+
+
+class TestTableDepth:
+    def test_equal_cameras_share_one_read_only_depth(self):
+        a, b = default_camera(), default_camera()
+        depth = a.table_depth()
+        assert b.table_depth() is depth and not depth.flags.writeable
+        with pytest.raises(ValueError):
+            depth[0] = 0.0
+        assert default_camera(cam_height=0.5).table_depth() is not depth
+
+    def test_depth_is_the_ray_distance_to_the_table(self):
+        cam = overhead_camera(height=0.7, tilt=0.3)
+        points = cam.pose.translation + cam.table_depth()[:, None] * cam.pixel_directions()
+        assert cam.table_depth().shape == (480 * 640,)
+        assert np.abs(points[:, 2]).max() < 1e-12
+
+    def test_a_ray_that_misses_the_table_reads_inf(self):
+        # a camera below the table looks down away from it
+        cam = overhead_camera(height=-0.1)
+        assert np.all(cam.table_depth() == np.inf)
 
 
 class TestValidation:
@@ -201,9 +238,43 @@ class TestValidation:
         with pytest.raises(InvalidGeometry, match="between the base and the rim"):
             ObjectModel(id=1, shape=shape, mass=0.1)
 
+    def test_a_closed_top_takes_no_cavity_depth(self):
+        # the depth was silently ignored: the closed cup rendered solid
+        with pytest.raises(InvalidGeometry, match="closed top"):
+            RevolutionProfile(((0.03, 0.0), (0.03, 0.1)), open_top=False, cavity_depth=0.05)
+
+    @pytest.mark.parametrize("oid", (1.5, True, np.float64(2.0), "1", None, 0, -1))
+    def test_object_id_must_be_an_integer_from_1(self, oid):
+        # 1.5 rendered as instance 1 and its pr poke raised a bare KeyError;
+        # True ran as object 1
+        with pytest.raises(InvalidConfig, match="ids"):
+            ObjectModel(id=oid, shape=Box((0.1, 0.1, 0.1)), mass=0.1)
+
+    def test_object_id_accepts_numpy_integers(self):
+        assert ObjectModel(id=np.int64(2), shape=Box((0.1, 0.1, 0.1)), mass=0.1).id == 2
+
     def test_unique_ids(self):
         cam = identity_camera()
         a = straight_cup(oid=1)
         b = straight_cup(oid=1)
         with pytest.raises(InvalidConfig):
             Scene(camera=cam, objects=(a, b))
+
+
+class TestCavity:
+    def test_an_open_top_keeps_its_cavity(self):
+        cup = straight_cup(wall=0.003)
+        assert cup.cavity == _inner_polyline(cup.shape, 0.003)
+        assert cup.cavity == ((0.027, 0.003), (0.027, 0.10))
+
+    def test_other_shapes_have_none(self):
+        closed = RevolutionProfile(((0.03, 0.0), (0.03, 0.1)))
+        for shape in (closed, Box((0.1, 0.1, 0.1))):
+            assert ObjectModel(id=1, shape=shape, mass=0.1).cavity is None
+
+    def test_the_cavity_is_derived_not_passed(self):
+        cup = straight_cup()
+        with pytest.raises(TypeError):
+            ObjectModel(id=1, shape=cup.shape, mass=0.1, cavity=cup.cavity)
+        with pytest.raises(AttributeError):
+            cup.cavity = ()
